@@ -7,12 +7,9 @@
 //!
 //! Signatures live in a [`SimVectors`] matrix: one flat `Vec<u64>` holding
 //! `n_words` words per row (row-major, stride `n_words`), one row per AIG
-//! node. Simulation writes straight into the matrix column by column, so
-//! neither the producer nor any consumer allocates per-node rows.
-// The only unsafe code in this crate lives here (the parallel column-scatter writers);
-// the crate root denies it everywhere else, and every block
-// carries a `// SAFETY:` comment (clippy-enforced).
-#![allow(unsafe_code)]
+//! node. Every producer here runs one compiled [`SimProgram`], which writes
+//! straight into the matrix's columns, so neither the producer nor any
+//! consumer allocates per-node rows.
 
 use crate::aig::Aig;
 use crate::compile::SimProgram;
@@ -25,37 +22,16 @@ use rand::{Rng, SeedableRng};
 /// Row `r` occupies `words[r * n_words .. (r + 1) * n_words]`. For
 /// node-signature matrices the row index is the node id; for PO-signature
 /// matrices it is the output index.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimVectors {
     words: Vec<u64>,
     n_words: usize,
-    /// Dense per-node scratch column reused across simulations (excluded
-    /// from equality; purely a cache).
-    scratch: Vec<u64>,
 }
-
-impl Default for SimVectors {
-    fn default() -> SimVectors {
-        SimVectors::new()
-    }
-}
-
-impl PartialEq for SimVectors {
-    fn eq(&self, other: &SimVectors) -> bool {
-        self.n_words == other.n_words && self.words == other.words
-    }
-}
-
-impl Eq for SimVectors {}
 
 impl SimVectors {
-    /// An empty matrix; shape it with [`SimVectors::reset`].
+    /// An empty matrix; shape it with [`SimVectors::reshape`].
     pub fn new() -> SimVectors {
-        SimVectors {
-            words: Vec::new(),
-            n_words: 0,
-            scratch: Vec::new(),
-        }
+        SimVectors::default()
     }
 
     /// An all-zero matrix of `n_rows * n_words` words.
@@ -63,7 +39,6 @@ impl SimVectors {
         SimVectors {
             words: vec![0u64; n_rows * n_words],
             n_words,
-            scratch: Vec::new(),
         }
     }
 
@@ -72,8 +47,8 @@ impl SimVectors {
     /// allocation once instead of remapping megabytes per call.
     ///
     /// Retained cells are *not* cleared: contents are unspecified until
-    /// written. Every producer here overwrites whole columns (each column
-    /// pass scatters every row), so no memset is needed between reuses.
+    /// written. Every producer here overwrites whole columns (each program
+    /// run writes every row), so no memset is needed between reuses.
     pub fn reshape(&mut self, n_rows: usize, n_words: usize) {
         self.n_words = n_words;
         self.words.resize(n_rows * n_words, 0);
@@ -109,7 +84,7 @@ impl SimVectors {
         self.words[r * self.n_words + w]
     }
 
-    /// The whole word buffer, for in-crate raw-pointer producers.
+    /// The whole word buffer, for the compiled program's strided runner.
     #[inline]
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
@@ -121,7 +96,7 @@ impl SimVectors {
     /// rotation so that moving a word between columns or rows changes the
     /// result — unlike a plain XOR fold, where symmetric contents (or a
     /// row XORing to zero) make disagreement invisible. Used by the bench
-    /// harness and CI to compare engines and thread counts.
+    /// harness and CI to pin simulation output across changes.
     pub fn checksum(&self) -> u64 {
         let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (self.words.len() as u64);
         if self.n_words == 0 {
@@ -136,92 +111,6 @@ impl SimVectors {
         }
         h
     }
-
-    /// Simulates the graph on one 64-pattern word per PI, writing node
-    /// values into column `w` of the matrix (row = node id). The matrix
-    /// must have one row per node; the constant node's column stays 0.
-    ///
-    /// # Panics
-    /// Panics if `pi_words.len() != aig.num_pis()` or `w >= n_words`.
-    pub fn simulate_column(&mut self, aig: &Aig, w: usize, pi_words: &[u64]) {
-        self.simulate_block(aig, w, 1, pi_words);
-    }
-
-    /// Simulates `nb` consecutive columns (`w0 .. w0 + nb`) in one blocked
-    /// pass. `pi_block` holds the input words PI-major: words `j` of PI `i`
-    /// at `pi_block[i * nb + j]`.
-    ///
-    /// With `nb` sized to a cache line (8 words), the strided scatter into
-    /// the matrix touches each row's line once per *block* instead of once
-    /// per column — the main memory-traffic win of the flat layout.
-    ///
-    /// # Panics
-    /// Panics if `pi_block.len() != aig.num_pis() * nb` or the column range
-    /// is out of bounds.
-    pub fn simulate_block(&mut self, aig: &Aig, w0: usize, nb: usize, pi_block: &[u64]) {
-        assert!(w0 + nb <= self.n_words, "column range out of bounds");
-        debug_assert_eq!(self.n_rows(), aig.num_nodes(), "one row per node");
-        let mut val = std::mem::take(&mut self.scratch);
-        sim_dense_block(aig, nb, pi_block, &mut val);
-        let stride = self.n_words;
-        for v in 0..aig.num_nodes() {
-            self.words[v * stride + w0..v * stride + w0 + nb]
-                .copy_from_slice(&val[v * nb..(v + 1) * nb]);
-        }
-        self.scratch = val;
-    }
-}
-
-/// Evaluates every node on `nb` words per PI into a dense node-major buffer
-/// (`val[v * nb + j]` = word `j` of node `v`), reusing `val`'s allocation.
-///
-/// This is the simulation kernel proper: fanin loads stay in a contiguous,
-/// cache-resident buffer; scattering into a strided signature matrix is the
-/// caller's (cheap, linear) job. Free-standing so parallel column workers
-/// can run it on private buffers.
-///
-/// # Panics
-/// Panics if `pi_block.len() != aig.num_pis() * nb`.
-fn sim_dense_block(aig: &Aig, nb: usize, pi_block: &[u64], val: &mut Vec<u64>) {
-    assert_eq!(
-        pi_block.len(),
-        aig.num_pis() * nb,
-        "nb simulation words per PI required"
-    );
-    val.clear();
-    val.resize(aig.num_nodes() * nb, 0);
-    for (i, &pi) in aig.pis().iter().enumerate() {
-        val[pi as usize * nb..(pi as usize + 1) * nb]
-            .copy_from_slice(&pi_block[i * nb..(i + 1) * nb]);
-    }
-    for v in aig.iter_ands() {
-        let node = aig.node(v);
-        let (f0, f1) = (node.fanin0(), node.fanin1());
-        let m0 = if f0.is_compl() { !0u64 } else { 0 };
-        let m1 = if f1.is_compl() { !0u64 } else { 0 };
-        let (i0, i1, iv) = (
-            f0.var() as usize * nb,
-            f1.var() as usize * nb,
-            v as usize * nb,
-        );
-        for j in 0..nb {
-            val[iv + j] = (val[i0 + j] ^ m0) & (val[i1 + j] ^ m1);
-        }
-    }
-}
-
-/// Evaluates all nodes on one 64-pattern word per PI.
-///
-/// Returns one word per node, in node order (constant node first, value 0).
-/// One-shot convenience around [`SimVectors::simulate_column`]; batch
-/// clients should simulate into a shared matrix instead.
-///
-/// # Panics
-/// Panics if `pi_words.len() != aig.num_pis()`.
-pub fn simulate_words(aig: &Aig, pi_words: &[u64]) -> Vec<u64> {
-    let mut sv = SimVectors::zero(aig.num_nodes(), 1);
-    sv.simulate_column(aig, 0, pi_words);
-    sv.words
 }
 
 /// Per-node signatures over `n_words * 64` uniformly random patterns.
@@ -237,43 +126,23 @@ pub fn random_signatures(aig: &Aig, n_words: usize, seed: u64) -> SimVectors {
 /// Columns per blocked simulation pass: one 64-byte cache line of words.
 const SIM_BLOCK: usize = 8;
 
-/// [`random_signatures`] into a caller-owned matrix, reusing its buffer.
-///
-/// Wide fills (≥ 4 words) go through the compiled engine
-/// ([`SimProgram::full`] + [`random_columns_prog`]), which amortises one
-/// cheap compilation over many columns; narrow fills stay on the
-/// interpreter. Both produce bit-identical matrices, so the routing is
-/// invisible to callers.
+/// [`random_signatures`] into a caller-owned matrix, reusing its buffer:
+/// one [`SimProgram::full`] compilation, then [`random_columns`].
 pub fn random_signatures_into(aig: &Aig, n_words: usize, seed: u64, sigs: &mut SimVectors) {
     sigs.reshape(aig.num_nodes(), n_words);
-    if n_words >= 4 {
-        let prog = SimProgram::full(aig);
-        random_columns_prog(&prog, sigs, 0, n_words, seed, 1);
-    } else {
-        random_columns(aig, sigs, 0, n_words, seed);
-    }
+    random_columns(&SimProgram::full(aig), sigs, 0, n_words, seed);
 }
 
 /// Decorrelates a per-block random stream from the base seed (splitmix64
-/// finalizer). Seeding every block independently — instead of drawing one
-/// sequential stream — is what lets parallel workers produce the same
-/// patterns as a sequential pass: block `b`'s words depend only on
-/// `(seed, b)`, never on who simulated block `b - 1`.
+/// finalizer). Block `b`'s words depend only on `(seed, b)`, never on the
+/// blocks before it, so a fill at a column offset draws the same patterns
+/// as one at column 0.
 #[inline]
 fn block_seed(seed: u64, block: u64) -> u64 {
     let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Fills columns `w0 .. w0 + n_cols` of an already-shaped matrix with
-/// uniformly random patterns, in blocked passes. Deterministic for a
-/// fixed seed; shared by the signature producers and the sweep engine's
-/// per-round resimulation. Equivalent to [`random_columns_par`] with one
-/// thread.
-pub fn random_columns(aig: &Aig, sigs: &mut SimVectors, w0: usize, n_cols: usize, seed: u64) {
-    random_columns_par(aig, sigs, w0, n_cols, seed, 1);
 }
 
 /// Fills one random block's PI words from its private stream.
@@ -284,280 +153,47 @@ fn fill_pi_block(pi_block: &mut [u64], seed: u64, block: u64) {
     }
 }
 
-/// Shares the signature matrix's word buffer with column workers.
+/// Fills columns `w0 .. w0 + n_cols` of an already-shaped matrix with
+/// uniformly random patterns through a compiled program, in blocked
+/// passes of [`SIM_BLOCK`] columns. Deterministic for a fixed seed; shared
+/// by the signature producers and the sweep engine's per-round
+/// resimulation.
 ///
-/// Safety contract (upheld by the producers below): every worker writes a
-/// *disjoint* set of columns, all within the buffer, and the matrix is not
-/// read until the scope joins — so the raw writes never alias.
-struct ColumnCursor(*mut u64);
-// SAFETY: per the contract above — workers write disjoint columns of a
-// buffer that outlives the scope, and nothing reads it until the scoped
-// threads join, so shared `&ColumnCursor` access never produces a data
-// race.
-unsafe impl Sync for ColumnCursor {}
-
-/// [`random_columns`] split across up to `threads` worker threads.
-///
-/// Blocks of [`SIM_BLOCK`] columns are dealt round-robin to the workers;
-/// each block's patterns come from a private RNG stream keyed by
-/// `(seed, block index)`, and each worker simulates into a private dense
-/// buffer before scattering into its own columns of the strided matrix.
-/// The strided layout makes those writes disjoint, so the result is
-/// bit-identical for every thread count, one included.
-pub fn random_columns_par(
-    aig: &Aig,
-    sigs: &mut SimVectors,
-    w0: usize,
-    n_cols: usize,
-    seed: u64,
-    threads: usize,
-) {
-    // Block descriptors: (start column, width); the block index used for
-    // seeding is the position in this list, so the stream layout is
-    // independent of how the blocks are later scheduled.
-    let blocks: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut w = w0;
-        while w < w0 + n_cols {
-            let nb = SIM_BLOCK.min(w0 + n_cols - w);
-            v.push((w, nb));
-            w += nb;
-        }
-        v
-    };
-    let n_pis = aig.num_pis();
-    if threads <= 1 || blocks.len() <= 1 {
-        let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-        for (b, &(w, nb)) in blocks.iter().enumerate() {
-            fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-            sigs.simulate_block(aig, w, nb, &pi_block[..n_pis * nb]);
-        }
-        return;
-    }
-    assert!(w0 + n_cols <= sigs.n_words, "column range out of bounds");
-    assert_eq!(sigs.n_rows(), aig.num_nodes(), "one row per node");
-    let n = aig.num_nodes();
-    let stride = sigs.n_words;
-    let workers = threads.min(blocks.len());
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            let blocks = &blocks;
-            scope.spawn(move || {
-                let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-                let mut val: Vec<u64> = Vec::new();
-                let mut b = t;
-                while b < blocks.len() {
-                    let (w, nb) = blocks[b];
-                    fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-                    sim_dense_block(aig, nb, &pi_block[..n_pis * nb], &mut val);
-                    // SAFETY: this worker owns columns `w .. w + nb` of
-                    // every row (blocks are disjoint, dealt round-robin),
-                    // and `v * stride + w + nb <= words.len()` by the
-                    // shape asserts above.
-                    unsafe {
-                        for v in 0..n {
-                            std::ptr::copy_nonoverlapping(
-                                val[v * nb..].as_ptr(),
-                                cursor.0.add(v * stride + w),
-                                nb,
-                            );
-                        }
-                    }
-                    b += workers;
-                }
-            });
-        }
-    });
-}
-
-/// [`random_columns_par`] driven by a compiled program instead of the
-/// interpreter.
-///
-/// The block structure and per-block RNG streams are identical to the
-/// interpreter producers', and a [`SimProgram::full`] program writes
-/// every node row bit-identically to [`SimVectors::simulate_block`] — so
-/// for any `(seed, column range)` this fills exactly the same matrix as
-/// [`random_columns_par`], for every thread count of either engine. The
-/// win is the run itself: one precompiled op sweep writing straight into
-/// the strided matrix, instead of a dense interpreter pass plus a
-/// row-by-row scatter.
+/// Block `b` (columns `w0 + 8b ..`) draws its PI words PI-major from a
+/// private RNG stream keyed by `(seed, b)`. With a
+/// [`SimProgram::full`] program, row `v` of the matrix is node `v`.
 ///
 /// # Panics
 /// Panics if the matrix shape does not match the program
 /// (`n_rows == prog.n_slots()`) or the column range is out of bounds.
-pub fn random_columns_prog(
+pub fn random_columns(
     prog: &SimProgram,
     sigs: &mut SimVectors,
     w0: usize,
     n_cols: usize,
     seed: u64,
-    threads: usize,
 ) {
-    assert!(w0 + n_cols <= sigs.n_words, "column range out of bounds");
-    assert_eq!(sigs.n_rows(), prog.n_slots(), "one row per program slot");
-    let blocks: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut w = w0;
-        while w < w0 + n_cols {
-            let nb = SIM_BLOCK.min(w0 + n_cols - w);
-            v.push((w, nb));
-            w += nb;
-        }
-        v
-    };
     let n_pis = prog.n_pis();
-    let stride = sigs.n_words;
-    let workers = if blocks.len() <= 1 {
-        1
-    } else {
-        threads.min(blocks.len())
-    };
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    if workers <= 1 {
-        let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-        for (b, &(w, nb)) in blocks.iter().enumerate() {
-            fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-            // SAFETY: single-threaded; shape asserted above.
-            unsafe { prog.run_all_raw(cursor.0, stride, w, nb, &pi_block[..n_pis * nb]) };
-        }
-        return;
+    let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
+    for (b, w) in (w0..w0 + n_cols).step_by(SIM_BLOCK).enumerate() {
+        let nb = SIM_BLOCK.min(w0 + n_cols - w);
+        let block = &mut pi_block[..n_pis * nb];
+        fill_pi_block(block, seed, b as u64);
+        prog.run_strided(sigs, w, nb, block);
     }
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            let blocks = &blocks;
-            scope.spawn(move || {
-                let mut pi_block = vec![0u64; n_pis * SIM_BLOCK];
-                let mut b = t;
-                while b < blocks.len() {
-                    let (w, nb) = blocks[b];
-                    fill_pi_block(&mut pi_block[..n_pis * nb], seed, b as u64);
-                    // SAFETY: this worker owns columns `w .. w + nb` of
-                    // every row (blocks are disjoint, dealt round-robin),
-                    // within bounds by the shape asserts above.
-                    unsafe { prog.run_all_raw(cursor.0, stride, w, nb, &pi_block[..n_pis * nb]) };
-                    b += workers;
-                }
-            });
-        }
-    });
 }
 
-/// [`simulate_columns_par`] driven by a compiled program: replays
-/// `(column, PI words)` jobs through one [`SimProgram::full`] run per
-/// job. Fills the same columns bit-identically to the interpreter
-/// version, for every thread count.
+/// Replays `(column, PI words)` jobs through a compiled program: each job
+/// writes one column from one word per PI. The sweep engine replays its
+/// counterexample chunks this way.
 ///
 /// # Panics
-/// Panics if the matrix shape does not match the program, a column is
-/// out of range, or (with multiple threads) columns are not distinct.
-pub fn simulate_columns_prog(
-    prog: &SimProgram,
-    sigs: &mut SimVectors,
-    jobs: &[(usize, &[u64])],
-    threads: usize,
-) {
-    assert_eq!(sigs.n_rows(), prog.n_slots(), "one row per program slot");
-    for &(w, _) in jobs {
-        assert!(w < sigs.n_words, "column out of range");
+/// Panics if the matrix shape does not match the program, a column is out
+/// of range, or a job does not hold one word per PI.
+pub fn simulate_columns(prog: &SimProgram, sigs: &mut SimVectors, jobs: &[(usize, &[u64])]) {
+    for &(w, pi_words) in jobs {
+        prog.run_strided(sigs, w, 1, pi_words);
     }
-    let stride = sigs.n_words;
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    if threads <= 1 || jobs.len() <= 1 {
-        for &(w, pi_words) in jobs {
-            // SAFETY: single-threaded; shape asserted above.
-            unsafe { prog.run_all_raw(cursor.0, stride, w, 1, pi_words) };
-        }
-        return;
-    }
-    for (i, &(w, _)) in jobs.iter().enumerate() {
-        // Hard assert (see `simulate_columns_par`): distinctness is the
-        // disjointness guarantee the concurrent writes rely on.
-        assert!(
-            jobs[..i].iter().all(|&(prev, _)| prev != w),
-            "replay columns must be distinct"
-        );
-    }
-    let workers = threads.min(jobs.len());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut j = t;
-                while j < jobs.len() {
-                    let (w, pi_words) = jobs[j];
-                    // SAFETY: columns are distinct and dealt round-robin,
-                    // so each worker's writes are disjoint and in bounds
-                    // by the asserts above.
-                    unsafe { prog.run_all_raw(cursor.0, stride, w, 1, pi_words) };
-                    j += workers;
-                }
-            });
-        }
-    });
-}
-
-/// Simulates a set of independent replay columns — `(column, PI words)`
-/// jobs — split across up to `threads` worker threads.
-///
-/// Used by the sweep engine to replay counterexample chunks: every job is
-/// one dense pass over the graph, so jobs parallelise perfectly. Columns
-/// must be distinct and in range; each worker scatters into its own
-/// columns only, so the result is bit-identical to running the jobs
-/// sequentially through [`SimVectors::simulate_column`].
-pub fn simulate_columns_par(
-    aig: &Aig,
-    sigs: &mut SimVectors,
-    jobs: &[(usize, &[u64])],
-    threads: usize,
-) {
-    if threads <= 1 || jobs.len() <= 1 {
-        for &(w, pi_words) in jobs {
-            sigs.simulate_column(aig, w, pi_words);
-        }
-        return;
-    }
-    for (i, &(w, _)) in jobs.iter().enumerate() {
-        assert!(w < sigs.n_words, "column out of range");
-        // Hard assert: distinctness is the disjointness guarantee the
-        // unsafe concurrent scatter below relies on — a duplicate column
-        // in a release build would be a data race, not just a wrong
-        // answer. One O(jobs²) scan is noise next to a dense simulation
-        // pass per job.
-        assert!(
-            jobs[..i].iter().all(|&(prev, _)| prev != w),
-            "replay columns must be distinct"
-        );
-    }
-    assert_eq!(sigs.n_rows(), aig.num_nodes(), "one row per node");
-    let n = aig.num_nodes();
-    let stride = sigs.n_words;
-    let workers = threads.min(jobs.len());
-    let cursor = ColumnCursor(sigs.words.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for t in 0..workers {
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut val: Vec<u64> = Vec::new();
-                let mut j = t;
-                while j < jobs.len() {
-                    let (w, pi_words) = jobs[j];
-                    sim_dense_block(aig, 1, pi_words, &mut val);
-                    // SAFETY: columns are distinct and dealt round-robin,
-                    // so this worker's writes are disjoint from every
-                    // other's and in bounds by the asserts above.
-                    unsafe {
-                        for v in 0..n {
-                            *cursor.0.add(v * stride + w) = val[v];
-                        }
-                    }
-                    j += workers;
-                }
-            });
-        }
-    });
 }
 
 /// PO signatures over `n_words * 64` random patterns (complement applied).
@@ -586,37 +222,72 @@ pub fn output_tts(aig: &Aig) -> Vec<Tt> {
     let n = aig.num_pis();
     assert!(n <= Tt::MAX_VARS, "too many PIs for exhaustive simulation");
     let n_words = if n <= 6 { 1 } else { 1 << (n - 6) };
-    // One reused node-wide column + the PO rows: memory stays
+    // Only the outputs are read, so the outputs-only program keeps one
+    // block of values for the live cone: memory stays
     // O(num_nodes + num_pos * n_words) even at 20 PIs, where a full
     // node-by-word matrix would be gigabytes.
-    let mut col = SimVectors::zero(aig.num_nodes(), 1);
-    let mut po_words = SimVectors::zero(aig.num_pos(), n_words);
-    let mut pi_words = vec![0u64; n];
-    for w in 0..n_words {
-        // PI i pattern within word w of the elementary table of variable i.
-        for (i, p) in pi_words.iter_mut().enumerate() {
-            *p = if i < 6 {
-                crate::tt::VAR_MASKS[i]
-            } else if w >> (i - 6) & 1 != 0 {
-                u64::MAX
-            } else {
-                0
-            };
+    let prog = SimProgram::outputs_only(aig);
+    let mut po_words = vec![vec![0u64; n_words]; aig.num_pos()];
+    let mut pi_block = Vec::with_capacity(n * SIM_BLOCK);
+    let mut vals = Vec::new();
+    for w0 in (0..n_words).step_by(SIM_BLOCK) {
+        let nb = SIM_BLOCK.min(n_words - w0);
+        // Word w of PI i's elementary truth table, PI-major.
+        pi_block.clear();
+        for i in 0..n {
+            pi_block.extend((w0..w0 + nb).map(|w| {
+                if i < 6 {
+                    crate::tt::VAR_MASKS[i]
+                } else if w >> (i - 6) & 1 != 0 {
+                    u64::MAX
+                } else {
+                    0
+                }
+            }));
         }
-        col.simulate_column(aig, 0, &pi_words);
-        for (o, po) in aig.pos().iter().enumerate() {
-            let x = col.word(po.var() as usize, 0);
-            po_words.row_mut(o)[w] = if po.is_compl() { !x } else { x };
+        prog.run_dense(&mut vals, nb, &pi_block);
+        for (o, row) in po_words.iter_mut().enumerate() {
+            for j in 0..nb {
+                row[w0 + j] = prog.output(o).read(&vals, nb, j);
+            }
         }
     }
-    (0..aig.num_pos())
-        .map(|o| Tt::from_words(n, po_words.row(o).to_vec()))
+    po_words
+        .into_iter()
+        .map(|words| Tt::from_words(n, words))
         .collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::Lit;
+
+    /// Scalar reference: asserts that column `w` of a full-mode matrix
+    /// holds, in each of its 64 bit lanes, the value [`Aig::eval`] gives
+    /// every node under the PI bits that column's PI rows hold.
+    pub(crate) fn assert_column_matches_eval(g: &Aig, sigs: &SimVectors, w: usize) {
+        // `eval` reports POs only: probe a copy with every node as a PO.
+        let mut probe = g.clone();
+        for v in 0..g.num_nodes() {
+            probe.add_po(Lit::from_var(v as u32, false));
+        }
+        for bit in 0..64 {
+            let ins: Vec<bool> = g
+                .pis()
+                .iter()
+                .map(|&pi| sigs.word(pi as usize, w) >> bit & 1 != 0)
+                .collect();
+            let nodes = &probe.eval(&ins)[g.num_pos()..];
+            for (v, &e) in nodes.iter().enumerate() {
+                assert_eq!(
+                    sigs.word(v, w) >> bit & 1 != 0,
+                    e,
+                    "node {v}, column {w}, bit {bit}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn words_match_scalar_eval() {
@@ -628,11 +299,12 @@ mod tests {
         let y = g.mux(c, x, a);
         g.add_po(y);
         let pi_words = [0b1010u64, 0b1100, 0b1111_0000];
-        let vals = simulate_words(&g, &pi_words);
+        let mut sv = SimVectors::zero(g.num_nodes(), 1);
+        simulate_columns(&SimProgram::full(&g), &mut sv, &[(0, &pi_words)]);
         for bit in 0..8 {
             let ins: Vec<bool> = pi_words.iter().map(|w| w >> bit & 1 != 0).collect();
             let expect = g.eval(&ins)[0];
-            let got = vals[y.var() as usize] >> bit & 1 != 0;
+            let got = sv.word(y.var() as usize, 0) >> bit & 1 != 0;
             assert_eq!(got ^ y.is_compl(), expect, "bit={bit}");
         }
     }
@@ -640,17 +312,21 @@ mod tests {
     #[test]
     fn output_tts_match_eval() {
         let mut g = Aig::new();
-        let pis = g.add_pis(7); // crosses the one-word boundary
+        // 10 PIs: 16 words, so two blocks and the one-word boundary.
+        let pis = g.add_pis(10);
         let x = g.xor_many(&pis);
         let y = g.and_many(&pis[..3]);
+        let z = g.or(pis[7], !pis[9]);
         g.add_po(x);
         g.add_po(!y);
+        g.add_po(z);
+        g.add_po(Lit::TRUE);
         let tts = output_tts(&g);
-        for m in 0..128usize {
-            let ins: Vec<bool> = (0..7).map(|i| m >> i & 1 != 0).collect();
-            let out = g.eval(&ins);
-            assert_eq!(tts[0].bit(m), out[0], "po0 m={m}");
-            assert_eq!(tts[1].bit(m), out[1], "po1 m={m}");
+        for m in 0..1024usize {
+            let ins: Vec<bool> = (0..10).map(|i| m >> i & 1 != 0).collect();
+            for (o, e) in g.eval(&ins).into_iter().enumerate() {
+                assert_eq!(tts[o].bit(m), e, "po{o} m={m}");
+            }
         }
     }
 
@@ -709,8 +385,9 @@ mod tests {
         let x = g.or(a, b);
         g.add_po(x);
         let mut sv = SimVectors::zero(g.num_nodes(), 2);
-        sv.simulate_column(&g, 0, &[0b01, 0b10]);
-        sv.simulate_column(&g, 1, &[0b11, 0b00]);
+        let prog = SimProgram::full(&g);
+        simulate_columns(&prog, &mut sv, &[(0, &[0b01, 0b10])]);
+        simulate_columns(&prog, &mut sv, &[(1, &[0b11, 0b00])]);
         // Complement of the OR literal folds back to the node row's value.
         let or_word = |w: usize| {
             let raw = sv.word(x.var() as usize, w);
@@ -727,7 +404,7 @@ mod tests {
     fn wide_graph() -> Aig {
         let mut g = Aig::new();
         let pis = g.add_pis(12);
-        let mut layer: Vec<crate::Lit> = pis.clone();
+        let mut layer: Vec<Lit> = pis.clone();
         for r in 0..6 {
             layer = layer
                 .windows(2)
@@ -747,36 +424,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_random_columns_match_sequential() {
+    fn compiled_random_columns_match_interpreter() {
+        // 27 columns = 4 blocks (8+8+8+3), every one checked against the
+        // scalar `Aig::eval` interpreter.
         let g = wide_graph();
-        // 27 columns = 4 blocks (8+8+8+3): enough to spread across workers.
-        let mut seq = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut seq, 0, 27, 0xFEED, 1);
-        for threads in [2, 3, 8] {
-            let mut par = SimVectors::zero(g.num_nodes(), 27);
-            random_columns_par(&g, &mut par, 0, 27, 0xFEED, threads);
-            assert_eq!(par, seq, "threads={threads}");
+        let prog = SimProgram::full(&g);
+        let mut sigs = SimVectors::zero(g.num_nodes(), 27);
+        random_columns(&prog, &mut sigs, 0, 27, 0xFEED);
+        for w in 0..27 {
+            assert_column_matches_eval(&g, &sigs, w);
         }
         // Offsets keep per-block streams: filling [3, 3+24) uses the same
         // block indices 0.. as filling from 0, applied at shifted columns.
         let mut off = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut off, 3, 24, 0xFEED, 2);
+        random_columns(&prog, &mut off, 3, 24, 0xFEED);
         for v in 0..g.num_nodes() {
-            assert_eq!(off.row(v)[3..27], seq.row(v)[..24], "node {v}");
-        }
-    }
-
-    #[test]
-    fn compiled_random_columns_match_interpreter() {
-        let g = wide_graph();
-        let prog = SimProgram::full(&g);
-        let mut interp = SimVectors::zero(g.num_nodes(), 27);
-        random_columns_par(&g, &mut interp, 0, 27, 0xFEED, 1);
-        for threads in [1, 2, 4] {
-            let mut comp = SimVectors::zero(g.num_nodes(), 27);
-            random_columns_prog(&prog, &mut comp, 0, 27, 0xFEED, threads);
-            assert_eq!(comp, interp, "threads={threads}");
-            assert_eq!(comp.checksum(), interp.checksum());
+            assert_eq!(off.row(v)[3..27], sigs.row(v)[..24], "node {v}");
         }
     }
 
@@ -792,25 +455,34 @@ mod tests {
             .enumerate()
             .map(|(k, c)| (k, c.as_slice()))
             .collect();
-        let mut interp = SimVectors::zero(g.num_nodes(), 5);
-        simulate_columns_par(&g, &mut interp, &jobs, 1);
-        for threads in [1, 3] {
-            let mut comp = SimVectors::zero(g.num_nodes(), 5);
-            simulate_columns_prog(&prog, &mut comp, &jobs, threads);
-            assert_eq!(comp, interp, "threads={threads}");
+        let mut sigs = SimVectors::zero(g.num_nodes(), 5);
+        simulate_columns(&prog, &mut sigs, &jobs);
+        for (w, chunk) in chunks.iter().enumerate() {
+            for (i, &pi) in g.pis().iter().enumerate() {
+                assert_eq!(sigs.word(pi as usize, w), chunk[i], "PI {i} column {w}");
+            }
+            assert_column_matches_eval(&g, &sigs, w);
         }
     }
 
     #[test]
     fn signatures_into_routes_through_compiled_engine() {
-        // Wide fills route through the compiled engine; the matrix must
-        // be bit-identical to a pure interpreter fill of the same shape.
+        // Every width, the narrow ones included, fills through the one
+        // compiled engine, and a reused buffer gives a fresh fill's
+        // matrix. The checksums are pinned, so any drift in the block
+        // streams or the kernel shows here.
         let g = wide_graph();
-        let mut routed = SimVectors::new();
-        random_signatures_into(&g, 8, 99, &mut routed);
-        let mut interp = SimVectors::zero(g.num_nodes(), 8);
-        random_columns(&g, &mut interp, 0, 8, 99);
-        assert_eq!(routed, interp);
+        let mut reused = SimVectors::new();
+        for (n_words, pinned) in [
+            (1, 5_253_813_566_758_094_934u64),
+            (3, 2_830_376_377_928_955_538),
+            (8, 13_027_641_589_044_619_634),
+            (27, 14_404_082_160_706_388_801),
+        ] {
+            random_signatures_into(&g, n_words, 0xFEED, &mut reused);
+            assert_eq!(reused, random_signatures(&g, n_words, 0xFEED));
+            assert_eq!(reused.checksum(), pinned, "n_words={n_words}");
+        }
     }
 
     #[test]
@@ -830,30 +502,5 @@ mod tests {
         let mut sym = SimVectors::zero(2, 2);
         sym.row_mut(0).copy_from_slice(&[0xFF, 0xFF]);
         assert_ne!(sym.checksum(), SimVectors::zero(2, 2).checksum());
-    }
-
-    #[test]
-    fn parallel_replay_columns_match_sequential() {
-        let g = wide_graph();
-        let chunks: Vec<Vec<u64>> = (0..5)
-            .map(|k| (0..g.num_pis() as u64).map(|i| i * 0x9E37 + k).collect())
-            .collect();
-        let jobs: Vec<(usize, &[u64])> = chunks
-            .iter()
-            .enumerate()
-            .map(|(k, c)| (k, c.as_slice()))
-            .collect();
-        let mut seq = SimVectors::zero(g.num_nodes(), 5);
-        simulate_columns_par(&g, &mut seq, &jobs, 1);
-        let mut by_hand = SimVectors::zero(g.num_nodes(), 5);
-        for &(w, pi) in &jobs {
-            by_hand.simulate_column(&g, w, pi);
-        }
-        assert_eq!(seq, by_hand);
-        for threads in [2, 4] {
-            let mut par = SimVectors::zero(g.num_nodes(), 5);
-            simulate_columns_par(&g, &mut par, &jobs, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Ablation benches around the cost-customised mapper (DESIGN.md §5):
+//! Ablation benches around the cost-customised mapper:
 //!
 //! * mapping cost model (branching vs. area) on XOR-heavy logic,
 //! * LUT size sweep k ∈ {3,4,5,6} under the branching cost,

@@ -1,7 +1,7 @@
 //! Criterion bench for the **SAT-sweeping extension ablation**: Baseline,
 //! *Ours*, and *Ours + fraig* end-to-end on equivalence-heavy instances —
 //! the workload class sweeping is built for. Not a paper figure; this is
-//! the ablation for the extension arm documented in DESIGN.md §5.
+//! the ablation for the sweeping extension arm.
 
 use bench::experiments::{solver_preset, test_split, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -11,8 +11,8 @@
 //! `--smoke` shrinks every workload so CI can assert the harness still
 //! runs and the JSON still carries the expected keys in a few seconds.
 //! `--threads 1,2,4` selects the thread counts for the parallel kernels
-//! (resimulation and fraig); each count gets its own row, so cross-PR
-//! tables can separate single-thread kernel speed from scaling. The
+//! (fraig oracle shards and serve workers); each count gets its own row,
+//! so cross-PR tables can separate single-thread speed from scaling. The
 //! `context` object records the machine facts (available parallelism,
 //! build profile) that make those rows comparable across PRs.
 
@@ -276,14 +276,10 @@ fn main() {
     };
 
     // --- bit-parallel resimulation kernel -------------------------------
-    // One row per (engine, thread count): the interpreter walks the graph
-    // per block; the compiled engine runs the levelized fused-op
-    // [`aig::SimProgram`]. Both fill the same strided matrix from the
-    // same per-block RNG streams, so the whole-matrix checksum must be
-    // identical across every row — CI's perf-smoke job fails the build on
-    // any disagreement (a vacuous last-row XOR used to sit here; the
-    // checksum now mixes every word, rotated by column, so a wrong row
-    // anywhere in the matrix changes it).
+    // One row: the compiled full-mode [`aig::SimProgram`] filling a strided
+    // matrix from per-block RNG streams. The checksum mixes every word of
+    // every rep's matrix, rotated by column, so a wrong row anywhere in the
+    // matrix changes it; it is pinned across changes to the kernel.
     let (sim_gates, sim_words, sim_reps) = if smoke {
         (500, 16, 2)
     } else {
@@ -299,43 +295,30 @@ fn main() {
         0xC0FFEE,
     );
     struct SimRow {
-        engine: &'static str,
-        threads: usize,
         wall_s: f64,
         words_simulated: u64,
         words_per_sec: f64,
         checksum: u64,
     }
-    let prog = aig::SimProgram::full(&g);
-    let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), sim_words);
-    let mut sim_rows: Vec<SimRow> = Vec::new();
-    for engine in ["interpreter", "compiled"] {
-        for &threads in &thread_counts {
-            let fill = |sigs: &mut aig::sim::SimVectors, seed: u64| match engine {
-                "interpreter" => {
-                    aig::sim::random_columns_par(&g, sigs, 0, sim_words, seed, threads)
-                }
-                _ => aig::sim::random_columns_prog(&prog, sigs, 0, sim_words, seed, threads),
-            };
-            fill(&mut sigs, 1); // warm-up
-            let start = Instant::now();
-            let mut checksum = 0u64;
-            for rep in 0..sim_reps {
-                fill(&mut sigs, rep as u64);
-                checksum = checksum.rotate_left(1) ^ sigs.checksum();
-            }
-            let wall_s = start.elapsed().as_secs_f64();
-            let words_simulated = (g.num_nodes() * sim_words * sim_reps) as u64;
-            sim_rows.push(SimRow {
-                engine,
-                threads,
-                wall_s,
-                words_simulated,
-                words_per_sec: words_simulated as f64 / wall_s.max(1e-9),
-                checksum,
-            });
+    let sim_row = {
+        let prog = aig::SimProgram::full(&g);
+        let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), sim_words);
+        aig::sim::random_columns(&prog, &mut sigs, 0, sim_words, 1); // warm-up
+        let start = Instant::now();
+        let mut checksum = 0u64;
+        for rep in 0..sim_reps {
+            aig::sim::random_columns(&prog, &mut sigs, 0, sim_words, rep as u64);
+            checksum = checksum.rotate_left(1) ^ sigs.checksum();
         }
-    }
+        let wall_s = start.elapsed().as_secs_f64();
+        let words_simulated = (g.num_nodes() * sim_words * sim_reps) as u64;
+        SimRow {
+            wall_s,
+            words_simulated,
+            words_per_sec: words_simulated as f64 / wall_s.max(1e-9),
+            checksum,
+        }
+    };
 
     // --- fraig (sweep) kernel ------------------------------------------
     // Two kinds of rows per miter: a sequential *trajectory* row
@@ -351,7 +334,6 @@ fn main() {
         bits: usize,
         threads: usize,
         shards: usize,
-        sim_engine: &'static str,
         wall_s: f64,
         sat_calls: u64,
         proved: u64,
@@ -364,7 +346,7 @@ fn main() {
     let mut fraig_rows: Vec<FraigRow> = Vec::new();
     for &bits in fraig_bits {
         let fg = adder_miter(bits);
-        let mut run = |threads: usize, shards: usize, compiled_sim: bool| {
+        let mut run = |threads: usize, shards: usize| {
             // Per-row registry: row telemetry is read back from the
             // published `sweep.stats.*` gauges — the same export path the
             // CLI prints — not from the returned stats struct. The
@@ -373,7 +355,6 @@ fn main() {
             let params = FraigParams {
                 threads,
                 shards,
-                compiled_sim,
                 obs: reg.clone(),
                 ..FraigParams::default()
             };
@@ -387,11 +368,6 @@ fn main() {
                 bits,
                 threads,
                 shards,
-                sim_engine: if compiled_sim {
-                    "compiled"
-                } else {
-                    "interpreter"
-                },
                 wall_s,
                 sat_calls: gauge("sweep.stats.sat_calls"),
                 proved: gauge("sweep.stats.proved"),
@@ -402,13 +378,10 @@ fn main() {
                 ands_out: out.aig.num_ands(),
             });
         };
-        // Trajectory rows (threads=1, one oracle), one per sim engine —
-        // the simulation matrices are bit-identical, so the sweep stats
-        // must agree row-to-row; the wall gap is the sim engine's share.
-        run(1, 1, false);
-        run(1, 1, true);
+        // The trajectory row, then one scaling row per thread count.
+        run(1, 1);
         for &threads in &thread_counts {
-            run(threads, pinned_shards, true);
+            run(threads, pinned_shards);
         }
     }
 
@@ -556,7 +529,6 @@ fn main() {
         "registry counter and per-row stats sums must agree"
     );
     let total_solver_wall: f64 = solver_rows.iter().map(|r| r.wall_s).sum();
-    let sim_wall: f64 = sim_rows.iter().map(|r| r.wall_s).sum();
     let fraig_wall: f64 = fraig_rows.iter().map(|r| r.wall_s).sum();
     let mut json = String::new();
     json.push_str("{\n");
@@ -624,20 +596,18 @@ fn main() {
         );
     }
     json.push_str("  \"sim\": [\n");
-    for (i, r) in sim_rows.iter().enumerate() {
+    {
+        let r = &sim_row;
         let _ = writeln!(
             json,
-            "    {{\"nodes\": {}, \"words\": {}, \"reps\": {}, \"engine\": \"{}\", \"threads\": {}, \"wall_s\": {:.6}, \"words_simulated\": {}, \"words_per_sec\": {:.0}, \"checksum\": {}}}{}",
+            "    {{\"nodes\": {}, \"words\": {}, \"reps\": {}, \"wall_s\": {:.6}, \"words_simulated\": {}, \"words_per_sec\": {:.0}, \"checksum\": {}}}",
             g.num_nodes(),
             sim_words,
             sim_reps,
-            r.engine,
-            r.threads,
             r.wall_s,
             r.words_simulated,
             r.words_per_sec,
-            r.checksum,
-            if i + 1 < sim_rows.len() { "," } else { "" }
+            r.checksum
         );
     }
     json.push_str("  ],\n");
@@ -645,11 +615,10 @@ fn main() {
     for (i, r) in fraig_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"sim_engine\": \"{}\", \"wall_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
+            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"wall_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
             r.bits,
             r.threads,
             r.shards,
-            r.sim_engine,
             r.wall_s,
             r.sat_calls,
             r.proved,
@@ -698,13 +667,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    // Single-thread compiled-vs-interpreter speedup: the PR 6 headline.
-    let words_1t = |engine: &str| {
-        sim_rows
-            .iter()
-            .find(|r| r.engine == engine && r.threads == thread_counts[0])
-            .map_or(0.0, |r| r.words_per_sec)
-    };
     // Failure telemetry: a healthy, unthrottled bench run reports zeros
     // here; anything else means the run was degraded and its perf rows
     // should not be compared against clean baselines.
@@ -723,13 +685,11 @@ fn main() {
     let serve_failures: u64 = serve_rows.iter().map(|r| r.failures).sum();
     let _ = writeln!(
         json,
-        "  \"totals\": {{\"wall_s\": {:.6}, \"propagations_per_sec\": {:.0}, \"words_per_sec\": {:.0}, \"compiled_words_per_sec\": {:.0}, \"compiled_speedup_1t\": {:.3}, \"deadline_interrupts\": {}, \"cancellations\": {}, \"shard_failures\": {}, \"serve_cache_hit_rate\": {:.4}, \"serve_retries\": {}, \"serve_sheds\": {}, \"serve_failures\": {}}}",
-        total_solver_wall + sim_wall + fraig_wall + bmc_row.incremental_wall_s
+        "  \"totals\": {{\"wall_s\": {:.6}, \"propagations_per_sec\": {:.0}, \"words_per_sec\": {:.0}, \"deadline_interrupts\": {}, \"cancellations\": {}, \"shard_failures\": {}, \"serve_cache_hit_rate\": {:.4}, \"serve_retries\": {}, \"serve_sheds\": {}, \"serve_failures\": {}}}",
+        total_solver_wall + sim_row.wall_s + fraig_wall + bmc_row.incremental_wall_s
             + bmc_row.monolithic_wall_s + serve_wall,
         total_props as f64 / total_solver_wall.max(1e-9),
-        words_1t("interpreter"),
-        words_1t("compiled"),
-        words_1t("compiled") / words_1t("interpreter").max(1e-9),
+        sim_row.words_per_sec,
         total_deadline_interrupts,
         total_cancellations,
         total_shard_failures,

@@ -1,13 +1,16 @@
 //! Runs the complete evaluation — Table I, Fig. 4(a), Fig. 4(c), Fig. 5 —
-//! and prints a consolidated report (the source of EXPERIMENTS.md).
+//! and prints a consolidated report.
 //!
 //! ```text
 //! CSAT_SCALE=standard cargo run --release -p bench --bin run_all
 //! ```
 
-use bench::experiments::{fig4, fig5, render_arms, render_table1, table1, trained_agent, Scale};
+use bench::experiments::{
+    count_wrong, exit_status, fig4, fig5, render_arms, render_table1, table1, trained_agent, Scale,
+};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let scale = Scale::from_env(Scale::standard());
     let t0 = std::time::Instant::now();
     println!("scale: {scale:?}\n");
@@ -17,11 +20,13 @@ fn main() {
 
     println!("\ntraining RL agent ({} episodes)...", scale.episodes);
     let agent = trained_agent(&scale);
+    let mut wrong = 0;
 
     for (fig, solver) in [("4(a)", "kissat"), ("4(c)", "cadical")] {
         println!("\n==================== Fig. {fig} ({solver}-like) ====================");
         let arms = fig4(&scale, solver, Some(agent.clone()));
         print!("{}", render_arms(&arms, scale.penalty_secs));
+        wrong += count_wrong(&arms);
         let base = arms[0].total_secs(scale.penalty_secs);
         let comp = arms[1].total_secs(scale.penalty_secs);
         let ours = arms[2].total_secs(scale.penalty_secs);
@@ -35,6 +40,7 @@ fn main() {
     println!("\n==================== Fig. 5 (ablation) ====================");
     let arms = fig5(&scale, Some(agent));
     print!("{}", render_arms(&arms, scale.penalty_secs));
+    wrong += count_wrong(&arms);
     let ours = arms[0].total_secs(scale.penalty_secs);
     println!(
         "w/o RL: {:+.1}%   C. Mapper: {:+.1}% (relative to Ours)",
@@ -43,4 +49,5 @@ fn main() {
     );
 
     println!("\ntotal harness time: {:.1?}", t0.elapsed());
+    exit_status(wrong)
 }

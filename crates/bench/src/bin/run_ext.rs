@@ -1,6 +1,6 @@
-//! Regenerates the **extension ablations** (not paper figures — see
-//! DESIGN.md §5): SAT sweeping (fraig) ahead of the cost-customised
-//! mapping, and SatELite-style CNF presolve behind it, measured on the
+//! Regenerates the **extension ablations** (not paper figures): SAT
+//! sweeping (fraig) ahead of the cost-customised mapping, and
+//! SatELite-style CNF presolve behind it, measured on the
 //! same hard test split as Fig. 4/5 plus the extended workload families.
 //!
 //! ```text

@@ -6,9 +6,12 @@
 //! cargo run --release -p bench --bin run_fig4 -- --solver both --csv fig4.csv
 //! ```
 
-use bench::experiments::{fig4, records_to_csv, render_arms, trained_agent, Scale};
+use bench::experiments::{
+    count_wrong, exit_status, fig4, records_to_csv, render_arms, trained_agent, Scale,
+};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let solver = flag_value(&args, "--solver").unwrap_or_else(|| "both".to_string());
     let csv_path = flag_value(&args, "--csv");
@@ -22,6 +25,7 @@ fn main() {
     let agent = trained_agent(&scale);
 
     let mut all_csv = String::new();
+    let mut wrong = 0;
     let solvers: Vec<&str> = match solver.as_str() {
         "both" => vec!["kissat", "cadical"],
         s => vec![s],
@@ -40,11 +44,13 @@ fn main() {
             100.0 * (1.0 - ours / comp)
         );
         all_csv.push_str(&records_to_csv(&arms));
+        wrong += count_wrong(&arms);
     }
     if let Some(path) = csv_path {
         std::fs::write(&path, all_csv).expect("write csv");
         println!("\nrecords written to {path}");
     }
+    exit_status(wrong)
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

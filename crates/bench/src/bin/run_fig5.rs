@@ -5,9 +5,12 @@
 //! CSAT_SCALE=standard cargo run --release -p bench --bin run_fig5
 //! ```
 
-use bench::experiments::{fig5, records_to_csv, render_arms, trained_agent, Scale};
+use bench::experiments::{
+    count_wrong, exit_status, fig5, records_to_csv, render_arms, trained_agent, Scale,
+};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let csv_path = args
         .iter()
@@ -36,4 +39,5 @@ fn main() {
         std::fs::write(&path, records_to_csv(&arms)).expect("write csv");
         println!("records written to {path}");
     }
+    exit_status(count_wrong(&arms))
 }

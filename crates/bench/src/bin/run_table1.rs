@@ -38,6 +38,6 @@ fn main() {
     );
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
-        "Time (s)", 2.01, 1.96, 0.04, 6.68
+        "Time (ms)", 2010, 1960, 40, 6680
     );
 }

@@ -1,13 +1,14 @@
 //! Shared experiment machinery for the binaries and Criterion benches.
 
 use csat_preproc::report::{
-    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, Summary,
+    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, Status, Summary,
 };
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::env::EnvConfig;
 use rl::train::{train_agent, TrainConfig};
 use rl::{DqnAgent, DqnConfig, RecipePolicy};
 use sat::{solve_cnf, Budget, SolverConfig};
+use std::process::ExitCode;
 use workloads::dataset::{generate, instance_stats, DatasetParams};
 use workloads::Instance;
 
@@ -170,7 +171,8 @@ pub struct Table1Row {
 }
 
 /// Regenerates Table I: statistics of the training dataset
-/// (#gates, #PIs, depth, #clauses after Tseitin, baseline solve time).
+/// (#gates, #PIs, depth, #clauses after Tseitin, baseline solve time in
+/// milliseconds — the instances solve in well under a second each).
 pub fn table1(scale: &Scale) -> Vec<Table1Row> {
     let set = train_split(scale);
     let mut gates = Vec::new();
@@ -187,7 +189,7 @@ pub fn table1(scale: &Scale) -> Vec<Table1Row> {
         clauses.push(pre.cnf.num_clauses() as f64);
         let t0 = std::time::Instant::now();
         let _ = solve_cnf(&pre.cnf, SolverConfig::kissat_like(), scale.budget());
-        times.push(t0.elapsed().as_secs_f64());
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
     }
     vec![
         Table1Row {
@@ -207,7 +209,7 @@ pub fn table1(scale: &Scale) -> Vec<Table1Row> {
             summary: summarize(&clauses),
         },
         Table1Row {
-            metric: "Time (s)",
+            metric: "Time (ms)",
             summary: summarize(&times),
         },
     ]
@@ -251,6 +253,14 @@ impl Arm {
     /// Number of solved instances.
     pub fn solved(&self) -> usize {
         self.records.iter().filter(|r| r.solved()).count()
+    }
+
+    /// Records whose verdict was wrong ([`Status::Wrong`]).
+    pub fn wrong(&self) -> impl Iterator<Item = (&RunRecord, &str)> {
+        self.records.iter().filter_map(|r| match &r.status {
+            Status::Wrong { reason } => Some((r, reason.as_str())),
+            _ => None,
+        })
     }
 
     /// Total branching decisions.
@@ -314,21 +324,43 @@ pub fn fig5(scale: &Scale, agent: Option<DqnAgent>) -> Vec<Arm> {
         .collect()
 }
 
-/// Renders arm totals + cactus series in the paper's Fig. 4/5 shape.
+/// Total wrong verdicts across arms.
+pub fn count_wrong(arms: &[Arm]) -> usize {
+    arms.iter().map(|a| a.wrong().count()).sum()
+}
+
+/// A campaign binary's exit status: failure, with a note on stderr, when
+/// any verdict was wrong.
+pub fn exit_status(wrong: usize) -> ExitCode {
+    if wrong == 0 {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("error: {wrong} wrong verdict(s), listed in the WRONG lines above");
+    ExitCode::FAILURE
+}
+
+/// Renders arm totals + cactus series in the paper's Fig. 4/5 shape, plus
+/// one line per wrong verdict.
 pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<12} {:>8} {:>14} {:>14}\n",
-        "pipeline", "solved", "total time (s)", "decisions"
+        "{:<12} {:>8} {:>6} {:>14} {:>14}\n",
+        "pipeline", "solved", "wrong", "total time (s)", "decisions"
     ));
     for a in arms {
         out.push_str(&format!(
-            "{:<12} {:>8} {:>14.2} {:>14}\n",
+            "{:<12} {:>8} {:>6} {:>14.2} {:>14}\n",
             a.name,
             a.solved(),
+            a.wrong().count(),
             a.total_secs(penalty),
             a.decisions()
         ));
+    }
+    for a in arms {
+        for (r, reason) in a.wrong() {
+            out.push_str(&format!("WRONG {} {}: {reason}\n", a.name, r.instance));
+        }
     }
     out.push_str("\ncactus series (cumulative seconds, instances solved):\n");
     for a in arms {
@@ -347,17 +379,18 @@ pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
 /// Writes records as CSV (hand-rolled; avoids extra dependencies).
 pub fn records_to_csv(arms: &[Arm]) -> String {
     let mut out = String::from(
-        "pipeline,solver,instance,status,decisions,conflicts,cnf_vars,cnf_clauses,preprocess_secs,solve_secs,recipe\n",
+        "pipeline,solver,instance,status,decisions,conflicts,cnf_vars,cnf_clauses,preprocess_secs,solve_secs,recipe,reason\n",
     );
     for arm in arms {
         for r in &arm.records {
-            let status = match &r.status {
-                csat_preproc::report::Status::Sat { .. } => "sat",
-                csat_preproc::report::Status::Unsat => "unsat",
-                csat_preproc::report::Status::Timeout => "timeout",
+            let (status, reason) = match &r.status {
+                Status::Sat => ("sat", ""),
+                Status::Unsat => ("unsat", ""),
+                Status::Timeout => ("timeout", ""),
+                Status::Wrong { reason } => ("wrong", reason.as_str()),
             };
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{:.6},{:.6},{}\n",
+                "{},{},{},{},{},{},{},{},{:.6},{:.6},{},{}\n",
                 arm.name,
                 r.solver,
                 r.instance,
@@ -368,7 +401,8 @@ pub fn records_to_csv(arms: &[Arm]) -> String {
                 r.cnf_clauses,
                 r.preprocess_secs,
                 r.solve_secs,
-                r.recipe.replace(',', ";")
+                r.recipe.replace(',', ";"),
+                reason.replace(',', ";")
             ));
         }
     }
@@ -396,7 +430,7 @@ mod tests {
         assert_eq!(rows.len(), 5);
         let rendered = render_table1(&rows);
         assert!(rendered.contains("# Gates"));
-        assert!(rendered.contains("Time (s)"));
+        assert!(rendered.contains("Time (ms)"));
     }
 
     #[test]

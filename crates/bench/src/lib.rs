@@ -5,8 +5,8 @@
 //! | Paper artefact | Binary | Criterion bench |
 //! |----------------|--------|-----------------|
 //! | Table I (training-set statistics) | `run_table1` | `table1` |
-//! | Fig. 4(a) runtime comparison, Kissat | `run_fig4 --solver kissat` | `fig4_kissat` |
-//! | Fig. 4(c) runtime comparison, CaDiCaL | `run_fig4 --solver cadical` | `fig4_cadical` |
+//! | Fig. 4(a) runtime comparison, Kissat | `run_fig4 --solver kissat` | `fig4` (group `fig4_kissat`) |
+//! | Fig. 4(c) runtime comparison, CaDiCaL | `run_fig4 --solver cadical` | `fig4` (group `fig4_cadical`) |
 //! | Fig. 5 ablations (w/o RL, C. Mapper) | `run_fig5` | `fig5_ablation` |
 //! | extra ablations (cost model, k, encoding) | — | `mapper_cost`, `solver` |
 //!

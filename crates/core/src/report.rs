@@ -12,15 +12,19 @@ use workloads::Instance;
 /// Outcome of one (pipeline, instance, solver) run.
 #[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
 pub enum Status {
-    /// Satisfiable, with model validity against the original circuit.
-    Sat {
-        /// Whether the decoded model satisfies the original instance.
-        model_valid: bool,
-    },
+    /// Satisfiable; the decoded model satisfies the original circuit.
+    Sat,
     /// Unsatisfiable.
     Unsat,
     /// Budget exhausted (the paper's TO).
     Timeout,
+    /// A wrong verdict: a model that does not satisfy the original
+    /// circuit, or a verdict that contradicts the instance's label.
+    /// Counts as unsolved; the campaign binaries exit non-zero on it.
+    Wrong {
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 /// One run record.
@@ -56,9 +60,9 @@ impl RunRecord {
         self.preprocess_secs + self.solve_secs
     }
 
-    /// True when the run finished within budget.
+    /// True when the run finished within budget with a right verdict.
     pub fn solved(&self) -> bool {
-        !matches!(self.status, Status::Timeout)
+        matches!(self.status, Status::Sat | Status::Unsat)
     }
 }
 
@@ -95,29 +99,31 @@ pub fn run_one(
     }
 }
 
+/// Checks a verdict against the original circuit and the instance's
+/// label, in every build profile: a SAT model is replayed on `aig`, and a
+/// contradiction becomes [`Status::Wrong`].
 fn classify(
     aig: &Aig,
     pre: &crate::pipeline::PreprocessResult,
     result: &SolveResult,
     expected: Option<bool>,
 ) -> Status {
+    let wrong = |reason: &str| Status::Wrong {
+        reason: reason.to_string(),
+    };
     match result {
         SolveResult::Sat(model) => {
             let ins = pre.decoder.decode_inputs(model);
-            let outs = aig.eval(&ins);
-            let model_valid = outs.iter().any(|&o| o);
-            debug_assert!(model_valid, "decoded model must satisfy the instance");
-            if let Some(false) = expected {
-                debug_assert!(false, "instance labelled UNSAT produced a model");
+            if !aig.eval(&ins).iter().any(|&o| o) {
+                wrong("decoded model does not satisfy the circuit")
+            } else if expected == Some(false) {
+                wrong("instance labelled UNSAT produced a model")
+            } else {
+                Status::Sat
             }
-            Status::Sat { model_valid }
         }
-        SolveResult::Unsat => {
-            if let Some(true) = expected {
-                debug_assert!(false, "instance labelled SAT proved UNSAT");
-            }
-            Status::Unsat
-        }
+        SolveResult::Unsat if expected == Some(true) => wrong("instance labelled SAT proved UNSAT"),
+        SolveResult::Unsat => Status::Unsat,
         SolveResult::Unknown => Status::Timeout,
     }
 }
@@ -237,11 +243,51 @@ mod tests {
         );
         assert_eq!(records.len(), 4);
         for r in &records {
-            match &r.status {
-                Status::Sat { model_valid } => assert!(model_valid, "{}", r.instance),
-                Status::Unsat | Status::Timeout => {}
-            }
+            assert!(
+                !matches!(r.status, Status::Wrong { .. }),
+                "{}: {:?}",
+                r.instance,
+                r.status
+            );
             assert!(r.cnf_vars > 0);
+        }
+    }
+
+    #[test]
+    fn mislabelled_instances_are_wrong_and_unsolved() {
+        // A satisfiable AND labelled UNSAT, and an unsatisfiable constant
+        // output labelled SAT: both verdicts contradict their labels.
+        let mut sat = Aig::new();
+        let (a, b) = (sat.add_pi(), sat.add_pi());
+        let f = sat.and(a, b);
+        sat.add_po(f);
+        let mut unsat = Aig::new();
+        unsat.add_pi();
+        unsat.add_po(aig::Lit::FALSE);
+        for (aig, expected, reason) in [
+            (sat, false, "instance labelled UNSAT produced a model"),
+            (unsat, true, "instance labelled SAT proved UNSAT"),
+        ] {
+            let inst = Instance {
+                name: "mislabelled".into(),
+                kind: workloads::InstanceKind::Lec,
+                aig,
+                expected: Some(expected),
+            };
+            let r = run_one(
+                &BaselinePipeline,
+                &inst,
+                "kissat",
+                &SolverConfig::kissat_like(),
+                Budget::conflicts(1_000),
+            );
+            assert_eq!(
+                r.status,
+                Status::Wrong {
+                    reason: reason.into()
+                }
+            );
+            assert!(!r.solved());
         }
     }
 

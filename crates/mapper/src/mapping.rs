@@ -8,8 +8,8 @@
 //!
 //! Depth is deliberately *not* constrained: the consumer of the netlist is
 //! a SAT solver, for which circuit delay is meaningless. (The paper keeps
-//! mockturtle's delay constraint because its mapper requires one; see
-//! DESIGN.md for the substitution note.)
+//! mockturtle's delay constraint because its mapper requires one; see the
+//! README's "Substitutions" section.)
 
 use crate::cost::CutCost;
 use aig::cut::{cut_function, enumerate_cuts, Cut, CutParams};

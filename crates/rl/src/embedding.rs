@@ -2,11 +2,11 @@
 //!
 //! The paper feeds the RL state the primary-output embeddings of the
 //! *initial* netlist produced by a pre-trained DeepGate2 model, which we do
-//! not have. Following DESIGN.md, we substitute a **training-free
-//! random-projection GNN**: per-node structural/functional features
-//! (simulation statistics, level, fanout) are propagated through fixed,
-//! seed-deterministic projection matrices along the DAG and pooled over the
-//! POs. Like DeepGate2's output, the result is a fixed-length vector that
+//! not have. As the README's "Substitutions" section argues, we substitute
+//! a **training-free random-projection GNN**: per-node structural/functional
+//! features (simulation statistics, level, fanout) are propagated through
+//! fixed, seed-deterministic projection matrices along the DAG and pooled
+//! over the POs. Like DeepGate2's output, the result is a fixed-length vector that
 //! (a) is deterministic per instance, (b) reflects both structure and
 //! sampled functionality, and (c) separates structurally different
 //! instances — which is all the Q-network consumes it for.

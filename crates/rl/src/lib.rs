@@ -6,8 +6,8 @@
 //!   backprop (gradient-checked) and Adam,
 //! * [`replay`] — uniform experience replay,
 //! * [`features`] — the six circuit features of Eq. (1)/(2),
-//! * [`embedding`] — the DeepGate2-substitute instance embedding (see
-//!   DESIGN.md for the substitution argument),
+//! * [`embedding`] — the DeepGate2-substitute instance embedding (see the
+//!   README's "Substitutions" section for the argument),
 //! * [`env`] — the synthesis MDP: actions `{balance, rewrite, refactor,
 //!   resub, end}`, terminal reward `-Δ#Branching` (Eq. 3) measured through
 //!   cost-customised LUT mapping + `lut2cnf` + a budgeted CDCL run,

@@ -1,20 +1,16 @@
 //! The fraig engine: simulate, conjecture, SAT-prove, merge, rebuild.
 //!
-//! Since PR 4 the engine is multi-threaded end-to-end: each round's
-//! candidate pairs are proved on **sharded** SAT oracles running on worker
-//! threads, and resimulation splits its word-columns across cores. Pair `i`
-//! of a round is always proved on oracle `i % shards` in ascending order,
-//! and results are merged in pair-index order — so for a pinned shard
-//! count the outcome is bit-identical for every thread count (see
-//! [`FraigParams::shards`] for the default's shards-follow-threads
-//! trade-off).
+//! Each round's candidate pairs are proved on **sharded** SAT oracles
+//! running on worker threads; resimulation runs one compiled program on
+//! the calling thread. Pair `i` of a round is always proved on oracle
+//! `i % shards` in ascending order, and results are merged in pair-index
+//! order — so for a pinned shard count the outcome is bit-identical for
+//! every thread count (see [`FraigParams::shards`] for the default's
+//! shards-follow-threads trade-off).
 
 use crate::classes::candidate_classes;
 use crate::pool::{resolve_threads, run_sharded, ChaosPlan, Fault};
-use aig::sim::{
-    random_columns_par, random_columns_prog, simulate_columns_par, simulate_columns_prog,
-    SimVectors,
-};
+use aig::sim::{random_columns, simulate_columns, SimVectors};
 use aig::{Aig, Lit, SimProgram, Var};
 use cnf::{tseitin, CnfLit, VarMap};
 use sat::{Budget, SolveResult, Solver, SolverConfig};
@@ -34,7 +30,7 @@ pub struct FraigParams {
     pub max_checks_per_node: usize,
     /// Simulation seed.
     pub seed: u64,
-    /// Worker threads for SAT queries and resimulation. `0` (the default)
+    /// Worker threads for the SAT queries. `0` (the default)
     /// means one per available core, `1` runs fully sequentially — no
     /// spawns, no channels. For a fixed [`FraigParams::shards`] value the
     /// *outcome* is identical for every thread count: work assignment is
@@ -52,30 +48,6 @@ pub struct FraigParams {
     /// machine's parallelism. Effective parallelism is capped by the shard
     /// count.
     pub shards: usize,
-    /// Warm-start the shard oracles: at the start of every round after the
-    /// first, every shard's solver is re-forked (cloned, learnt clauses
-    /// and heuristic state included) from the *seasoned* shard-0 oracle
-    /// instead of keeping its own isolated lineage off the cold base
-    /// solver. This shares one shard's lemmas with all of them each round,
-    /// attacking the per-shard lemma re-learning overhead that sharding
-    /// introduces.
-    ///
-    /// Deterministic for a pinned shard count (shard 0's query sequence is
-    /// thread-independent). Has no effect with a single shard, so the
-    /// `threads: 1` classic path stays bit-identical whatever this is set
-    /// to. Default `false`.
-    pub warm_start: bool,
-    /// Drive per-round resimulation through the compiled engine
-    /// ([`aig::SimProgram`]): the graph is lowered once per sweep into
-    /// flat fused-op bytecode and every random/replay column runs through
-    /// it, instead of the interpretive node-array walk. The compiled
-    /// full-mode program writes the signature matrix bit-identically to
-    /// the interpreter (same per-block RNG streams, same rows), so the
-    /// sweep's outcome — classes, queries, merges, stats — is unchanged;
-    /// only the resimulation throughput differs. The interpreter path is
-    /// kept as a differential oracle (`compiled_sim: false`, exercised by
-    /// CI). Default `true`.
-    pub compiled_sim: bool,
     /// Whole-sweep wall-clock deadline. Once passed, the round loop exits
     /// before starting another round, and in-flight SAT queries are
     /// interrupted by the solver's own deadline check — either way the
@@ -118,8 +90,6 @@ impl Default for FraigParams {
             seed: 0x5eed_f4a1,
             threads: 0,
             shards: 0,
-            warm_start: false,
-            compiled_sim: true,
             deadline: None,
             chaos: None,
             certify: false,
@@ -264,7 +234,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     let mut sigs = SimVectors::new();
     // The sweep never mutates the graph mid-run, so the compiled program
     // is built once and reused by every round's resimulation.
-    let prog = params.compiled_sim.then(|| SimProgram::full(aig));
+    let prog = SimProgram::full(aig);
     let sweep_span = params.obs.span_with(
         "sweep.fraig",
         &[("nodes", n.into()), ("shards", shards.into())],
@@ -282,15 +252,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         let round_span = sweep_span.child_with("sweep.round", &[("round", round.into())]);
         let proved_before = stats.proved;
         let disproved_before = stats.disproved;
-        simulate_round(
-            aig,
-            params,
-            round,
-            &cex_chunks,
-            &mut sigs,
-            threads,
-            prog.as_ref(),
-        );
+        simulate_round(&prog, params, round, &cex_chunks, &mut sigs);
 
         // Candidates: constant node + reachable, not-yet-merged PIs/ANDs.
         let members =
@@ -321,19 +283,6 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
                     member: member.var,
                     phase: repr.phase != member.phase,
                 });
-            }
-        }
-
-        // Warm start: re-fork every other shard from the seasoned shard-0
-        // oracle (a memcpy, like cold construction) so this round's
-        // queries start from its accumulated learnt clauses instead of
-        // each shard's isolated lineage.
-        if params.warm_start && round > 0 && shards > 1 {
-            let (seasoned, rest) = oracles.split_first_mut().expect("shards >= 1");
-            if let Some(seasoned) = seasoned {
-                for slot in rest {
-                    *slot = Some(seasoned.clone());
-                }
             }
         }
 
@@ -458,8 +407,7 @@ fn prove_tasks(
         }
         // One `sweep.shard` span per shard per round; the oracle is
         // re-parented under it each round (its previous round's shard
-        // span is closed by then, and a warm-start re-fork would have
-        // given it shard 0's handle anyway).
+        // span is closed by then).
         let shard_span = round_span.child_with("sweep.shard", &[("shard", s.into())]);
         let mut observed = false;
         let mut i = s;
@@ -518,8 +466,6 @@ enum Answer {
 
 /// Incremental equivalence oracle: one CDCL solver holding the Tseitin
 /// encoding, queried per candidate pair through activation literals.
-/// `Clone` forks the full incremental state (the warm-start path).
-#[derive(Clone)]
 struct PairOracle {
     solver: Solver,
     /// Next fresh variable for activation literals.
@@ -664,43 +610,26 @@ fn rebuild(aig: &Aig, equiv: &[Option<Lit>]) -> Aig {
 }
 
 /// One round's signature matrix: `sim_words` fresh random columns plus one
-/// replayed column per accumulated counterexample chunk, all simulated
-/// directly into a single strided [`SimVectors`] buffer. Random columns go
-/// through the blocked path and the replayed chunks through the dense
-/// column path, both split across `threads` workers (the strided layout
-/// makes per-column writes disjoint).
-///
-/// When a compiled program is supplied ([`FraigParams::compiled_sim`]),
-/// both producers run the precompiled bytecode instead of the interpreter;
-/// the matrix is bit-identical either way (same block streams, full-mode
-/// program materialises every node row exactly as the interpreter does).
+/// replayed column per accumulated counterexample chunk, all run through
+/// the sweep's compiled program into a single strided [`SimVectors`]
+/// buffer.
 fn simulate_round(
-    aig: &Aig,
+    prog: &SimProgram,
     params: &FraigParams,
     round: usize,
     cex_chunks: &[Vec<u64>],
     sigs: &mut SimVectors,
-    threads: usize,
-    prog: Option<&SimProgram>,
 ) {
     // Reshape without zeroing: every column below is fully written.
-    sigs.reshape(aig.num_nodes(), params.sim_words + cex_chunks.len());
+    sigs.reshape(prog.n_slots(), params.sim_words + cex_chunks.len());
     let seed = params.seed ^ round as u64;
+    random_columns(prog, sigs, 0, params.sim_words, seed);
     let jobs: Vec<(usize, &[u64])> = cex_chunks
         .iter()
         .enumerate()
         .map(|(k, chunk)| (params.sim_words + k, chunk.as_slice()))
         .collect();
-    match prog {
-        Some(prog) => {
-            random_columns_prog(prog, sigs, 0, params.sim_words, seed, threads);
-            simulate_columns_prog(prog, sigs, &jobs, threads);
-        }
-        None => {
-            random_columns_par(aig, sigs, 0, params.sim_words, seed, threads);
-            simulate_columns_par(aig, sigs, &jobs, threads);
-        }
-    }
+    simulate_columns(prog, sigs, &jobs);
 }
 
 #[cfg(test)]
@@ -939,140 +868,47 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_the_outcome() {
         // With the shard count pinned, the thread count is pure schedule.
-        let g = equivalence_miter(5);
-        let outcomes: Vec<FraigOutcome> = [1usize, 2, 3, 4, 8]
-            .iter()
-            .map(|&threads| {
-                fraig(
-                    &g,
-                    &FraigParams {
-                        threads,
-                        shards: 4,
-                        sim_words: 17, // multiple blocks: exercises parallel resim
-                        ..FraigParams::default()
-                    },
-                )
-            })
-            .collect();
-        for (i, out) in outcomes.iter().enumerate().skip(1) {
-            assert_eq!(out.stats, outcomes[0].stats, "stats diverged at run {i}");
-            assert!(
-                same_aig(&out.aig, &outcomes[0].aig),
-                "graph diverged at {i}"
-            );
+        // The second graph adds a near-equal pair (differing on one
+        // minterm) that starved simulation aliases and SAT disproves, so
+        // counterexamples carry the sweep into later rounds.
+        let mut near = equivalence_miter(5);
+        let extra = near.add_pis(6);
+        let all = near.and_many(&extra);
+        let most = near.and_many(&extra[..5]);
+        let d = near.xor(all, most);
+        let po0 = near.pos()[0];
+        let both = near.or(po0, d);
+        near.set_po(0, both);
+        for (g, sim_words) in [(equivalence_miter(5), 17), (near, 1)] {
+            let outcomes: Vec<FraigOutcome> = [1usize, 2, 3, 4, 8]
+                .iter()
+                .map(|&threads| {
+                    fraig(
+                        &g,
+                        &FraigParams {
+                            threads,
+                            shards: 4,
+                            sim_words,
+                            ..FraigParams::default()
+                        },
+                    )
+                })
+                .collect();
+            for (i, out) in outcomes.iter().enumerate().skip(1) {
+                assert_eq!(out.stats, outcomes[0].stats, "stats diverged at run {i}");
+                assert!(
+                    same_aig(&out.aig, &outcomes[0].aig),
+                    "graph diverged at {i}"
+                );
+            }
+            assert!(sim_equiv(&g, &outcomes[0].aig, 16, 11));
+            if sim_words == 1 {
+                assert!(outcomes[0].stats.rounds > 1, "counterexamples refine");
+                assert!(outcomes[0].stats.disproved > 0, "near pairs split");
+            } else {
+                assert_eq!(outcomes[0].aig.pos()[0], Lit::FALSE);
+            }
         }
-        assert_eq!(outcomes[0].aig.pos()[0], Lit::FALSE);
-    }
-
-    #[test]
-    fn warm_start_is_correct_and_thread_invariant() {
-        // Warm-started sharding changes which lemmas each oracle holds,
-        // never the soundness: the outcome must stay equivalent, still be
-        // bit-identical across thread counts for a pinned shard count, and
-        // still collapse the miter.
-        let mut g = equivalence_miter(5);
-        // Extra near-equal pairs (differ on one minterm each) so starved
-        // simulation aliases them, SAT disproves them, and their
-        // counterexamples force a second round — the one warm start
-        // actually re-forks for.
-        let extra = g.add_pis(6);
-        let all = g.and_many(&extra);
-        let most = g.and_many(&extra[..5]);
-        let d = g.xor(all, most);
-        let po0 = g.pos()[0];
-        let both = g.or(po0, d);
-        g.set_po(0, both);
-        let outcomes: Vec<FraigOutcome> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                fraig(
-                    &g,
-                    &FraigParams {
-                        threads,
-                        shards: 4,
-                        warm_start: true,
-                        sim_words: 1, // starve simulation so rounds carry SAT work
-                        ..FraigParams::default()
-                    },
-                )
-            })
-            .collect();
-        for (i, out) in outcomes.iter().enumerate().skip(1) {
-            assert_eq!(out.stats, outcomes[0].stats, "stats diverged at run {i}");
-            assert!(
-                same_aig(&out.aig, &outcomes[0].aig),
-                "graph diverged at {i}"
-            );
-        }
-        assert!(
-            sim_equiv(&g, &outcomes[0].aig, 16, 11),
-            "must stay equivalent"
-        );
-        assert!(outcomes[0].stats.rounds > 1, "warm start needs a 2nd round");
-        assert!(
-            outcomes[0].stats.disproved > 0,
-            "near-equal pairs must split"
-        );
-    }
-
-    #[test]
-    fn compiled_sim_engine_does_not_change_the_outcome() {
-        // The compiled full-mode program fills the signature matrix
-        // bit-identically to the interpreter, so the whole sweep —
-        // classes, query order, counterexamples, merges — must be
-        // bit-identical with the engine on or off.
-        let g = equivalence_miter(5);
-        for (threads, sim_words) in [(1usize, 17usize), (4, 17), (1, 1)] {
-            let base = FraigParams {
-                threads,
-                shards: 2,
-                sim_words,
-                ..FraigParams::default()
-            };
-            let compiled = fraig(
-                &g,
-                &FraigParams {
-                    compiled_sim: true,
-                    ..base.clone()
-                },
-            );
-            let interp = fraig(
-                &g,
-                &FraigParams {
-                    compiled_sim: false,
-                    ..base
-                },
-            );
-            assert_eq!(
-                compiled.stats, interp.stats,
-                "threads={threads} sim_words={sim_words}"
-            );
-            assert!(same_aig(&compiled.aig, &interp.aig));
-        }
-    }
-
-    #[test]
-    fn warm_start_is_identity_on_the_classic_path() {
-        // With a single shard there is nothing to re-fork: the flag must
-        // leave the classic threads=1 sweep bit-identical.
-        let g = equivalence_miter(4);
-        let classic = fraig(
-            &g,
-            &FraigParams {
-                threads: 1,
-                ..FraigParams::default()
-            },
-        );
-        let flagged = fraig(
-            &g,
-            &FraigParams {
-                threads: 1,
-                warm_start: true,
-                ..FraigParams::default()
-            },
-        );
-        assert_eq!(classic.stats, flagged.stats);
-        assert!(same_aig(&classic.aig, &flagged.aig));
     }
 
     #[test]

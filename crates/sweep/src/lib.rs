@@ -16,8 +16,7 @@
 //! mapping.
 //!
 //! The engine is multi-threaded: SAT queries run on sharded incremental
-//! oracles and resimulation splits its word-columns across cores, with a
-//! determinism contract — pin [`FraigParams::shards`] and the outcome is
+//! oracles, with a determinism contract — pin [`FraigParams::shards`] and the outcome is
 //! bit-identical for any thread count (see [`pool`] for the scaffolding
 //! and the README's "Concurrency model" section for the design).
 //!

@@ -1,7 +1,7 @@
 //! Scoped worker-thread scaffolding for sharded, deterministic parallelism.
 //!
 //! The sweep engine (and, in later PRs, portfolio solving above it) runs
-//! many independent stateful tasks — SAT oracles, simulation blocks — whose
+//! many independent stateful tasks — SAT oracles — whose
 //! *assignment* must not depend on how many OS threads happen to execute
 //! them, or results would change with the machine. The primitive here makes
 //! that split explicit:

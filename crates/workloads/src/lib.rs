@@ -1,8 +1,8 @@
 //! # `workloads` — synthetic CSAT benchmark generation
 //!
-//! Stand-in for the paper's industrial LEC/ATPG benchmark suite (see
-//! DESIGN.md for the substitution argument). Construction follows the
-//! paper's own recipe: datapath circuits are paired (different
+//! Stand-in for the paper's industrial LEC/ATPG benchmark suite (see the
+//! README's "Substitutions" section for the argument). Construction
+//! follows the paper's own recipe: datapath circuits are paired (different
 //! architectures, or bug-injected copies) and their outputs XOR-connected
 //! into single-output miters; stuck-at faults produce ATPG miters.
 //!

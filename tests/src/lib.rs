@@ -1,13 +1,15 @@
 //! Integration test support crate (tests live in `tests/tests/`).
 //!
-//! The helpers here route UNSAT verdicts through the independent
+//! Most helpers here route UNSAT verdicts through the independent
 //! `checker` crate: solve with proof logging on, rebuild the certificate
 //! from the log, and demand the backward RUP checker accepts it. Test
 //! suites use these instead of trusting the solver's (or the DPLL
-//! reference's) word for unsatisfiability.
+//! reference's) word for unsatisfiability. [`eval_node_words`] is the
+//! scalar reference the compiled simulation engine is tested against.
 
 #![forbid(unsafe_code)]
 
+use aig::{Aig, Lit};
 use cnf::Cnf;
 use sat::{ProofLog, SolveResult, Solver, SolverConfig};
 
@@ -63,4 +65,26 @@ pub fn solve_certified(f: &Cnf, config: SolverConfig) -> SolveResult {
         );
     }
     result
+}
+
+/// Scalar reference simulation of every node: for each of the 64 patterns
+/// packed in `pi_words` (bit `j` of word `i` is PI `i` in pattern `j`),
+/// evaluates `g` with [`Aig::eval`] alone and packs each node's value
+/// back into one word per node, in node order (constant node first).
+///
+/// `eval` reports POs only, so it runs on a copy of `g` with every node
+/// added as a PO.
+pub fn eval_node_words(g: &Aig, pi_words: &[u64]) -> Vec<u64> {
+    let mut probe = g.clone();
+    for v in 0..g.num_nodes() {
+        probe.add_po(Lit::from_var(v as u32, false));
+    }
+    let mut words = vec![0u64; g.num_nodes()];
+    for bit in 0..64 {
+        let ins: Vec<bool> = pi_words.iter().map(|w| w >> bit & 1 != 0).collect();
+        for (word, value) in words.iter_mut().zip(&probe.eval(&ins)[g.num_pos()..]) {
+            *word |= u64::from(*value) << bit;
+        }
+    }
+    words
 }

@@ -1,33 +1,35 @@
-//! Differential tests: compiled simulation programs vs the interpreter.
+//! Differential tests: the compiled simulation engine vs a scalar
+//! reference.
 //!
-//! The compiled engine ([`aig::SimProgram`]) lowers an AIG into a flat
-//! levelized program of fused word-ops; the block interpreter
-//! ([`aig::sim::random_columns_par`] and friends) walks the graph per
-//! block. Both must produce *bit-identical* signature matrices from the
-//! same per-block RNG streams — the sweeper's equivalence-class
-//! refinement depends on it, and `FraigParams::compiled_sim` switches
-//! engines on the promise that nothing downstream can tell. These tests
-//! are the promise's enforcement:
+//! [`aig::SimProgram`] is the workspace's one simulation engine: it lowers
+//! an AIG into a flat, level-ordered program of fused word-ops, and every
+//! signature matrix (sweep classes, resub filters, the RL embedding, ATPG
+//! fault filtering, `check::sim_equiv`) is its output. These tests hold it
+//! to the scalar `Aig::eval` interpreter, which shares no code with it,
+//! through [`csat_tests::eval_node_words`]:
 //!
-//! * random AIGs: compiled full-mode matrix == interpreter matrix,
-//!   across thread counts (1/2/4), with equal whole-matrix checksums;
+//! * random AIGs: every node's row of a full-mode random fill, column by
+//!   column, equals `eval` on the PI words that column holds;
 //! * adversarial edge shapes (constant POs, PI passthroughs, duplicated
 //!   and complemented POs, deep fanout-free chains that the outputs-only
 //!   compiler fuses into multi-input ops);
-//! * counterexample-style replay columns: `simulate_columns_prog` ==
-//!   `simulate_columns_par` on explicit PI patterns;
+//! * counterexample-style replay columns (`simulate_columns`) on explicit
+//!   PI patterns;
 //! * the compiled sequential stepper: `SeqAig::simulate_words` lanes ==
 //!   64 independent step-by-step bool simulations (`unroll` + `eval` is
 //!   covered by `mc_differential`; here the oracle is per-frame `eval`
-//!   of the core, which shares no code with the stepper).
+//!   of the core);
+//! * pinned outputs: a random fill's checksum and the sweep's counters on
+//!   a fixed miter, so a drift in the random streams or the kernel that
+//!   stays self-consistent still fails.
 
 use aig::seq::SeqAig;
-use aig::sim::{
-    random_columns_par, random_columns_prog, simulate_columns_par, simulate_columns_prog,
-    SimVectors,
-};
+use aig::sim::{random_columns, random_signatures, simulate_columns, SimVectors};
 use aig::{Aig, Lit, SimProgram};
+use csat_tests::eval_node_words;
 use proptest::prelude::*;
+use sweep::{fraig, FraigParams, FraigStats};
+use workloads::lec::adder_miter;
 use workloads::random_aig::{random_aig, RandomAigParams};
 
 fn random_graph(gates: usize, pis: usize, seed: u64) -> Aig {
@@ -42,24 +44,28 @@ fn random_graph(gates: usize, pis: usize, seed: u64) -> Aig {
     )
 }
 
-/// Interpreter and compiled matrices for the same (seed, width) fill,
-/// asserting bit-identity and checksum equality across thread counts.
-fn assert_fill_identical(g: &Aig, n_words: usize, seed: u64) {
-    let prog = SimProgram::full(g);
-    let mut reference = SimVectors::zero(g.num_nodes(), n_words);
-    random_columns_par(g, &mut reference, 0, n_words, seed, 1);
-    for threads in [1usize, 2, 4] {
-        let mut compiled = SimVectors::zero(g.num_nodes(), n_words);
-        random_columns_prog(&prog, &mut compiled, 0, n_words, seed, threads);
-        for v in 0..g.num_nodes() {
-            assert_eq!(
-                compiled.row(v),
-                reference.row(v),
-                "node {v} differs at {threads} threads"
-            );
-        }
-        assert_eq!(compiled.checksum(), reference.checksum());
+/// Asserts that column `w` of a full-mode matrix matches the scalar
+/// reference on the PI words the column holds.
+fn assert_column_matches_eval(g: &Aig, sigs: &SimVectors, w: usize) {
+    let pi_words: Vec<u64> = g
+        .pis()
+        .iter()
+        .map(|&pi| sigs.word(pi as usize, w))
+        .collect();
+    for (v, expect) in eval_node_words(g, &pi_words).into_iter().enumerate() {
+        assert_eq!(sigs.word(v, w), expect, "node {v}, column {w}");
     }
+}
+
+/// A compiled random fill checked column by column against the scalar
+/// reference; `random_signatures` must produce the same matrix.
+fn assert_fill_matches_eval(g: &Aig, n_words: usize, seed: u64) {
+    let mut sigs = SimVectors::zero(g.num_nodes(), n_words);
+    random_columns(&SimProgram::full(g), &mut sigs, 0, n_words, seed);
+    for w in 0..n_words {
+        assert_column_matches_eval(g, &sigs, w);
+    }
+    assert_eq!(sigs, random_signatures(g, n_words, seed));
 }
 
 /// Edge shapes the fold/fusion paths must survive: constant POs, PI
@@ -85,7 +91,7 @@ fn edge_shape() -> Aig {
 
 #[test]
 fn edge_shapes_fill_identically() {
-    assert_fill_identical(&edge_shape(), 8, 0xDEAD_BEEF);
+    assert_fill_matches_eval(&edge_shape(), 8, 0xDEAD_BEEF);
 }
 
 #[test]
@@ -110,10 +116,47 @@ fn edge_shape_outputs_only_program_matches_eval() {
     }
 }
 
+/// A random fill and the single-oracle sweep on a fixed miter, pinned.
+/// Any change to the random streams, the replay columns or the kernel
+/// moves the checksums and the sweep's candidate classes, and with them
+/// these counters.
+#[test]
+fn random_fill_and_sweep_outcome_are_pinned() {
+    let g = random_graph(300, 16, 7);
+    for (n_words, pinned) in [
+        (2, 7_634_426_004_716_547_239u64),
+        (8, 12_363_071_666_897_063_444),
+        (17, 14_701_206_547_840_851_786),
+    ] {
+        assert_eq!(random_signatures(&g, n_words, 99).checksum(), pinned);
+    }
+    let out = fraig(
+        &adder_miter(12),
+        &FraigParams {
+            threads: 1,
+            ..FraigParams::default()
+        },
+    );
+    assert_eq!(
+        out.stats,
+        FraigStats {
+            rounds: 4,
+            sat_calls: 132,
+            proved: 76,
+            disproved: 56,
+            unknown: 0,
+            cex_patterns: 56,
+            deadline_interrupts: 0,
+            shard_failures: 0,
+            certified: 0,
+        }
+    );
+    assert_eq!(out.aig.num_ands(), 0);
+}
+
 proptest! {
-    /// Compiled full-mode fills are bit-identical to the interpreter on
-    /// random AIGs, at thread counts 1/2/4, including the whole-matrix
-    /// checksum.
+    /// Compiled full-mode fills match the scalar `Aig::eval` interpreter,
+    /// node by node and column by column, on random AIGs.
     #[test]
     fn compiled_matches_interpreter_on_random_aigs(
         gates in 1usize..120,
@@ -121,11 +164,11 @@ proptest! {
         words in 1usize..10,
         seed in any::<u64>(),
     ) {
-        assert_fill_identical(&random_graph(gates, pis, seed), words, seed);
+        assert_fill_matches_eval(&random_graph(gates, pis, seed), words, seed);
     }
 
     /// Replay columns (explicit PI words, the sweeper's counterexample
-    /// path) agree between engines at every thread count.
+    /// path) match the scalar interpreter and leave other columns alone.
     #[test]
     fn compiled_replay_matches_interpreter(
         gates in 1usize..80,
@@ -143,13 +186,12 @@ proptest! {
             .enumerate()
             .map(|(w, p)| (w * 2, p.as_slice()))
             .collect();
-        let mut reference = SimVectors::zero(g.num_nodes(), 6);
-        simulate_columns_par(&g, &mut reference, &jobs, 1);
-        for threads in [1usize, 2, 4] {
-            let mut compiled = SimVectors::zero(g.num_nodes(), 6);
-            simulate_columns_prog(&prog, &mut compiled, &jobs, threads);
-            for v in 0..g.num_nodes() {
-                prop_assert_eq!(compiled.row(v), reference.row(v));
+        let mut sigs = SimVectors::zero(g.num_nodes(), 6);
+        simulate_columns(&prog, &mut sigs, &jobs);
+        for (k, pattern) in patterns.iter().enumerate() {
+            for (v, e) in eval_node_words(&g, pattern).into_iter().enumerate() {
+                prop_assert_eq!(sigs.word(v, 2 * k), e, "node {} column {}", v, 2 * k);
+                prop_assert_eq!(sigs.word(v, 2 * k + 1), 0, "untouched column {}", 2 * k + 1);
             }
         }
     }

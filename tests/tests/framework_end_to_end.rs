@@ -63,15 +63,10 @@ fn miniature_paper_run() {
     for arm in &arms {
         let records = run_campaign(arm.as_ref(), &test, "kissat", &solver, budget.clone());
         assert_eq!(records.len(), test.len());
-        // All models valid, no unexpected statuses.
+        // All models valid, no verdict contradicting its label.
         for r in &records {
-            if let Status::Sat { model_valid } = r.status {
-                assert!(
-                    model_valid,
-                    "{}: invalid model in {}",
-                    r.instance,
-                    arm.name()
-                );
+            if let Status::Wrong { reason } = &r.status {
+                panic!("{}: {reason} in {}", r.instance, arm.name());
             }
         }
         // Cactus series is consistent with the record set.

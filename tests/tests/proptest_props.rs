@@ -1,5 +1,5 @@
 //! Property-based tests (proptest) over the core data structures and the
-//! cross-crate invariants DESIGN.md §6 calls out.
+//! cross-crate invariants the pipeline relies on.
 
 use aig::npn::npn_canon;
 use aig::{Aig, Cube, Lit, Tt};
