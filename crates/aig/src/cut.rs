@@ -12,6 +12,7 @@
 use crate::aig::Aig;
 use crate::lit::Var;
 use crate::tt::Tt;
+use crate::window::Window;
 
 /// Maximum number of leaves a [`Cut`] can hold.
 pub const MAX_CUT_SIZE: usize = 8;
@@ -190,47 +191,118 @@ fn insert_filtered(set: &mut Vec<Cut>, c: Cut, cap: usize) {
 /// Every path from a PI to `root` must pass through a leaf (true for any
 /// enumerated cut). Leaf `i` is mapped to elementary variable `i`.
 ///
+/// This is a one-off convenience: it sets up a fresh [`Window`], whose
+/// per-node index is sized to the graph. Passes that evaluate a cut per
+/// node keep one `Window` and call [`Window::cut_function`] or
+/// [`Window::cut_word`] instead.
+///
 /// # Panics
 /// Panics if the cone is not closed under the leaves (i.e. the leaf set is
 /// not a cut of `root`) or has more than [`Tt::MAX_VARS`] leaves.
 pub fn cut_function(aig: &Aig, root: Var, leaves: &[Var]) -> Tt {
-    let nv = leaves.len();
-    let mut memo: crate::hash::FastMap<Var, Tt> = crate::hash::FastMap::default();
-    for (i, &l) in leaves.iter().enumerate() {
-        memo.insert(l, Tt::var(nv, i));
-    }
-    // Iterative post-order evaluation.
-    let mut stack = vec![(root, false)];
-    while let Some((v, expanded)) = stack.pop() {
-        if memo.contains_key(&v) {
-            continue;
-        }
-        let node = aig.node(v);
-        assert!(node.is_and(), "cut leaves do not cover node {v}");
-        let (a, b) = (node.fanin0(), node.fanin1());
-        if expanded {
-            let ta = memo[&a.var()].clone();
-            let tb = memo[&b.var()].clone();
-            let ta = if a.is_compl() { !ta } else { ta };
-            let tb = if b.is_compl() { !tb } else { tb };
-            memo.insert(v, ta & tb);
-        } else {
-            stack.push((v, true));
-            if !memo.contains_key(&a.var()) {
-                stack.push((a.var(), false));
-            }
-            if !memo.contains_key(&b.var()) {
-                stack.push((b.var(), false));
-            }
-        }
-    }
-    memo.remove(&root).expect("root evaluated")
+    Window::new().cut_function(aig, root, leaves)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lit::Lit;
+
+    /// The hash-map evaluator [`Window`] replaced, kept as its oracle.
+    fn cut_function_oracle(aig: &Aig, root: Var, leaves: &[Var]) -> Tt {
+        let nv = leaves.len();
+        let mut memo: crate::hash::FastMap<Var, Tt> = crate::hash::FastMap::default();
+        for (i, &l) in leaves.iter().enumerate() {
+            memo.insert(l, Tt::var(nv, i));
+        }
+        let mut stack = vec![(root, false)];
+        while let Some((v, expanded)) = stack.pop() {
+            if memo.contains_key(&v) {
+                continue;
+            }
+            let node = aig.node(v);
+            assert!(node.is_and(), "cut leaves do not cover node {v}");
+            let (a, b) = (node.fanin0(), node.fanin1());
+            if expanded {
+                let ta = memo[&a.var()].clone();
+                let tb = memo[&b.var()].clone();
+                let ta = if a.is_compl() { !ta } else { ta };
+                let tb = if b.is_compl() { !tb } else { tb };
+                memo.insert(v, ta & tb);
+            } else {
+                stack.push((v, true));
+                if !memo.contains_key(&a.var()) {
+                    stack.push((a.var(), false));
+                }
+                if !memo.contains_key(&b.var()) {
+                    stack.push((b.var(), false));
+                }
+            }
+        }
+        memo.remove(&root).expect("root evaluated")
+    }
+
+    fn random_aig(seed: u64, n_pis: usize, n_gates: usize) -> Aig {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut g = Aig::new();
+        let mut pool = g.add_pis(n_pis);
+        for _ in 0..n_gates {
+            let a = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+            let b = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+            let l = match rng.gen_range(0..3) {
+                0 => g.and(a, b),
+                1 => g.or(a, b),
+                _ => g.xor(a, b),
+            };
+            pool.push(l);
+        }
+        g.add_po(pool[pool.len() - 1]);
+        g
+    }
+
+    #[test]
+    fn window_matches_oracle_on_enumerated_cuts() {
+        // One window reused across every cut of every node, as the passes
+        // use it, at every cut size up to the maximum.
+        let mut w = Window::new();
+        for (seed, k) in [(1u64, 4usize), (2, 6), (3, 8)] {
+            let g = random_aig(seed, 10, 150);
+            let cuts = enumerate_cuts(&g, &CutParams { k, max_cuts: 8 });
+            for v in g.iter_ands() {
+                for cut in &cuts[v as usize] {
+                    let want = cut_function_oracle(&g, v, cut.leaves());
+                    assert_eq!(w.cut_function(&g, v, cut.leaves()), want, "v={v}");
+                    if cut.size() <= 6 {
+                        // The word is the table stretched to six variables.
+                        let word = w.cut_word(&g, v, cut.leaves());
+                        assert_eq!(word, want.extend_to(6).to_u64(), "v={v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_matches_oracle_on_wide_cuts() {
+        // Cuts of up to 12 leaves: every PI set is a cut of every node.
+        let mut w = Window::new();
+        for n_pis in [7usize, 9, 12] {
+            let g = random_aig(n_pis as u64, n_pis, 120);
+            let leaves: Vec<Var> = g.pis().to_vec();
+            for v in g.iter_ands() {
+                let want = cut_function_oracle(&g, v, &leaves);
+                assert_eq!(w.cut_function(&g, v, &leaves), want, "v={v}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cut leaves do not cover node")]
+    fn cut_function_rejects_a_non_cut() {
+        let (g, a, _b, c, _t, u) = sample_aig();
+        let _ = cut_function(&g, u.var(), &[a.var(), c.var()]);
+    }
 
     fn sample_aig() -> (Aig, Lit, Lit, Lit, Lit, Lit) {
         let mut g = Aig::new();

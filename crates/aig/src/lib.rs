@@ -11,7 +11,8 @@
 //!   programs ([`compile`]), and equivalence checks ([`check`]),
 //! * multi-word truth tables with ISOP covers ([`Tt`], [`tt::Cube`]) — the
 //!   source of the paper's *branching complexity* metric,
-//! * k-feasible cut enumeration ([`cut`]),
+//! * k-feasible cut enumeration ([`cut`]) and window truth tables over a
+//!   cut ([`Window`]),
 //! * exact NPN canonisation of 4-variable functions ([`npn`]),
 //! * MFFC computation for rewriting gain ([`mffc`]).
 //!
@@ -48,9 +49,11 @@ pub mod npn;
 pub mod seq;
 pub mod sim;
 pub mod tt;
+pub mod window;
 
 pub use crate::aig::{Aig, GateList};
 pub use crate::compile::{OutRef, SimProgram};
 pub use crate::lit::{Lit, Var};
 pub use crate::node::Node;
 pub use crate::tt::{Cube, Tt};
+pub use crate::window::Window;

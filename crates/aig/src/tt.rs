@@ -255,9 +255,11 @@ impl Tt {
         t
     }
 
-    /// True if the function depends on variable `i`.
+    /// True if the function depends on variable `i` (the two cofactors are
+    /// compared in place).
     pub fn has_var(&self, i: usize) -> bool {
-        self.cofactor0(i) != self.cofactor1(i)
+        assert!(i < self.nvars);
+        words_have_var(&self.words, i)
     }
 
     /// The set of variables the function depends on.
@@ -338,16 +340,7 @@ impl Tt {
         }
         let mut t = Tt::zero(nvars);
         if self.nvars <= 6 {
-            // Replicate the (padded) single word.
-            let mut w = self.words[0];
-            let mut bits = 1usize << self.nvars;
-            while bits < 64 {
-                w |= w << bits;
-                bits <<= 1;
-            }
-            for out in &mut t.words {
-                *out = w;
-            }
+            t.words.fill(stretch(self.words[0], self.nvars));
         } else {
             let chunk = self.words.len();
             for (wi, out) in t.words.iter_mut().enumerate() {
@@ -518,14 +511,37 @@ impl fmt::Debug for Cube {
 impl Tt {
     /// Irredundant sum-of-products cover via Minato–Morreale.
     ///
-    /// The returned cubes satisfy `OR(cubes) == self` exactly (verified in
-    /// tests); the cover is irredundant in the ISOP sense (each cube contains
-    /// a minterm covered by no other cube).
+    /// The returned cubes satisfy `OR(cubes) == self` exactly (checked by a
+    /// debug assertion); the cover is irredundant in the ISOP sense (each
+    /// cube contains a minterm covered by no other cube).
     pub fn isop(&self) -> Vec<Cube> {
         let mut cover = Vec::new();
-        let f = isop_rec(self, self, self.nvars, &mut cover);
-        debug_assert_eq!(&f, self, "ISOP cover must equal the function");
+        self.isop_into(false, &mut cover);
         cover
+    }
+
+    /// Appends the ISOP cover of `self` (of `!self` when `compl` is set) to
+    /// `cover`: the cubes of [`Tt::isop`], in the same order, without
+    /// materialising the complement.
+    pub fn isop_into(&self, compl: bool, cover: &mut Vec<Cube>) {
+        let flip = if compl { u64::MAX } else { 0 };
+        if self.nvars <= 6 {
+            let w = stretch(self.words[0], self.nvars) ^ flip;
+            let f = isop_word(w, w, 6, cover);
+            debug_assert_eq!(f, w, "ISOP cover must equal the function");
+            return;
+        }
+        let n = self.words.len();
+        // One buffer: the function (complemented if asked), the covered
+        // function, and the operand slices of every recursion level.
+        let mut buf = vec![0u64; (2 + ISOP_OPERANDS) * n];
+        let (f, rest) = buf.split_at_mut(n);
+        let (out, scratch) = rest.split_at_mut(n);
+        for (d, &w) in f.iter_mut().zip(&self.words) {
+            *d = w ^ flip;
+        }
+        isop_slice(f, f, cover, out, scratch);
+        debug_assert_eq!(out, &*f, "ISOP cover must equal the function");
     }
 
     /// `|isop(f)| + |isop(!f)|` — the paper's *branching complexity* of a
@@ -539,58 +555,187 @@ impl Tt {
     /// assert_eq!(Tt::from_u64(2, 0x6).branching_complexity(), 4);
     /// ```
     pub fn branching_complexity(&self) -> usize {
-        self.isop().len() + (!self).isop().len()
+        let mut cover = Vec::new();
+        self.isop_into(false, &mut cover);
+        self.isop_into(true, &mut cover);
+        cover.len()
     }
 }
 
-/// Computes an ISOP cover of some `f` with `lower <= f <= upper`, appending
-/// cubes to `cover` and returning the function actually covered.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
-    debug_assert_eq!(lower.nvars(), upper.nvars());
-    if lower.is_zero() {
-        return Tt::zero(lower.nvars());
+/// Replicates the `2^nvars` valid bits of a small table across the word,
+/// so that a table over fewer than six variables becomes the same function
+/// over six (the extra variables are don't-cares).
+fn stretch(w: u64, nvars: usize) -> u64 {
+    let mut w = w & word_mask(nvars);
+    let mut bits = 1usize << nvars;
+    while bits < 64 {
+        w |= w << bits;
+        bits <<= 1;
     }
-    if upper.is_one() {
+    w
+}
+
+/// True if the table in `words` depends on variable `i`: the two cofactors
+/// are compared in place.
+fn words_have_var(words: &[u64], i: usize) -> bool {
+    if i < 6 {
+        let shift = 1 << i;
+        words.iter().any(|&w| (w ^ w >> shift) & !VAR_MASKS[i] != 0)
+    } else {
+        let stride = 1 << (i - 6);
+        words
+            .chunks_exact(2 * stride)
+            .any(|block| block[..stride] != block[stride..])
+    }
+}
+
+/// Negative cofactor of a word with respect to variable `i < 6`.
+#[inline]
+fn word_cofactor0(w: u64, i: usize) -> u64 {
+    let lo = w & !VAR_MASKS[i];
+    lo | lo << (1 << i)
+}
+
+/// Positive cofactor of a word with respect to variable `i < 6`.
+#[inline]
+fn word_cofactor1(w: u64, i: usize) -> u64 {
+    let hi = w & VAR_MASKS[i];
+    hi | hi >> (1 << i)
+}
+
+/// Adds literal `var` of the given polarity to every cube from `start` on.
+fn add_literal(cover: &mut [Cube], start: usize, var: usize, positive: bool) {
+    for c in &mut cover[start..] {
+        *c = c.with_lit(var, positive);
+    }
+}
+
+/// Minato–Morreale on one word: appends an ISOP cover of some `f` with
+/// `lower <= f <= upper` to `cover` and returns `f`.
+///
+/// Both bounds are tables stretched to all 64 bits that depend only on
+/// variables below `top <= 6`. The split variable is the topmost one either
+/// bound depends on, and the cubes come out as the `!v` cubes, then the `v`
+/// cubes, then the cubes without `v` — the order [`Tt::isop`] promises and
+/// `lut2cnf` turns into clause order.
+fn isop_word(lower: u64, upper: u64, top: usize, cover: &mut Vec<Cube>) -> u64 {
+    if lower == 0 {
+        return 0;
+    }
+    if upper == u64::MAX {
         cover.push(Cube::TAUTOLOGY);
-        return Tt::one(lower.nvars());
+        return u64::MAX;
     }
-    // Find the topmost variable either bound depends on.
     let mut v = top;
     loop {
         debug_assert!(v > 0, "non-constant function must have support");
         v -= 1;
-        if lower.has_var(v) || upper.has_var(v) {
+        if words_have_var(&[lower], v) || words_have_var(&[upper], v) {
             break;
         }
     }
-    let l0 = lower.cofactor0(v);
-    let l1 = lower.cofactor1(v);
-    let u0 = upper.cofactor0(v);
-    let u1 = upper.cofactor1(v);
+    let (l0, l1) = (word_cofactor0(lower, v), word_cofactor1(lower, v));
+    let (u0, u1) = (word_cofactor0(upper, v), word_cofactor1(upper, v));
 
-    // Cubes that must contain literal !v.
     let start0 = cover.len();
-    let f0 = isop_rec(&(&l0 & &!&u1), &u0, v, cover);
-    for c in &mut cover[start0..] {
-        *c = c.with_lit(v, false);
-    }
-    // Cubes that must contain literal v.
+    let f0 = isop_word(l0 & !u1, u0, v, cover);
+    add_literal(cover, start0, v, false);
     let start1 = cover.len();
-    let f1 = isop_rec(&(&l1 & &!&u0), &u1, v, cover);
-    for c in &mut cover[start1..] {
-        *c = c.with_lit(v, true);
-    }
-    // Remaining minterms are covered without mentioning v.
-    let lnew = (&(&l0 & &!&f0) | &(&l1 & &!&f1)).clone();
-    let f2 = isop_rec(&lnew, &(&u0 & &u1), v, cover);
+    let f1 = isop_word(l1 & !u0, u1, v, cover);
+    add_literal(cover, start1, v, true);
+    let f2 = isop_word((l0 & !f0) | (l1 & !f1), u0 & u1, v, cover);
+    (f0 & !VAR_MASKS[v]) | (f1 & VAR_MASKS[v]) | f2
+}
 
-    let tv = Tt::var(lower.nvars(), v);
-    (&(&f0 & &!&tv) | &(&f1 & &tv)) | f2
+/// Operand slices one level of [`isop_slice`] keeps: the bounds of its
+/// three sub-problems and their three results.
+const ISOP_OPERANDS: usize = 7;
+
+/// Minato–Morreale over a word slice: the cover of some `f` with
+/// `lower <= f <= upper` is appended to `cover` and `f` written to `out`.
+///
+/// `lower`, `upper` and `out` all hold `2^(n-6)` words for an `n`-variable
+/// table (one stretched word up to six variables, handed to
+/// [`isop_word`]). The split variable and cube order are those of
+/// [`isop_word`]. A cofactor on a variable `v >= 6` is a half of the slice
+/// once the table is cut down to `v + 1` variables (both bounds are
+/// periodic above their topmost support variable), so the sub-problems
+/// recurse on half-slices; their operands live in `scratch`, which must
+/// hold [`ISOP_OPERANDS`] words per word of the table.
+fn isop_slice(
+    lower: &[u64],
+    upper: &[u64],
+    cover: &mut Vec<Cube>,
+    out: &mut [u64],
+    scratch: &mut [u64],
+) {
+    if lower.len() == 1 {
+        out[0] = isop_word(lower[0], upper[0], 6, cover);
+        return;
+    }
+    if lower.iter().all(|&w| w == 0) {
+        out.fill(0);
+        return;
+    }
+    if upper.iter().all(|&w| w == u64::MAX) {
+        cover.push(Cube::TAUTOLOGY);
+        out.fill(u64::MAX);
+        return;
+    }
+    let top = 6 + lower.len().trailing_zeros() as usize;
+    let Some(v) = (6..top)
+        .rev()
+        .find(|&v| words_have_var(lower, v) || words_have_var(upper, v))
+    else {
+        // No support variable above the word: every word is the same.
+        out.fill(isop_word(lower[0], upper[0], 6, cover));
+        return;
+    };
+    let half = 1usize << (v - 6);
+    let span = 2 * half;
+    let (l0, l1) = (&lower[..half], &lower[half..span]);
+    let (u0, u1) = (&upper[..half], &upper[half..span]);
+
+    let (ops, deeper) = scratch.split_at_mut(ISOP_OPERANDS * half);
+    let mut ops = ops.chunks_exact_mut(half);
+    let mut next = || ops.next().expect("seven operand slices");
+    let (lo, hi, f0, f1, f2) = (next(), next(), next(), next(), next());
+    let (lr, ur) = (next(), next());
+
+    let start0 = cover.len();
+    for i in 0..half {
+        lo[i] = l0[i] & !u1[i];
+    }
+    isop_slice(lo, u0, cover, f0, deeper);
+    add_literal(cover, start0, v, false);
+
+    let start1 = cover.len();
+    for i in 0..half {
+        hi[i] = l1[i] & !u0[i];
+    }
+    isop_slice(hi, u1, cover, f1, deeper);
+    add_literal(cover, start1, v, true);
+
+    for i in 0..half {
+        lr[i] = (l0[i] & !f0[i]) | (l1[i] & !f1[i]);
+        ur[i] = u0[i] & u1[i];
+    }
+    isop_slice(lr, ur, cover, f2, deeper);
+
+    for i in 0..half {
+        out[i] = f0[i] | f2[i];
+        out[half + i] = f1[i] | f2[i];
+    }
+    // Above `v` the covered function repeats, like its bounds.
+    for i in span..out.len() {
+        out[i] = out[i % span];
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     fn cover_to_tt(nvars: usize, cubes: &[Cube]) -> Tt {
         let mut acc = Tt::zero(nvars);
@@ -598,6 +743,118 @@ mod tests {
             acc = acc | c.to_tt(nvars);
         }
         acc
+    }
+
+    /// The table-allocating Minato–Morreale recursion the word kernels
+    /// replaced, kept as their oracle: it covers some `f` with
+    /// `lower <= f <= upper`, appending cubes to `cover`, and returns `f`.
+    fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
+        if lower.is_zero() {
+            return Tt::zero(lower.nvars());
+        }
+        if upper.is_one() {
+            cover.push(Cube::TAUTOLOGY);
+            return Tt::one(lower.nvars());
+        }
+        let mut v = top;
+        loop {
+            v -= 1;
+            if lower.cofactor0(v) != lower.cofactor1(v) || upper.cofactor0(v) != upper.cofactor1(v)
+            {
+                break;
+            }
+        }
+        let l0 = lower.cofactor0(v);
+        let l1 = lower.cofactor1(v);
+        let u0 = upper.cofactor0(v);
+        let u1 = upper.cofactor1(v);
+        let start0 = cover.len();
+        let f0 = isop_rec(&(&l0 & &!&u1), &u0, v, cover);
+        for c in &mut cover[start0..] {
+            *c = c.with_lit(v, false);
+        }
+        let start1 = cover.len();
+        let f1 = isop_rec(&(&l1 & &!&u0), &u1, v, cover);
+        for c in &mut cover[start1..] {
+            *c = c.with_lit(v, true);
+        }
+        let lnew = &(&l0 & &!&f0) | &(&l1 & &!&f1);
+        let f2 = isop_rec(&lnew, &(&u0 & &u1), v, cover);
+        let tv = Tt::var(lower.nvars(), v);
+        (&(&f0 & &!&tv) | &(&f1 & &tv)) | f2
+    }
+
+    /// Asserts that the kernels return the oracle's cube list, order
+    /// included, for `f` and for `!f`.
+    fn assert_isop_matches_oracle(f: &Tt) {
+        for compl in [false, true] {
+            let g = if compl { !f } else { f.clone() };
+            let mut want = Vec::new();
+            let covered = isop_rec(&g, &g, g.nvars(), &mut want);
+            assert_eq!(covered, g, "oracle cover must equal the function");
+            let mut got = Vec::new();
+            f.isop_into(compl, &mut got);
+            assert_eq!(got, want, "{f:?} compl={compl}");
+        }
+    }
+
+    fn random_tt(rng: &mut rand::rngs::StdRng, n: usize) -> Tt {
+        let words = (0..n_words(n)).map(|_| rng.gen::<u64>()).collect();
+        Tt::from_words(n, words)
+    }
+
+    #[test]
+    fn isop_matches_oracle_on_every_function_up_to_4_vars() {
+        for n in 0..=4usize {
+            for bits in 0..1u64 << (1 << n) {
+                assert_isop_matches_oracle(&Tt::from_u64(n, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn isop_matches_oracle_on_random_5_to_12_vars() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1509);
+        for n in 5..=12usize {
+            for _ in 0..12 {
+                let f = random_tt(&mut rng, n);
+                assert_isop_matches_oracle(&f);
+                // Reduced support: cofactoring leaves the table's size but
+                // drops variables, so the kernel must skip the vacant ones
+                // (above and below the word boundary) exactly as the
+                // oracle does.
+                let mut g = f.clone();
+                for _ in 0..rng.gen_range(1..n) {
+                    g = g.cofactor0(rng.gen_range(0..n));
+                }
+                assert_isop_matches_oracle(&g);
+                // Sparse and dense functions keep the recursion deep on
+                // one side.
+                let h = random_tt(&mut rng, n);
+                assert_isop_matches_oracle(&(&f & &h));
+                assert_isop_matches_oracle(&(&(&f & &h) & &random_tt(&mut rng, n)));
+            }
+        }
+    }
+
+    #[test]
+    fn has_var_matches_cofactor_comparison() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4a5);
+        for n in 1..=10usize {
+            for _ in 0..10 {
+                let mut f = random_tt(&mut rng, n);
+                for _ in 0..rng.gen_range(0..n) {
+                    f = f.cofactor1(rng.gen_range(0..n));
+                }
+                for i in 0..n {
+                    assert_eq!(
+                        f.has_var(i),
+                        f.cofactor0(i) != f.cofactor1(i),
+                        "n={n} i={i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -683,7 +940,6 @@ mod tests {
 
     #[test]
     fn isop_covers_exactly_random_4_to_9() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
         for n in 4..=9usize {
             for _ in 0..40 {

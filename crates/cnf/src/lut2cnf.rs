@@ -60,18 +60,28 @@ pub fn lut_to_cnf(net: &LutNetlist) -> (Cnf, LutVarMap) {
         num_inputs: net.num_inputs(),
     };
 
+    let mut cubes = Vec::new();
     for (k, lut) in net.luts().iter().enumerate() {
         let y = CnfLit::pos(map.node((net.num_inputs() + k) as u32));
-        emit_side(&mut cnf, &map, lut, y, true);
-        emit_side(&mut cnf, &map, lut, y, false);
+        emit_side(&mut cnf, &map, lut, y, true, &mut cubes);
+        emit_side(&mut cnf, &map, lut, y, false, &mut cubes);
     }
     (cnf, map)
 }
 
-/// Emits the on-set (`onset = true`) or off-set clauses of one LUT.
-fn emit_side(cnf: &mut Cnf, map: &LutVarMap, lut: &crate::lutnet::Lut, y: CnfLit, onset: bool) {
-    let f = if onset { lut.tt.clone() } else { !&lut.tt };
-    for cube in f.isop() {
+/// Emits the on-set (`onset = true`) or off-set clauses of one LUT, in
+/// ISOP cube order; `cubes` is reused scratch.
+fn emit_side(
+    cnf: &mut Cnf,
+    map: &LutVarMap,
+    lut: &crate::lutnet::Lut,
+    y: CnfLit,
+    onset: bool,
+    cubes: &mut Vec<aig::Cube>,
+) {
+    cubes.clear();
+    lut.tt.isop_into(!onset, cubes);
+    for cube in cubes.iter() {
         // cube -> (y or !y): clause is (¬lit for each cube literal) ∨ out.
         let mut clause: Vec<CnfLit> = Vec::with_capacity(cube.num_lits() as usize + 1);
         for (var, positive) in cube.lits() {

@@ -12,8 +12,8 @@
 //! README's "Substitutions" section.)
 
 use crate::cost::CutCost;
-use aig::cut::{cut_function, enumerate_cuts, Cut, CutParams};
-use aig::{Aig, Tt, Var};
+use aig::cut::{enumerate_cuts, Cut, CutParams};
+use aig::{Aig, Tt, Var, Window};
 use cnf::{LutNetlist, LutSignal};
 
 /// Mapping parameters.
@@ -60,8 +60,10 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
         },
     );
 
-    // Pre-compute per-cut functions (the cone is evaluated once per cut).
+    // Pre-compute per-cut functions (the cone is evaluated once per cut,
+    // into one word: k <= 6).
     let n = aig.num_nodes();
+    let mut window = Window::new();
     let mut cut_tts: Vec<Vec<Option<Tt>>> = vec![Vec::new(); n];
     for v in aig.iter_ands() {
         let vi = v as usize;
@@ -71,7 +73,8 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
                 if c.leaves() == [v] {
                     None // trivial cut is not implementable
                 } else {
-                    Some(cut_function(aig, v, c.leaves()))
+                    let word = window.cut_word(aig, v, c.leaves());
+                    Some(Tt::from_u64(c.size(), word))
                 }
             })
             .collect();

@@ -53,10 +53,19 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
         return s;
     }
 
-    // Top decomposition on each support variable.
+    // Top decomposition on each support variable. The cofactors' Hamming
+    // distance (the minterms where they differ) identifies an XOR here and
+    // picks the Shannon variable below.
+    let mut most_binate: Option<(u64, usize)> = None;
     for &v in &sup {
         let c0 = f.cofactor0(v);
         let c1 = f.cofactor1(v);
+        let distance: u64 = c0
+            .words()
+            .iter()
+            .zip(c1.words())
+            .map(|(a, b)| (a ^ b).count_ones() as u64)
+            .sum();
         let lv = b.leaf(v);
         let s = if c0.is_zero() {
             // f = v & c1
@@ -74,8 +83,8 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
             // f = v | c0
             let inner = decompose_rec(&c0, b, memo);
             Some(b.or(lv, inner))
-        } else if c0 == !&c1 {
-            // f = v ^ c0
+        } else if distance == 1 << f.nvars() {
+            // c0 == !c1: f = v ^ c0
             let inner = decompose_rec(&c0, b, memo);
             Some(b.xor(lv, inner))
         } else {
@@ -85,18 +94,14 @@ fn decompose_rec(f: &Tt, b: &mut StructBuilder, memo: &mut FastMap<Tt, Sig>) -> 
             memo.insert(f.clone(), s);
             return s;
         }
+        // The last variable of largest distance wins ties.
+        if most_binate.is_none_or(|(d, _)| distance >= d) {
+            most_binate = Some((distance, v));
+        }
     }
 
     // Shannon expansion on the most binate variable (largest on-set change).
-    let v = *sup
-        .iter()
-        .max_by_key(|&&v| {
-            let c0 = f.cofactor0(v);
-            let c1 = f.cofactor1(v);
-            let d = &c0 ^ &c1;
-            d.count_ones()
-        })
-        .expect("non-empty support");
+    let (_, v) = most_binate.expect("non-empty support");
     let c0 = f.cofactor0(v);
     let c1 = f.cofactor1(v);
     let s0 = decompose_rec(&c0, b, memo);

@@ -18,8 +18,12 @@ use aig::{Cube, GateList, Tt};
 /// Both `f` and `!f` are factored; the smaller structure (complemented back
 /// if needed) wins.
 pub fn factor(f: &Tt) -> GateList {
-    let pos = factor_cover(f.nvars(), &f.isop());
-    let neg = factor_cover(f.nvars(), &(!f).isop());
+    let mut cover = Vec::new();
+    f.isop_into(false, &mut cover);
+    let pos = factor_cover(f.nvars(), &cover);
+    cover.clear();
+    f.isop_into(true, &mut cover);
+    let neg = factor_cover(f.nvars(), &cover);
     if pos.size() <= neg.size() {
         pos
     } else {
@@ -91,27 +95,30 @@ fn build_cube(c: &Cube, b: &mut StructBuilder) -> Sig {
 }
 
 fn most_frequent_literal(cover: &[Cube]) -> (usize, bool) {
+    // Literal counts in one pass over the cubes' literals.
+    let (mut pos, mut neg) = ([0usize; 32], [0usize; 32]);
+    for c in cover {
+        let mut lits = c.mask;
+        while lits != 0 {
+            let v = lits.trailing_zeros() as usize;
+            lits &= lits - 1;
+            if c.vals >> v & 1 != 0 {
+                pos[v] += 1;
+            } else {
+                neg[v] += 1;
+            }
+        }
+    }
+    // Ties go to the lowest variable, positive literal first.
     let mut best = (0usize, true);
     let mut best_count = 0usize;
     for v in 0..32 {
-        let bit = 1u32 << v;
-        let mut pos = 0usize;
-        let mut neg = 0usize;
-        for c in cover {
-            if c.mask & bit != 0 {
-                if c.vals & bit != 0 {
-                    pos += 1;
-                } else {
-                    neg += 1;
-                }
-            }
-        }
-        if pos > best_count {
-            best_count = pos;
+        if pos[v] > best_count {
+            best_count = pos[v];
             best = (v, true);
         }
-        if neg > best_count {
-            best_count = neg;
+        if neg[v] > best_count {
+            best_count = neg[v];
             best = (v, false);
         }
     }

@@ -10,6 +10,7 @@
 //! Demanding only earlier nodes makes the dependency relation acyclic, so
 //! the rebuild is a straightforward worklist evaluation.
 
+use aig::hash::FastSet;
 use aig::{Aig, GateList, Lit, Var};
 
 /// Per-node reconstruction choice.
@@ -132,6 +133,46 @@ fn mapped(map: &[Option<Lit>], old: Lit) -> Lit {
     map[old.var() as usize]
         .expect("dependency resolved")
         .xor_compl(old.is_compl())
+}
+
+/// Counts how many *new* AND gates instantiating `gl` over `leaves` would
+/// create, crediting structure gates that already exist in the graph
+/// (outside `excluded`, typically the MFFC being replaced). This is the
+/// gain denominator of rewriting and refactoring.
+pub(crate) fn dry_run_cost(
+    aig: &Aig,
+    leaves: &[Lit],
+    gl: &GateList,
+    excluded: &FastSet<Var>,
+) -> usize {
+    // Each signal is either a known old-graph literal or a new node.
+    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
+    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
+        match s {
+            GateList::FALSE => Some(Lit::FALSE),
+            GateList::TRUE => Some(Lit::TRUE),
+            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
+        }
+    };
+    let mut cost = 0usize;
+    for &(a, b) in &gl.gates {
+        let out = match (decode(&sigs, a), decode(&sigs, b)) {
+            (Some(x), Some(y)) => match aig.find_and(x, y) {
+                // Folded to a constant, or an existing gate that survives.
+                Some(l) if l.is_const() || !excluded.contains(&l.var()) => Some(l),
+                _ => {
+                    cost += 1;
+                    None
+                }
+            },
+            _ => {
+                cost += 1;
+                None
+            }
+        };
+        sigs.push(out);
+    }
+    cost
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //! re-factorisation as in ABC's `refactor`.
 
 use crate::factor::best_structure;
-use crate::plan::{rebuild, Choice};
-use aig::cut::cut_function;
+use crate::plan::{dry_run_cost, rebuild, Choice};
 use aig::hash::FastSet;
 use aig::mffc::Mffc;
-use aig::{Aig, GateList, Lit, Var};
+use aig::{Aig, Lit, Var, Window};
 
 /// Parameters of the refactoring pass.
 #[derive(Clone, Copy, Debug)]
@@ -44,6 +43,7 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
     let mut mffc = Mffc::new(aig);
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
+    let mut window = Window::new();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -58,7 +58,7 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
             continue; // nothing worth saving here
         }
         let cone_set: FastSet<Var> = cone.iter().copied().collect();
-        let f = cut_function(aig, v, &leaves);
+        let f = window.cut_function(aig, v, &leaves);
         let gl = best_structure(&f);
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
         let cost = dry_run_cost(aig, &leaf_lits, &gl, &cone_set);
@@ -115,41 +115,11 @@ pub(crate) fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<
     leaves
 }
 
-/// Same dry-run cost model as rewriting (kept local to avoid a public API
-/// commitment): counts new gates, crediting existing ones outside the cone.
-fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, excluded: &FastSet<Var>) -> usize {
-    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
-    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
-        match s {
-            GateList::FALSE => Some(Lit::FALSE),
-            GateList::TRUE => Some(Lit::TRUE),
-            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
-        }
-    };
-    let mut cost = 0usize;
-    for &(a, b) in &gl.gates {
-        let out = match (decode(&sigs, a), decode(&sigs, b)) {
-            (Some(x), Some(y)) => match aig.find_and(x, y) {
-                Some(l) if l.is_const() || !excluded.contains(&l.var()) => Some(l),
-                _ => {
-                    cost += 1;
-                    None
-                }
-            },
-            _ => {
-                cost += 1;
-                None
-            }
-        };
-        sigs.push(out);
-    }
-    cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aig::check::{exhaustive_equiv, sim_equiv};
+    use aig::cut::cut_function;
 
     fn random_aig(seed: u64, n_pis: usize, n_gates: usize) -> Aig {
         use rand::{Rng, SeedableRng};

@@ -1,9 +1,10 @@
 //! Window-based Boolean resubstitution (`resub`).
 //!
 //! For each node, a window is built from a reconvergence-driven cut; the
-//! truth tables of every window node over the cut leaves are computed, and
-//! the engine looks for *divisors* — existing nodes (outside the logic that
-//! would disappear) whose functions re-express the target:
+//! truth tables of every window node over the cut leaves are computed into
+//! one reused word arena ([`aig::Window`]), and the engine looks for
+//! *divisors* — existing nodes (outside the logic that would disappear)
+//! whose functions re-express the target:
 //!
 //! * **0-resub**: the target equals a divisor (possibly complemented) — the
 //!   node is forwarded for free;
@@ -18,7 +19,7 @@ use crate::refactor::reconvergence_cut;
 use aig::hash::FastSet;
 use aig::mffc::Mffc;
 use aig::sim::random_signatures;
-use aig::{Aig, GateList, Lit, Tt, Var};
+use aig::{Aig, GateList, Lit, Var, Window};
 
 /// Words of global random simulation behind the divisor filter.
 const SIG_WORDS: usize = 4;
@@ -61,6 +62,8 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
     // mismatch soundly rejects a candidate before any truth-table work.
     let sigs = random_signatures(aig, SIG_WORDS, SIG_SEED);
     let mask = |c: bool| if c { !0u64 } else { 0 };
+    let mut window = Window::new();
+    let mut covers: Vec<u8> = Vec::new();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -78,13 +81,14 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
 
         // Window truth tables: evaluate the whole cone between leaves and v,
         // keeping every intermediate node as a divisor candidate.
-        let (mut tts, order) = window_tts(aig, v, &leaves);
-        let ft = tts[&v].clone();
+        window.start(aig, &leaves);
+        window.eval_cone(aig, v);
 
         // Divisors: the cut leaves themselves, plus window nodes that
         // survive the replacement (not in the disappearing cone), strictly
         // below v...
-        let mut divisors: Vec<Var> = order
+        let mut divisors: Vec<Var> = window
+            .nodes()
             .iter()
             .copied()
             .filter(|&d| d != v && d < v && !cone_set.contains(&d))
@@ -102,22 +106,18 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
             let d = frontier[qi];
             qi += 1;
             for &c in &fanout_lists[d as usize] {
-                if c >= v || cone_set.contains(&c) || tts.contains_key(&c) {
+                if c >= v || cone_set.contains(&c) || !window.try_eval(aig, c) {
                     continue;
                 }
-                let n = aig.node(c);
-                let (a, b) = (n.fanin0(), n.fanin1());
-                let (Some(ta), Some(tb)) = (tts.get(&a.var()), tts.get(&b.var())) else {
-                    continue;
-                };
-                let ta = if a.is_compl() { !ta } else { ta.clone() };
-                let tb = if b.is_compl() { !tb } else { tb.clone() };
-                tts.insert(c, ta & tb);
                 divisors.push(c);
                 frontier.push(c);
             }
         }
         divisors.truncate(params.max_divisors);
+
+        // Divisor tests compare the window tables word by word.
+        let table = |d: Var| window.table(d).expect("window node has a table");
+        let ft = table(v);
 
         // 0-resub. The signature filter rejects non-candidates with a few
         // word compares; the window truth table confirms survivors.
@@ -130,12 +130,12 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
             if !direct && !compl {
                 continue;
             }
-            let td = &tts[&d];
-            if *td == ft {
+            let td = table(d);
+            if td == ft {
                 chosen = Some((vec![Lit::from_var(d, false)], identity_gl(false)));
                 break;
             }
-            if !td == ft {
+            if td.iter().zip(ft).all(|(&x, &y)| x == !y) {
                 chosen = Some((vec![Lit::from_var(d, false)], identity_gl(true)));
                 break;
             }
@@ -143,14 +143,36 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
 
         // 1-resub: only profitable when at least two nodes disappear.
         if chosen.is_none() && cone.len() >= 2 {
+            // An AND reproduces the target's signature only if each input,
+            // in its polarity, contains it: bit `2 * co + c` of `covers[i]`
+            // says divisor `i` complemented by `c` contains the target
+            // complemented by `co`. Polarities failing this skip the
+            // signature filter; the pairs tried, and their order, stay.
+            covers.clear();
+            covers.extend(divisors.iter().map(|&d| {
+                let rd = sigs.row(d as usize);
+                (0..4).fold(0u8, |bits, k| {
+                    let (mc, mo) = (mask(k & 1 != 0), mask(k & 2 != 0));
+                    let contains = rd.iter().zip(rv).all(|(&x, &y)| (y ^ mo) & !(x ^ mc) == 0);
+                    bits | (contains as u8) << k
+                })
+            }));
             'outer: for i in 0..divisors.len() {
+                if covers[i] == 0 {
+                    continue;
+                }
                 for j in (i + 1)..divisors.len() {
                     let (da, db) = (divisors[i], divisors[j]);
                     let (ra, rb) = (sigs.row(da as usize), sigs.row(db as usize));
                     for (ca, cb, co) in POLARITIES {
+                        let k = 2 * co as usize;
+                        if covers[i] >> (k + ca as usize) & covers[j] >> (k + cb as usize) & 1 == 0
+                        {
+                            continue;
+                        }
                         // Word-parallel signature filter: the candidate's
                         // global signature must reproduce the target's
-                        // before any truth table is materialised.
+                        // before any window table is compared.
                         let (ma, mb, mo) = (mask(ca), mask(cb), mask(co));
                         let sig_ok = ra
                             .iter()
@@ -160,14 +182,12 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
                         if !sig_ok {
                             continue;
                         }
-                        let (ta, tb) = (&tts[&da], &tts[&db]);
-                        let fa = if ca { !ta } else { ta.clone() };
-                        let fb = if cb { !tb } else { tb.clone() };
-                        let mut f = fa & fb;
-                        if co {
-                            f = !f;
-                        }
-                        if f == ft {
+                        let hit = table(da)
+                            .iter()
+                            .zip(table(db))
+                            .zip(ft)
+                            .all(|((&wa, &wb), &wf)| ((wa ^ ma) & (wb ^ mb)) ^ mo == wf);
+                        if hit {
                             chosen = Some((
                                 vec![Lit::from_var(da, ca), Lit::from_var(db, cb)],
                                 and2_gl(co),
@@ -216,45 +236,6 @@ fn and2_gl(out_compl: bool) -> GateList {
         gates: vec![(GateList::leaf(0, false), GateList::leaf(1, false))],
         root: 2 << 1 | out_compl as u32,
     }
-}
-
-/// Truth tables (over the cut leaves) of every node in the cone of `root`
-/// above `leaves`, leaves included. Returns the table map and a topological
-/// listing of the window's nodes.
-fn window_tts(aig: &Aig, root: Var, leaves: &[Var]) -> (aig::hash::FastMap<Var, Tt>, Vec<Var>) {
-    let nv = leaves.len();
-    let mut tts = aig::hash::FastMap::default();
-    let mut order = Vec::new();
-    for (i, &l) in leaves.iter().enumerate() {
-        tts.insert(l, Tt::var(nv, i));
-        order.push(l);
-    }
-    let mut stack = vec![(root, false)];
-    while let Some((v, expanded)) = stack.pop() {
-        if tts.contains_key(&v) {
-            continue;
-        }
-        let n = aig.node(v);
-        debug_assert!(n.is_and(), "leaves must cover the cone");
-        let (a, b) = (n.fanin0(), n.fanin1());
-        if expanded {
-            let ta = tts[&a.var()].clone();
-            let tb = tts[&b.var()].clone();
-            let ta = if a.is_compl() { !ta } else { ta };
-            let tb = if b.is_compl() { !tb } else { tb };
-            tts.insert(v, ta & tb);
-            order.push(v);
-        } else {
-            stack.push((v, true));
-            if !tts.contains_key(&a.var()) {
-                stack.push((a.var(), false));
-            }
-            if !tts.contains_key(&b.var()) {
-                stack.push((b.var(), false));
-            }
-        }
-    }
-    (tts, order)
 }
 
 #[cfg(test)]

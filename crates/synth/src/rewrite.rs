@@ -8,13 +8,13 @@
 //! formulation of Mishchenko–Chatterjee–Brayton's DAG-aware rewriting.
 
 use crate::builder::sig_not;
-use crate::plan::{rebuild, Choice};
+use crate::plan::{dry_run_cost, rebuild, Choice};
 use crate::rewrite_lib::npn_structure;
-use aig::cut::{cut_function, enumerate_cuts, CutParams};
+use aig::cut::{enumerate_cuts, CutParams};
 use aig::hash::FastSet;
 use aig::mffc::Mffc;
 use aig::npn::npn_canon_cached;
-use aig::{Aig, GateList, Lit, Var};
+use aig::{Aig, GateList, Lit, Var, Window};
 
 /// Parameters of the rewriting pass.
 #[derive(Clone, Copy, Debug)]
@@ -47,6 +47,7 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
     let mut mffc = Mffc::new(aig);
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
+    let mut window = Window::new();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -61,9 +62,10 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
             // Nodes that disappear if v is re-expressed over this cut.
             let cone: Vec<Var> = mffc.cone_collect(aig, v, cut.leaves());
             let cone_set: FastSet<Var> = cone.iter().copied().collect();
-            let f = cut_function(aig, v, cut.leaves());
-            let f4 = f.extend_to(4);
-            let (canon, tr) = npn_canon_cached(f4.to_u16());
+            // The stretched cut word's low 16 bits are the cut function
+            // over four variables (missing leaves are don't-cares).
+            let f4 = window.cut_word(aig, v, cut.leaves()) as u16;
+            let (canon, tr) = npn_canon_cached(f4);
             let gl = npn_structure(canon);
             // Concrete leaves, padded to 4 with constant-false.
             let mut leaves4 = [Lit::FALSE; 4];
@@ -95,46 +97,6 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
     }
 
     rebuild(aig, &choices)
-}
-
-/// Counts how many *new* AND gates instantiating `gl` over `leaves` would
-/// create, crediting structure gates that already exist in the graph
-/// (outside `excluded`, typically the MFFC being replaced).
-fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, excluded: &FastSet<Var>) -> usize {
-    // Each signal is either a known old-graph literal or a new node.
-    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
-    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
-        match s {
-            GateList::FALSE => Some(Lit::FALSE),
-            GateList::TRUE => Some(Lit::TRUE),
-            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
-        }
-    };
-    let mut cost = 0usize;
-    for &(a, b) in &gl.gates {
-        let la = decode(&sigs, a);
-        let lb = decode(&sigs, b);
-        let out = match (la, lb) {
-            (Some(x), Some(y)) => match aig.find_and(x, y) {
-                Some(l) if l.is_const() => Some(l), // folded away: free
-                Some(l) if !excluded.contains(&l.var()) => Some(l),
-                Some(_) => {
-                    cost += 1;
-                    None
-                }
-                None => {
-                    cost += 1;
-                    None
-                }
-            },
-            _ => {
-                cost += 1;
-                None
-            }
-        };
-        sigs.push(out);
-    }
-    cost
 }
 
 #[cfg(test)]

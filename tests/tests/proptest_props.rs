@@ -8,10 +8,12 @@ use proptest::prelude::*;
 use sat::{reference::dpll_sat, solve_cnf, Budget, SolverConfig};
 
 proptest! {
-    /// ISOP covers compute exactly the function they cover (3..=7 vars).
+    /// ISOP covers compute exactly the function they cover, from constants
+    /// up to the 12-variable tables of refactoring's widest allowed cuts
+    /// (its default is 10 leaves).
     #[test]
-    fn isop_cover_equals_function(nvars in 3usize..=7, words in proptest::collection::vec(any::<u64>(), 2)) {
-        let n_words = if nvars <= 6 { 1 } else { 2 };
+    fn isop_cover_equals_function(nvars in 0usize..=12, words in proptest::collection::vec(any::<u64>(), 64)) {
+        let n_words = if nvars <= 6 { 1 } else { 1 << (nvars - 6) };
         let f = Tt::from_words(nvars, words[..n_words].to_vec());
         let cover = f.isop();
         let mut acc = Tt::zero(nvars);

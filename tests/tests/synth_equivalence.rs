@@ -140,3 +140,144 @@ fn synthesis_reduces_datapath_size() {
     );
     assert!(prove_equivalent(&re, &opt));
 }
+
+/// Order-sensitive digest of a CNF's clause list: the solver sees clauses
+/// in this order, so a reordering counts as drift.
+fn clause_digest(cnf: &cnf::Cnf) -> u64 {
+    use std::hash::Hasher;
+    let mut h = aig::hash::FastHasher::default();
+    for clause in cnf.clauses() {
+        h.write_u64(clause.len() as u64);
+        for lit in clause {
+            h.write_u64(lit.to_dimacs() as i64 as u64);
+        }
+    }
+    h.finish()
+}
+
+/// Exact outputs of every synthesis operation, the fixed recipes, and the
+/// LUT mapping and encoding of the `rs;rs;rw` result:
+/// `(num_ands, structural_hash)` per synthesis output and
+/// `(luts, branching, clauses, clause digest)` per mapping cost. The
+/// values were recorded with table-allocating truth-table kernels; any
+/// kernel must reproduce them exactly (the same cubes in the same order,
+/// the same cut tables, the same resubstitution choices), since the CNF's
+/// clause order steers the solver.
+#[test]
+fn synthesis_and_mapping_outputs_are_pinned() {
+    use cnf::lut_to_cnf;
+    use mapper::{map_luts, AreaCost, BranchingCost, CutCost, MapParams};
+
+    let circuits: [(&str, Aig); 4] = [
+        ("rca16", ripple_carry_adder(16).aig),
+        ("cla12", carry_lookahead_adder(12).aig),
+        ("alu8", alu(8).aig),
+        ("random", random_aig(2025, 12, 220)),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &circuits {
+        let mut row = Vec::new();
+        for op in SynthOp::ALL {
+            let h = apply_op(g, op);
+            row.push((h.num_ands(), h.structural_hash()));
+        }
+        let h = Recipe::size_script().apply(g);
+        row.push((h.num_ands(), h.structural_hash()));
+        let ours = apply_recipe(g, &[SynthOp::Resub, SynthOp::Resub, SynthOp::Rewrite]);
+        row.push((ours.num_ands(), ours.structural_hash()));
+        let mut mapped = Vec::new();
+        let costs: [&dyn CutCost; 2] = [&AreaCost, &BranchingCost::new()];
+        for cost in costs {
+            let net = map_luts(&ours, &MapParams::default(), cost);
+            let (formula, _) = lut_to_cnf(&net);
+            mapped.push((
+                net.num_luts(),
+                net.total_branching_complexity(),
+                formula.num_clauses(),
+                clause_digest(&formula),
+            ));
+        }
+        got.push((*name, row, mapped));
+    }
+    // Columns: b, rw, rwz, rf, rs, size_script, rs;rs;rw.
+    #[allow(clippy::type_complexity)]
+    let want: [(&str, [(usize, u64); 7], [(usize, usize, usize, u64); 2]); 4] = [
+        (
+            "rca16",
+            [
+                (139, 551371359245354189),
+                (124, 3517459078978321342),
+                (124, 13142288429559003637),
+                (123, 14856936732810142755),
+                (139, 716672985741823765),
+                (108, 6107588471789222977),
+                (124, 3517459078978321342),
+            ],
+            [
+                (46, 291, 291, 16459105624640760664),
+                (50, 262, 262, 9446512929608339988),
+            ],
+        ),
+        (
+            "cla12",
+            [
+                (279, 3775471094601931686),
+                (212, 8145982236878036058),
+                (212, 12217145004249609197),
+                (242, 9580186186426337164),
+                (197, 18387217151158606432),
+                (218, 6437524759224678347),
+                (176, 8963728898767772244),
+            ],
+            [
+                (75, 473, 473, 12855451542681349288),
+                (74, 421, 421, 7268448419951646153),
+            ],
+        ),
+        (
+            "alu8",
+            [
+                (147, 15248554272352421309),
+                (129, 4780512487393825397),
+                (129, 13691745915945788760),
+                (135, 1745707490877629884),
+                (145, 9639364128109576363),
+                (129, 17610677210670678103),
+                (135, 6830564991039387479),
+            ],
+            [
+                (43, 239, 239, 4320819409792015663),
+                (47, 225, 225, 4957303359063548136),
+            ],
+        ),
+        (
+            "random",
+            [
+                (306, 2387466389859405404),
+                (57, 13587083553089070165),
+                (57, 10226461256017219592),
+                (61, 4556165529667038090),
+                (51, 3701037774028314299),
+                (43, 14095366387232690002),
+                (44, 11581290121959185898),
+            ],
+            [
+                (14, 70, 70, 9849992691875501624),
+                (14, 65, 65, 928078769115491222),
+            ],
+        ),
+    ];
+    for ((name, row, mapped), (want_name, want_row, want_mapped)) in got.iter().zip(&want) {
+        assert_eq!(name, want_name);
+        assert_eq!(
+            row.as_slice(),
+            want_row.as_slice(),
+            "{name}: synthesis outputs"
+        );
+        assert_eq!(
+            mapped.as_slice(),
+            want_mapped.as_slice(),
+            "{name}: area, branching mappings"
+        );
+    }
+}
