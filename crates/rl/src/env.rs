@@ -250,4 +250,23 @@ mod tests {
         let b = measure_branchings(&inst, &cfg.mapper, &cfg.solver, cfg.budget);
         assert_eq!(a, b);
     }
+
+    /// Pins the reward tail on one fixed UNSAT miter: the branching count
+    /// the reward measures, and the terminal training reward of
+    /// `rs; rw; end`.
+    #[test]
+    fn reward_tail_is_pinned() {
+        use workloads::datapath::carry_lookahead_adder;
+        let inst = miter(&ripple_carry_adder(6).aig, &carry_lookahead_adder(6).aig);
+        let cfg = EnvConfig::default();
+        let branchings = measure_branchings(&inst, &cfg.mapper, &cfg.solver, cfg.budget.clone());
+        let mut env = SynthEnv::new_training(&inst, cfg);
+        env.step(3);
+        env.step(1);
+        let reward = env.step(4).reward;
+        assert_eq!(branchings, 199);
+        assert_eq!(env.initial_branchings(), 199);
+        // 199 branchings before, 89 after, normalised by the initial count.
+        assert_eq!(reward, 110.0 / 199.0);
+    }
 }

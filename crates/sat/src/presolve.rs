@@ -555,4 +555,63 @@ mod tests {
         let model = res.model().expect("xor is satisfiable").to_vec();
         assert!(f.eval(&model));
     }
+
+    /// A fixed formula whose presolve output moves with each limit: a
+    /// maximum occurrence count of 19 or 21, a resolvent length of 11 or
+    /// 13, or 3 or 5 rounds each change it. Three hot variables take a
+    /// quarter of all literals; clauses hold 2 to 7 literals.
+    fn pinned_formula() -> Cnf {
+        let mut x = 0xbe1e_08c4_7287_358fu64;
+        let mut next = |k: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % k
+        };
+        let mut f = Cnf::new();
+        f.ensure_vars(30);
+        for _ in 0..100 {
+            let len = 2 + next(6) as usize;
+            let mut c: Vec<CnfLit> = Vec::new();
+            while c.len() < len {
+                let v = if next(4) == 0 {
+                    1 + next(3)
+                } else {
+                    1 + next(30)
+                } as u32;
+                if c.iter().all(|l| l.var() != v) {
+                    c.push(CnfLit::new(v, next(2) == 1));
+                }
+            }
+            f.add_clause(c);
+        }
+        f
+    }
+
+    /// Order-sensitive FNV-1a digest of a clause list.
+    fn clause_digest(f: &Cnf) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for c in f.clauses() {
+            for l in c.iter().map(|l| l.to_dimacs()).chain([0]) {
+                for b in l.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins presolve's output on [`pinned_formula`]: its variables, its
+    /// clauses and their order.
+    #[test]
+    fn presolve_output_is_pinned() {
+        let Presolved::Simplified(out, _) = presolve(&pinned_formula(), &PresolveConfig::default())
+        else {
+            panic!("the pinned formula simplifies");
+        };
+        assert_eq!(
+            (out.num_vars(), out.num_clauses(), clause_digest(&out)),
+            (30, 46, 1_983_196_256_322_611_517)
+        );
+    }
 }

@@ -325,4 +325,22 @@ mod tests {
         assert_eq!(sheds, 2);
         engine.shutdown();
     }
+
+    /// Pins the retry ladder: this miter needs more than 40 and at most 80
+    /// conflicts, so its first attempt runs out of a 20-conflict budget and
+    /// the second, with four times the budget, decides it.
+    #[test]
+    fn budget_retry_escalates_and_decides() {
+        use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            base_conflicts: 20,
+            ..EngineConfig::default()
+        });
+        let q = Query::Lec(ripple_carry_adder(6).aig, carry_lookahead_adder(6).aig);
+        let rs = engine.run_batch(&[(q, QueryOpts::default())]);
+        assert_eq!(rs[0].verdict, Verdict::Unsat);
+        assert_eq!(rs[0].attempts, 2);
+        assert_eq!(engine.stats().retries, 1);
+    }
 }

@@ -281,3 +281,32 @@ fn synthesis_and_mapping_outputs_are_pinned() {
         );
     }
 }
+
+/// *Comp.* is the *C. Mapper* arm on the fixed size script: the same
+/// clauses in the same order, the same decoder and the same recipe string
+/// on each pinned circuit, under its own report name.
+#[test]
+fn comp_pipeline_is_the_conventional_mapper_on_the_size_script() {
+    use csat_preproc::{CompPipeline, FrameworkPipeline, Pipeline};
+    use rl::RecipePolicy;
+
+    let comp = CompPipeline::default();
+    let cmap = FrameworkPipeline::conventional_mapper(RecipePolicy::Fixed(Recipe::size_script()));
+    assert_eq!(comp.name(), "Comp.");
+    let circuits: [(&str, Aig); 4] = [
+        ("rca16", ripple_carry_adder(16).aig),
+        ("cla12", carry_lookahead_adder(12).aig),
+        ("alu8", alu(8).aig),
+        ("random", random_aig(2025, 12, 220)),
+    ];
+    for (name, g) in &circuits {
+        let (a, b) = (comp.preprocess(g), cmap.preprocess(g));
+        assert!(a.cnf == b.cnf, "{name}: clauses");
+        assert_eq!(
+            format!("{:?}", a.decoder),
+            format!("{:?}", b.decoder),
+            "{name}: decoder"
+        );
+        assert_eq!(a.recipe, b.recipe, "{name}: recipe");
+    }
+}
