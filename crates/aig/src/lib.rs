@@ -40,7 +40,6 @@ pub mod aiger;
 pub mod check;
 pub mod compile;
 pub mod cut;
-pub mod dot;
 pub mod hash;
 mod lit;
 pub mod mffc;

@@ -155,7 +155,7 @@ fn fill_pi_block(pi_block: &mut [u64], seed: u64, block: u64) {
 
 /// Fills columns `w0 .. w0 + n_cols` of an already-shaped matrix with
 /// uniformly random patterns through a compiled program, in blocked
-/// passes of [`SIM_BLOCK`] columns. Deterministic for a fixed seed; shared
+/// passes of `SIM_BLOCK` (8) columns. Deterministic for a fixed seed; shared
 /// by the signature producers and the sweep engine's per-round
 /// resimulation.
 ///

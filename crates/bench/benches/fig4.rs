@@ -19,7 +19,7 @@ fn bench_fig4(c: &mut Criterion) {
 
     let pipelines: Vec<(&str, Box<dyn Pipeline>)> = vec![
         ("baseline", Box::new(BaselinePipeline)),
-        ("comp", Box::new(CompPipeline::default())),
+        ("comp", Box::new(CompPipeline)),
         (
             "ours",
             Box::new(FrameworkPipeline::ours(RecipePolicy::Fixed(

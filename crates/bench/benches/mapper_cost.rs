@@ -60,8 +60,6 @@ fn bench_k_sweep(c: &mut Criterion) {
             &m,
             &MapParams {
                 k,
-                max_cuts: 8,
-                rounds: 2,
                 ..MapParams::default()
             },
             &BranchingCost::new(),

@@ -8,7 +8,7 @@ use bench::experiments::{solver_preset, test_split, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use csat_preproc::{BaselinePipeline, FrameworkPipeline, Pipeline};
 use rl::RecipePolicy;
-use sat::presolve::{solve_cnf_presolved, PresolveConfig};
+use sat::presolve::solve_cnf_presolved;
 use sat::solve_cnf;
 use synth::Recipe;
 
@@ -48,12 +48,7 @@ fn bench_presolve(c: &mut Criterion) {
             b.iter(|| {
                 let mut decisions = 0u64;
                 for f in &cnfs {
-                    let (_, stats) = solve_cnf_presolved(
-                        f,
-                        solver.clone(),
-                        budget.clone(),
-                        &PresolveConfig::default(),
-                    );
+                    let (_, stats) = solve_cnf_presolved(f, solver.clone(), budget.clone());
                     decisions += stats.decisions;
                 }
                 decisions

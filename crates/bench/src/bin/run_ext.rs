@@ -10,7 +10,7 @@
 use bench::experiments::{solver_preset, test_split, Scale};
 use csat_preproc::{BaselinePipeline, FrameworkPipeline, Pipeline};
 use rl::RecipePolicy;
-use sat::presolve::{solve_cnf_presolved, PresolveConfig};
+use sat::presolve::solve_cnf_presolved;
 use sat::solve_cnf;
 use std::time::Instant;
 use sweep::FraigParams;
@@ -111,12 +111,7 @@ fn measure(
     }
 
     let t0 = Instant::now();
-    let (res2, stats2) = solve_cnf_presolved(
-        &pre.cnf,
-        solver.clone(),
-        budget.clone(),
-        &PresolveConfig::default(),
-    );
+    let (res2, stats2) = solve_cnf_presolved(&pre.cnf, solver.clone(), budget.clone());
     report.presolved_secs += preprocess + t0.elapsed().as_secs_f64();
     report.presolved_decisions += stats2.decisions;
     if let (Some(expected), false) = (inst.expected, matches!(res2, sat::SolveResult::Unknown)) {

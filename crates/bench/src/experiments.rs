@@ -76,13 +76,26 @@ impl Scale {
         }
     }
 
-    /// Reads `CSAT_SCALE` (`quick`/`standard`/`full`), with a fallback.
+    /// Reads `CSAT_SCALE` (`quick`/`standard`/`full`); `default` when it
+    /// is unset.
+    ///
+    /// # Panics
+    /// Panics on any other value, naming the accepted ones.
     pub fn from_env(default: Scale) -> Scale {
-        match std::env::var("CSAT_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            Ok("standard") => Scale::standard(),
-            Ok("full") => Scale::full(),
-            _ => default,
+        Scale::from_name(std::env::var("CSAT_SCALE").ok().as_deref(), default)
+    }
+
+    /// The scale a `CSAT_SCALE` value names; `None` (unset) is `default`.
+    ///
+    /// # Panics
+    /// Panics on an unknown name, naming the accepted ones.
+    fn from_name(name: Option<&str>, default: Scale) -> Scale {
+        match name {
+            None => default,
+            Some("quick") => Scale::quick(),
+            Some("standard") => Scale::standard(),
+            Some("full") => Scale::full(),
+            Some(other) => panic!("unknown CSAT_SCALE '{other}' (use quick|standard|full)"),
         }
     }
 
@@ -288,7 +301,7 @@ pub fn fig4(scale: &Scale, solver_name: &str, agent: Option<DqnAgent>) -> Vec<Ar
     };
     let pipelines: Vec<Box<dyn Pipeline>> = vec![
         Box::new(BaselinePipeline),
-        Box::new(CompPipeline::default()),
+        Box::new(CompPipeline),
         Box::new(FrameworkPipeline::ours(ours_policy)),
     ];
     pipelines
@@ -449,6 +462,23 @@ mod tests {
         }
         let csv = records_to_csv(&arms);
         assert!(csv.lines().count() > arms.len());
+    }
+
+    #[test]
+    fn scale_names() {
+        let quick = Scale::quick();
+        assert_eq!(Scale::from_name(None, quick).episodes, quick.episodes);
+        assert_eq!(
+            Scale::from_name(Some("full"), quick).episodes,
+            Scale::full().episodes
+        );
+        let err = std::panic::catch_unwind(|| Scale::from_name(Some("ful"), Scale::quick()))
+            .expect_err("unknown scale must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            msg.contains("'ful'") && msg.contains("quick|standard|full"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! | extra ablations (cost model, k, encoding) | — | `mapper_cost`, `solver` |
 //!
 //! Scale is controlled by the `CSAT_SCALE` environment variable
-//! (`quick` | `standard` | `full`); binaries default to `standard`,
-//! criterion benches to `quick`.
+//! (`quick` | `standard` | `full`; any other value panics); binaries
+//! default to `standard`, criterion benches to `quick`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

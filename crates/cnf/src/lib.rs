@@ -3,7 +3,7 @@
 //! Everything between circuits and solvers:
 //!
 //! * [`Cnf`]/[`CnfLit`] formula types and DIMACS I/O ([`dimacs`]),
-//! * [`tseitin`] — direct AIG-to-CNF encoding (the paper's *Baseline*),
+//! * [`tseitin`](mod@tseitin) — direct AIG-to-CNF encoding (the paper's *Baseline*),
 //! * [`lutnet::LutNetlist`] — the mapped-netlist exchange type,
 //! * [`lut2cnf`] — the ISOP-based LUT-to-CNF encoding that hides internal
 //!   logic and whose clause count *is* the paper's branching complexity.

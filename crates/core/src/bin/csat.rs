@@ -164,8 +164,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "encode" => {
             check_flags(&args[2..], &["--pipeline", "--recipe", "-o"], &["--sweep"])?;
-            let instance = load(path)?;
             let pipeline = make_pipeline(args, None, &obs::Registry::disabled())?;
+            let instance = load(path)?;
             let pre = pipeline.preprocess(&instance);
             let text = cnf::dimacs::to_dimacs_string(&pre.cnf);
             match value_of(args, "-o")? {
@@ -310,12 +310,7 @@ fn solve_cnf_cli(
         if presolve {
             // The presolver owns its inner solver, so per-solve spans are
             // unavailable on this path; gauges still publish below.
-            let (res, stats) = sat::presolve::solve_cnf_presolved(
-                f,
-                config,
-                budget,
-                &sat::presolve::PresolveConfig::default(),
-            );
+            let (res, stats) = sat::presolve::solve_cnf_presolved(f, config, budget);
             stats.publish(reg);
             return Ok((res, stats));
         }
@@ -387,8 +382,8 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    let instance = load(path)?;
     let pipeline = make_pipeline(args, deadline, &obs_cli.reg)?;
+    let instance = load(path)?;
     let t0 = Instant::now();
     let pre = pipeline.preprocess(&instance);
     if proof_out.is_some() {
@@ -697,7 +692,6 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
     let t0 = Instant::now();
     let (cex, proved, frames) = if args.iter().any(|a| a == "--kind") {
         let opts = mc::KindOptions {
-            solver: SolverConfig::default(),
             query_budget,
             deadline,
             preprocess,
@@ -720,7 +714,6 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         }
     } else {
         let opts = mc::BmcOptions {
-            solver: SolverConfig::default(),
             query_budget,
             deadline,
             preprocess,
@@ -1014,13 +1007,7 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
             .timeout_ms
             .or(default_timeout)
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        match engine.submit(
-            &parsed_line.query,
-            serve::QueryOpts {
-                deadline,
-                conflicts: None,
-            },
-        ) {
+        match engine.submit(&parsed_line.query, serve::QueryOpts { deadline }) {
             Ok(_) => {
                 submitted.fetch_add(1, Ordering::Release);
             }
@@ -1095,13 +1082,7 @@ fn run_batch(path: &str, args: &[String]) -> Result<ExitCode, String> {
             (a, b) => a.or(b),
         };
         engine
-            .submit_normalized(
-                norm,
-                serve::QueryOpts {
-                    deadline,
-                    conflicts: None,
-                },
-            )
+            .submit_normalized(norm, serve::QueryOpts { deadline })
             .map_err(|e| format!("{e}"))?;
     }
     let mut responses = Vec::with_capacity(total);
@@ -1172,14 +1153,27 @@ fn load(path: &str) -> Result<aig::Aig, String> {
     result.map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
+/// The pipeline `--pipeline` names. `--recipe` and `--sweep` configure
+/// only the *Ours* pipeline, so naming them with another one is an error
+/// rather than a silently ignored flag.
 fn make_pipeline(
     args: &[String],
     deadline: Option<Instant>,
     reg: &obs::Registry,
 ) -> Result<Box<dyn Pipeline>, String> {
-    match value_of(args, "--pipeline")?.as_deref() {
+    let name = value_of(args, "--pipeline")?;
+    if let Some(fixed @ ("baseline" | "comp")) = name.as_deref() {
+        for flag in ["--recipe", "--sweep"] {
+            if args.iter().any(|a| a == flag) {
+                return Err(format!(
+                    "{flag} applies to the 'ours' pipeline, not '{fixed}'"
+                ));
+            }
+        }
+    }
+    match name.as_deref() {
         Some("baseline") => Ok(Box::new(BaselinePipeline)),
-        Some("comp") => Ok(Box::new(CompPipeline::default())),
+        Some("comp") => Ok(Box::new(CompPipeline)),
         None | Some("ours") => {
             let recipe: Recipe = value_of(args, "--recipe")?
                 .unwrap_or_else(|| "rs;rs;rw".to_string())
@@ -1244,5 +1238,50 @@ fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>
             .parse()
             .map(Some)
             .map_err(|_| format!("bad value '{v}' for {name}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pipeline_for(args: &[&str]) -> Result<String, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        make_pipeline(&args, None, &obs::Registry::disabled()).map(|p| p.name())
+    }
+
+    #[test]
+    fn recipe_and_sweep_are_rejected_for_baseline_and_comp() {
+        for pipeline in ["baseline", "comp"] {
+            for extra in [&["--recipe", "rw"][..], &["--sweep"][..]] {
+                let mut args = vec!["solve", "x.aag", "--pipeline", pipeline];
+                args.extend_from_slice(extra);
+                let err = pipeline_for(&args).expect_err("flag must be rejected");
+                assert!(err.contains(extra[0]), "{err}");
+                assert!(err.contains(pipeline), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn recipe_and_sweep_configure_ours() {
+        let args = ["solve", "x.aag", "--recipe", "rw", "--sweep"];
+        assert_eq!(pipeline_for(&args).as_deref(), Ok("Ours + fraig"));
+        let args = ["encode", "x.aag", "--pipeline", "ours", "--recipe", "b"];
+        assert_eq!(pipeline_for(&args).as_deref(), Ok("Ours"));
+        let args = ["solve", "x.aag", "--pipeline", "comp"];
+        assert_eq!(pipeline_for(&args).as_deref(), Ok("Comp."));
+        let args = ["solve", "x.aag", "--pipeline", "baseline"];
+        assert_eq!(pipeline_for(&args).as_deref(), Ok("Baseline"));
+    }
+
+    #[test]
+    fn rejection_is_a_usage_error_before_the_input_is_read() {
+        let args: Vec<String> = ["encode", "missing.aag", "--pipeline", "comp", "--sweep"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        let err = run(&args).expect_err("usage error");
+        assert!(err.contains("--sweep"), "{err}");
     }
 }

@@ -8,31 +8,17 @@
 //! *Ours* is the optimisation objective: circuit size, not branching
 //! complexity.
 
-use crate::pipeline::{Decoder, Pipeline, PreprocessResult};
+use crate::framework::FrameworkPipeline;
+use crate::pipeline::{Pipeline, PreprocessResult};
 use aig::Aig;
-use cnf::lut_to_cnf_sat_instance;
-use mapper::{map_luts, AreaCost, MapParams};
-use std::time::Instant;
+use rl::RecipePolicy;
 use synth::Recipe;
 
 /// Size-oriented circuit preprocessing (rewrite/refactor/balance to
-/// minimise gates, then area-cost LUT mapping, then CNF).
-#[derive(Clone, Debug)]
-pub struct CompPipeline {
-    /// Mapping parameters (k = 4 matches the paper's setup).
-    pub map: MapParams,
-    /// Minimisation script.
-    pub recipe: Recipe,
-}
-
-impl Default for CompPipeline {
-    fn default() -> CompPipeline {
-        CompPipeline {
-            map: MapParams::default(),
-            recipe: Recipe::size_script(),
-        }
-    }
-}
+/// minimise gates, then area-cost LUT mapping, then CNF): the *C. Mapper*
+/// arm on the fixed size script, reported under its own name.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CompPipeline;
 
 impl Pipeline for CompPipeline {
     fn name(&self) -> String {
@@ -40,16 +26,8 @@ impl Pipeline for CompPipeline {
     }
 
     fn preprocess(&self, instance: &Aig) -> PreprocessResult {
-        let t0 = Instant::now();
-        let simplified = self.recipe.apply(instance);
-        let net = map_luts(&simplified, &self.map, &AreaCost);
-        let (cnf, map) = lut_to_cnf_sat_instance(&net);
-        PreprocessResult {
-            cnf,
-            decoder: Decoder::Lut(map),
-            preprocess_time: t0.elapsed(),
-            recipe: self.recipe.to_string(),
-        }
+        FrameworkPipeline::conventional_mapper(RecipePolicy::Fixed(Recipe::size_script()))
+            .preprocess(instance)
     }
 }
 
@@ -65,7 +43,7 @@ mod tests {
         let blk = ripple_carry_adder(4);
         let buggy = inject_bug(&blk.aig, 1, 50).expect("bug");
         let inst = miter(&blk.aig, &buggy);
-        let out = CompPipeline::default().preprocess(&inst);
+        let out = CompPipeline.preprocess(&inst);
         let (res, _) = solve_cnf(&out.cnf, SolverConfig::default(), Budget::UNLIMITED);
         let model = res.model().expect("bug miter is SAT").to_vec();
         let ins = out.decoder.decode_inputs(&model);
@@ -78,7 +56,7 @@ mod tests {
         let a = ripple_carry_adder(4);
         let b = carry_lookahead_adder(4);
         let inst = miter(&a.aig, &b.aig);
-        let out = CompPipeline::default().preprocess(&inst);
+        let out = CompPipeline.preprocess(&inst);
         let (res, _) = solve_cnf(&out.cnf, SolverConfig::default(), Budget::UNLIMITED);
         assert!(res.is_unsat(), "equivalent adders must stay UNSAT");
     }
@@ -89,7 +67,7 @@ mod tests {
         let buggy = inject_bug(&blk.aig, 2, 50).expect("bug");
         let inst = miter(&blk.aig, &buggy);
         let base = crate::baseline::BaselinePipeline.preprocess(&inst);
-        let comp = CompPipeline::default().preprocess(&inst);
+        let comp = CompPipeline.preprocess(&inst);
         assert!(
             comp.cnf.num_vars() < base.cnf.num_vars(),
             "LUT mapping must hide variables: {} vs {}",

@@ -33,10 +33,6 @@ pub enum MappingCost {
 pub struct FrameworkPipeline {
     /// Recipe-selection policy.
     pub policy: RecipePolicy,
-    /// Environment settings for agent rollouts.
-    pub env: EnvConfig,
-    /// Mapping parameters.
-    pub map: MapParams,
     /// Mapping cost model.
     pub cost: MappingCost,
     /// Optional SAT sweeping (fraig) between synthesis and mapping — the
@@ -52,8 +48,6 @@ impl FrameworkPipeline {
     pub fn ours(policy: RecipePolicy) -> FrameworkPipeline {
         FrameworkPipeline {
             policy,
-            env: EnvConfig::default(),
-            map: MapParams::default(),
             cost: MappingCost::Branching,
             sweep: None,
             label: "Ours".to_string(),
@@ -64,8 +58,6 @@ impl FrameworkPipeline {
     pub fn without_rl(seed: u64, steps: usize) -> FrameworkPipeline {
         FrameworkPipeline {
             policy: RecipePolicy::Random { seed, steps },
-            env: EnvConfig::default(),
-            map: MapParams::default(),
             cost: MappingCost::Branching,
             sweep: None,
             label: "w/o RL".to_string(),
@@ -76,8 +68,6 @@ impl FrameworkPipeline {
     pub fn conventional_mapper(policy: RecipePolicy) -> FrameworkPipeline {
         FrameworkPipeline {
             policy,
-            env: EnvConfig::default(),
-            map: MapParams::default(),
             cost: MappingCost::Area,
             sweep: None,
             label: "C. Mapper".to_string(),
@@ -104,8 +94,9 @@ impl Pipeline for FrameworkPipeline {
 
     fn preprocess(&self, instance: &Aig) -> PreprocessResult {
         let t0 = Instant::now();
-        // Step 2: recipe exploration / application.
-        let (synthesised, recipe) = self.policy.run(instance, &self.env);
+        // Step 2: recipe exploration / application (agent rollouts use
+        // the default environment settings).
+        let (synthesised, recipe) = self.policy.run(instance, &EnvConfig::default());
         // Step 2.5 (extension): SAT sweeping.
         let synthesised = match &self.sweep {
             Some(params) => sweep::fraig(&synthesised, params).aig,
@@ -124,7 +115,7 @@ impl Pipeline for FrameworkPipeline {
                 &branching
             }
         };
-        let net = map_luts(&synthesised, &self.map, cost);
+        let net = map_luts(&synthesised, &MapParams::default(), cost);
         // Step 4: lut2cnf.
         let (cnf, map) = lut_to_cnf_sat_instance(&net);
         PreprocessResult {

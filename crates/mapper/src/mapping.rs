@@ -16,15 +16,16 @@ use aig::cut::{enumerate_cuts, Cut, CutParams};
 use aig::{Aig, Tt, Var, Window};
 use cnf::{LutNetlist, LutSignal};
 
+/// Priority cuts kept per node.
+const MAX_CUTS: usize = 8;
+/// Area-flow refinement rounds after the first pass.
+const ROUNDS: usize = 2;
+
 /// Mapping parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct MapParams {
     /// LUT input count (2..=6; the paper uses k = 4).
     pub k: usize,
-    /// Priority cuts kept per node.
-    pub max_cuts: usize,
-    /// Area-flow refinement rounds after the first pass.
-    pub rounds: usize,
     /// Delay constraint: `Some(slack)` restricts cut choice to cuts whose
     /// arrival meets the depth-optimal mapping's level plus `slack` LUT
     /// levels ("fixing the delay cost as a constraint", Sec. III-C2);
@@ -36,8 +37,6 @@ impl Default for MapParams {
     fn default() -> MapParams {
         MapParams {
             k: 4,
-            max_cuts: 8,
-            rounds: 2,
             depth_slack: Some(0),
         }
     }
@@ -56,7 +55,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
         aig,
         &CutParams {
             k: params.k,
-            max_cuts: params.max_cuts,
+            max_cuts: MAX_CUTS,
         },
     );
 
@@ -93,7 +92,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
     let mut best_cut: Vec<usize> = vec![usize::MAX; n];
     // Required times: unconstrained until a cover exists.
     let mut required: Vec<u32> = vec![u32::MAX; n];
-    for round in 0..=params.rounds {
+    for round in 0..=ROUNDS {
         area_flow_pass(
             aig,
             &cuts,
@@ -104,7 +103,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
             &opt_depth,
             &mut best_cut,
         );
-        if round < params.rounds {
+        if round < ROUNDS {
             // Refine reference estimates from the actual cover, blending
             // with the previous estimate to damp oscillation.
             let refs = cover_refs(aig, &cuts, &best_cut);
@@ -376,8 +375,6 @@ mod tests {
                     &g,
                     &MapParams {
                         k,
-                        max_cuts: 8,
-                        rounds: 2,
                         ..MapParams::default()
                     },
                     &AreaCost,

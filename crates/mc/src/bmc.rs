@@ -17,7 +17,7 @@
 use crate::enc::{certify_unsat, Enc, Val};
 use aig::seq::SeqAig;
 use cnf::CnfLit;
-use sat::{Budget, SolveResult, SolverConfig, Stats};
+use sat::{Budget, SolveResult, Stats};
 use std::time::Instant;
 
 /// One-time preprocessing of the transition relation before unrolling —
@@ -55,8 +55,6 @@ impl Preprocess {
 /// Options for [`BmcEngine`].
 #[derive(Clone, Debug, Default)]
 pub struct BmcOptions {
-    /// Solver configuration.
-    pub solver: SolverConfig,
     /// Conflict budget per frame query (`None` = unlimited). The engine
     /// charges it on top of the solver's cumulative conflict count, so a
     /// budgeted query never eats a later query's allowance.
@@ -198,13 +196,9 @@ impl BmcEngine {
         let seq = opts.preprocess.apply(seq);
         let reach = seq.comb().reachable_from_pos();
         let state = vec![Val::Const(false); seq.num_latches()];
-        let mut solver_cfg = opts.solver;
-        // Certification needs the full DRAT log regardless of what the
-        // caller's solver config says.
-        solver_cfg.proof |= opts.certify;
         BmcEngine {
             reach,
-            enc: Enc::new(solver_cfg),
+            enc: Enc::new(opts.certify),
             query_budget: opts.query_budget,
             deadline: opts.deadline,
             frame_pis: Vec::new(),

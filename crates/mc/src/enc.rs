@@ -62,9 +62,14 @@ pub(crate) fn certify_unsat(solver: &Solver, assumptions: &[CnfLit]) {
 }
 
 impl Enc {
-    pub(crate) fn new(config: SolverConfig) -> Enc {
+    /// An empty encoding on a solver with the default preset; `proof`
+    /// turns on the DRAT log that certified mode checks.
+    pub(crate) fn new(proof: bool) -> Enc {
         Enc {
-            solver: Solver::new(config),
+            solver: Solver::new(SolverConfig {
+                proof,
+                ..SolverConfig::default()
+            }),
             next_var: 0,
         }
     }
@@ -177,7 +182,7 @@ mod tests {
 
     #[test]
     fn and_val_folds_constants() {
-        let mut e = Enc::new(SolverConfig::default());
+        let mut e = Enc::new(false);
         let p = Val::Lit(e.fresh_lit());
         assert_eq!(e.and_val(Val::Const(false), p), Val::Const(false));
         assert_eq!(e.and_val(Val::Const(true), p), p);
@@ -189,7 +194,7 @@ mod tests {
 
     #[test]
     fn or_val_de_morgan() {
-        let mut e = Enc::new(SolverConfig::default());
+        let mut e = Enc::new(false);
         let p = Val::Lit(e.fresh_lit());
         assert_eq!(e.or_val(Val::Const(true), p), Val::Const(true));
         assert_eq!(e.or_val(Val::Const(false), p), p);

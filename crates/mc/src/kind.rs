@@ -27,14 +27,12 @@ use crate::bmc::{BmcEngine, BmcOptions, BmcResult, Preprocess};
 use crate::enc::{certify_unsat, Enc, Val};
 use aig::seq::SeqAig;
 use cnf::CnfLit;
-use sat::{Budget, SolveResult, SolverConfig};
+use sat::{Budget, SolveResult};
 use std::time::Instant;
 
 /// Options for [`prove`].
 #[derive(Clone, Debug, Default)]
 pub struct KindOptions {
-    /// Solver configuration (shared by the base and step solvers).
-    pub solver: SolverConfig,
     /// Conflict budget per query (`None` = unlimited).
     pub query_budget: Option<u64>,
     /// Wall-clock deadline for the whole run (shared by the base and step
@@ -104,7 +102,6 @@ pub fn prove(seq: &SeqAig, max_k: usize, opts: &KindOptions) -> KindResult {
     let mut base = BmcEngine::new(
         &seq,
         BmcOptions {
-            solver: opts.solver.clone(),
             query_budget: opts.query_budget,
             deadline: opts.deadline,
             preprocess: Preprocess::None,
@@ -166,9 +163,7 @@ struct StepEngine {
 impl StepEngine {
     fn new(seq: &SeqAig, opts: &KindOptions) -> StepEngine {
         let reach = seq.comb().reachable_from_pos();
-        let mut solver_cfg = opts.solver.clone();
-        solver_cfg.proof |= opts.certify;
-        let mut enc = Enc::new(solver_cfg);
+        let mut enc = Enc::new(opts.certify);
         // s_0 is an arbitrary state: one fresh variable per latch.
         let s0: Vec<Val> = (0..seq.num_latches())
             .map(|_| Val::Lit(enc.fresh_lit()))

@@ -37,40 +37,26 @@ pub fn action_op(action: usize) -> Option<SynthOp> {
 pub struct EnvConfig {
     /// Maximum episode length `T` (the paper uses 10).
     pub max_steps: usize,
-    /// LUT-mapping parameters used by the reward tail.
-    pub mapper: MapParams,
-    /// Solver preset used to count branchings.
-    pub solver: SolverConfig,
     /// Budget applied to reward-measurement solves (keeps training cheap).
     pub budget: Budget,
-    /// Scale the terminal reward by the initial branching count
-    /// (stabilises Q-learning; the argmax over recipes is unchanged).
-    pub normalize_reward: bool,
 }
 
 impl Default for EnvConfig {
     fn default() -> EnvConfig {
         EnvConfig {
             max_steps: 10,
-            mapper: MapParams::default(),
-            solver: SolverConfig::kissat_like(),
             budget: Budget::conflicts(20_000),
-            normalize_reward: true,
         }
     }
 }
 
 /// Counts SAT branching decisions for an AIG through the framework's tail:
-/// branching-cost LUT mapping, ISOP CNF encoding, one (budgeted) solve.
-pub fn measure_branchings(
-    aig: &Aig,
-    mapper_params: &MapParams,
-    solver: &SolverConfig,
-    budget: Budget,
-) -> u64 {
-    let net = map_luts(aig, mapper_params, &BranchingCost::new());
+/// branching-cost LUT mapping with the default [`MapParams`], ISOP CNF
+/// encoding, and one budgeted solve under the Kissat-like preset.
+pub fn measure_branchings(aig: &Aig, budget: Budget) -> u64 {
+    let net = map_luts(aig, &MapParams::default(), &BranchingCost::new());
     let (formula, _) = lut_to_cnf_sat_instance(&net);
-    let (_, stats) = solve_cnf(&formula, solver.clone(), budget);
+    let (_, stats) = solve_cnf(&formula, SolverConfig::kissat_like(), budget);
     stats.decisions
 }
 
@@ -102,7 +88,7 @@ impl SynthEnv {
     /// Starts a *training* episode: the initial branching count is measured
     /// up front so the terminal reward can be computed.
     pub fn new_training(instance: &Aig, cfg: EnvConfig) -> SynthEnv {
-        let init = measure_branchings(instance, &cfg.mapper, &cfg.solver, cfg.budget.clone());
+        let init = measure_branchings(instance, cfg.budget.clone());
         SynthEnv {
             baseline: FeatureBaseline::of(instance),
             embedding: instance_embedding(instance),
@@ -166,18 +152,11 @@ impl SynthEnv {
             }
         };
         let reward = if done && self.training {
-            let fin = measure_branchings(
-                &self.current,
-                &self.cfg.mapper,
-                &self.cfg.solver,
-                self.cfg.budget.clone(),
-            );
+            let fin = measure_branchings(&self.current, self.cfg.budget.clone());
             let delta = self.init_branchings as f64 - fin as f64;
-            if self.cfg.normalize_reward {
-                delta / (self.init_branchings.max(1) as f64)
-            } else {
-                delta
-            }
+            // Scaled by the initial branching count: stabilises
+            // Q-learning; the argmax over recipes is unchanged.
+            delta / (self.init_branchings.max(1) as f64)
         } else {
             0.0
         };
@@ -246,8 +225,8 @@ mod tests {
     fn measure_branchings_is_finite_and_deterministic() {
         let inst = small_instance();
         let cfg = EnvConfig::default();
-        let a = measure_branchings(&inst, &cfg.mapper, &cfg.solver, cfg.budget.clone());
-        let b = measure_branchings(&inst, &cfg.mapper, &cfg.solver, cfg.budget);
+        let a = measure_branchings(&inst, cfg.budget.clone());
+        let b = measure_branchings(&inst, cfg.budget);
         assert_eq!(a, b);
     }
 
@@ -259,7 +238,7 @@ mod tests {
         use workloads::datapath::carry_lookahead_adder;
         let inst = miter(&ripple_carry_adder(6).aig, &carry_lookahead_adder(6).aig);
         let cfg = EnvConfig::default();
-        let branchings = measure_branchings(&inst, &cfg.mapper, &cfg.solver, cfg.budget.clone());
+        let branchings = measure_branchings(&inst, cfg.budget.clone());
         let mut env = SynthEnv::new_training(&inst, cfg);
         env.step(3);
         env.step(1);

@@ -8,7 +8,7 @@
 //! * [`features`] — the six circuit features of Eq. (1)/(2),
 //! * [`embedding`] — the DeepGate2-substitute instance embedding (see the
 //!   README's "Substitutions" section for the argument),
-//! * [`env`] — the synthesis MDP: actions `{balance, rewrite, refactor,
+//! * [`env`](mod@env) — the synthesis MDP: actions `{balance, rewrite, refactor,
 //!   resub, end}`, terminal reward `-Δ#Branching` (Eq. 3) measured through
 //!   cost-customised LUT mapping + `lut2cnf` + a budgeted CDCL run,
 //! * [`dqn`] — the Q-network with target network and ε-greedy exploration,

@@ -47,8 +47,6 @@ pub struct SolverConfig {
     pub reduce_increment: u64,
     /// Learnt clauses with LBD at most this are never deleted.
     pub keep_lbd: u32,
-    /// Use saved phases for decision polarity.
-    pub phase_saving: bool,
     /// Polarity used before a variable has a saved phase.
     pub default_phase: bool,
     /// Record a DRAT-style [`crate::proof::ProofLog`] of every derived
@@ -70,7 +68,6 @@ impl SolverConfig {
             reduce_first: 2000,
             reduce_increment: 1000,
             keep_lbd: 2,
-            phase_saving: true,
             default_phase: false,
             proof: false,
         }
@@ -90,7 +87,6 @@ impl SolverConfig {
             reduce_first: 3000,
             reduce_increment: 1500,
             keep_lbd: 3,
-            phase_saving: true,
             default_phase: true,
             proof: false,
         }
@@ -189,8 +185,6 @@ pub struct Budget {
     pub conflicts: Option<u64>,
     /// Maximum decisions (branchings).
     pub decisions: Option<u64>,
-    /// Maximum unit propagations.
-    pub propagations: Option<u64>,
     /// Wall-clock deadline: the solve returns `Unknown` once `Instant::now()`
     /// passes it. Checked once per interrupt-check period, so overshoot is
     /// bounded by a batch of conflicts, not by the whole solve.
@@ -204,7 +198,6 @@ impl Budget {
     pub const UNLIMITED: Budget = Budget {
         conflicts: None,
         decisions: None,
-        propagations: None,
         deadline: None,
         cancel: None,
     };

@@ -13,26 +13,12 @@ use crate::stats::Stats;
 use cnf::{Cnf, CnfLit};
 use std::collections::HashMap;
 
-/// Preprocessing limits.
-#[derive(Clone, Copy, Debug)]
-pub struct PresolveConfig {
-    /// Skip elimination of variables occurring more often than this.
-    pub max_occurrences: usize,
-    /// Do not create resolvents longer than this.
-    pub max_resolvent_len: usize,
-    /// Sweep the formula at most this many times.
-    pub max_rounds: usize,
-}
-
-impl Default for PresolveConfig {
-    fn default() -> PresolveConfig {
-        PresolveConfig {
-            max_occurrences: 20,
-            max_resolvent_len: 12,
-            max_rounds: 4,
-        }
-    }
-}
+/// Skip elimination of variables occurring more often than this.
+const MAX_OCCURRENCES: usize = 20;
+/// Do not create resolvents longer than this.
+const MAX_RESOLVENT_LEN: usize = 12;
+/// Sweep the formula at most this many times.
+const MAX_ROUNDS: usize = 4;
 
 /// Reverses variable elimination on models of the simplified formula.
 #[derive(Clone, Debug, Default)]
@@ -89,7 +75,7 @@ pub enum Presolved {
 
 /// Simplifies a formula. Equisatisfiable by construction; models of the
 /// output extend to models of the input via the [`Reconstructor`].
-pub fn presolve(formula: &Cnf, cfg: &PresolveConfig) -> Presolved {
+pub fn presolve(formula: &Cnf) -> Presolved {
     let num_vars = formula.num_vars() as usize;
     // Clause store in DIMACS ints; None = deleted.
     let mut clauses: Vec<Option<Vec<i32>>> = formula
@@ -104,13 +90,13 @@ pub fn presolve(formula: &Cnf, cfg: &PresolveConfig) -> Presolved {
     // assignment: 0 unknown, 1 true, -1 false.
     let mut assign = vec![0i8; num_vars + 1];
 
-    for _ in 0..cfg.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         if !propagate_units(&mut clauses, &mut assign, &mut recon) {
             return Presolved::Unsat;
         }
         changed |= subsumption_pass(&mut clauses);
-        match eliminate_variables(&mut clauses, &assign, cfg, &mut recon) {
+        match eliminate_variables(&mut clauses, &assign, &mut recon) {
             None => return Presolved::Unsat,
             Some(c) => changed |= c,
         }
@@ -295,7 +281,6 @@ fn self_subsumes(small: &[i32], big: &[i32]) -> Option<i32> {
 fn eliminate_variables(
     clauses: &mut Vec<Option<Vec<i32>>>,
     assign: &[i8],
-    cfg: &PresolveConfig,
     recon: &mut Reconstructor,
 ) -> Option<bool> {
     let num_vars = assign.len() - 1;
@@ -343,7 +328,7 @@ fn eliminate_variables(
             .copied()
             .collect();
         let occ = pos.len() + neg.len();
-        if occ == 0 || occ > cfg.max_occurrences {
+        if occ == 0 || occ > MAX_OCCURRENCES {
             continue;
         }
         // Build all non-tautological resolvents.
@@ -357,7 +342,7 @@ fn eliminate_variables(
                     if r.is_empty() {
                         return None; // empty resolvent: UNSAT
                     }
-                    if r.len() > cfg.max_resolvent_len {
+                    if r.len() > MAX_RESOLVENT_LEN {
                         too_big = true;
                         break 'outer;
                     }
@@ -415,9 +400,8 @@ pub fn solve_cnf_presolved(
     formula: &Cnf,
     cfg: SolverConfig,
     budget: Budget,
-    pre: &PresolveConfig,
 ) -> (SolveResult, Stats) {
-    match presolve(formula, pre) {
+    match presolve(formula) {
         Presolved::Sat(recon) => {
             let model = recon.extend_model(vec![false; formula.num_vars() as usize]);
             debug_assert!(
@@ -472,12 +456,7 @@ mod tests {
             let m = rng.gen_range(3..=35);
             let f = random_cnf(&mut rng, n, m);
             let expected = dpll_sat(&f);
-            let (res, _) = solve_cnf_presolved(
-                &f,
-                SolverConfig::default(),
-                Budget::UNLIMITED,
-                &PresolveConfig::default(),
-            );
+            let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
             assert_eq!(res.is_sat(), expected, "iter {iter}");
             if let SolveResult::Sat(model) = res {
                 assert!(f.eval(&model), "iter {iter}: reconstructed model invalid");
@@ -492,7 +471,7 @@ mod tests {
         f.add_clause(vec![CnfLit::pos(1), CnfLit::pos(2)]);
         f.add_clause(vec![CnfLit::neg(2), CnfLit::pos(3)]);
         f.add_clause(vec![CnfLit::pos(1), CnfLit::pos(3)]);
-        match presolve(&f, &PresolveConfig::default()) {
+        match presolve(&f) {
             Presolved::Unsat => panic!("satisfiable formula reported UNSAT"),
             Presolved::Sat(_) => {}
             Presolved::Simplified(out, _) => {
@@ -506,10 +485,7 @@ mod tests {
         let mut f = Cnf::new();
         f.add_unit(CnfLit::pos(1));
         f.add_unit(CnfLit::neg(1));
-        assert!(matches!(
-            presolve(&f, &PresolveConfig::default()),
-            Presolved::Unsat
-        ));
+        assert!(matches!(presolve(&f), Presolved::Unsat));
     }
 
     #[test]
@@ -520,7 +496,7 @@ mod tests {
         // Force var 3 to stay (occurrence in another clause pair).
         f.add_clause(vec![CnfLit::neg(3), CnfLit::pos(4), CnfLit::neg(1)]);
         f.add_clause(vec![CnfLit::pos(3), CnfLit::neg(4), CnfLit::pos(2)]);
-        if let Presolved::Simplified(out, _) = presolve(&f, &PresolveConfig::default()) {
+        if let Presolved::Simplified(out, _) = presolve(&f) {
             assert!(out.num_clauses() < f.num_clauses());
         }
     }
@@ -533,7 +509,7 @@ mod tests {
         let x = g.xor_many(&pis);
         g.add_po(x);
         let (f, _) = cnf::tseitin_sat_instance(&g);
-        match presolve(&f, &PresolveConfig::default()) {
+        match presolve(&f) {
             Presolved::Simplified(out, _) => {
                 assert!(
                     out.num_clauses() <= f.num_clauses() * 2,
@@ -546,20 +522,15 @@ mod tests {
             Presolved::Unsat => panic!("xor instance is satisfiable"),
         }
         // And solving with presolve gives a valid witness.
-        let (res, _) = solve_cnf_presolved(
-            &f,
-            SolverConfig::default(),
-            Budget::UNLIMITED,
-            &PresolveConfig::default(),
-        );
+        let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
         let model = res.model().expect("xor is satisfiable").to_vec();
         assert!(f.eval(&model));
     }
 
     /// A fixed formula whose presolve output moves with each limit: a
-    /// maximum occurrence count of 19 or 21, a resolvent length of 11 or
-    /// 13, or 3 or 5 rounds each change it. Three hot variables take a
-    /// quarter of all literals; clauses hold 2 to 7 literals.
+    /// maximum of 21 occurrences, a resolvent length of 11 or 13, or 3 or
+    /// 5 rounds each change it. Three hot variables take a quarter of all
+    /// literals; clauses hold 2 to 7 literals.
     fn pinned_formula() -> Cnf {
         let mut x = 0xbe1e_08c4_7287_358fu64;
         let mut next = |k: u64| {
@@ -605,8 +576,7 @@ mod tests {
     /// clauses and their order.
     #[test]
     fn presolve_output_is_pinned() {
-        let Presolved::Simplified(out, _) = presolve(&pinned_formula(), &PresolveConfig::default())
-        else {
+        let Presolved::Simplified(out, _) = presolve(&pinned_formula()) else {
             panic!("the pinned formula simplifies");
         };
         assert_eq!(

@@ -684,9 +684,8 @@ impl Solver {
         let cut = self.trail_lim[target as usize];
         for &l in &self.trail[cut..] {
             let v = l.var() as usize;
-            if self.config.phase_saving {
-                self.phase[v] = l.is_positive();
-            }
+            // Phase saving: decisions reuse the variable's last polarity.
+            self.phase[v] = l.is_positive();
             self.assigns[v] = LBool::Undef;
             self.reason[v] = Reason::Decision;
             if !self.order.contains(l.var()) {
@@ -1018,7 +1017,6 @@ impl Solver {
         let b = &self.budget;
         b.conflicts.is_some_and(|m| self.stats.conflicts >= m)
             || b.decisions.is_some_and(|m| self.stats.decisions >= m)
-            || b.propagations.is_some_and(|m| self.stats.propagations >= m)
     }
 
     /// Coarse poll of the external interrupt sources (deadline,

@@ -41,9 +41,9 @@ impl std::fmt::Debug for SolverTrace {
     }
 }
 
-/// Cloning a solver (serve clones a base solver per attempt, sweep forks
-/// oracles across shards) must not duplicate an open span: the clone
-/// starts with no in-flight solve and shares the metric cells.
+/// Cloning a solver (sweep forks oracles across shards) must not
+/// duplicate an open span: the clone starts with no in-flight solve and
+/// shares the metric cells.
 impl Clone for SolverTrace {
     fn clone(&self) -> SolverTrace {
         SolverTrace {

@@ -2,7 +2,7 @@
 //! handle multi-thousand-clause Tseitin CNFs in well under a second and
 //! meaningfully shrink them (gate variables resolve away).
 
-use sat::presolve::{presolve, PresolveConfig, Presolved};
+use sat::presolve::{presolve, Presolved};
 use std::time::Instant;
 
 /// A wide adder-architecture miter's Tseitin encoding (~10k clauses).
@@ -48,7 +48,7 @@ fn presolve_handles_circuit_scale_quickly() {
         f.num_clauses()
     );
     let t0 = Instant::now();
-    let out = presolve(&f, &PresolveConfig::default());
+    let out = presolve(&f);
     let dt = t0.elapsed();
     assert!(
         dt.as_secs_f64() < 5.0,

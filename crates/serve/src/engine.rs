@@ -13,23 +13,23 @@
 //! a job whose deadline passed while queued is answered `Unknown(Shed)`
 //! without wasting a solve on it.
 //!
-//! Each worker attempt clones the shared warm base solver (a `Solver`
-//! clone is a flat memcpy of its arenas), loads the Tseitin encoding of
-//! the normalized cone, and solves under the per-query budget. Verdicts
-//! are memoized in the [`VerdictCache`]; SAT witnesses are replayed
-//! through the cone and UNSAT certificates re-verified by the independent
-//! checker before first reuse, so a corrupted cache entry degrades to a
-//! live solve rather than an unsound answer.
+//! Each worker attempt builds a fresh proof-logging solver, loads the
+//! Tseitin encoding of the normalized cone, and solves under the
+//! per-query budget. Verdicts are memoized in the [`VerdictCache`]; SAT
+//! witnesses are replayed through the cone and UNSAT certificates
+//! re-verified by the independent checker before first reuse, so a
+//! corrupted cache entry degrades to a live solve rather than an unsound
+//! answer.
 //!
 //! ## Fault tolerance
 //!
-//! - **Budget exhaustion** (`Unknown`): retried with a ×`budget_escalation`
-//!   conflict budget after a deterministically jittered exponential
-//!   backoff, up to `max_attempts`, then answered `Unknown(Budget)`.
+//! - **Budget exhaustion** (`Unknown`): retried with a ×4 conflict budget
+//!   after a deterministically jittered exponential backoff, up to
+//!   `max_attempts`, then answered `Unknown(Budget)`.
 //! - **Worker panic**: contained with `catch_unwind` exactly like
-//!   `sweep::pool` shards; the job is retried on a fresh clone of the base
-//!   solver up to `panic_retries`, then answered `Failed`. The panicking
-//!   attempt can never corrupt other queries — solver state is per-attempt.
+//!   `sweep::pool` shards; the job is retried on a fresh solver up to
+//!   `panic_retries`, then answered `Failed`. The panicking attempt can
+//!   never corrupt other queries — solver state is per-attempt.
 //! - **Cancellation**: one root token fans out to per-query children
 //!   ([`sat::Cancellation::child`]); [`Engine::shutdown`] cancels the root,
 //!   drains the queue as `Unknown(Cancelled)`, interrupts in-flight solves,
@@ -67,6 +67,11 @@ pub enum Admission {
     Shed,
 }
 
+/// Conflict-budget multiplier applied on each retry of an `Unknown`.
+const BUDGET_ESCALATION: u64 = 4;
+/// Seed for the deterministic backoff jitter.
+const SEED: u64 = 0x5e12_7e11;
+
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -78,10 +83,8 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Full-queue policy.
     pub admission: Admission,
-    /// Conflict budget of a query's first attempt (overridable per query).
+    /// Conflict budget of a query's first attempt.
     pub base_conflicts: u64,
-    /// Conflict-budget multiplier applied on each retry of an `Unknown`.
-    pub budget_escalation: u64,
     /// Total attempts for a query whose solves keep exhausting their
     /// budget; afterwards it is answered `Unknown(Budget)`.
     pub max_attempts: u32,
@@ -90,11 +93,6 @@ pub struct EngineConfig {
     pub panic_retries: u32,
     /// Base of the jittered exponential retry backoff.
     pub backoff: Duration,
-    /// Solver preset for the shared warm base (proof logging is forced on —
-    /// the cache stores certificates).
-    pub solver: SolverConfig,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
     /// Deterministic fault injection for robustness tests: rolled per
     /// (attempt, query id), independent of worker count and schedule.
     pub chaos: Option<ChaosPlan>,
@@ -111,12 +109,9 @@ impl Default for EngineConfig {
             queue_capacity: 64,
             admission: Admission::Block,
             base_conflicts: 20_000,
-            budget_escalation: 4,
             max_attempts: 3,
             panic_retries: 2,
             backoff: Duration::from_micros(500),
-            solver: SolverConfig::default(),
-            seed: 0x5e12_7e11,
             chaos: None,
             obs: obs::Registry::disabled(),
         }
@@ -211,8 +206,6 @@ pub struct QueryOpts {
     /// Wall-clock deadline; expiry answers `Unknown(Deadline)` (mid-solve)
     /// or `Unknown(Shed)` (still queued).
     pub deadline: Option<Instant>,
-    /// First-attempt conflict budget override.
-    pub conflicts: Option<u64>,
 }
 
 /// Submission errors.
@@ -378,8 +371,6 @@ struct Telemetry {
 
 struct Shared {
     cfg: EngineConfig,
-    /// Warm base solver every attempt clones (proof logging on).
-    base: Mutex<Solver>,
     state: Mutex<QueueState>,
     /// Signalled when work arrives or shutdown begins.
     work_cv: Condvar,
@@ -395,7 +386,7 @@ struct Shared {
     queue_wait: obs::Histogram,
 }
 
-/// The solver-as-a-service engine. See the [module docs](self).
+/// The solver-as-a-service engine. See the [crate docs](crate).
 pub struct Engine {
     shared: Arc<Shared>,
     rx: Mutex<Receiver<Response>>,
@@ -430,15 +421,11 @@ impl Engine {
     /// Starts the worker pool. Workers idle until queries arrive.
     pub fn new(cfg: EngineConfig) -> Engine {
         let resolved_workers = sweep::pool::resolve_threads(cfg.workers);
-        let mut solver_cfg = cfg.solver.clone();
-        solver_cfg.proof = true;
-        let base = Solver::from_cnf(&cnf::Cnf::new(), solver_cfg);
         let (tx, rx) = channel();
         let obs = cfg.obs.clone();
         let queue_wait = obs.histogram("serve.queue_wait_us");
         let shared = Arc::new(Shared {
             cfg,
-            base: Mutex::new(base),
             state: Mutex::new(QueueState {
                 queue: Vec::new(),
                 shutdown: false,
@@ -504,7 +491,7 @@ impl Engine {
             cancel: cancel.clone(),
             attempt: 0,
             panics: 0,
-            next_conflicts: opts.conflicts.unwrap_or(sh.cfg.base_conflicts),
+            next_conflicts: sh.cfg.base_conflicts,
             not_before: None,
             submitted_at: Instant::now(),
             span,
@@ -805,7 +792,7 @@ impl Shared {
         }
     }
 
-    /// One solve on a fresh clone of the warm base under the job's budget.
+    /// One solve on a fresh proof-logging solver under the job's budget.
     fn solve_attempt(&self, job: &Job) -> AttemptOutcome {
         // `serve.solve` child per attempt; the solver's own `sat.solve`
         // span nests under it via the observer. If this attempt panics,
@@ -818,7 +805,11 @@ impl Shared {
             ],
         );
         let (formula, vmap) = cnf::tseitin_sat_instance(&job.norm.cone);
-        let mut solver = lock(&self.base).clone();
+        // Proof logging is on: the cache stores certificates.
+        let mut solver = Solver::new(SolverConfig {
+            proof: true,
+            ..SolverConfig::default()
+        });
         solver.set_observer(attempt_span.handle());
         for clause in formula.clauses() {
             solver.add_clause_cnf(clause);
@@ -831,7 +822,7 @@ impl Shared {
         match solver.solve() {
             SolveResult::Sat(model) => AttemptOutcome::Sat(vmap.decode_inputs(&model)),
             SolveResult::Unsat => {
-                let log = solver.proof().expect("base solver logs proofs");
+                let log = solver.proof().expect("attempt solver logs proofs");
                 AttemptOutcome::Unsat(checker::Proof::from_steps(
                     log.steps().iter().map(|s| (s.delete, s.lits.clone())),
                 ))
@@ -847,9 +838,7 @@ impl Shared {
             return;
         }
         self.tel.retries.fetch_add(1, Ordering::Relaxed);
-        job.next_conflicts = job
-            .next_conflicts
-            .saturating_mul(self.cfg.budget_escalation.max(1));
+        job.next_conflicts = job.next_conflicts.saturating_mul(BUDGET_ESCALATION);
         job.not_before = Some(Instant::now() + self.backoff_delay(&job));
         self.requeue(job);
     }
@@ -860,9 +849,7 @@ impl Shared {
         let exp = (job.attempt + job.panics).min(6);
         let base = self.cfg.backoff.saturating_mul(1u32 << exp);
         let j = splitmix64(
-            self.cfg
-                .seed
-                .wrapping_add(job.id.wrapping_mul(0x9E37_79B9))
+            SEED.wrapping_add(job.id.wrapping_mul(0x9E37_79B9))
                 .wrapping_add(u64::from(job.attempt) << 48),
         ) % 1024;
         base.mul_f64(0.5 + j as f64 / 1024.0)

@@ -9,10 +9,10 @@
 //!
 //! The design leans on three workspace primitives:
 //!
-//! - [`sat::Solver`]'s cheap [`Clone`]: every attempt runs on a fresh clone
-//!   of one shared warm base solver, so a panicking or cancelled attempt
-//!   can never corrupt anyone else's state — containment by construction,
-//!   the same idiom as `sweep::pool`'s sharded oracles.
+//! - [`sat::Solver`] per attempt: every attempt runs on a fresh solver,
+//!   so a panicking or cancelled attempt can never corrupt anyone else's
+//!   state — containment by construction, the same idiom as
+//!   `sweep::pool`'s sharded oracles.
 //! - [`sat::Cancellation`]'s token tree: one engine-root token fans out to
 //!   per-query children, so shutdown interrupts everything while a single
 //!   query can still be cancelled (or retried) alone.
@@ -129,7 +129,6 @@ mod tests {
         let (a, b) = xor_pair();
         let opts = QueryOpts {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
-            conflicts: None,
         };
         let rs = engine.run_batch(&[(Query::Lec(a, b), QueryOpts::default()), {
             let (a, b) = xor_pair();

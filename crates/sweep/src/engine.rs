@@ -16,6 +16,13 @@ use cnf::{tseitin, CnfLit, VarMap};
 use sat::{Budget, SolveResult, Solver, SolverConfig};
 use std::time::Instant;
 
+/// Maximum simulate–prove–refine rounds.
+const MAX_ROUNDS: usize = 4;
+/// Maximum SAT queries per node per round (caps wide classes).
+const MAX_CHECKS_PER_NODE: usize = 4;
+/// Simulation seed.
+const SEED: u64 = 0x5eed_f4a1;
+
 /// Tuning knobs for [`fraig`].
 #[derive(Clone, Debug)]
 pub struct FraigParams {
@@ -24,12 +31,6 @@ pub struct FraigParams {
     /// Conflict budget per SAT equivalence query; exceeding it leaves the
     /// pair unproven (no unsoundness, only missed merges).
     pub conflict_budget: u64,
-    /// Maximum simulate–prove–refine rounds.
-    pub max_rounds: usize,
-    /// Maximum SAT queries per node per round (caps wide classes).
-    pub max_checks_per_node: usize,
-    /// Simulation seed.
-    pub seed: u64,
     /// Worker threads for the SAT queries. `0` (the default)
     /// means one per available core, `1` runs fully sequentially — no
     /// spawns, no channels. For a fixed [`FraigParams::shards`] value the
@@ -85,9 +86,6 @@ impl Default for FraigParams {
         FraigParams {
             sim_words: 8,
             conflict_budget: 2_000,
-            max_rounds: 4,
-            max_checks_per_node: 4,
-            seed: 0x5eed_f4a1,
             threads: 0,
             shards: 0,
             deadline: None,
@@ -240,7 +238,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         &[("nodes", n.into()), ("shards", shards.into())],
     );
     let pairs_hist = params.obs.histogram("sweep.round.pairs");
-    for round in 0..params.max_rounds {
+    for round in 0..MAX_ROUNDS {
         // Whole-sweep deadline: never start a round past it. Everything
         // merged so far is individually SAT-proved, so cutting here only
         // loses further reductions, never soundness.
@@ -274,7 +272,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
                 if dead.binary_search(&pair_key(repr.var, member.var)).is_ok() {
                     continue;
                 }
-                if checks[member.var as usize] >= params.max_checks_per_node {
+                if checks[member.var as usize] >= MAX_CHECKS_PER_NODE {
                     continue;
                 }
                 checks[member.var as usize] += 1;
@@ -622,7 +620,7 @@ fn simulate_round(
 ) {
     // Reshape without zeroing: every column below is fully written.
     sigs.reshape(prog.n_slots(), params.sim_words + cex_chunks.len());
-    let seed = params.seed ^ round as u64;
+    let seed = SEED ^ round as u64;
     random_columns(prog, sigs, 0, params.sim_words, seed);
     let jobs: Vec<(usize, &[u64])> = cex_chunks
         .iter()

@@ -121,24 +121,8 @@ impl StructBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsd::eval_gatelist;
     use aig::Aig;
-
-    /// Evaluates a gatelist on boolean leaves (reference semantics).
-    pub(crate) fn eval_gatelist(gl: &GateList, leaves: &[bool]) -> bool {
-        let mut vals: Vec<bool> = leaves.to_vec();
-        let dec = |vals: &[bool], s: Sig| -> bool {
-            match s {
-                SIG_FALSE => false,
-                SIG_TRUE => true,
-                _ => vals[(s >> 1) as usize] ^ (s & 1 != 0),
-            }
-        };
-        for &(a, b) in &gl.gates {
-            let v = dec(&vals, a) & dec(&vals, b);
-            vals.push(v);
-        }
-        dec(&vals, gl.root)
-    }
 
     #[test]
     fn folding_matches_aig() {

@@ -19,14 +19,14 @@
 //!
 //! ```
 //! use aig::Aig;
-//! use synth::{balance, rewrite, RewriteParams};
+//! use synth::{balance, rewrite};
 //!
 //! let mut g = Aig::new();
 //! let pis = g.add_pis(8);
 //! let all = g.and_many(&pis);
 //! g.add_po(all);
 //! let g = balance(&g);
-//! let g = rewrite(&g, &RewriteParams::default());
+//! let g = rewrite(&g, false);
 //! assert_eq!(g.num_pos(), 1);
 //! ```
 
@@ -47,6 +47,6 @@ pub mod rewrite_lib;
 
 pub use balance::balance;
 pub use recipe::{apply_op, apply_recipe, Recipe, SynthOp};
-pub use refactor::{refactor, RefactorParams};
-pub use resub::{resub, ResubParams};
-pub use rewrite::{rewrite, RewriteParams};
+pub use refactor::refactor;
+pub use resub::resub;
+pub use rewrite::rewrite;

@@ -6,7 +6,7 @@
 //! by the baselines (e.g. the size-oriented script standing in for the
 //! Eén–Mishchenko–Sörensson preprocessing of the *Comp.* pipeline).
 
-use crate::{balance, refactor, resub, rewrite, RefactorParams, ResubParams, RewriteParams};
+use crate::{balance, refactor, resub, rewrite};
 use aig::Aig;
 use std::fmt;
 use std::str::FromStr;
@@ -84,16 +84,10 @@ impl FromStr for SynthOp {
 pub fn apply_op(aig: &Aig, op: SynthOp) -> Aig {
     match op {
         SynthOp::Balance => balance(aig),
-        SynthOp::Rewrite => rewrite(aig, &RewriteParams::default()),
-        SynthOp::RewriteZ => rewrite(
-            aig,
-            &RewriteParams {
-                zero_gain: true,
-                max_cuts: 8,
-            },
-        ),
-        SynthOp::Refactor => refactor(aig, &RefactorParams::default()),
-        SynthOp::Resub => resub(aig, &ResubParams::default()),
+        SynthOp::Rewrite => rewrite(aig, false),
+        SynthOp::RewriteZ => rewrite(aig, true),
+        SynthOp::Refactor => refactor(aig),
+        SynthOp::Resub => resub(aig),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Large-cut refactoring (`refactor`).
 //!
-//! For each node, a reconvergence-driven cut of up to `max_leaves` inputs is
+//! For each node, a reconvergence-driven cut of up to `MAX_LEAVES` inputs is
 //! grown, the function of the node over the cut is extracted, and a fresh
 //! implementation is synthesised by algebraic factoring / decomposition
 //! ([`crate::factor::best_structure`]). The node is replaced when the new
@@ -13,33 +13,11 @@ use aig::hash::FastSet;
 use aig::mffc::Mffc;
 use aig::{Aig, Lit, Var, Window};
 
-/// Parameters of the refactoring pass.
-#[derive(Clone, Copy, Debug)]
-pub struct RefactorParams {
-    /// Maximum leaves of the reconvergence-driven cut (hard cap 12).
-    pub max_leaves: usize,
-    /// Accept zero-gain replacements.
-    pub zero_gain: bool,
-}
-
-impl Default for RefactorParams {
-    fn default() -> RefactorParams {
-        RefactorParams {
-            max_leaves: 10,
-            zero_gain: false,
-        }
-    }
-}
+/// Maximum leaves of the reconvergence-driven cut (hard cap 12).
+const MAX_LEAVES: usize = 10;
 
 /// Refactors the graph, returning a functionally equivalent one.
-///
-/// # Panics
-/// Panics if `params.max_leaves` is outside `2..=12`.
-pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
-    assert!(
-        (2..=12).contains(&params.max_leaves),
-        "max_leaves must be in 2..=12 (truth-table bound)"
-    );
+pub fn refactor(aig: &Aig) -> Aig {
     let mut mffc = Mffc::new(aig);
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
@@ -49,12 +27,12 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
         if fanout[v as usize] == 0 {
             continue;
         }
-        let leaves = reconvergence_cut(aig, v, params.max_leaves);
+        let leaves = reconvergence_cut(aig, v, MAX_LEAVES);
         if leaves.len() < 2 {
             continue;
         }
         let cone = mffc.cone_collect(aig, v, &leaves);
-        if cone.len() < 2 && !params.zero_gain {
+        if cone.len() < 2 {
             continue; // nothing worth saving here
         }
         let cone_set: FastSet<Var> = cone.iter().copied().collect();
@@ -63,8 +41,8 @@ pub fn refactor(aig: &Aig, params: &RefactorParams) -> Aig {
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
         let cost = dry_run_cost(aig, &leaf_lits, &gl, &cone_set);
         let gain = cone.len() as i64 - cost as i64;
-        let threshold = if params.zero_gain { 0 } else { 1 };
-        if gain >= threshold {
+        // Zero-gain replacements are not accepted.
+        if gain >= 1 {
             choices[v as usize] = Choice::Structure {
                 leaves: leaf_lits,
                 gl,
@@ -158,7 +136,7 @@ mod tests {
     fn preserves_function_small() {
         for seed in 0..8 {
             let g = random_aig(seed, 6, 50);
-            let h = refactor(&g, &RefactorParams::default());
+            let h = refactor(&g);
             assert!(exhaustive_equiv(&g, &h), "seed {seed}");
         }
     }
@@ -167,7 +145,7 @@ mod tests {
     fn preserves_function_larger() {
         for seed in 50..53 {
             let g = random_aig(seed, 20, 300);
-            let h = refactor(&g, &RefactorParams::default());
+            let h = refactor(&g);
             assert!(sim_equiv(&g, &h, 8, seed), "seed {seed}");
         }
     }
@@ -184,7 +162,7 @@ mod tests {
         let extra = g.add_pi();
         let out = g.and(o, extra);
         g.add_po(out);
-        let h = refactor(&g, &RefactorParams::default());
+        let h = refactor(&g);
         assert!(exhaustive_equiv(&g, &h));
         assert!(
             h.num_ands() < g.num_ands(),
@@ -192,20 +170,5 @@ mod tests {
             h.num_ands(),
             g.num_ands()
         );
-    }
-
-    #[test]
-    fn max_leaves_out_of_range_panics() {
-        let g = random_aig(3, 4, 10);
-        let r = std::panic::catch_unwind(|| {
-            refactor(
-                &g,
-                &RefactorParams {
-                    max_leaves: 20,
-                    zero_gain: false,
-                },
-            )
-        });
-        assert!(r.is_err());
     }
 }

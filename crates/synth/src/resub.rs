@@ -26,33 +26,13 @@ const SIG_WORDS: usize = 4;
 /// Seed of the filter signatures (fixed: resub stays deterministic).
 const SIG_SEED: u64 = 0x5e5b_51f7;
 
-/// Parameters of the resubstitution pass.
-#[derive(Clone, Copy, Debug)]
-pub struct ResubParams {
-    /// Maximum leaves of the window cut (hard cap 12).
-    pub max_leaves: usize,
-    /// Maximum divisors examined per node.
-    pub max_divisors: usize,
-}
-
-impl Default for ResubParams {
-    fn default() -> ResubParams {
-        ResubParams {
-            max_leaves: 8,
-            max_divisors: 64,
-        }
-    }
-}
+/// Maximum leaves of the window cut (hard cap 12).
+const MAX_LEAVES: usize = 8;
+/// Maximum divisors examined per node.
+const MAX_DIVISORS: usize = 64;
 
 /// Resubstitutes nodes from existing logic, returning an equivalent graph.
-///
-/// # Panics
-/// Panics if `params.max_leaves` is outside `2..=12`.
-pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
-    assert!(
-        (2..=12).contains(&params.max_leaves),
-        "max_leaves must be in 2..=12 (truth-table bound)"
-    );
+pub fn resub(aig: &Aig) -> Aig {
     let mut mffc = Mffc::new(aig);
     let fanout = aig.fanout_counts();
     let fanout_lists = aig.fanout_lists();
@@ -69,7 +49,7 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
         if fanout[v as usize] == 0 {
             continue;
         }
-        let leaves = reconvergence_cut(aig, v, params.max_leaves);
+        let leaves = reconvergence_cut(aig, v, MAX_LEAVES);
         if leaves.len() < 2 {
             continue;
         }
@@ -102,7 +82,7 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
         let mut frontier: Vec<Var> = divisors.clone();
         frontier.extend_from_slice(&leaves);
         let mut qi = 0;
-        while qi < frontier.len() && divisors.len() < params.max_divisors {
+        while qi < frontier.len() && divisors.len() < MAX_DIVISORS {
             let d = frontier[qi];
             qi += 1;
             for &c in &fanout_lists[d as usize] {
@@ -113,7 +93,7 @@ pub fn resub(aig: &Aig, params: &ResubParams) -> Aig {
                 frontier.push(c);
             }
         }
-        divisors.truncate(params.max_divisors);
+        divisors.truncate(MAX_DIVISORS);
 
         // Divisor tests compare the window tables word by word.
         let table = |d: Var| window.table(d).expect("window node has a table");
@@ -269,7 +249,7 @@ mod tests {
     fn preserves_function_small() {
         for seed in 0..8 {
             let g = random_aig(seed, 6, 50);
-            let h = resub(&g, &ResubParams::default());
+            let h = resub(&g);
             assert!(exhaustive_equiv(&g, &h), "seed {seed}");
         }
     }
@@ -278,7 +258,7 @@ mod tests {
     fn preserves_function_larger() {
         for seed in 60..63 {
             let g = random_aig(seed, 20, 300);
-            let h = resub(&g, &ResubParams::default());
+            let h = resub(&g);
             assert!(sim_equiv(&g, &h, 8, seed), "seed {seed}");
         }
     }
@@ -301,7 +281,7 @@ mod tests {
         g.add_po(u1);
         g.add_po(u2);
         let before = g.num_ands();
-        let h = resub(&g, &ResubParams::default());
+        let h = resub(&g);
         assert!(exhaustive_equiv(&g, &h));
         assert!(h.num_ands() < before, "{} !< {}", h.num_ands(), before);
     }
@@ -310,7 +290,7 @@ mod tests {
     fn does_not_grow() {
         for seed in 10..16 {
             let g = random_aig(seed, 8, 100);
-            let h = resub(&g, &ResubParams::default());
+            let h = resub(&g);
             assert!(h.num_ands() <= g.num_ands(), "seed {seed}");
         }
     }

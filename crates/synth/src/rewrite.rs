@@ -16,32 +16,19 @@ use aig::mffc::Mffc;
 use aig::npn::npn_canon_cached;
 use aig::{Aig, GateList, Lit, Var, Window};
 
-/// Parameters of the rewriting pass.
-#[derive(Clone, Copy, Debug)]
-pub struct RewriteParams {
-    /// Accept replacements with zero estimated gain (ABC's `rewrite -z`),
-    /// useful as a perturbation before further passes.
-    pub zero_gain: bool,
-    /// Priority cuts kept per node.
-    pub max_cuts: usize,
-}
-
-impl Default for RewriteParams {
-    fn default() -> RewriteParams {
-        RewriteParams {
-            zero_gain: false,
-            max_cuts: 8,
-        }
-    }
-}
+/// Priority cuts kept per node.
+const MAX_CUTS: usize = 8;
 
 /// Rewrites the graph, returning a functionally equivalent one.
-pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
+///
+/// `zero_gain` accepts replacements with zero estimated gain (ABC's
+/// `rewrite -z`), useful as a perturbation before further passes.
+pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
     let cuts = enumerate_cuts(
         aig,
         &CutParams {
             k: 4,
-            max_cuts: params.max_cuts,
+            max_cuts: MAX_CUTS,
         },
     );
     let mut mffc = Mffc::new(aig);
@@ -89,7 +76,7 @@ pub fn rewrite(aig: &Aig, params: &RewriteParams) -> Aig {
         }
 
         if let Some((gain, leaves, gl)) = best {
-            let threshold = if params.zero_gain { 0 } else { 1 };
+            let threshold = if zero_gain { 0 } else { 1 };
             if gain >= threshold {
                 choices[v as usize] = Choice::Structure { leaves, gl };
             }
@@ -130,7 +117,7 @@ mod tests {
     fn preserves_function_small() {
         for seed in 0..8 {
             let g = random_aig(seed, 6, 40);
-            let h = rewrite(&g, &RewriteParams::default());
+            let h = rewrite(&g, false);
             assert!(exhaustive_equiv(&g, &h), "seed {seed}");
         }
     }
@@ -139,7 +126,7 @@ mod tests {
     fn preserves_function_larger_sim() {
         for seed in 100..103 {
             let g = random_aig(seed, 24, 400);
-            let h = rewrite(&g, &RewriteParams::default());
+            let h = rewrite(&g, false);
             assert!(sim_equiv(&g, &h, 8, seed), "seed {seed}");
         }
     }
@@ -155,7 +142,7 @@ mod tests {
         let y = g.and(m, pis[3]);
         g.add_po(y);
         let before = g.num_ands();
-        let h = rewrite(&g, &RewriteParams::default());
+        let h = rewrite(&g, false);
         assert!(exhaustive_equiv(&g, &h));
         assert!(
             h.num_ands() <= before,
@@ -168,22 +155,16 @@ mod tests {
     #[test]
     fn zero_gain_allowed_still_equivalent() {
         let g = random_aig(7, 8, 80);
-        let h = rewrite(
-            &g,
-            &RewriteParams {
-                zero_gain: true,
-                max_cuts: 8,
-            },
-        );
+        let h = rewrite(&g, true);
         assert!(sim_equiv(&g, &h, 8, 1234));
     }
 
     #[test]
     fn idempotent_convergence() {
         let g = random_aig(42, 8, 120);
-        let h1 = rewrite(&g, &RewriteParams::default());
-        let h2 = rewrite(&h1, &RewriteParams::default());
-        let h3 = rewrite(&h2, &RewriteParams::default());
+        let h1 = rewrite(&g, false);
+        let h2 = rewrite(&h1, false);
+        let h3 = rewrite(&h2, false);
         assert!(sim_equiv(&g, &h3, 8, 5));
         // The pass chain must not blow the graph up overall.
         assert!(

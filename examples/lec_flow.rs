@@ -43,7 +43,7 @@ fn run_all(label: &str, instance: &aig::Aig) {
     );
     let pipelines: Vec<Box<dyn Pipeline>> = vec![
         Box::new(BaselinePipeline),
-        Box::new(CompPipeline::default()),
+        Box::new(CompPipeline),
         Box::new(FrameworkPipeline::ours(RecipePolicy::Fixed(
             Recipe::size_script(),
         ))),

@@ -69,11 +69,11 @@ fn main() {
     let (mut sum_a, mut sum_r, mut sum_0) = (0u64, 0u64, 0u64);
     for inst in &test {
         let budget = Budget::conflicts(50_000);
-        let init = measure_branchings(&inst.aig, &env_cfg.mapper, &env_cfg.solver, budget.clone());
+        let init = measure_branchings(&inst.aig, budget.clone());
         let (ga, recipe) = agent_policy.run(&inst.aig, &env_cfg);
-        let ba = measure_branchings(&ga, &env_cfg.mapper, &env_cfg.solver, budget.clone());
+        let ba = measure_branchings(&ga, budget.clone());
         let (gr, _) = random_policy.run(&inst.aig, &env_cfg);
-        let br = measure_branchings(&gr, &env_cfg.mapper, &env_cfg.solver, budget.clone());
+        let br = measure_branchings(&gr, budget);
         println!(
             "{:<28} {:>10} {:>10} {:>10}   (recipe: {})",
             inst.name, init, ba, br, recipe

@@ -83,15 +83,9 @@ fn branching_measurement_improves_with_resub_on_redundant_logic() {
     let base = workloads::datapath::carry_lookahead_adder(12).aig;
     let redundant = workloads::lec::restructure(&base, 9);
     let inst = workloads::lec::miter(&base, &redundant);
-    let env = EnvConfig::default();
-    let before = measure_branchings(&inst, &env.mapper, &env.solver, Budget::conflicts(200_000));
+    let before = measure_branchings(&inst, Budget::conflicts(200_000));
     let optimised = synth::apply_recipe(&inst, &[synth::SynthOp::Resub, synth::SynthOp::Resub]);
-    let after = measure_branchings(
-        &optimised,
-        &env.mapper,
-        &env.solver,
-        Budget::conflicts(200_000),
-    );
+    let after = measure_branchings(&optimised, Budget::conflicts(200_000));
     assert!(
         after <= before,
         "resub on a redundancy-miter must not increase branchings: {before} -> {after}"

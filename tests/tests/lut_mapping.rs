@@ -31,8 +31,6 @@ fn mapping_equivalent_on_datapath_all_costs_and_k() {
             for slack in [Some(0), Some(2), None] {
                 let params = MapParams {
                     k,
-                    max_cuts: 8,
-                    rounds: 2,
                     depth_slack: slack,
                 };
                 let a = map_luts(c, &params, &AreaCost);
@@ -106,8 +104,6 @@ fn depth_constraint_bounds_lut_levels() {
         &c,
         &MapParams {
             k,
-            max_cuts: 8,
-            rounds: 2,
             depth_slack: Some(0),
         },
         &BranchingCost::new(),
@@ -116,8 +112,6 @@ fn depth_constraint_bounds_lut_levels() {
         &c,
         &MapParams {
             k,
-            max_cuts: 8,
-            rounds: 2,
             depth_slack: None,
         },
         &BranchingCost::new(),

@@ -11,7 +11,7 @@ use workloads::dataset::{generate, generate_extended, DatasetParams};
 fn pipelines() -> Vec<Box<dyn Pipeline>> {
     vec![
         Box::new(BaselinePipeline),
-        Box::new(CompPipeline::default()),
+        Box::new(CompPipeline),
         Box::new(FrameworkPipeline::ours(RecipePolicy::Fixed(
             Recipe::size_script(),
         ))),

@@ -151,12 +151,8 @@ proptest! {
             f.add_clause(lits);
         }
         let expected = dpll_sat(&f);
-        let (res, _) = sat::presolve::solve_cnf_presolved(
-            &f,
-            SolverConfig::cadical_like(),
-            Budget::UNLIMITED,
-            &sat::presolve::PresolveConfig::default(),
-        );
+        let (res, _) =
+            sat::presolve::solve_cnf_presolved(&f, SolverConfig::cadical_like(), Budget::UNLIMITED);
         prop_assert_eq!(res.is_sat(), expected);
         if let sat::SolveResult::Sat(model) = res {
             prop_assert!(f.eval(&model), "reconstructed model must satisfy the input");
@@ -167,7 +163,7 @@ proptest! {
     #[test]
     fn mapping_preserves_function(seed in any::<u64>(), k in 3usize..=6) {
         let g = arbitrary_aig(seed, 6, 30);
-        let params = mapper::MapParams { k, max_cuts: 8, rounds: 2, depth_slack: Some(0) };
+        let params = mapper::MapParams { k, depth_slack: Some(0) };
         for cost in [true, false] {
             let net = if cost {
                 mapper::map_luts(&g, &params, &mapper::BranchingCost::new())

@@ -290,7 +290,7 @@ fn comp_pipeline_is_the_conventional_mapper_on_the_size_script() {
     use csat_preproc::{CompPipeline, FrameworkPipeline, Pipeline};
     use rl::RecipePolicy;
 
-    let comp = CompPipeline::default();
+    let comp = CompPipeline;
     let cmap = FrameworkPipeline::conventional_mapper(RecipePolicy::Fixed(Recipe::size_script()));
     assert_eq!(comp.name(), "Comp.");
     let circuits: [(&str, Aig); 4] = [
