@@ -327,17 +327,25 @@ fn main() {
     // largest tested thread count, so every scaling row does the same
     // sharded work and differs only in scheduling. adder-16 is the
     // historical workload; the wider miter gives each round enough SAT
-    // work for thread scaling to show.
-    let fraig_bits: &[usize] = if smoke { &[4] } else { &[16, 24] };
+    // work for thread scaling to show. The smoke miter, adder-12, lists
+    // 113 pairs in its first round, so that round spans two 64-pair
+    // windows and its counterexamples are replayed mid-round. Each row
+    // times FRAIG_REPS runs after one warm-up and reports their median,
+    // minimum and maximum.
+    const FRAIG_REPS: usize = 5;
+    let fraig_bits: &[usize] = if smoke { &[12] } else { &[16, 24] };
     let pinned_shards = thread_counts.iter().copied().max().unwrap_or(1);
     struct FraigRow {
         bits: usize,
         threads: usize,
         shards: usize,
         wall_s: f64,
+        wall_min_s: f64,
+        wall_max_s: f64,
         sat_calls: u64,
         proved: u64,
         disproved: u64,
+        cex_patterns: u64,
         rounds: u64,
         deadline_interrupts: u64,
         shard_failures: u64,
@@ -359,23 +367,32 @@ fn main() {
                 ..FraigParams::default()
             };
             let _ = fraig(&fg, &params); // warm-up
-            let start = Instant::now();
-            let out = fraig(&fg, &params);
-            let wall_s = start.elapsed().as_secs_f64();
+            let mut walls = [0f64; FRAIG_REPS];
+            let mut ands_out = 0;
+            for wall in &mut walls {
+                let start = Instant::now();
+                let out = fraig(&fg, &params);
+                *wall = start.elapsed().as_secs_f64();
+                ands_out = out.aig.num_ands();
+            }
+            walls.sort_by(f64::total_cmp);
             let snap = reg.snapshot();
             let gauge = |k: &str| snap.value(k).unwrap_or(0);
             fraig_rows.push(FraigRow {
                 bits,
                 threads,
                 shards,
-                wall_s,
+                wall_s: walls[FRAIG_REPS / 2],
+                wall_min_s: walls[0],
+                wall_max_s: walls[FRAIG_REPS - 1],
                 sat_calls: gauge("sweep.stats.sat_calls"),
                 proved: gauge("sweep.stats.proved"),
                 disproved: gauge("sweep.stats.disproved"),
+                cex_patterns: gauge("sweep.stats.cex_patterns"),
                 rounds: gauge("sweep.stats.rounds"),
                 deadline_interrupts: gauge("sweep.stats.deadline_interrupts"),
                 shard_failures: gauge("sweep.stats.shard_failures"),
-                ands_out: out.aig.num_ands(),
+                ands_out,
             });
         };
         // The trajectory row, then one scaling row per thread count.
@@ -615,14 +632,17 @@ fn main() {
     for (i, r) in fraig_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"wall_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
+            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"reps\": {FRAIG_REPS}, \"wall_s\": {:.6}, \"wall_min_s\": {:.6}, \"wall_max_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"cex_patterns\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
             r.bits,
             r.threads,
             r.shards,
             r.wall_s,
+            r.wall_min_s,
+            r.wall_max_s,
             r.sat_calls,
             r.proved,
             r.disproved,
+            r.cex_patterns,
             r.rounds,
             r.ands_out,
             r.deadline_interrupts,

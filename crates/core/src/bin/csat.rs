@@ -646,6 +646,28 @@ fn run_gen(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// The `--preprocess` stage of `csat bmc` (BMC and `--kind` alike). Its
+/// sweep runs under the command's deadline, as `csat solve --sweep` does:
+/// a timed-out sweep keeps fewer merges instead of running unbounded.
+fn bmc_preprocess(
+    mode: Option<&str>,
+    deadline: Option<Instant>,
+    reg: &obs::Registry,
+) -> Result<mc::Preprocess, String> {
+    let sweep_params = || sweep::FraigParams {
+        deadline,
+        obs: reg.clone(),
+        ..sweep::FraigParams::default()
+    };
+    Ok(match mode {
+        None | Some("none") => mc::Preprocess::None,
+        Some("synth") => mc::Preprocess::Synth(synth::Recipe::size_script()),
+        Some("sweep") => mc::Preprocess::Sweep(sweep_params()),
+        Some("both") => mc::Preprocess::Both(synth::Recipe::size_script(), sweep_params()),
+        Some(other) => return Err(format!("unknown preprocess mode '{other}'")),
+    })
+}
+
 /// `csat bmc`: incremental bounded model checking / k-induction.
 fn run_bmc(path: &str, args: &[String]) -> Result<ExitCode, String> {
     // The inner runner has several verdict-specific early returns; the
@@ -670,17 +692,7 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
     let query_budget: Option<u64> = parsed(args, "--conflicts")?;
     let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let sweep_params = || sweep::FraigParams {
-        obs: reg.clone(),
-        ..sweep::FraigParams::default()
-    };
-    let preprocess = match value_of(args, "--preprocess")?.as_deref() {
-        None | Some("none") => mc::Preprocess::None,
-        Some("synth") => mc::Preprocess::Synth(synth::Recipe::size_script()),
-        Some("sweep") => mc::Preprocess::Sweep(sweep_params()),
-        Some("both") => mc::Preprocess::Both(synth::Recipe::size_script(), sweep_params()),
-        Some(other) => return Err(format!("unknown preprocess mode '{other}'")),
-    };
+    let preprocess = bmc_preprocess(value_of(args, "--preprocess")?.as_deref(), deadline, reg)?;
     eprintln!(
         "c machine: pis={} latches={} pos={} ands={}",
         machine.num_pis(),
@@ -1283,5 +1295,28 @@ mod tests {
             .collect();
         let err = run(&args).expect_err("usage error");
         assert!(err.contains("--sweep"), "{err}");
+    }
+
+    #[test]
+    fn bmc_preprocess_sweeps_under_the_deadline() {
+        let reg = obs::Registry::disabled();
+        let deadline = Some(Instant::now() + Duration::from_millis(50));
+        for mode in ["sweep", "both"] {
+            let params = match bmc_preprocess(Some(mode), deadline, &reg) {
+                Ok(mc::Preprocess::Sweep(p) | mc::Preprocess::Both(_, p)) => p,
+                other => panic!("{mode}: {other:?}"),
+            };
+            assert_eq!(params.deadline, deadline, "{mode}");
+        }
+        assert!(matches!(
+            bmc_preprocess(None, deadline, &reg),
+            Ok(mc::Preprocess::None)
+        ));
+        assert!(matches!(
+            bmc_preprocess(Some("synth"), deadline, &reg),
+            Ok(mc::Preprocess::Synth(_))
+        ));
+        let err = bmc_preprocess(Some("fraig"), deadline, &reg).expect_err("unknown mode");
+        assert!(err.contains("fraig"), "{err}");
     }
 }

@@ -1,11 +1,20 @@
 //! The fraig engine: simulate, conjecture, SAT-prove, merge, rebuild.
 //!
-//! Each round's candidate pairs are proved on **sharded** SAT oracles
-//! running on worker threads; resimulation runs one compiled program on
-//! the calling thread. Pair `i` of a round is always proved on oracle
-//! `i % shards` in ascending order, and results are merged in pair-index
-//! order — so for a pinned shard count the outcome is bit-identical for
-//! every thread count (see [`FraigParams::shards`] for the default's
+//! Each round simulates the graph, groups nodes into candidate classes and
+//! proves the resulting pair list in **windows** of [`WINDOW`] pairs on
+//! **sharded** SAT oracles running on worker threads. After each window,
+//! its counterexamples — at most 64, one simulation word — are packed into
+//! one word per primary input and run through the compiled program on the
+//! calling thread: the round's later pairs that the word separates are
+//! dropped unqueried, and the word joins the replayed columns of every
+//! later round. No counterexample is discarded, so a refuted conjecture
+//! never re-forms.
+//!
+//! Pair `i` of a window is always proved on oracle `i % shards` in
+//! ascending order, and answers are merged in pair order, so each window's
+//! contents depend only on pair order and on earlier windows' answers —
+//! for a pinned shard count the outcome is bit-identical for every thread
+//! count (see [`FraigParams::shards`] for the default's
 //! shards-follow-threads trade-off).
 
 use crate::classes::candidate_classes;
@@ -18,8 +27,10 @@ use std::time::Instant;
 
 /// Maximum simulate–prove–refine rounds.
 const MAX_ROUNDS: usize = 4;
-/// Maximum SAT queries per node per round (caps wide classes).
-const MAX_CHECKS_PER_NODE: usize = 4;
+/// Pairs proved between two counterexample replays: the 64 patterns of
+/// one simulation word, so a window's counterexamples always fit the one
+/// word that replays them.
+const WINDOW: usize = 64;
 /// Simulation seed.
 const SEED: u64 = 0x5eed_f4a1;
 
@@ -38,7 +49,7 @@ pub struct FraigParams {
     /// fixed by the shard layout, threads only decide how much of it runs
     /// concurrently.
     pub threads: usize,
-    /// Logical oracle shards. Pair `i` of a round is always proved on
+    /// Logical oracle shards. Pair `i` of a window is always proved on
     /// oracle `i % shards`, whatever `threads` is, so every oracle sees the
     /// same query sequence (and returns the same answers, counterexamples
     /// included) on one core or many — pin this and the result is
@@ -72,7 +83,8 @@ pub struct FraigParams {
     /// not a production default. Default `false`.
     pub certify: bool,
     /// Observability domain: the sweep runs under a `sweep.fraig` span
-    /// with per-round and per-shard children, per-round pair counts feed
+    /// with per-round children and, under those, one `sweep.shard` child
+    /// per shard per window; per-round candidate pair counts feed
     /// the `sweep.round.pairs` histogram, shard oracles report `sat.*`
     /// counters, and [`FraigStats`] is published as `sweep.stats.*`
     /// gauges on completion. The default (disabled) registry keeps every
@@ -109,7 +121,9 @@ pub struct FraigStats {
     pub disproved: usize,
     /// Queries that ran out of budget (including those lost to faults).
     pub unknown: usize,
-    /// Counterexample patterns fed back into simulation.
+    /// Counterexample patterns fed back into simulation. Every window's
+    /// counterexamples become one replayed simulation word, so this equals
+    /// `disproved`.
     pub cex_patterns: usize,
     /// Deadline interruptions observed: one per SAT query cut mid-search
     /// by the sweep deadline, plus one if the round loop itself was cut
@@ -169,11 +183,12 @@ struct PairTask {
 /// any order. Budget exhaustion only loses reductions, never correctness.
 ///
 /// The run is deterministic for a fixed seed, and for a **pinned shard
-/// count** it is independent of the thread count: candidate pairs are
-/// assigned to logical oracle shards by index, each shard's query sequence
-/// is fixed, and per-round results are applied in pair order whatever
-/// order they arrive in. The default `shards: 0` trades that invariance
-/// for throughput by giving every worker thread its own oracle.
+/// count** it is independent of the thread count: the pairs of each
+/// window are assigned to logical oracle shards by index, each shard's
+/// query sequence is fixed, and each window's answers are applied in pair
+/// order whatever order they arrive in, before the next window is formed.
+/// The default `shards: 0` trades that invariance for throughput by giving
+/// every worker thread its own oracle.
 ///
 /// ```
 /// use aig::Aig;
@@ -216,23 +231,29 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     // equiv[v] = Some(l): node v is equivalent to old-graph literal l
     // (l.var() < v). Chains are resolved during rebuild.
     let mut equiv: Vec<Option<Lit>> = vec![None; n];
-    // Counterexamples, batched 64-per-word: each chunk is one packed
-    // simulation word per PI, so replaying the accumulated refinement
-    // patterns costs one matrix column per chunk — no per-pattern bool
-    // vectors, no per-counterexample resimulation.
-    let mut cex_chunks: Vec<Vec<u64>> = Vec::new();
-    // Pairs already disproved or abandoned; never retried. Kept as a
-    // sorted vector of packed (repr, member) keys — a binary search per
-    // candidate instead of hashing inside the refinement loop.
-    let mut dead: Vec<u64> = Vec::new();
+    // Every counterexample found so far, 64 per word: each column is one
+    // packed simulation word per PI (bit j of column[i] = value of PI i
+    // in the window's j-th counterexample), so replaying them costs one
+    // matrix column per window — no per-pattern bool vectors.
+    let mut cex_columns: Vec<Vec<u64>> = Vec::new();
+    // Pairs left undecided (budget, deadline or fault); never retried. A
+    // disproved pair needs no entry: its counterexample is replayed in
+    // every later round, so its two nodes never again share a class in
+    // the phase it refuted. Kept as a sorted vector of packed
+    // (repr, member) keys — a binary search per candidate instead of
+    // hashing inside the refinement loop.
+    let mut undecided: Vec<u64> = Vec::new();
     let pair_key = |repr: Var, member: Var| (repr as u64) << 32 | member as u64;
 
-    // One signature matrix reused across rounds (buffer grows by one
-    // refinement column per round, never reallocates from scratch).
+    // One signature matrix reused across rounds (buffer grows by the
+    // rounds' new counterexample columns, never reallocates from scratch).
     let mut sigs = SimVectors::new();
     // The sweep never mutates the graph mid-run, so the compiled program
-    // is built once and reused by every round's resimulation.
+    // is built once and reused by every round's resimulation and every
+    // window's replay.
     let prog = SimProgram::full(aig);
+    // Node values under the latest window's counterexample word.
+    let mut window_vals: Vec<u64> = Vec::new();
     let sweep_span = params.obs.span_with(
         "sweep.fraig",
         &[("nodes", n.into()), ("shards", shards.into())],
@@ -248,116 +269,126 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
         }
         stats.rounds = round + 1;
         let round_span = sweep_span.child_with("sweep.round", &[("round", round.into())]);
+        let calls_before = stats.sat_calls;
         let proved_before = stats.proved;
         let disproved_before = stats.disproved;
-        simulate_round(&prog, params, round, &cex_chunks, &mut sigs);
+        let columns_before = cex_columns.len();
+        simulate_round(&prog, params, round, &cex_columns, &mut sigs);
 
         // Candidates: constant node + reachable, not-yet-merged PIs/ANDs.
         let members =
             (0..n as Var).filter(|&v| v == 0 || (reach[v as usize] && equiv[v as usize].is_none()));
         let classes = candidate_classes(&sigs, members);
 
-        // The round's query list, fixed up front: each node appears in at
-        // most one class, so the filters below depend only on *previous*
-        // rounds — the list (and the shard assignment derived from it) is
-        // deterministic before any query runs.
-        let mut tasks: Vec<PairTask> = Vec::new();
-        let mut checks = vec![0usize; n];
-        for class in classes.classes() {
-            let repr = class[0];
-            for &member in &class[1..] {
-                if equiv[member.var as usize].is_some() {
-                    continue;
-                }
-                if dead.binary_search(&pair_key(repr.var, member.var)).is_ok() {
-                    continue;
-                }
-                if checks[member.var as usize] >= MAX_CHECKS_PER_NODE {
-                    continue;
-                }
-                checks[member.var as usize] += 1;
-                tasks.push(PairTask {
+        // The round's pair list, fixed up front in class order: each node
+        // is a member of at most one class, so the list depends only on
+        // *previous* rounds.
+        let tasks: Vec<PairTask> = classes
+            .classes()
+            .iter()
+            .flat_map(|class| {
+                let repr = class[0];
+                class[1..].iter().map(move |member| PairTask {
                     repr: repr.var,
                     member: member.var,
                     phase: repr.phase != member.phase,
-                });
-            }
-        }
-
-        // Prove the whole list on the sharded oracles (in parallel when
-        // threads allow), then merge the answers in pair-index order.
-        stats.sat_calls += tasks.len() as u64;
+                })
+            })
+            .filter(|t| {
+                undecided
+                    .binary_search(&pair_key(t.repr, t.member))
+                    .is_err()
+            })
+            .collect();
         pairs_hist.observe(tasks.len() as u64);
-        let (answers, failed_shards) = prove_tasks(
-            &mut oracles,
-            &base_solver,
-            base_vars,
-            &vmap,
-            &tasks,
-            params,
-            round,
-            threads,
-            &round_span.handle(),
-        );
-        // A panicked shard's oracle is poisoned mid-query: drop it so the
-        // next round lazily rebuilds from the clean base solver. Its
-        // unanswered pairs surface as `Undecided` below.
-        stats.shard_failures += failed_shards.len() as u64;
-        for s in failed_shards {
-            oracles[s] = None;
-        }
 
-        // This round's counterexamples, packed on the fly (bit j of
-        // chunk[i] = value of PI i in the j-th counterexample). One word
-        // per round: at most 64 patterns are replayed, later
-        // counterexamples only retire their own pair.
-        let mut chunk = vec![0u64; aig.num_pis()];
-        let mut chunk_len = 0u32;
-        let mut fresh_dead: Vec<u64> = Vec::new();
-        for (task, answer) in tasks.iter().zip(&answers) {
-            match answer {
-                Answer::Equivalent => {
-                    stats.proved += 1;
-                    if params.certify {
-                        // prove_pair verified the certificate (or panicked)
-                        // before reporting Equivalent.
-                        stats.certified += 1;
-                    }
-                    equiv[task.member as usize] = Some(Lit::from_var(task.repr, task.phase));
-                }
-                Answer::Different(pattern) => {
-                    stats.disproved += 1;
-                    fresh_dead.push(pair_key(task.repr, task.member));
-                    if chunk_len < 64 {
-                        for (i, &bit) in pattern.iter().enumerate() {
-                            chunk[i] |= (bit as u64) << chunk_len;
+        // Prove the list WINDOW pairs at a time, each window on the
+        // sharded oracles (in parallel when threads allow), merging its
+        // answers in pair order. `pending` holds the positions, in the
+        // round's list, of pairs not yet queried.
+        let mut pending: Vec<usize> = (0..tasks.len()).collect();
+        while !pending.is_empty() {
+            let window: Vec<usize> = pending.drain(..WINDOW.min(pending.len())).collect();
+            stats.sat_calls += window.len() as u64;
+            let (answers, failed_shards) = prove_window(
+                &mut oracles,
+                &base_solver,
+                base_vars,
+                &vmap,
+                &tasks,
+                &window,
+                params,
+                round,
+                threads,
+                &round_span.handle(),
+            );
+            // A panicked shard's oracle is poisoned mid-query: drop it so
+            // the next window lazily rebuilds from the clean base solver.
+            // Its unanswered pairs surface as `Undecided` below.
+            stats.shard_failures += failed_shards.len() as u64;
+            for s in failed_shards {
+                oracles[s] = None;
+            }
+
+            // The window's counterexamples, packed on the fly (bit j of
+            // word[i] = value of PI i in the j-th counterexample).
+            let mut word = vec![0u64; aig.num_pis()];
+            let mut patterns = 0usize;
+            for (&t, answer) in window.iter().zip(&answers) {
+                let task = &tasks[t];
+                match answer {
+                    Answer::Equivalent => {
+                        stats.proved += 1;
+                        if params.certify {
+                            // prove_pair verified the certificate (or
+                            // panicked) before reporting Equivalent.
+                            stats.certified += 1;
                         }
-                        chunk_len += 1;
+                        equiv[task.member as usize] = Some(Lit::from_var(task.repr, task.phase));
                     }
-                }
-                Answer::Undecided {
-                    deadline_interrupted,
-                } => {
-                    stats.unknown += 1;
-                    if *deadline_interrupted {
-                        stats.deadline_interrupts += 1;
+                    Answer::Different(pattern) => {
+                        stats.disproved += 1;
+                        for (i, &bit) in pattern.iter().enumerate() {
+                            word[i] |= (bit as u64) << patterns;
+                        }
+                        patterns += 1;
                     }
-                    fresh_dead.push(pair_key(task.repr, task.member));
+                    Answer::Undecided {
+                        deadline_interrupted,
+                    } => {
+                        stats.unknown += 1;
+                        if *deadline_interrupted {
+                            stats.deadline_interrupts += 1;
+                        }
+                        // A round's pairs are distinct and an undecided
+                        // pair is never listed again, so no key repeats.
+                        undecided.push(pair_key(task.repr, task.member));
+                    }
                 }
             }
+            if patterns == 0 {
+                continue;
+            }
+            // Replay the word and drop every pending pair it separates:
+            // the pair's two nodes differ (up to its phase) on one of the
+            // word's input patterns, so its query could only answer SAT.
+            prog.run_dense(&mut window_vals, 1, &word);
+            pending.retain(|&t| {
+                let task = &tasks[t];
+                let diff = window_vals[task.repr as usize] ^ window_vals[task.member as usize];
+                diff == if task.phase { !0 } else { 0 }
+            });
+            stats.cex_patterns += patterns;
+            cex_columns.push(word);
         }
-        // A round's (repr, member) pairs are distinct, so merging the
-        // fresh keys once per round keeps `dead` sorted and duplicate-free.
-        dead.extend(fresh_dead);
-        dead.sort_unstable();
-        round_span.record("tasks", tasks.len());
+        undecided.sort_unstable();
+        round_span.record("pairs", tasks.len());
+        round_span.record("tasks", stats.sat_calls - calls_before);
         round_span.record("proved", stats.proved - proved_before);
         round_span.record("disproved", stats.disproved - disproved_before);
-        if chunk_len == 0 {
+        if cex_columns.len() == columns_before {
             break;
         }
-        stats.cex_patterns += chunk_len as usize;
-        cex_chunks.push(chunk);
     }
 
     drop(sweep_span);
@@ -368,57 +399,56 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     }
 }
 
-/// Proves every task of one round on the sharded oracles and returns the
-/// answers in task order plus the indices of shards whose worker panicked.
+/// Proves one window of the round's tasks on the sharded oracles and
+/// returns the answers in window order plus the indices of shards whose
+/// worker panicked. `window` holds positions in `tasks`, the round's list.
 ///
-/// Task `i` runs on oracle `i % shards`; within a shard, tasks run in
-/// ascending index order. Both facts are independent of `threads`, so each
-/// oracle's incremental state (learnt clauses, activities, budget clock)
-/// evolves identically however the shards are scheduled — the returned
-/// vector is bit-identical from one core to many. Workers stream
+/// Pair `j` of the window runs on oracle `j % shards`; within a shard,
+/// pairs run in ascending order. Both facts are independent of `threads`,
+/// so each oracle's incremental state (learnt clauses, activities, budget
+/// clock) evolves identically however the shards are scheduled — the
+/// returned vector is bit-identical from one core to many. Workers stream
 /// `(index, answer)` pairs over a channel; [`run_sharded`] reassembles
-/// them into index order.
+/// them into window order. Chaos faults are rolled on the pair's position
+/// in the round's list, so a fault pattern does not depend on where the
+/// window boundaries fall.
 ///
 /// A shard panic (contained by the pool) loses that shard's remaining
 /// answers; the lost slots degrade to `Undecided` — the same sound
 /// "no answer" the budget path produces — so the merge loop never has to
 /// care how an answer went missing.
 #[allow(clippy::too_many_arguments)]
-fn prove_tasks(
+fn prove_window(
     oracles: &mut [Option<PairOracle>],
     base_solver: &Solver,
     base_vars: u32,
     vmap: &VarMap,
     tasks: &[PairTask],
+    window: &[usize],
     params: &FraigParams,
     round: usize,
     threads: usize,
     round_span: &obs::SpanHandle,
 ) -> (Vec<Answer>, Vec<usize>) {
-    if tasks.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
     let shards = oracles.len();
-    let run = run_sharded(threads, oracles, tasks.len(), |s, oracle, emit| {
-        if s >= tasks.len() {
+    let run = run_sharded(threads, oracles, window.len(), |s, oracle, emit| {
+        if s >= window.len() {
             return;
         }
-        // One `sweep.shard` span per shard per round; the oracle is
-        // re-parented under it each round (its previous round's shard
+        // One `sweep.shard` span per shard per window; the oracle is
+        // re-parented under it each window (its previous window's shard
         // span is closed by then).
         let shard_span = round_span.child_with("sweep.shard", &[("shard", s.into())]);
         let mut observed = false;
-        let mut i = s;
-        while i < tasks.len() {
-            match params.chaos.as_ref().and_then(|c| c.roll(round, i)) {
+        for (j, &t) in window.iter().enumerate().skip(s).step_by(shards) {
+            match params.chaos.as_ref().and_then(|c| c.roll(round, t)) {
                 Some(Fault::Unknown) => {
                     emit(
-                        i,
+                        j,
                         Answer::Undecided {
                             deadline_interrupted: false,
                         },
                     );
-                    i += shards;
                     continue;
                 }
                 Some(Fault::Panic) => panic!("chaos: injected shard-worker panic"),
@@ -432,12 +462,11 @@ fn prove_tasks(
                 oracle.solver.set_observer(shard_span.handle());
                 observed = true;
             }
-            let task = &tasks[i];
+            let task = &tasks[t];
             emit(
-                i,
+                j,
                 oracle.prove_pair(vmap, task.member, task.repr, task.phase, params),
             );
-            i += shards;
         }
     });
     let answers = run
@@ -608,24 +637,24 @@ fn rebuild(aig: &Aig, equiv: &[Option<Lit>]) -> Aig {
 }
 
 /// One round's signature matrix: `sim_words` fresh random columns plus one
-/// replayed column per accumulated counterexample chunk, all run through
-/// the sweep's compiled program into a single strided [`SimVectors`]
-/// buffer.
+/// replayed column per earlier window's counterexample word, all run
+/// through the sweep's compiled program into a single strided
+/// [`SimVectors`] buffer.
 fn simulate_round(
     prog: &SimProgram,
     params: &FraigParams,
     round: usize,
-    cex_chunks: &[Vec<u64>],
+    cex_columns: &[Vec<u64>],
     sigs: &mut SimVectors,
 ) {
     // Reshape without zeroing: every column below is fully written.
-    sigs.reshape(prog.n_slots(), params.sim_words + cex_chunks.len());
+    sigs.reshape(prog.n_slots(), params.sim_words + cex_columns.len());
     let seed = SEED ^ round as u64;
     random_columns(prog, sigs, 0, params.sim_words, seed);
-    let jobs: Vec<(usize, &[u64])> = cex_chunks
+    let jobs: Vec<(usize, &[u64])> = cex_columns
         .iter()
         .enumerate()
-        .map(|(k, chunk)| (params.sim_words + k, chunk.as_slice()))
+        .map(|(k, word)| (params.sim_words + k, word.as_slice()))
         .collect();
     simulate_columns(prog, sigs, &jobs);
 }

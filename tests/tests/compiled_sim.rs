@@ -141,11 +141,11 @@ fn random_fill_and_sweep_outcome_are_pinned() {
         out.stats,
         FraigStats {
             rounds: 4,
-            sat_calls: 132,
+            sat_calls: 128,
             proved: 76,
-            disproved: 56,
+            disproved: 52,
             unknown: 0,
-            cex_patterns: 56,
+            cex_patterns: 52,
             deadline_interrupts: 0,
             shard_failures: 0,
             certified: 0,

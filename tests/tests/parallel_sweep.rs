@@ -1,11 +1,11 @@
 //! Parallel/sequential equivalence of the sweep engine.
 //!
 //! The fraig engine's concurrency contract is that for a pinned shard
-//! count the thread count changes *nothing* about the result: candidate
-//! pairs are assigned to logical oracle shards by index, every shard's
-//! query sequence is fixed, and per-round answers are merged in pair
-//! order. These tests check the contract the hard way — running the same
-//! sweeps at 1 and 4 threads and demanding bit-identical
+//! count the thread count changes *nothing* about the result: the pairs
+//! of each 64-pair window are assigned to logical oracle shards by index,
+//! every shard's query sequence is fixed, and each window's answers are
+//! merged in pair order. These tests check the contract the hard way —
+//! running the same sweeps at 1 and 4 threads and demanding bit-identical
 //! [`FraigOutcome`]s (same merges, same stats, same rebuilt graph) — and
 //! keep the solver's two-tier watcher/reason integrity audit running on
 //! every shard while they do (the oracle calls `Solver::assert_integrity`
@@ -15,7 +15,7 @@
 use aig::check::{exhaustive_equiv, sim_equiv};
 use aig::Aig;
 use proptest::prelude::*;
-use sweep::{fraig, FraigOutcome, FraigParams};
+use sweep::{fraig, ChaosPlan, FraigOutcome, FraigParams};
 use workloads::lec::{adder_miter, miter, restructure};
 use workloads::random_aig::{random_aig, RandomAigParams};
 
@@ -144,4 +144,68 @@ fn auto_threads_match_sequential_under_pinned_shards() {
         },
     );
     assert_identical(&auto, &seq);
+}
+
+/// Rounds that span several 64-pair windows. The 24-bit adder miter lists
+/// hundreds of candidate pairs per round, so each window's counterexamples
+/// are replayed, and the pairs they separate dropped, before the next
+/// window is formed. Every refutation must reach simulation, and the
+/// pinned-shard outcome must stay thread-count-invariant, with and without
+/// injected `Unknown` answers.
+#[test]
+fn multi_window_rounds_replay_every_counterexample() {
+    let m = adder_miter(24);
+    let single = fraig(
+        &m,
+        &FraigParams {
+            threads: 1,
+            shards: 1,
+            ..FraigParams::default()
+        },
+    );
+    let s = single.stats;
+    assert!(
+        s.sat_calls > 64 * s.rounds as u64,
+        "some round spans several windows: {s:?}"
+    );
+    assert_eq!(s.cex_patterns, s.disproved, "every refutation is replayed");
+    // A round-at-once sweep that replays at most 64 counterexamples per
+    // round makes 991 calls here (819 refutations, 256 replayed).
+    assert!(s.sat_calls < 991, "{s:?}");
+    assert_eq!(single.aig.num_ands(), 0, "equivalent adders: miter is 0");
+
+    for chaos in [
+        None,
+        Some(ChaosPlan {
+            seed: 24,
+            unknown_in_1024: 200,
+            ..ChaosPlan::default()
+        }),
+    ] {
+        let base = FraigParams {
+            shards: 4,
+            chaos,
+            ..FraigParams::default()
+        };
+        let outcomes: Vec<FraigOutcome> = [1, 2, 4]
+            .iter()
+            .map(|&threads| {
+                fraig(
+                    &m,
+                    &FraigParams {
+                        threads,
+                        ..base.clone()
+                    },
+                )
+            })
+            .collect();
+        assert_identical(&outcomes[0], &outcomes[1]);
+        assert_identical(&outcomes[0], &outcomes[2]);
+        let s = outcomes[0].stats;
+        assert_eq!(s.cex_patterns, s.disproved, "{chaos:?}");
+        if chaos.is_some() {
+            assert!(s.unknown > 0, "the storm must eat some queries: {s:?}");
+        }
+        assert!(sim_equiv(&m, &outcomes[0].aig, 8, 5));
+    }
 }
