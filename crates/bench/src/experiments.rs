@@ -1,15 +1,20 @@
-//! Shared experiment machinery for the binaries and Criterion benches.
+//! The evaluation campaign behind `run_all`: Table I, Fig. 4, Fig. 5 and
+//! the extension ablations, each a set of arms run by [`run_campaign`].
 
 use csat_preproc::report::{
-    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, Status, Summary,
+    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, SolveFn, Status,
+    Summary,
 };
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::env::EnvConfig;
 use rl::train::{train_agent, TrainConfig};
 use rl::{DqnAgent, DqnConfig, RecipePolicy};
+use sat::presolve::solve_cnf_presolved;
 use sat::{solve_cnf, Budget, SolverConfig};
 use std::process::ExitCode;
-use workloads::dataset::{generate, instance_stats, DatasetParams};
+use sweep::FraigParams;
+use synth::Recipe;
+use workloads::dataset::{generate, generate_extended, instance_stats, DatasetParams};
 use workloads::Instance;
 
 /// Experiment scale: how big, how many, how long.
@@ -34,7 +39,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Seconds-scale runs for Criterion and CI.
+    /// Seconds-scale runs for tests and CI.
     pub fn quick() -> Scale {
         Scale {
             train_count: 8,
@@ -48,7 +53,7 @@ impl Scale {
         }
     }
 
-    /// Minutes-scale runs; the default for the `run_*` binaries.
+    /// Minutes-scale runs; the default for `run_all`.
     pub fn standard() -> Scale {
         Scale {
             train_count: 40,
@@ -185,47 +190,32 @@ pub struct Table1Row {
 
 /// Regenerates Table I: statistics of the training dataset
 /// (#gates, #PIs, depth, #clauses after Tseitin, baseline solve time in
-/// milliseconds — the instances solve in well under a second each).
-pub fn table1(scale: &Scale) -> Vec<Table1Row> {
+/// milliseconds — the instances solve in well under a second each). The
+/// clause counts and times come from the returned Kissat-like Baseline
+/// arm over the training split, whose verdicts are checked like any other.
+pub fn table1(scale: &Scale) -> (Vec<Table1Row>, Arm) {
     let set = train_split(scale);
-    let mut gates = Vec::new();
-    let mut pis = Vec::new();
-    let mut depth = Vec::new();
-    let mut clauses = Vec::new();
-    let mut times = Vec::new();
-    for inst in &set {
-        let s = instance_stats(&inst.aig);
-        gates.push(s.gates as f64);
-        pis.push(s.pis as f64);
-        depth.push(s.depth as f64);
-        let pre = BaselinePipeline.preprocess(&inst.aig);
-        clauses.push(pre.cnf.num_clauses() as f64);
-        let t0 = std::time::Instant::now();
-        let _ = solve_cnf(&pre.cnf, SolverConfig::kissat_like(), scale.budget());
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    vec![
-        Table1Row {
-            metric: "# Gates",
-            summary: summarize(&gates),
-        },
-        Table1Row {
-            metric: "# PIs",
-            summary: summarize(&pis),
-        },
-        Table1Row {
-            metric: "Depth",
-            summary: summarize(&depth),
-        },
-        Table1Row {
-            metric: "# Clauses",
-            summary: summarize(&clauses),
-        },
-        Table1Row {
-            metric: "Time (ms)",
-            summary: summarize(&times),
-        },
-    ]
+    let mut arm = Arm::run(&BaselinePipeline, &set, solve_cnf, "kissat", scale);
+    arm.name = format!("train: {}", arm.name);
+    let stats: Vec<_> = set.iter().map(|inst| instance_stats(&inst.aig)).collect();
+    let row = |metric, xs: Vec<f64>| Table1Row {
+        metric,
+        summary: summarize(&xs),
+    };
+    let rows = vec![
+        row("# Gates", stats.iter().map(|s| s.gates as f64).collect()),
+        row("# PIs", stats.iter().map(|s| s.pis as f64).collect()),
+        row("Depth", stats.iter().map(|s| s.depth as f64).collect()),
+        row(
+            "# Clauses",
+            arm.records.iter().map(|r| r.cnf_clauses as f64).collect(),
+        ),
+        row(
+            "Time (ms)",
+            arm.records.iter().map(|r| r.solve_secs * 1e3).collect(),
+        ),
+    ];
+    (rows, arm)
 }
 
 /// Renders Table I in the paper's format.
@@ -245,10 +235,10 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 4 / Fig. 5 campaigns
+// Fig. 4 / Fig. 5 and extension campaigns
 // ---------------------------------------------------------------------------
 
-/// One experiment arm: a named pipeline's records over the test set.
+/// One experiment arm: a named pipeline's records over one instance set.
 #[derive(Clone, Debug)]
 pub struct Arm {
     /// Pipeline label.
@@ -258,6 +248,31 @@ pub struct Arm {
 }
 
 impl Arm {
+    /// Runs `pipeline` over `instances` with the named solver preset and
+    /// the scale's budget, solving with `solve`; the arm takes the
+    /// pipeline's name.
+    fn run(
+        pipeline: &dyn Pipeline,
+        instances: &[Instance],
+        solve: SolveFn,
+        solver_name: &str,
+        scale: &Scale,
+    ) -> Arm {
+        let solver = solver_preset(solver_name);
+        let records = run_campaign(
+            pipeline,
+            instances,
+            solve,
+            solver_name,
+            &solver,
+            scale.budget(),
+        );
+        Arm {
+            name: pipeline.name(),
+            records,
+        }
+    }
+
     /// Total runtime with timeout penalty.
     pub fn total_secs(&self, penalty: f64) -> f64 {
         total_runtime(&self.records, penalty)
@@ -280,89 +295,112 @@ impl Arm {
     pub fn decisions(&self) -> u64 {
         total_decisions(&self.records)
     }
-
-    /// Cactus-plot series.
-    pub fn cactus(&self) -> Vec<(f64, usize)> {
-        cactus(&self.records)
-    }
 }
 
-/// Runs the Fig. 4 comparison — Baseline vs. Comp. vs. Ours — under one
-/// solver preset. `agent` is the trained agent for the *Ours* arm (pass
-/// `None` to fall back to the fixed size-script policy, used by the quick
-/// Criterion benches where training would dominate the measurement).
-pub fn fig4(scale: &Scale, solver_name: &str, agent: Option<DqnAgent>) -> Vec<Arm> {
-    let test = test_split(scale);
-    let solver = solver_preset(solver_name);
-    let budget = scale.budget();
-    let ours_policy = match agent {
-        Some(a) => RecipePolicy::Agent(Box::new(a)),
-        None => RecipePolicy::Fixed(synth::Recipe::size_script()),
-    };
+/// Runs the Fig. 4 comparison — Baseline vs. Comp. vs. Ours with the
+/// trained `agent` — under one solver preset.
+pub fn fig4(scale: &Scale, solver_name: &str, agent: &DqnAgent) -> Vec<Arm> {
     let pipelines: Vec<Box<dyn Pipeline>> = vec![
         Box::new(BaselinePipeline),
         Box::new(CompPipeline),
-        Box::new(FrameworkPipeline::ours(ours_policy)),
+        Box::new(FrameworkPipeline::ours(RecipePolicy::Agent(Box::new(
+            agent.clone(),
+        )))),
     ];
-    pipelines
-        .iter()
-        .map(|p| Arm {
-            name: p.name(),
-            records: run_campaign(p.as_ref(), &test, solver_name, &solver, budget.clone()),
-        })
-        .collect()
-}
-
-/// Runs the Fig. 5 ablation — Ours vs. w/o RL vs. C. Mapper — under the
-/// Kissat-like preset (as in the paper's ablation section).
-pub fn fig5(scale: &Scale, agent: Option<DqnAgent>) -> Vec<Arm> {
     let test = test_split(scale);
-    let solver = solver_preset("kissat");
-    let budget = scale.budget();
-    let ours_policy = match agent {
-        Some(a) => RecipePolicy::Agent(Box::new(a)),
-        None => RecipePolicy::Fixed(synth::Recipe::size_script()),
-    };
-    let pipelines: Vec<Box<dyn Pipeline>> = vec![
-        Box::new(FrameworkPipeline::ours(ours_policy.clone())),
-        Box::new(FrameworkPipeline::without_rl(0xF165, 10)),
-        Box::new(FrameworkPipeline::conventional_mapper(ours_policy)),
-    ];
     pipelines
         .iter()
-        .map(|p| Arm {
-            name: p.name(),
-            records: run_campaign(p.as_ref(), &test, "kissat", &solver, budget.clone()),
-        })
+        .map(|p| Arm::run(p.as_ref(), &test, solve_cnf, solver_name, scale))
         .collect()
 }
 
-/// Total wrong verdicts across arms.
-pub fn count_wrong(arms: &[Arm]) -> usize {
-    arms.iter().map(|a| a.wrong().count()).sum()
+/// Runs the Fig. 5 ablations — w/o RL (random recipes) and C. Mapper (the
+/// trained `agent`'s recipes, mapped by area cost) — under the Kissat-like
+/// preset, as in the paper's ablation section. Their *Ours* reference is
+/// Fig. 4(a)'s arm: the same pipeline, preset, budget and split.
+pub fn fig5(scale: &Scale, agent: &DqnAgent) -> Vec<Arm> {
+    let pipelines: Vec<Box<dyn Pipeline>> = vec![
+        Box::new(FrameworkPipeline::without_rl(0xF165, 10)),
+        Box::new(FrameworkPipeline::conventional_mapper(RecipePolicy::Agent(
+            Box::new(agent.clone()),
+        ))),
+    ];
+    let test = test_split(scale);
+    pipelines
+        .iter()
+        .map(|p| Arm::run(p.as_ref(), &test, solve_cnf, "kissat", scale))
+        .collect()
 }
 
-/// A campaign binary's exit status: failure, with a note on stderr, when
-/// any verdict was wrong.
-pub fn exit_status(wrong: usize) -> ExitCode {
+/// Runs the extension ablations, which are not paper figures: SAT
+/// sweeping (fraig) ahead of the cost-customised mapping, and
+/// SatELite-style CNF presolve behind it. Baseline, Ours (size script)
+/// and Ours + fraig are each solved plain and presolved under the
+/// Kissat-like preset, on the test split and on the extended families
+/// (prefix adders, tree multipliers, shifters): 12 arms, each `+presolve`
+/// arm next to its plain twin.
+pub fn ext(scale: &Scale) -> Vec<Arm> {
+    let extended = generate_extended(
+        &DatasetParams {
+            count: scale.test_count / 2,
+            hard_multipliers: false,
+            ..scale.test_params()
+        },
+        0xE87,
+    );
+    let ours = || FrameworkPipeline::ours(RecipePolicy::Fixed(Recipe::size_script()));
+    let pipelines: Vec<Box<dyn Pipeline>> = vec![
+        Box::new(BaselinePipeline),
+        Box::new(ours()),
+        Box::new(ours().with_sweep(FraigParams::default())),
+    ];
+    let mut arms = Vec::new();
+    for (set, instances) in [("test", test_split(scale)), ("extended", extended)] {
+        for p in &pipelines {
+            for (suffix, solve) in [
+                ("", solve_cnf as SolveFn),
+                (" +presolve", solve_cnf_presolved),
+            ] {
+                let mut arm = Arm::run(p.as_ref(), &instances, solve, "kissat", scale);
+                arm.name = format!("{set}: {}{suffix}", arm.name);
+                arms.push(arm);
+            }
+        }
+    }
+    arms
+}
+
+/// `run_all`'s exit status: failure when any verdict in `arms` was wrong.
+/// Each wrong verdict is listed on stderr.
+pub fn exit_status(arms: &[Arm]) -> ExitCode {
+    let mut wrong = 0;
+    for a in arms {
+        for (r, reason) in a.wrong() {
+            eprintln!("WRONG {} {}: {reason}", a.name, r.instance);
+            wrong += 1;
+        }
+    }
     if wrong == 0 {
         return ExitCode::SUCCESS;
     }
-    eprintln!("error: {wrong} wrong verdict(s), listed in the WRONG lines above");
+    eprintln!("error: {wrong} wrong verdict(s)");
     ExitCode::FAILURE
 }
 
-/// Renders arm totals + cactus series in the paper's Fig. 4/5 shape, plus
-/// one line per wrong verdict.
+/// Renders arm totals + cactus series in the paper's Fig. 4/5 shape.
 pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
+    let width = arms
+        .iter()
+        .map(|a| a.name.len())
+        .fold("pipeline".len(), usize::max);
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<12} {:>8} {:>6} {:>14} {:>14}\n",
+        "{:<width$} {:>8} {:>6} {:>14} {:>14}\n",
         "pipeline", "solved", "wrong", "total time (s)", "decisions"
     ));
     for a in arms {
         out.push_str(&format!(
-            "{:<12} {:>8} {:>6} {:>14.2} {:>14}\n",
+            "{:<width$} {:>8} {:>6} {:>14.2} {:>14}\n",
             a.name,
             a.solved(),
             a.wrong().count(),
@@ -370,15 +408,10 @@ pub fn render_arms(arms: &[Arm], penalty: f64) -> String {
             a.decisions()
         ));
     }
-    for a in arms {
-        for (r, reason) in a.wrong() {
-            out.push_str(&format!("WRONG {} {}: {reason}\n", a.name, r.instance));
-        }
-    }
     out.push_str("\ncactus series (cumulative seconds, instances solved):\n");
     for a in arms {
-        let series = a.cactus();
-        out.push_str(&format!("  {:<12}", a.name));
+        let series = cactus(&a.records);
+        out.push_str(&format!("  {:<width$}", a.name));
         // Print at most 12 evenly spaced points.
         let step = (series.len() / 12).max(1);
         for (t, n) in series.iter().step_by(step) {
@@ -439,8 +472,12 @@ mod tests {
 
     #[test]
     fn table1_has_five_rows() {
-        let rows = table1(&Scale::quick());
+        let scale = Scale::quick();
+        let (rows, arm) = table1(&scale);
         assert_eq!(rows.len(), 5);
+        let avgs: Vec<f64> = rows[..4].iter().map(|r| r.summary.avg).collect();
+        assert_eq!(avgs, [107.5, 11.75, 16.75, 304.75]);
+        assert_eq!(arm.solved(), scale.train_count);
         let rendered = render_table1(&rows);
         assert!(rendered.contains("# Gates"));
         assert!(rendered.contains("Time (ms)"));
@@ -448,20 +485,40 @@ mod tests {
 
     #[test]
     fn fig4_quick_shape_holds() {
-        let arms = fig4(&Scale::quick(), "kissat", None);
-        assert_eq!(arms.len(), 3);
-        assert_eq!(arms[0].name, "Baseline");
-        assert_eq!(arms[2].name, "Ours");
-        // Everything within budget on the quick scale.
-        for a in &arms {
-            assert!(
-                a.solved() >= a.records.len() - 2,
-                "{} timed out too much",
-                a.name
-            );
-        }
+        let scale = Scale::quick();
+        let arms = fig4(&scale, "kissat", &trained_agent(&scale));
+        // The trained agent's totals repeat exactly in every build profile.
+        let totals: Vec<_> = arms
+            .iter()
+            .map(|a| (a.name.as_str(), a.solved(), a.decisions()))
+            .collect();
+        assert_eq!(
+            totals,
+            [("Baseline", 9, 1603), ("Comp.", 9, 3328), ("Ours", 9, 1456)]
+        );
         let csv = records_to_csv(&arms);
-        assert!(csv.lines().count() > arms.len());
+        assert_eq!(csv.lines().count(), 1 + 3 * scale.test_count);
+    }
+
+    #[test]
+    fn ext_quick_counts_hold() {
+        let arms = ext(&Scale::quick());
+        assert_eq!(arms.len(), 12);
+        assert_eq!(arms.iter().map(|a| a.wrong().count()).sum::<usize>(), 0);
+        for twins in arms.chunks(2) {
+            assert_eq!(twins[1].name, format!("{} +presolve", twins[0].name));
+            assert_eq!(twins[1].solved(), twins[0].solved(), "{}", twins[1].name);
+        }
+        // Plain and presolved decisions of Baseline and Ours, on the test
+        // split and then the extended families. The fraig arms are not
+        // pinned: with `FraigParams::shards = 0` their counts follow the
+        // host's core count.
+        let decisions: Vec<u64> = arms
+            .iter()
+            .filter(|a| !a.name.contains("fraig"))
+            .map(Arm::decisions)
+            .collect();
+        assert_eq!(decisions, [1603, 1971, 1996, 1474, 301, 531, 380, 393]);
     }
 
     #[test]

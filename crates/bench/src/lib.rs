@@ -1,18 +1,21 @@
 //! # `bench` — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation section:
+//! Regenerates every table and figure of the paper's evaluation section.
+//! One binary, `run_all`, prints each artefact as a section and exits
+//! non-zero on any wrong verdict; `--csv PATH` writes every record.
 //!
-//! | Paper artefact | Binary | Criterion bench |
-//! |----------------|--------|-----------------|
-//! | Table I (training-set statistics) | `run_table1` | `table1` |
-//! | Fig. 4(a) runtime comparison, Kissat | `run_fig4 --solver kissat` | `fig4` (group `fig4_kissat`) |
-//! | Fig. 4(c) runtime comparison, CaDiCaL | `run_fig4 --solver cadical` | `fig4` (group `fig4_cadical`) |
-//! | Fig. 5 ablations (w/o RL, C. Mapper) | `run_fig5` | `fig5_ablation` |
-//! | extra ablations (cost model, k, encoding) | — | `mapper_cost`, `solver` |
+//! | Artefact | `experiments` function |
+//! |----------|------------------------|
+//! | Table I (training-set statistics) | `table1` |
+//! | Fig. 4(a) runtime comparison, Kissat | `fig4(.., "kissat", ..)` |
+//! | Fig. 4(c) runtime comparison, CaDiCaL | `fig4(.., "cadical", ..)` |
+//! | Fig. 5 ablations (w/o RL, C. Mapper) | `fig5` |
+//! | extensions beyond the paper (fraig, presolve) | `ext` |
 //!
 //! Scale is controlled by the `CSAT_SCALE` environment variable
-//! (`quick` | `standard` | `full`; any other value panics); binaries
-//! default to `standard`, criterion benches to `quick`.
+//! (`quick` | `standard` | `full`; any other value panics); `run_all`
+//! defaults to `standard`. The `bench_hotpath` binary times the hot
+//! kernels and writes `BENCH_hotpath.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,8 @@
 
 use crate::pipeline::Pipeline;
 use aig::Aig;
-use sat::{solve_cnf, Budget, SolveResult, SolverConfig, Stats};
+use cnf::Cnf;
+use sat::{Budget, SolveResult, SolverConfig, Stats};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use workloads::Instance;
@@ -20,7 +21,7 @@ pub enum Status {
     Timeout,
     /// A wrong verdict: a model that does not satisfy the original
     /// circuit, or a verdict that contradicts the instance's label.
-    /// Counts as unsolved; the campaign binaries exit non-zero on it.
+    /// Counts as unsolved; the campaign binary exits non-zero on it.
     Wrong {
         /// What was wrong.
         reason: String,
@@ -66,17 +67,23 @@ impl RunRecord {
     }
 }
 
-/// Runs one pipeline on one instance with one solver preset.
+/// The solve step of a run: [`sat::solve_cnf`], or
+/// [`sat::presolve::solve_cnf_presolved`] to presolve the CNF first.
+pub type SolveFn = fn(&Cnf, SolverConfig, Budget) -> (SolveResult, Stats);
+
+/// Runs one pipeline on one instance with one solver preset, solving the
+/// CNF with `solve`.
 pub fn run_one(
     pipeline: &dyn Pipeline,
     instance: &Instance,
+    solve: SolveFn,
     solver_name: &str,
     solver: &SolverConfig,
     budget: Budget,
 ) -> RunRecord {
     let pre = pipeline.preprocess(&instance.aig);
     let t0 = Instant::now();
-    let (result, stats) = solve_cnf(&pre.cnf, solver.clone(), budget);
+    let (result, stats) = solve(&pre.cnf, solver.clone(), budget);
     let solve_secs = t0.elapsed().as_secs_f64();
     let status = classify(&instance.aig, &pre, &result, instance.expected);
     let Stats {
@@ -128,17 +135,18 @@ fn classify(
     }
 }
 
-/// Runs a pipeline over a whole instance set.
+/// Runs a pipeline over a whole instance set, solving with `solve`.
 pub fn run_campaign(
     pipeline: &dyn Pipeline,
     instances: &[Instance],
+    solve: SolveFn,
     solver_name: &str,
     solver: &SolverConfig,
     budget: Budget,
 ) -> Vec<RunRecord> {
     instances
         .iter()
-        .map(|inst| run_one(pipeline, inst, solver_name, solver, budget.clone()))
+        .map(|inst| run_one(pipeline, inst, solve, solver_name, solver, budget.clone()))
         .collect()
 }
 
@@ -221,6 +229,8 @@ pub fn summarize(xs: &[f64]) -> Summary {
 mod tests {
     use super::*;
     use crate::baseline::BaselinePipeline;
+    use sat::presolve::solve_cnf_presolved;
+    use sat::solve_cnf;
     use workloads::dataset::{generate, DatasetParams};
 
     #[test]
@@ -237,6 +247,7 @@ mod tests {
         let records = run_campaign(
             &BaselinePipeline,
             &set,
+            solve_cnf,
             "kissat",
             &SolverConfig::kissat_like(),
             Budget::conflicts(200_000),
@@ -256,7 +267,8 @@ mod tests {
     #[test]
     fn mislabelled_instances_are_wrong_and_unsolved() {
         // A satisfiable AND labelled UNSAT, and an unsatisfiable constant
-        // output labelled SAT: both verdicts contradict their labels.
+        // output labelled SAT: both verdicts contradict their labels, with
+        // or without presolve.
         let mut sat = Aig::new();
         let (a, b) = (sat.add_pi(), sat.add_pi());
         let f = sat.and(a, b);
@@ -274,20 +286,23 @@ mod tests {
                 aig,
                 expected: Some(expected),
             };
-            let r = run_one(
-                &BaselinePipeline,
-                &inst,
-                "kissat",
-                &SolverConfig::kissat_like(),
-                Budget::conflicts(1_000),
-            );
-            assert_eq!(
-                r.status,
-                Status::Wrong {
-                    reason: reason.into()
-                }
-            );
-            assert!(!r.solved());
+            for solve in [solve_cnf as SolveFn, solve_cnf_presolved] {
+                let r = run_one(
+                    &BaselinePipeline,
+                    &inst,
+                    solve,
+                    "kissat",
+                    &SolverConfig::kissat_like(),
+                    Budget::conflicts(1_000),
+                );
+                assert_eq!(
+                    r.status,
+                    Status::Wrong {
+                        reason: reason.into()
+                    }
+                );
+                assert!(!r.solved());
+            }
         }
     }
 
@@ -305,6 +320,7 @@ mod tests {
         let records = run_campaign(
             &BaselinePipeline,
             &set,
+            solve_cnf,
             "kissat",
             &SolverConfig::kissat_like(),
             Budget::conflicts(200_000),

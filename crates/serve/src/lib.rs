@@ -279,8 +279,8 @@ mod tests {
             .count();
         assert_eq!(queries, 2, "one serve.query span per submission");
         // Per-query conflict counts (summed over sat.solve exits) must
-        // agree with the live counter — the acceptance criterion's "span
-        // tree sums to solver totals" check at unit scale.
+        // agree with the live counter — the "span tree sums to solver
+        // totals" check at unit scale.
         let snap = reg.snapshot();
         assert_eq!(
             obs::check::sum_field(&events, "sat.solve", "conflicts"),

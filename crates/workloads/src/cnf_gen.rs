@@ -1,6 +1,6 @@
 //! Direct CNF workload generators (no circuit intermediary): canonical
-//! solver stressors shared by the perf harness, the criterion benches,
-//! and the differential test suites — one definition, one encoding.
+//! solver stressors shared by the perf harness and the differential test
+//! suites — one definition, one encoding.
 
 use aig::{Aig, Lit};
 use cnf::{Cnf, CnfLit};
