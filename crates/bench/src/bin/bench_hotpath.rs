@@ -29,6 +29,10 @@ use workloads::lec::{adder_miter, miter};
 use workloads::random_aig::{random_aig, RandomAigParams};
 use workloads::seq::counter;
 
+/// Timed runs (after one warm-up) behind each row reported as a median
+/// with its minimum and maximum: the fraig rows and the proof row's check.
+const FRAIG_REPS: usize = 5;
+
 struct SolverRow {
     name: &'static str,
     wall_s: f64,
@@ -165,9 +169,10 @@ fn main() {
     // and on. The off row must stay within noise of the plain solver rows
     // (the disabled path is one `None` check at conflict rate); the on
     // row records the real cost of recording every learnt and deleted
-    // clause. The certificate is then verified by the independent
-    // checker, whose wall time and verdict are part of the row — CI fails
-    // the build if the certificate is rejected.
+    // clause. The certificate is then verified FRAIG_REPS times by the
+    // independent checker, whose median wall time, spread and verdict are
+    // part of the row — CI fails the build if the certificate is rejected
+    // or if no lemma was settled by its hints alone.
     struct ProofRow {
         logging_off_wall_s: f64,
         logging_on_wall_s: f64,
@@ -175,7 +180,11 @@ fn main() {
         proof_additions: usize,
         proof_deletions: usize,
         check_wall_s: f64,
+        check_wall_min_s: f64,
+        check_wall_max_s: f64,
         check_verified: bool,
+        check_verified_adds: usize,
+        check_hinted_adds: usize,
     }
     let proof_row = {
         let f = pigeonhole(php_holes);
@@ -199,18 +208,29 @@ fn main() {
             .iter()
             .map(|c| c.iter().map(|l| l.to_dimacs()).collect())
             .collect();
-        let proof =
-            checker::Proof::from_steps(log.steps().iter().map(|s| (s.delete, s.lits.clone())));
-        let start = Instant::now();
-        let check_verified = checker::check(&formula, &proof).is_ok();
+        let mut outcome = checker::check(&formula, log.proof()); // warm-up
+        let mut walls = [0f64; FRAIG_REPS];
+        for wall in &mut walls {
+            let start = Instant::now();
+            outcome = checker::check(&formula, log.proof());
+            *wall = start.elapsed().as_secs_f64();
+        }
+        walls.sort_by(f64::total_cmp);
+        let counts = outcome
+            .as_ref()
+            .map_or((0, 0), |o| (o.verified_adds, o.hinted_adds));
         ProofRow {
             logging_off_wall_s,
             logging_on_wall_s,
             overhead_ratio: logging_on_wall_s / logging_off_wall_s.max(1e-9),
             proof_additions: log.additions(),
             proof_deletions: log.deletions(),
-            check_wall_s: start.elapsed().as_secs_f64(),
-            check_verified,
+            check_wall_s: walls[FRAIG_REPS / 2],
+            check_wall_min_s: walls[0],
+            check_wall_max_s: walls[FRAIG_REPS - 1],
+            check_verified: outcome.is_ok(),
+            check_verified_adds: counts.0,
+            check_hinted_adds: counts.1,
         }
     };
 
@@ -332,7 +352,6 @@ fn main() {
     // windows and its counterexamples are replayed mid-round. Each row
     // times FRAIG_REPS runs after one warm-up and reports their median,
     // minimum and maximum.
-    const FRAIG_REPS: usize = 5;
     let fraig_bits: &[usize] = if smoke { &[12] } else { &[16, 24] };
     let pinned_shards = thread_counts.iter().copied().max().unwrap_or(1);
     struct FraigRow {
@@ -587,14 +606,18 @@ fn main() {
         let r = &proof_row;
         let _ = writeln!(
             json,
-            "  \"proof\": {{\"name\": \"php\", \"holes\": {php_holes}, \"reps\": {solver_reps}, \"logging_off_wall_s\": {:.6}, \"logging_on_wall_s\": {:.6}, \"overhead_ratio\": {:.4}, \"proof_additions\": {}, \"proof_deletions\": {}, \"check_wall_s\": {:.6}, \"check_verified\": {}}},",
+            "  \"proof\": {{\"name\": \"php\", \"holes\": {php_holes}, \"reps\": {solver_reps}, \"logging_off_wall_s\": {:.6}, \"logging_on_wall_s\": {:.6}, \"overhead_ratio\": {:.4}, \"proof_additions\": {}, \"proof_deletions\": {}, \"check_reps\": {FRAIG_REPS}, \"check_wall_s\": {:.6}, \"check_wall_min_s\": {:.6}, \"check_wall_max_s\": {:.6}, \"check_verified\": {}, \"check_verified_adds\": {}, \"check_hinted_adds\": {}}},",
             r.logging_off_wall_s,
             r.logging_on_wall_s,
             r.overhead_ratio,
             r.proof_additions,
             r.proof_deletions,
             r.check_wall_s,
-            r.check_verified
+            r.check_wall_min_s,
+            r.check_wall_max_s,
+            r.check_verified,
+            r.check_verified_adds,
+            r.check_hinted_adds
         );
     }
     {

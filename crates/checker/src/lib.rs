@@ -19,6 +19,30 @@
 //! which is what makes backward checking fast; the `CheckOutcome` reports
 //! both counts plus the unsatisfiable core.
 //!
+//! ## Hints
+//!
+//! An addition step may carry *hints*: the variables its producer resolved
+//! on (the `sat` solver logs, per learnt clause, every variable its
+//! conflict analysis and minimisation used). Re-verifying a core lemma
+//! then runs in two passes:
+//!
+//! 1. assume the lemma's negation and propagate, enqueueing only literals
+//!    on hinted variables — a clause that becomes unit on any other
+//!    variable stays watched and is skipped, while conflicts are still
+//!    detected in every clause;
+//! 2. only if pass 1 reaches a fixpoint without a conflict, undo to the
+//!    root trail and propagate everything.
+//!
+//! Pass 1 visits roughly the lemma's own derivation instead of everything
+//! its negation implies, which is what makes hinted checking fast.
+//! Hints are untrusted search advice, never part of the argument: entries
+//! that are zero or above the largest variable are ignored, a hint can
+//! only change *which* conflict is found, and every conflict found is a
+//! real one. A lemma is accepted exactly when it is RUP, with or without
+//! hints; [`CheckOutcome::hinted_adds`] counts the lemmas pass 1 settled.
+//! The textual DRAT format carries no hints, so a proof read by
+//! [`Proof::parse_drat`] is checked by full propagation throughout.
+//!
 //! The checker is *strict*: a proof must contain an explicit empty-clause
 //! addition (or the formula itself must contain the empty clause). A
 //! certificate for an UNSAT-under-assumptions verdict is therefore built
@@ -51,6 +75,11 @@ pub struct Step {
     pub delete: bool,
     /// The clause, as DIMACS literals (no terminating zero).
     pub lits: Vec<i32>,
+    /// Variables (DIMACS numbers) the producer resolved on to derive this
+    /// lemma: the RUP check propagates only these before falling back to
+    /// full propagation. Untrusted search advice — see the module docs.
+    /// Empty for deletions and for text DRAT.
+    pub hints: Vec<u32>,
 }
 
 /// A clausal proof: an ordered list of additions and deletions.
@@ -66,28 +95,28 @@ impl Proof {
         Proof::default()
     }
 
-    /// Appends a clause-addition step.
+    /// Appends a clause-addition step without hints.
     pub fn add(&mut self, lits: Vec<i32>) {
+        self.add_hinted(lits, Vec::new());
+    }
+
+    /// Appends a clause-addition step with the variables its derivation
+    /// resolved on.
+    pub fn add_hinted(&mut self, lits: Vec<i32>, hints: Vec<u32>) {
         self.steps.push(Step {
             delete: false,
             lits,
+            hints,
         });
     }
 
     /// Appends a clause-deletion step.
     pub fn delete(&mut self, lits: Vec<i32>) {
-        self.steps.push(Step { delete: true, lits });
-    }
-
-    /// Builds a proof from `(delete, lits)` pairs — the shape of the
-    /// solver's proof log, without depending on it.
-    pub fn from_steps(steps: impl IntoIterator<Item = (bool, Vec<i32>)>) -> Proof {
-        Proof {
-            steps: steps
-                .into_iter()
-                .map(|(delete, lits)| Step { delete, lits })
-                .collect(),
-        }
+        self.steps.push(Step {
+            delete: true,
+            lits,
+            hints: Vec::new(),
+        });
     }
 
     /// Appends the terminal empty clause unless one is already present.
@@ -103,7 +132,7 @@ impl Proof {
     }
 
     /// Serializes to the textual DRAT format (one zero-terminated clause
-    /// per line, deletions prefixed with `d`).
+    /// per line, deletions prefixed with `d`). Hints are not written.
     pub fn to_drat_string(&self) -> String {
         let mut out = String::new();
         for step in &self.steps {
@@ -158,7 +187,11 @@ impl Proof {
                     msg: "clause not terminated by 0".into(),
                 });
             }
-            proof.steps.push(Step { delete, lits });
+            proof.steps.push(Step {
+                delete,
+                lits,
+                hints: Vec::new(),
+            });
         }
         Ok(proof)
     }
@@ -224,6 +257,9 @@ pub struct CheckOutcome {
     /// Addition steps re-verified by reverse unit propagation (the
     /// refutation's core lemmas, plus the empty clause).
     pub verified_adds: usize,
+    /// Of those, the lemmas whose hints alone reached a conflict: verified
+    /// without the full-propagation fallback.
+    pub hinted_adds: usize,
     /// Addition steps the refutation never used (backward checking skips
     /// them — they carry no soundness weight).
     pub skipped_adds: usize,
@@ -261,6 +297,14 @@ enum Action {
     Delete(usize),
 }
 
+/// How a RUP check succeeded.
+enum Rup {
+    /// The hinted pass reached a conflict.
+    Hinted,
+    /// The full-propagation pass reached a conflict.
+    Full,
+}
+
 enum Conflict {
     /// Every literal of this clause is false.
     Clause(usize),
@@ -289,6 +333,9 @@ struct Checker {
     root_confl: Option<usize>,
     /// Scratch for core marking.
     seen_var: Vec<bool>,
+    /// The current lemma's hint variables; while a hinted pass runs,
+    /// propagation enqueues only literals on these.
+    hinted: Vec<bool>,
 }
 
 fn lit_index(l: i32) -> usize {
@@ -325,6 +372,7 @@ impl Checker {
             qhead: 0,
             root_confl: None,
             seen_var: vec![false; max_var + 1],
+            hinted: vec![false; max_var + 1],
         }
     }
 
@@ -366,8 +414,10 @@ impl Checker {
     }
 
     /// Standard two-watched-literal propagation over the active clauses,
-    /// starting at the current queue head.
-    fn propagate(&mut self) -> Option<usize> {
+    /// starting at the current queue head. With `hinted_only`, a clause
+    /// that becomes unit on a variable outside the hint set is skipped
+    /// (it stays watched); conflicts are still detected in every clause.
+    fn propagate(&mut self, hinted_only: bool) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -409,6 +459,9 @@ impl Checker {
                 if self.value(first) == -1 {
                     confl = Some(cid);
                     break;
+                }
+                if hinted_only && !self.hinted[var_of(first)] {
+                    continue;
                 }
                 self.enqueue(first, cid);
             }
@@ -457,7 +510,7 @@ impl Checker {
             }
         }
         if self.root_confl.is_none() {
-            self.root_confl = self.propagate();
+            self.root_confl = self.propagate(false);
         }
     }
 
@@ -487,7 +540,7 @@ impl Checker {
                     1 => {}
                     0 => {
                         self.enqueue(l, cid);
-                        self.root_confl = self.propagate();
+                        self.root_confl = self.propagate(false);
                     }
                     _ => self.root_confl = Some(cid),
                 }
@@ -525,17 +578,39 @@ impl Checker {
             (-1, -1) => self.root_confl = Some(cid),
             (0, -1) => {
                 self.enqueue(first, cid);
-                self.root_confl = self.propagate();
+                self.root_confl = self.propagate(false);
             }
             _ => {}
         }
     }
 
-    /// Verifies `lits` is RUP under the current root state: assume every
-    /// literal false, propagate, demand a conflict. Marks the conflict's
-    /// antecedents into the core on success; always restores the root
-    /// trail.
-    fn rup_check(&mut self, lits: &[i32]) -> bool {
+    /// Verifies `lits` is RUP under the current root state, in up to two
+    /// passes: first propagating only the hinted variables, then — only if
+    /// that pass reached a fixpoint without a conflict — everything.
+    /// Marks the conflict's antecedents into the core on success.
+    fn rup_check(&mut self, lits: &[i32], hints: &[u32]) -> Option<Rup> {
+        if !hints.is_empty() {
+            let n_vars = self.hinted.len();
+            let in_range = |h: &&u32| (1..n_vars).contains(&(**h as usize));
+            for &h in hints.iter().filter(in_range) {
+                self.hinted[h as usize] = true;
+            }
+            let refuted = self.refute_negation(lits, true);
+            for &h in hints.iter().filter(in_range) {
+                self.hinted[h as usize] = false;
+            }
+            if refuted {
+                return Some(Rup::Hinted);
+            }
+        }
+        self.refute_negation(lits, false).then_some(Rup::Full)
+    }
+
+    /// Assumes every literal of `lits` false, propagates (see
+    /// [`Checker::propagate`] for `hinted_only`), and reports whether a
+    /// conflict was reached, marking its antecedents into the core. Always
+    /// restores the root trail.
+    fn refute_negation(&mut self, lits: &[i32], hinted_only: bool) -> bool {
         if let Some(c) = self.root_confl {
             self.mark_conflict(Conflict::Clause(c));
             return true;
@@ -556,7 +631,7 @@ impl Checker {
             }
         }
         if confl.is_none() {
-            confl = self.propagate().map(Conflict::Clause);
+            confl = self.propagate(hinted_only).map(Conflict::Clause);
         }
         let ok = confl.is_some();
         if let Some(c) = confl {
@@ -708,8 +783,10 @@ pub fn check(formula: &[Vec<i32>], proof: &Proof) -> Result<CheckOutcome, CheckE
                     continue;
                 }
                 let lits = ck.clauses[id].lits.clone();
-                if !ck.rup_check(&lits) {
-                    return Err(CheckError::StepNotRup { step: si });
+                match ck.rup_check(&lits, &proof.steps[si].hints) {
+                    None => return Err(CheckError::StepNotRup { step: si }),
+                    Some(Rup::Hinted) => outcome.hinted_adds += 1,
+                    Some(Rup::Full) => {}
                 }
                 outcome.verified_adds += 1;
                 outcome.core_steps.push(si);
@@ -805,12 +882,84 @@ mod tests {
     #[test]
     fn rejects_non_rup_core_lemma() {
         // (1∨2)(¬1∨2): adding ¬2 is not RUP (assuming 2 satisfies all),
-        // and the empty clause needs it.
+        // and the empty clause needs it — with or without a hint on every
+        // variable.
+        let formula = vec![vec![1, 2], vec![-1, 2]];
+        for hints in [vec![], vec![1, 2]] {
+            let mut p = Proof::new();
+            p.add_hinted(vec![-2], hints);
+            p.add(vec![]);
+            assert_eq!(check(&formula, &p), Err(CheckError::StepNotRup { step: 0 }));
+        }
+    }
+
+    /// (¬1∨2)(¬2∨3)(¬1∨¬3)(1∨4)(1∨¬4): the lemma ¬1 follows by
+    /// propagating 2 and 3, and the units ¬1, 4, ¬4 then conflict.
+    fn chain_unsat() -> Vec<Vec<i32>> {
+        vec![
+            vec![-1, 2],
+            vec![-2, 3],
+            vec![-1, -3],
+            vec![1, 4],
+            vec![1, -4],
+        ]
+    }
+
+    fn chain_proof(hints: Vec<u32>) -> Proof {
+        let mut p = Proof::new();
+        p.add_hinted(vec![-1], hints);
+        p.add(vec![]);
+        p
+    }
+
+    #[test]
+    fn hints_naming_the_derivation_settle_the_lemma() {
+        let out = check(&chain_unsat(), &chain_proof(vec![2, 3])).unwrap();
+        assert_eq!(out.verified_adds, 2);
+        assert_eq!(out.hinted_adds, 1);
+        assert_eq!(out.core_steps, vec![0, 1]);
+    }
+
+    #[test]
+    fn useless_hints_fall_back_to_full_propagation() {
+        // Var 4 is never implied by assuming 1: the hinted pass stalls.
+        let out = check(&chain_unsat(), &chain_proof(vec![4])).unwrap();
+        assert_eq!(out.verified_adds, 2);
+        assert_eq!(out.hinted_adds, 0);
+        let unhinted = check(&chain_unsat(), &chain_proof(vec![])).unwrap();
+        assert_eq!(out, unhinted);
+    }
+
+    #[test]
+    fn out_of_range_and_repeated_hints_are_harmless() {
+        for hints in [
+            vec![0, 5, 99, u32::MAX],
+            vec![0, 2, 2, 3, 3, u32::MAX],
+            vec![3, 2, 1, 4, 1],
+        ] {
+            let out = check(&chain_unsat(), &chain_proof(hints.clone())).unwrap();
+            assert_eq!(out.verified_adds, 2, "{hints:?}");
+        }
+        // No hint turns a non-RUP lemma into an accepted one.
         let formula = vec![vec![1, 2], vec![-1, 2]];
         let mut p = Proof::new();
-        p.add(vec![-2]);
+        p.add_hinted(vec![-2], vec![0, 2, 2, 7, u32::MAX]);
         p.add(vec![]);
         assert_eq!(check(&formula, &p), Err(CheckError::StepNotRup { step: 0 }));
+    }
+
+    #[test]
+    fn hints_on_deletion_steps_are_ignored() {
+        let mut plain = Proof::new();
+        plain.add(vec![2]);
+        plain.delete(vec![1, 2]);
+        plain.add(vec![]);
+        let mut hinted = plain.clone();
+        hinted.steps[1].hints = vec![0, 1, 2, 99];
+        assert_eq!(
+            check(&xor_unsat(), &hinted).unwrap(),
+            check(&xor_unsat(), &plain).unwrap()
+        );
     }
 
     #[test]

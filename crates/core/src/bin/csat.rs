@@ -330,7 +330,7 @@ fn solve_cnf_cli(
     if let Some(out) = proof_out {
         if res.is_unsat() {
             let log = solver.proof().expect("proof logging was enabled");
-            std::fs::write(out, log.to_drat_string())
+            std::fs::write(out, log.proof().to_drat_string())
                 .map_err(|e| format!("cannot write {out}: {e}"))?;
             eprintln!(
                 "c proof: {} additions, {} deletions -> {out}",

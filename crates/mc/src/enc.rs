@@ -41,22 +41,15 @@ pub(crate) struct Enc {
 }
 
 /// Re-checks an assumption-UNSAT answer of `solver` against the
-/// independent backward RUP checker: the solver's cumulative DRAT log,
-/// closed under the assumption units, must refute the original clause
-/// set. Used by the engines' certified mode (the solver must have been
-/// built with proof logging on).
+/// independent backward RUP checker ([`Solver::certify`]). Used by the
+/// engines' certified mode (the solver must have been built with proof
+/// logging on).
 ///
 /// # Panics
 /// Panics if the certificate is rejected — a certified engine never
 /// reports an unverified UNSAT verdict.
 pub(crate) fn certify_unsat(solver: &Solver, assumptions: &[CnfLit]) {
-    let log = solver
-        .proof()
-        .expect("certified mode constructs solvers with proof logging on");
-    let formula = log.originals().to_vec();
-    let assumed: Vec<i32> = assumptions.iter().map(|&l| l.to_dimacs()).collect();
-    let proof = checker::Proof::from_steps(log.steps().iter().map(|s| (s.delete, s.lits.clone())));
-    if let Err(e) = checker::check_with_assumptions(&formula, &assumed, &proof) {
+    if let Err(e) = solver.certify(assumptions) {
         panic!("model-checking UNSAT verdict failed certification: {e}");
     }
 }

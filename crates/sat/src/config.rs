@@ -50,8 +50,10 @@ pub struct SolverConfig {
     /// Polarity used before a variable has a saved phase.
     pub default_phase: bool,
     /// Record a DRAT-style [`crate::proof::ProofLog`] of every derived
-    /// clause addition and deletion. Off by default; when off the solver
-    /// carries no log and pays nothing beyond a per-conflict `None` check.
+    /// clause addition (learnt clauses with hints for the checker) and
+    /// deletion. Off by default; when off the solver carries no log,
+    /// collects no hints, and pays nothing beyond a per-conflict `None`
+    /// check.
     /// Presolve does not emit proof steps, so certified pipelines must
     /// solve the unpreprocessed formula (csat disables presolve under
     /// `--proof`).

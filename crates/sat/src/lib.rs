@@ -44,6 +44,6 @@ mod trace;
 mod types;
 
 pub use config::{Budget, Cancellation, RestartStrategy, SolverConfig};
-pub use proof::{ProofLog, ProofStep};
+pub use proof::ProofLog;
 pub use solver::{solve_cnf, SolveResult, Solver};
 pub use stats::Stats;

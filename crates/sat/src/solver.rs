@@ -150,6 +150,9 @@ pub struct Solver {
     seen: Vec<bool>,
     analyze_stack: Vec<Lit>,
     analyze_clear: Vec<Var>,
+    /// Variables the last analysis resolved on, collected only while
+    /// proof logging is on (the learnt clause's hints).
+    hint_vars: Vec<Var>,
 }
 
 impl Solver {
@@ -187,6 +190,7 @@ impl Solver {
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
+            hint_vars: Vec::new(),
         }
     }
 
@@ -227,10 +231,35 @@ impl Solver {
     /// asserted plus every derivation/deletion, across incremental
     /// queries. An UNSAT verdict under `assumptions` is certified by
     /// checking `originals + one unit clause per assumption` against the
-    /// steps (see the `checker` crate); a plain UNSAT ends with a logged
+    /// steps ([`Solver::certify`]); a plain UNSAT ends with a logged
     /// empty clause.
     pub fn proof(&self) -> Option<&ProofLog> {
         self.proof.as_deref()
+    }
+
+    /// Consumes the solver, keeping only its proof steps (the certificate
+    /// a caller stores), if [`SolverConfig::proof`] was on.
+    pub fn into_proof(self) -> Option<checker::Proof> {
+        self.proof.map(|log| log.into_proof())
+    }
+
+    /// Checks the latest UNSAT verdict — plain, or under `assumptions` —
+    /// with the independent `checker` crate: the log's original clauses
+    /// plus one unit clause per assumption must be refuted by the logged
+    /// steps, closed with the empty clause.
+    ///
+    /// # Panics
+    /// Panics if the solver was built without [`SolverConfig::proof`].
+    pub fn certify(
+        &self,
+        assumptions: &[CnfLit],
+    ) -> Result<checker::CheckOutcome, checker::CheckError> {
+        let log = self
+            .proof
+            .as_deref()
+            .expect("certify needs a solver built with proof logging on");
+        let assumed: Vec<i32> = assumptions.iter().map(|l| l.to_dimacs()).collect();
+        checker::check_with_assumptions(log.originals(), &assumed, log.proof())
     }
 
     /// Number of variables known to the solver.
@@ -516,7 +545,15 @@ impl Solver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first), the backtrack level, and the clause's LBD.
-    fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+    ///
+    /// With `HINTS` (proof logging on), also leaves in `hint_vars` every
+    /// variable the derivation used: the current-level literals resolved
+    /// on, the literals minimisation removed, and the variables its
+    /// redundancy search expanded. Without it the collection compiles away.
+    fn analyze<const HINTS: bool>(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+        if HINTS {
+            self.hint_vars.clear();
+        }
         let mut learnt: Vec<Lit> = vec![Lit::UNDEF]; // slot 0 for the UIP
         let mut path_count = 0u32;
         let mut p = Lit::UNDEF;
@@ -558,6 +595,9 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
+            if HINTS {
+                self.hint_vars.push(p.var());
+            }
             cur = match self.reason[p.var() as usize] {
                 Reason::Clause(cref) => Conflict::Clause(cref),
                 Reason::Binary(other) => Conflict::Binary(p, other),
@@ -576,9 +616,11 @@ impl Solver {
         for idx in 1..learnt.len() {
             let l = learnt[idx];
             if self.reason[l.var() as usize].is_decision()
-                || !self.lit_redundant(l, abstract_levels)
+                || !self.lit_redundant::<HINTS>(l, abstract_levels)
             {
                 kept.push(l);
+            } else if HINTS {
+                self.hint_vars.push(l.var());
             }
         }
         self.stats.minimized_literals += (before - kept.len()) as u64;
@@ -610,9 +652,18 @@ impl Solver {
         (learnt, bt_level, lbd)
     }
 
+    /// [`Solver::analyze`] collecting hints. Kept out of line so that the
+    /// search loop inlines only the hint-free analysis: proof-off solving
+    /// compiles to the same code as without hint support.
+    #[inline(never)]
+    fn analyze_hinted(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+        self.analyze::<true>(confl)
+    }
+
     /// True if `l` is implied by the remaining learnt literals (recursive
-    /// minimisation check, iterative formulation).
-    fn lit_redundant(&mut self, l: Lit, abstract_levels: u64) -> bool {
+    /// minimisation check, iterative formulation). With `HINTS`, a
+    /// successful search adds the variables it expanded to `hint_vars`.
+    fn lit_redundant<const HINTS: bool>(&mut self, l: Lit, abstract_levels: u64) -> bool {
         self.analyze_stack.clear();
         self.analyze_stack.push(l);
         let mut pending: Vec<Var> = Vec::new();
@@ -645,6 +696,9 @@ impl Solver {
             }
         }
         // Keep speculative marks; record them for final cleanup.
+        if HINTS {
+            self.hint_vars.extend_from_slice(&pending);
+        }
         self.analyze_clear.extend(pending);
         true
     }
@@ -981,7 +1035,7 @@ impl Solver {
                 derivable.insert(norm(c.clone()));
             }
             let mut deletions = 0u64;
-            for s in log.steps() {
+            for s in &log.proof().steps {
                 if s.delete {
                     deletions += 1;
                 } else {
@@ -1123,15 +1177,20 @@ impl Solver {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt, lbd) = self.analyze(confl);
+                let (learnt, bt, lbd) = if self.proof.is_some() {
+                    self.analyze_hinted(confl)
+                } else {
+                    self.analyze::<false>(confl)
+                };
                 self.backtrack(bt);
                 // Learnt clauses are RUP with respect to the original
                 // formula plus earlier lemmas — even under assumptions,
                 // which act as plain decisions; analysis resolves only
                 // reason clauses. Logged post-minimization, exactly as
-                // stored, for every tier including binary learnts.
+                // stored, for every tier including binary learnts, with
+                // the variables the analysis resolved on as hints.
                 if let Some(p) = self.proof.as_deref_mut() {
-                    p.log_add(&learnt);
+                    p.log_lemma(&learnt, &self.hint_vars);
                 }
                 match learnt.len() {
                     1 => self.unchecked_enqueue(learnt[0], Reason::Decision),

@@ -13,7 +13,8 @@
 //!   through the independent [`checker`] against a *freshly re-derived*
 //!   Tseitin encoding of the cone before their first reuse. Verification is
 //!   lazy — inserting is free, the first hit pays — and sticky: once a
-//!   certificate checks out, later hits skip the checker.
+//!   certificate checks out, the entry drops it and later hits skip the
+//!   checker.
 //!
 //! A corrupted or forged artifact is evicted and the probe reports a miss,
 //! so the engine falls through to a live solve; soundness never depends on
@@ -55,8 +56,10 @@ pub enum CacheAnswer {
 enum CachedVerdict {
     /// Witness over the cone's PIs.
     Sat(Vec<bool>),
-    /// DRAT certificate; `verified` flips true after the checker accepts it.
-    Unsat { proof: Proof, verified: bool },
+    /// DRAT certificate the checker has yet to accept.
+    UnsatUnverified(Proof),
+    /// UNSAT, its certificate accepted and dropped.
+    UnsatVerified,
 }
 
 struct Entry {
@@ -132,22 +135,19 @@ impl VerdictCache {
                         Probe::Evict
                     }
                 }
-                CachedVerdict::Unsat { proof, verified } => {
-                    if *verified {
-                        Probe::Hit(CacheAnswer::Unsat)
+                CachedVerdict::UnsatVerified => Probe::Hit(CacheAnswer::Unsat),
+                CachedVerdict::UnsatUnverified(proof) => {
+                    let (formula, _) = cnf::tseitin_sat_instance(&entry.cone);
+                    let clauses: Vec<Vec<i32>> = formula
+                        .clauses()
+                        .iter()
+                        .map(|c| c.iter().map(|&l| l.to_dimacs()).collect())
+                        .collect();
+                    if checker::check(&clauses, proof).is_ok() {
+                        entry.verdict = CachedVerdict::UnsatVerified;
+                        Probe::JustVerified
                     } else {
-                        let (formula, _) = cnf::tseitin_sat_instance(&entry.cone);
-                        let clauses: Vec<Vec<i32>> = formula
-                            .clauses()
-                            .iter()
-                            .map(|c| c.iter().map(|&l| l.to_dimacs()).collect())
-                            .collect();
-                        if checker::check(&clauses, proof).is_ok() {
-                            *verified = true;
-                            Probe::JustVerified
-                        } else {
-                            Probe::Evict
-                        }
+                        Probe::Evict
                     }
                 }
             }
@@ -181,11 +181,11 @@ impl VerdictCache {
         self.insert(key, cone, CachedVerdict::Sat(witness));
     }
 
-    /// Caches an unsatisfiable verdict with its DRAT certificate. Pass
-    /// `verified = false` to defer checking to the first reuse (the normal
-    /// path for freshly solved queries and warm-loaded certificates alike).
-    pub fn insert_unsat(&mut self, key: u64, cone: Aig, proof: Proof, verified: bool) {
-        self.insert(key, cone, CachedVerdict::Unsat { proof, verified });
+    /// Caches an unsatisfiable verdict with its DRAT certificate, to be
+    /// checked on first reuse (freshly solved queries and warm-loaded
+    /// certificates alike).
+    pub fn insert_unsat(&mut self, key: u64, cone: Aig, proof: Proof) {
+        self.insert(key, cone, CachedVerdict::UnsatUnverified(proof));
     }
 
     fn insert(&mut self, key: u64, cone: Aig, verdict: CachedVerdict) {
@@ -229,8 +229,7 @@ mod tests {
         };
         let mut s = sat::Solver::from_cnf(&formula, cfg);
         assert!(s.solve().is_unsat());
-        let log = s.proof().unwrap();
-        Proof::from_steps(log.steps().iter().map(|st| (st.delete, st.lits.clone())))
+        s.into_proof().unwrap()
     }
 
     #[test]
@@ -262,7 +261,7 @@ mod tests {
         let key = g.structural_hash();
         let proof = solve_unsat_proof(&g);
         let mut c = VerdictCache::new();
-        c.insert_unsat(key, g.clone(), proof, false);
+        c.insert_unsat(key, g.clone(), proof);
         assert_eq!(c.lookup(key, &g), CacheAnswer::Unsat);
         assert_eq!(c.stats().certs_verified, 1);
         assert_eq!(c.lookup(key, &g), CacheAnswer::Unsat);
@@ -295,7 +294,7 @@ mod tests {
         let mut bogus = Proof::default();
         bogus.add(vec![]);
         let mut c = VerdictCache::new();
-        c.insert_unsat(key, g.clone(), bogus, false);
+        c.insert_unsat(key, g.clone(), bogus);
         assert_eq!(c.lookup(key, &g), CacheAnswer::Miss);
         assert_eq!(c.stats().certs_rejected, 1);
         assert!(c.is_empty());

@@ -529,7 +529,7 @@ impl Engine {
     /// through to a live solve) if it does not. Returns the cache key.
     pub fn seed_cache_unsat(&self, q: &Query, proof: checker::Proof) -> Result<u64, QueryError> {
         let norm = q.normalize()?;
-        lock(&self.shared.cache).insert_unsat(norm.key, norm.cone, proof, false);
+        lock(&self.shared.cache).insert_unsat(norm.key, norm.cone, proof);
         Ok(norm.key)
     }
 
@@ -777,7 +777,7 @@ impl Shared {
                 }
             }
             Ok(AttemptOutcome::Unsat(proof)) => {
-                lock(&self.cache).insert_unsat(job.norm.key, job.norm.cone.clone(), proof, false);
+                lock(&self.cache).insert_unsat(job.norm.key, job.norm.cone.clone(), proof);
                 self.respond(&job, Verdict::Unsat, false);
             }
             Ok(AttemptOutcome::Interrupted) => {
@@ -822,10 +822,7 @@ impl Shared {
         match solver.solve() {
             SolveResult::Sat(model) => AttemptOutcome::Sat(vmap.decode_inputs(&model)),
             SolveResult::Unsat => {
-                let log = solver.proof().expect("attempt solver logs proofs");
-                AttemptOutcome::Unsat(checker::Proof::from_steps(
-                    log.steps().iter().map(|s| (s.delete, s.lits.clone())),
-                ))
+                AttemptOutcome::Unsat(solver.into_proof().expect("attempt solver logs proofs"))
             }
             SolveResult::Unknown => AttemptOutcome::Interrupted,
         }

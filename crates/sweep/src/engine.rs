@@ -576,21 +576,12 @@ impl PairOracle {
         }
     }
 
-    /// Verifies the solver's UNSAT-under-assumptions verdict with the
-    /// independent RUP checker: the certificate is the oracle's cumulative
-    /// proof log, checked against its cumulative originals plus the
-    /// query's assumptions as unit clauses. Panics if rejected — a merge
-    /// justified by an unverifiable UNSAT answer must never be applied.
+    /// Verifies the oracle's UNSAT-under-assumptions verdict with the
+    /// independent RUP checker ([`Solver::certify`]). Panics if rejected —
+    /// a merge justified by an unverifiable UNSAT answer must never be
+    /// applied.
     fn certify_unsat(&self, assumptions: &[CnfLit]) {
-        let log = self
-            .solver
-            .proof()
-            .expect("certify mode constructs oracles with proof logging on");
-        let formula = log.originals().to_vec();
-        let assumed: Vec<i32> = assumptions.iter().map(|&l| l.to_dimacs()).collect();
-        let proof =
-            checker::Proof::from_steps(log.steps().iter().map(|s| (s.delete, s.lits.clone())));
-        if let Err(e) = checker::check_with_assumptions(&formula, &assumed, &proof) {
+        if let Err(e) = self.solver.certify(assumptions) {
             panic!("sweep oracle UNSAT merge verdict failed certification: {e}");
         }
     }

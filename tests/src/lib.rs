@@ -1,9 +1,9 @@
 //! Integration test support crate (tests live in `tests/tests/`).
 //!
 //! Most helpers here route UNSAT verdicts through the independent
-//! `checker` crate: solve with proof logging on, rebuild the certificate
-//! from the log, and demand the backward RUP checker accepts it. Test
-//! suites use these instead of trusting the solver's (or the DPLL
+//! `checker` crate: solve with proof logging on and demand the backward
+//! RUP checker accepts the solver's certificate ([`Solver::certify`]).
+//! Test suites use these instead of trusting the solver's (or the DPLL
 //! reference's) word for unsatisfiability. [`eval_node_words`] is the
 //! scalar reference the compiled simulation engine is tested against.
 
@@ -11,7 +11,7 @@
 
 use aig::{Aig, Lit};
 use cnf::Cnf;
-use sat::{ProofLog, SolveResult, Solver, SolverConfig};
+use sat::{SolveResult, Solver, SolverConfig};
 
 /// A [`Cnf`] as the checker's plain DIMACS clause list.
 pub fn cnf_clauses(f: &Cnf) -> Vec<Vec<i32>> {
@@ -19,31 +19,6 @@ pub fn cnf_clauses(f: &Cnf) -> Vec<Vec<i32>> {
         .iter()
         .map(|c| c.iter().map(|l| l.to_dimacs()).collect())
         .collect()
-}
-
-/// Rebuilds a [`checker::Proof`] from a solver's proof log.
-pub fn proof_from_log(log: &ProofLog) -> checker::Proof {
-    checker::Proof::from_steps(log.steps().iter().map(|s| (s.delete, s.lits.clone())))
-}
-
-/// Asserts that a solver's UNSAT verdict — plain, or under `assumptions`
-/// for the incremental path — is backed by a certificate the independent
-/// checker accepts. The solver must have been constructed with
-/// [`SolverConfig::proof`] on; call right after the UNSAT answer.
-///
-/// The formula checked is the log's own record of every original clause
-/// (which is exactly what the solver was asked about), extended with one
-/// unit per assumption; `checker::Proof::close` supplies the terminal
-/// empty clause for assumption-UNSAT logs and is a no-op for genuine
-/// UNSAT logs, which already contain one.
-pub fn assert_certified_unsat(solver: &Solver, assumptions: &[cnf::CnfLit]) {
-    let log = solver.proof().expect("proof logging must be enabled");
-    let formula = log.originals().to_vec();
-    let assumed: Vec<i32> = assumptions.iter().map(|l| l.to_dimacs()).collect();
-    let proof = proof_from_log(log);
-    let outcome = checker::check_with_assumptions(&formula, &assumed, &proof)
-        .expect("UNSAT verdict must carry a checker-accepted certificate");
-    assert!(outcome.verified_adds >= 1);
 }
 
 /// Solves `f` with proof logging forced on and, when the verdict is
@@ -57,7 +32,7 @@ pub fn solve_certified(f: &Cnf, config: SolverConfig) -> SolveResult {
     let result = solver.solve();
     if result.is_unsat() {
         let log = solver.proof().expect("proof logging was enabled");
-        let outcome = checker::check(&cnf_clauses(f), &proof_from_log(log))
+        let outcome = checker::check(&cnf_clauses(f), log.proof())
             .expect("UNSAT verdict must carry a checker-accepted certificate");
         assert!(
             outcome.verified_adds >= 1,

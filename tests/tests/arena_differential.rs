@@ -5,11 +5,11 @@
 //!
 //! UNSAT verdicts get a second, independent witness: they are routed
 //! through the `checker` crate's backward RUP checker (via
-//! [`csat_tests::solve_certified`] / [`csat_tests::assert_certified_unsat`])
+//! [`csat_tests::solve_certified`] / [`sat::Solver::certify`])
 //! rather than resting on DPLL-reference agreement alone.
 
 use cnf::{Cnf, CnfLit};
-use csat_tests::{assert_certified_unsat, solve_certified};
+use csat_tests::solve_certified;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sat::{reference::dpll_sat, solve_cnf, Budget, SolveResult, Solver, SolverConfig};
@@ -119,7 +119,7 @@ fn binary_tier_agrees_with_dpll_on_random_2sat() {
             if res.is_unsat() {
                 // Binary-tier learnts (2-literal, inline) must show up in
                 // the certificate like any other lemma.
-                assert_certified_unsat(&solver, &[]);
+                solver.certify(&[]).expect("UNSAT certificate verifies");
             }
             if let SolveResult::Sat(model) = &res {
                 assert!(f.eval(model), "iter {iter}: invalid model");
@@ -173,7 +173,7 @@ fn binary_tier_handles_chains_and_implication_cycles() {
     let res = s.solve();
     s.assert_integrity();
     assert!(res.is_unsat(), "contradictory implication cycle");
-    assert_certified_unsat(&s, &[]);
+    s.certify(&[]).expect("UNSAT certificate verifies");
 }
 
 #[test]
@@ -210,7 +210,7 @@ fn mixed_binary_and_long_clauses_reduce_and_collect_soundly() {
         if res.is_unsat() {
             // The log must survive reduce_db churn: deletions are steps
             // too, and the checker replays them.
-            assert_certified_unsat(&solver, &[]);
+            solver.certify(&[]).expect("UNSAT certificate verifies");
         }
         if let SolveResult::Sat(model) = &res {
             assert!(f.eval(model), "iter {iter}: invalid model");
@@ -245,7 +245,7 @@ fn gc_under_load_keeps_watches_and_reasons_intact() {
     assert!(stats.deleted_clauses > 0, "reduction must delete clauses");
     // The certificate survived budget interruptions, reductions, AND
     // arena GC — the independent checker signs off on the whole history.
-    assert_certified_unsat(&solver, &[]);
+    solver.certify(&[]).expect("UNSAT certificate verifies");
 }
 
 #[test]
@@ -278,7 +278,9 @@ fn gc_under_load_incremental_queries_stay_sound() {
         if res.is_unsat() {
             // Assumption-UNSAT certificates: formula + assumption units
             // must refute, via the cumulative incremental log.
-            assert_certified_unsat(&solver, &assumptions);
+            solver
+                .certify(&assumptions)
+                .expect("UNSAT certificate verifies");
         }
         if let SolveResult::Sat(model) = &res {
             assert!(f_units.eval(model), "iter {iter}: model breaks assumptions");

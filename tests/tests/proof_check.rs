@@ -1,11 +1,13 @@
 //! Certificate round-trip suite: every UNSAT verdict the solver produces
 //! must come with a proof the independent backward RUP checker accepts,
-//! and corrupted certificates must be rejected.
+//! the solver's hints must settle every hinted lemma the checker
+//! re-verifies, and corrupted certificates must be rejected.
 
 use checker::{CheckError, CheckOutcome, Proof};
 use cnf::{tseitin_sat_instance, Cnf};
-use csat_tests::{cnf_clauses, proof_from_log, solve_certified};
+use csat_tests::{cnf_clauses, solve_certified};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 use sat::{Solver, SolverConfig};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::lec::adder_miter;
@@ -19,10 +21,29 @@ fn certificate(f: &Cnf, mut config: SolverConfig) -> Option<(Vec<Vec<i32>>, Proo
         return None;
     }
     let formula = cnf_clauses(f);
-    let proof = proof_from_log(solver.proof().expect("logging on"));
+    let proof = solver.into_proof().expect("logging on");
     let outcome = checker::check(&formula, &proof)
         .expect("UNSAT verdict must carry a checker-accepted certificate");
     Some((formula, proof, outcome))
+}
+
+/// The proof with every lemma's hints replaced by as many random
+/// variables of `formula` (possibly repeated).
+fn scramble_hints(formula: &[Vec<i32>], proof: &Proof, seed: u64) -> Proof {
+    let max_var = formula
+        .iter()
+        .flatten()
+        .map(|l| l.unsigned_abs())
+        .max()
+        .unwrap_or(1);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut p = proof.clone();
+    for step in &mut p.steps {
+        for h in &mut step.hints {
+            *h = rng.gen_range(1..=max_var);
+        }
+    }
+    p
 }
 
 /// The proof with step `idx` removed.
@@ -75,6 +96,30 @@ fn adder_miter_certificates_verify() {
 }
 
 #[test]
+fn hints_settle_every_hinted_core_lemma() {
+    let cases = [
+        ("adder_miter(8)", tseitin_sat_instance(&adder_miter(8)).0),
+        ("adder_miter(16)", tseitin_sat_instance(&adder_miter(16)).0),
+        ("pigeonhole(5)", pigeonhole(5)),
+    ];
+    for (name, f) in &cases {
+        for config in [SolverConfig::kissat_like(), SolverConfig::cadical_like()] {
+            let (_, proof, outcome) = certificate(f, config).expect("UNSAT");
+            let hinted_core = outcome
+                .core_steps
+                .iter()
+                .filter(|&&si| !proof.steps[si].hints.is_empty())
+                .count();
+            assert!(outcome.hinted_adds > 0, "{name}: no lemma settled by hints");
+            assert_eq!(
+                outcome.hinted_adds, hinted_core,
+                "{name}: a hinted lemma fell back to full propagation"
+            );
+        }
+    }
+}
+
+#[test]
 fn stripping_the_empty_clause_is_always_rejected() {
     let f = pigeonhole(4);
     let (formula, proof, _) = certificate(&f, SolverConfig::default()).unwrap();
@@ -97,6 +142,9 @@ fn mutated_certificates_are_rejected() {
         .filter(|&si| si != empty)
         .collect();
     assert!(!core.is_empty(), "php(4) needs derived lemmas");
+    assert!(outcome.hinted_adds > 0, "the mutants below carry hints");
+    // Random in-range hints are no mutation: the certificate still holds.
+    checker::check(&formula, &scramble_hints(&formula, &proof, 4)).unwrap();
     let mut drop_rejects = 0usize;
     let mut flip_rejects = 0usize;
     for &si in &core {
@@ -165,6 +213,9 @@ proptest! {
                 checker::check(&formula, &truncated),
                 Err(CheckError::EmptyClauseMissing)
             );
+            // Hints are advice: random in-range ones change no verdict.
+            let scrambled = scramble_hints(&formula, &proof, seed);
+            prop_assert!(checker::check(&formula, &scrambled).is_ok());
         }
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! UNSAT verdicts are never taken on faith — neither the CDCL solver's
 //! nor the DPLL reference's: every unsatisfiable case is routed through
-//! [`csat_tests::solve_certified`] / [`csat_tests::assert_certified_unsat`],
+//! [`csat_tests::solve_certified`] / [`sat::Solver::certify`],
 //! which demand a certificate the independent backward RUP checker
 //! accepts, giving a second witness that shares no code with either
 //! solver.
 
 use cnf::{Cnf, CnfLit};
-use csat_tests::{assert_certified_unsat, solve_certified};
+use csat_tests::solve_certified;
 use rand::{Rng, SeedableRng};
 use sat::{reference::dpll_sat, solve_cnf, Budget, SolveResult, Solver, SolverConfig};
 use workloads::dataset::{generate, DatasetParams};
@@ -132,7 +132,7 @@ fn budget_is_respected_and_resumable() {
     // search, must still satisfy the independent checker.
     solver.set_budget(Budget::UNLIMITED);
     assert_eq!(solver.solve(), SolveResult::Unsat);
-    assert_certified_unsat(&solver, &[]);
+    solver.certify(&[]).expect("UNSAT certificate verifies");
 }
 
 #[test]
