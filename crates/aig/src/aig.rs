@@ -225,12 +225,6 @@ impl Aig {
         &self.nodes[var as usize]
     }
 
-    /// Literal of the `i`-th primary input.
-    #[inline]
-    pub fn pi_lit(&self, i: usize) -> Lit {
-        Lit::from_var(self.pis[i], false)
-    }
-
     /// Node indices of the primary inputs, in creation order.
     #[inline]
     pub fn pis(&self) -> &[Var] {
@@ -465,13 +459,6 @@ impl Aig {
             .iter()
             .map(|l| val[l.var() as usize] ^ l.is_compl())
             .collect()
-    }
-
-    /// Value of a single literal under a full node-value vector
-    /// (as produced by internal evaluation loops).
-    #[inline]
-    pub fn lit_value(values: &[bool], lit: Lit) -> bool {
-        values[lit.var() as usize] ^ lit.is_compl()
     }
 }
 

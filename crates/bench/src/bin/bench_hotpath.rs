@@ -1,383 +1,331 @@
 //! Hot-path throughput harness: `BENCH_hotpath.json` emitter.
 //!
-//! Times the two kernels the preprocessing pipeline lives in — CDCL
-//! two-watched-literal propagation and bit-parallel resimulation — plus an
-//! end-to-end fraig run, on fixed built-in workloads. The JSON output is
-//! the recorded perf trajectory for this and future optimisation PRs:
-//! run it before and after a change and diff the throughput numbers.
+//! Times CDCL propagation, bit-parallel resimulation, SAT sweeping, BMC
+//! and the query service on fixed built-in workloads; every timed row
+//! comes from one sampler, [`sample`], as a median with its spread.
 //!
 //! Usage: `bench_hotpath [--smoke] [--out PATH] [--threads LIST]`
 //!
-//! `--smoke` shrinks every workload so CI can assert the harness still
-//! runs and the JSON still carries the expected keys in a few seconds.
-//! `--threads 1,2,4` selects the thread counts for the parallel kernels
-//! (fraig oracle shards and serve workers); each count gets its own row,
-//! so cross-PR tables can separate single-thread speed from scaling. The
-//! `context` object records the machine facts (available parallelism,
-//! build profile) that make those rows comparable across PRs.
+//! `--smoke` shrinks every workload so CI can check the harness in
+//! seconds. `--threads 1,2,4` selects the thread counts for the parallel
+//! kernels (fraig oracle shards and serve workers), one row each; the
+//! `context` object records the machine facts rows depend on.
 
-use cnf::Cnf;
 use csat_preproc::{BaselinePipeline, Pipeline};
 use mc::{BmcEngine, BmcOptions, BmcResult};
-use sat::{solve_cnf, Budget, SolverConfig};
-use std::fmt::Write as _;
+use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
+use serve::{Engine, EngineConfig, Query, QueryOpts};
+use std::fmt::Display;
+use std::slice;
 use std::time::Instant;
 use sweep::{fraig, FraigParams};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
-use workloads::lec::{adder_miter, miter};
+use workloads::lec::{adder_miter, miter, restructure};
 use workloads::random_aig::{random_aig, RandomAigParams};
 use workloads::seq::counter;
 
-/// Timed runs (after one warm-up) behind each row reported as a median
-/// with its minimum and maximum: the fraig rows and the proof row's check.
-const FRAIG_REPS: usize = 5;
+/// Timed runs behind every row, after one untimed warm-up.
+const REPS: usize = 5;
 
-struct SolverRow {
-    name: &'static str,
-    wall_s: f64,
-    propagations: u64,
-    conflicts: u64,
-    props_per_sec: f64,
-    deadline_interrupts: u64,
-    cancellations: u64,
+/// Median, minimum and maximum of one measurement over the timed runs.
+#[derive(Clone, Copy, Debug)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-/// Times one workload: a warm-up run (unobserved, so registry totals
-/// cover exactly the timed reps), then `reps` runs observed through `reg`
-/// — the same `obs` export path the CLI prints, so the report's solver
-/// totals can be cross-checked against one registry snapshot.
-fn time_solver(
-    name: &'static str,
-    f: &Cnf,
-    cfg: SolverConfig,
-    reps: usize,
-    reg: &obs::Registry,
-) -> SolverRow {
-    let run = |observed: bool| {
-        let mut solver = sat::Solver::from_cnf(f, cfg.clone());
-        if observed {
-            solver.set_observer(reg.root());
+/// The sampler: calls `run(0)` as a warm-up and discards it, then `run(1)`
+/// to `run(REPS)`, and summarises each of the `N` measurements a call
+/// returns. The call index lets a row rotate what it compares.
+fn sample<const N: usize>(mut run: impl FnMut(usize) -> [f64; N]) -> [Spread; N] {
+    run(0);
+    let mut series = [[0.0; REPS]; N];
+    for rep in 0..REPS {
+        for (xs, x) in series.iter_mut().zip(run(rep + 1)) {
+            xs[rep] = x;
         }
-        solver.set_budget(Budget::conflicts(2_000_000));
-        // Unit clauses propagate at load time, before solve(); report the
-        // per-solve delta — exactly what the registry counters accumulate.
-        let pre = *solver.stats();
-        let _ = solver.solve();
-        let post = *solver.stats();
-        sat::Stats {
-            propagations: post.propagations - pre.propagations,
-            conflicts: post.conflicts - pre.conflicts,
-            ..post
+    }
+    series.map(|mut xs| {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[REPS / 2],
+            min: xs[0],
+            max: xs[REPS - 1],
         }
-    };
-    let _ = run(false); // warm-up
+    })
+}
+
+/// Seconds `f` takes, with its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
-    let mut propagations = 0u64;
-    let mut conflicts = 0u64;
-    let mut deadline_interrupts = 0u64;
-    let mut cancellations = 0u64;
-    for _ in 0..reps {
-        let stats = run(true);
-        propagations += stats.propagations;
-        conflicts += stats.conflicts;
-        deadline_interrupts += stats.deadline_interrupts;
-        cancellations += stats.cancellations;
+    let out = f();
+    (start.elapsed().as_secs_f64(), out)
+}
+
+/// A JSON string.
+fn quoted(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// The fields of one JSON object, in order, with their values as written.
+type Row = Vec<(String, String)>;
+
+/// A value the row writer can write under a key.
+trait Field {
+    /// Appends this value's fields under `key` to `row`.
+    fn write(&self, key: &str, row: &mut Row);
+}
+
+/// Any displayable value, such as a number or rendered JSON, is one field.
+impl<T: Display> Field for T {
+    fn write(&self, key: &str, row: &mut Row) {
+        row.push((key.to_string(), self.to_string()));
     }
-    let wall_s = start.elapsed().as_secs_f64();
-    SolverRow {
-        name,
-        wall_s,
-        propagations,
-        conflicts,
-        props_per_sec: propagations as f64 / wall_s.max(1e-9),
-        deadline_interrupts,
-        cancellations,
+}
+
+/// A sampled time under `key` (ending in `_s`) writes its median there,
+/// then its minimum and maximum under `_min_s` and `_max_s`.
+impl Field for Spread {
+    fn write(&self, key: &str, row: &mut Row) {
+        let stem = key.strip_suffix("_s").expect("time keys end in _s");
+        format!("{:.6}", self.median).write(key, row);
+        format!("{:.6}", self.min).write(&format!("{stem}_min_s"), row);
+        format!("{:.6}", self.max).write(&format!("{stem}_max_s"), row);
     }
+}
+
+/// The row writer: `row! {"key": value, ...}` writes each field once, in order.
+macro_rules! row {
+    ($($key:literal: $value:expr),* $(,)?) => {{
+        let mut row = Row::new();
+        $(Field::write(&$value, $key, &mut row);)*
+        row
+    }};
+}
+
+/// The row's fields as JSON, joined by `sep`.
+fn join(row: &Row, sep: &str) -> String {
+    let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    fields.join(sep)
+}
+
+/// One JSON object on one line.
+fn object(row: &Row) -> String {
+    format!("{{{}}}", join(row, ", "))
+}
+
+/// A JSON array of objects, one per line.
+fn list(rows: &[Row]) -> String {
+    let rows: Vec<String> = rows.iter().map(object).collect();
+    format!("[\n    {}\n  ]", rows.join(",\n    "))
+}
+
+/// The sum of the numeric field `key` over `rows`, as written: the
+/// `totals` object reads the rows back, so it cannot disagree with them.
+fn sum<'a>(rows: impl IntoIterator<Item = &'a Row>, key: &str) -> f64 {
+    let values = rows.into_iter().flatten().filter(|(k, _)| k == key);
+    values
+        .map(|(_, v)| v.parse::<f64>().expect("numeric field"))
+        .sum()
+}
+
+/// One `solver` row: the solve's time with its spread, the load's median
+/// apart, and the counters of one solve (every run repeats the search).
+fn solver_row(name: &str, [load, solve]: [Spread; 2], s: &sat::Stats) -> Row {
+    let props_per_sec = s.propagations as f64 / solve.median.max(1e-9);
+    row! {
+        "name": quoted(name), "reps": REPS, "load_s": format!("{:.6}", load.median),
+        "wall_s": solve, "propagations": s.propagations, "conflicts": s.conflicts,
+        "props_per_sec": format!("{props_per_sec:.0}"),
+        "deadline_interrupts": s.deadline_interrupts, "cancellations": s.cancellations,
+    }
+}
+
+/// Loads `f` and solves it once under `reg` (if any), timing each step.
+/// Like the registry counters, the statistics leave out loading's units.
+fn load_and_solve(
+    f: &cnf::Cnf,
+    cfg: &SolverConfig,
+    reg: Option<&obs::Registry>,
+) -> ([f64; 2], sat::Stats, SolveResult, Solver) {
+    let (load_s, mut solver) = timed(|| Solver::from_cnf(f, cfg.clone()));
+    if let Some(reg) = reg {
+        solver.set_observer(reg.root());
+    }
+    solver.set_budget(Budget::conflicts(2_000_000));
+    let pre = *solver.stats();
+    let (solve_s, result) = timed(|| solver.solve());
+    let mut stats = *solver.stats();
+    stats.propagations -= pre.propagations;
+    stats.conflicts -= pre.conflicts;
+    ([load_s, solve_s], stats, result, solver)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_hotpath.json", |s| s.as_str());
-    let thread_counts: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
+    let value_of = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1)
+    };
+    let out_path = value_of("--out").map_or("BENCH_hotpath.json", String::as_str);
+    let thread_counts: Vec<usize> = value_of("--threads").map_or_else(
+        || if smoke { vec![1, 2] } else { vec![1, 2, 4] },
+        |s| {
             s.split(',')
                 .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4"))
                 .collect()
-        })
-        .unwrap_or_else(|| if smoke { vec![1, 2] } else { vec![1, 2, 4] });
-
-    let (php_holes, sat_vars, twosat_vars, adder_bits, solver_reps) = if smoke {
-        (5, 40, 2_000, 4, 1)
+        },
+    );
+    let (php_holes, sat_vars, twosat_vars, adder_bits, gates, words, passes) = if smoke {
+        (5, 40, 2_000, 4, 500, 16, 2)
     } else {
-        (8, 150, 120_000, 12, 3)
+        (8, 150, 120_000, 12, 20_000, 64, 10)
     };
 
-    // --- CDCL propagation kernel ---------------------------------------
-    let lec_cnf = {
-        let a = ripple_carry_adder(adder_bits);
-        let b = carry_lookahead_adder(adder_bits);
-        BaselinePipeline.preprocess(&miter(&a.aig, &b.aig)).cnf
-    };
-    // Every timed rep publishes into this registry; the `totals` section
-    // reads its counters back, cross-checked against the per-row sums.
+    // One interleaved php loop feeds the solver, proof and obs rows. Each
+    // rep runs four variants of one search (proof logging off, proof
+    // logging on, a disabled-registry observer, which detaches entirely so
+    // its ratio is the harness's A/A noise floor, and a tracing registry),
+    // rotating which goes first, so drift in the host's load falls on all
+    // alike. Each ratio is the median of per-rep ratios to proof-off.
+    let php = pigeonhole(php_holes);
+    let kissat = SolverConfig::kissat_like();
+    let mut logging = kissat.clone();
+    logging.proof = true;
+    let disabled = obs::Registry::disabled();
+    let tracing = obs::Registry::tracing();
+    let mut php_stats = sat::Stats::default();
+    let mut proof_solver = None;
+    let [php_load, off, on, dis, tra, on_ratio, dis_ratio, tra_ratio] = sample(|rep| {
+        let (mut load, mut solve) = (0.0, [0.0; 4]);
+        for k in 0..4 {
+            let variant = (rep + k) % 4;
+            let cfg = if variant == 1 { &logging } else { &kissat };
+            let reg = [None, None, Some(&disabled), Some(&tracing)][variant];
+            let ([l, s], stats, result, solver) = load_and_solve(&php, cfg, reg);
+            assert!(result.is_unsat(), "php is UNSAT");
+            solve[variant] = s;
+            match variant {
+                0 => (load, php_stats) = (l, stats),
+                // Kept from the warm-up, so no timed rep frees a kept solver.
+                1 if rep == 0 => proof_solver = Some(solver),
+                _ => {}
+            }
+        }
+        let [off, on, dis, tra] = solve;
+        [load, off, on, dis, tra, on / off, dis / off, tra / off]
+    });
+
+    // CDCL propagation. The registries' counters must equal the rows'
+    // per-solve statistics times the solves they observed.
     let solver_reg = obs::Registry::metrics_only();
-    let solver_rows = [
-        time_solver(
-            "php",
-            &pigeonhole(php_holes),
-            SolverConfig::kissat_like(),
-            solver_reps,
-            &solver_reg,
-        ),
-        time_solver(
-            "random3sat",
-            &random_3sat(sat_vars, 4.2, 3),
-            SolverConfig::kissat_like(),
-            solver_reps,
-            &solver_reg,
-        ),
+    let rca = ripple_carry_adder(adder_bits).aig;
+    let cla = carry_lookahead_adder(adder_bits).aig;
+    let lec_cnf = BaselinePipeline.preprocess(&miter(&rca, &cla)).cnf;
+    let mut solver_rows = vec![solver_row("php", [php_load, off], &php_stats)];
+    for (name, f, cfg) in [
+        ("random3sat", random_3sat(sat_vars, 4.2, 3), &kissat),
         // All-binary workload: propagation runs entirely in the solver's
         // inline binary-watcher tier (ratio just under the 2-SAT
         // threshold keeps it SAT with long implication chains).
-        time_solver(
-            "random2sat",
-            &random_2sat(twosat_vars, 0.95, 9),
-            SolverConfig::kissat_like(),
-            solver_reps,
-            &solver_reg,
-        ),
-        time_solver(
-            "lec_miter",
-            &lec_cnf,
-            SolverConfig::cadical_like(),
-            solver_reps,
-            &solver_reg,
-        ),
-    ];
-
-    // --- proof logging: zero-cost-when-off + logging overhead -----------
-    // Same php workload as the solver row, solved with proof logging off
-    // and on. The off row must stay within noise of the plain solver rows
-    // (the disabled path is one `None` check at conflict rate); the on
-    // row records the real cost of recording every learnt and deleted
-    // clause. The certificate is then verified FRAIG_REPS times by the
-    // independent checker, whose median wall time, spread and verdict are
-    // part of the row — CI fails the build if the certificate is rejected
-    // or if no lemma was settled by its hints alone.
-    struct ProofRow {
-        logging_off_wall_s: f64,
-        logging_on_wall_s: f64,
-        overhead_ratio: f64,
-        proof_additions: usize,
-        proof_deletions: usize,
-        check_wall_s: f64,
-        check_wall_min_s: f64,
-        check_wall_max_s: f64,
-        check_verified: bool,
-        check_verified_adds: usize,
-        check_hinted_adds: usize,
+        ("random2sat", random_2sat(twosat_vars, 0.95, 9), &kissat),
+        ("lec_miter", lec_cnf, &SolverConfig::cadical_like()),
+    ] {
+        let mut stats = sat::Stats::default();
+        let spread = sample(|_| {
+            let (t, s, _, _) = load_and_solve(&f, cfg, Some(&solver_reg));
+            stats = s;
+            t
+        });
+        solver_rows.push(solver_row(name, spread, &stats));
     }
-    let proof_row = {
-        let f = pigeonhole(php_holes);
-        let time_php = |proof: bool| {
-            let mut cfg = SolverConfig::kissat_like();
-            cfg.proof = proof;
-            let mut solver = sat::Solver::from_cnf(&f, cfg.clone());
-            assert!(solver.solve().is_unsat(), "php is UNSAT"); // warm-up
-            let start = Instant::now();
-            for _ in 0..solver_reps {
-                solver = sat::Solver::from_cnf(&f, cfg.clone());
-                assert!(solver.solve().is_unsat(), "php is UNSAT");
-            }
-            (start.elapsed().as_secs_f64(), solver)
-        };
-        let (logging_off_wall_s, _) = time_php(false);
-        let (logging_on_wall_s, solver) = time_php(true);
-        let log = solver.proof().expect("proof logging was on");
-        let formula: Vec<Vec<i32>> = f
-            .clauses()
-            .iter()
-            .map(|c| c.iter().map(|l| l.to_dimacs()).collect())
-            .collect();
-        let mut outcome = checker::check(&formula, log.proof()); // warm-up
-        let mut walls = [0f64; FRAIG_REPS];
-        for wall in &mut walls {
-            let start = Instant::now();
-            outcome = checker::check(&formula, log.proof());
-            *wall = start.elapsed().as_secs_f64();
-        }
-        walls.sort_by(f64::total_cmp);
-        let counts = outcome
-            .as_ref()
-            .map_or((0, 0), |o| (o.verified_adds, o.hinted_adds));
-        ProofRow {
-            logging_off_wall_s,
-            logging_on_wall_s,
-            overhead_ratio: logging_on_wall_s / logging_off_wall_s.max(1e-9),
-            proof_additions: log.additions(),
-            proof_deletions: log.deletions(),
-            check_wall_s: walls[FRAIG_REPS / 2],
-            check_wall_min_s: walls[0],
-            check_wall_max_s: walls[FRAIG_REPS - 1],
-            check_verified: outcome.is_ok(),
-            check_verified_adds: counts.0,
-            check_hinted_adds: counts.1,
-        }
-    };
-
-    // --- observability: zero-cost-when-off + tracing overhead -----------
-    // Same php workload, solved three ways: no observer, a
-    // disabled-registry observer (which must detach entirely — one branch
-    // per probe site), and a full tracing registry. The disabled wall
-    // must stay within noise of the baseline; the tracing wall records
-    // the real cost of span + counter emission. The tracing run also
-    // proves the single-source property: the conflict counts recorded on
-    // `sat.solve` span exits sum to exactly the registry's live counter.
-    struct ObsRow {
-        baseline_wall_s: f64,
-        disabled_wall_s: f64,
-        disabled_overhead_ratio: f64,
-        tracing_wall_s: f64,
-        tracing_overhead_ratio: f64,
-        events: usize,
-        span_conflicts: u64,
-        counter_conflicts: u64,
-    }
-    let obs_row = {
-        let f = pigeonhole(php_holes);
-        let time_php = |reg: Option<&obs::Registry>| {
-            let cfg = SolverConfig::kissat_like();
-            let run = || {
-                let mut solver = sat::Solver::from_cnf(&f, cfg.clone());
-                if let Some(r) = reg {
-                    solver.set_observer(r.root());
-                }
-                assert!(solver.solve().is_unsat(), "php is UNSAT");
-            };
-            run(); // warm-up
-            let start = Instant::now();
-            for _ in 0..solver_reps {
-                run();
-            }
-            start.elapsed().as_secs_f64()
-        };
-        let disabled = obs::Registry::disabled();
-        let tracing = obs::Registry::tracing();
-        let baseline_wall_s = time_php(None);
-        let disabled_wall_s = time_php(Some(&disabled));
-        let tracing_wall_s = time_php(Some(&tracing));
-        let events = tracing.drain_events();
-        obs::check::validate(&events).expect("bench trace stream well-formed");
-        let span_conflicts = obs::check::sum_field(&events, "sat.solve", "conflicts");
-        let counter_conflicts = tracing.snapshot().value("sat.conflicts").unwrap_or(0);
-        assert_eq!(
-            span_conflicts, counter_conflicts,
-            "span tree and live counter must agree on total conflicts"
-        );
-        ObsRow {
-            baseline_wall_s,
-            disabled_wall_s,
-            disabled_overhead_ratio: disabled_wall_s / baseline_wall_s.max(1e-9),
-            tracing_wall_s,
-            tracing_overhead_ratio: tracing_wall_s / baseline_wall_s.max(1e-9),
-            events: events.len(),
-            span_conflicts,
-            counter_conflicts,
-        }
-    };
-
-    // --- bit-parallel resimulation kernel -------------------------------
-    // One row: the compiled full-mode [`aig::SimProgram`] filling a strided
-    // matrix from per-block RNG streams. The checksum mixes every word of
-    // every rep's matrix, rotated by column, so a wrong row anywhere in the
-    // matrix changes it; it is pinned across changes to the kernel.
-    let (sim_gates, sim_words, sim_reps) = if smoke {
-        (500, 16, 2)
-    } else {
-        (20_000, 64, 10)
-    };
-    let g = random_aig(
-        &RandomAigParams {
-            n_pis: 64,
-            n_gates: sim_gates,
-            n_pos: 8,
-            ..RandomAigParams::default()
-        },
-        0xC0FFEE,
+    let published = |reg: &obs::Registry| reg.snapshot().value("sat.propagations").unwrap_or(0);
+    assert_eq!(
+        published(&solver_reg) + published(&tracing),
+        (REPS as u64 + 1) * sum(&solver_rows, "propagations") as u64,
+        "registry counters and per-solve stats must agree"
     );
-    struct SimRow {
-        wall_s: f64,
-        words_simulated: u64,
-        words_per_sec: f64,
-        checksum: u64,
-    }
-    let sim_row = {
-        let prog = aig::SimProgram::full(&g);
-        let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), sim_words);
-        aig::sim::random_columns(&prog, &mut sigs, 0, sim_words, 1); // warm-up
-        let start = Instant::now();
-        let mut checksum = 0u64;
-        for rep in 0..sim_reps {
-            aig::sim::random_columns(&prog, &mut sigs, 0, sim_words, rep as u64);
-            checksum = checksum.rotate_left(1) ^ sigs.checksum();
-        }
-        let wall_s = start.elapsed().as_secs_f64();
-        let words_simulated = (g.num_nodes() * sim_words * sim_reps) as u64;
-        SimRow {
-            wall_s,
-            words_simulated,
-            words_per_sec: words_simulated as f64 / wall_s.max(1e-9),
-            checksum,
-        }
+
+    // The independent checker verifies the warm-up's php certificate.
+    let proof_solver = proof_solver.expect("the loop ran the proof-on variant");
+    let log = proof_solver.proof().expect("proof logging was on");
+    let mut outcome = None;
+    let [check] = sample(|_| {
+        let (t, o) = timed(|| checker::check(log.originals(), log.proof()));
+        outcome = Some(o);
+        [t]
+    });
+    let outcome = outcome.expect("the checker ran");
+    let proof_row = row! {
+        "name": quoted("php"), "holes": php_holes, "reps": REPS, "logging_off_wall_s": off,
+        "logging_on_wall_s": on, "overhead_ratio": format!("{:.4}", on_ratio.median),
+        "proof_additions": log.additions(), "proof_deletions": log.deletions(), "check_wall_s": check,
+        "check_verified": outcome.is_ok(),
+        "check_verified_adds": outcome.as_ref().map_or(0, |o| o.verified_adds),
+        "check_hinted_adds": outcome.as_ref().map_or(0, |o| o.hinted_adds),
     };
 
-    // --- fraig (sweep) kernel ------------------------------------------
-    // Two kinds of rows per miter: a sequential *trajectory* row
-    // (threads=1, one oracle — directly comparable with the PR 2/3
-    // numbers), and *scaling* rows with the shard count pinned to the
-    // largest tested thread count, so every scaling row does the same
-    // sharded work and differs only in scheduling. adder-16 is the
-    // historical workload; the wider miter gives each round enough SAT
-    // work for thread scaling to show. The smoke miter, adder-12, lists
-    // 113 pairs in its first round, so that round spans two 64-pair
-    // windows and its counterexamples are replayed mid-round. Each row
-    // times FRAIG_REPS runs after one warm-up and reports their median,
-    // minimum and maximum.
+    let events = tracing.drain_events();
+    obs::check::validate(&events).expect("bench trace stream well-formed");
+    let span_conflicts = obs::check::sum_field(&events, "sat.solve", "conflicts");
+    let counter_conflicts = tracing.snapshot().value("sat.conflicts").unwrap_or(0);
+    assert_eq!(
+        span_conflicts, counter_conflicts,
+        "span tree and live counter must agree on total conflicts"
+    );
+    let obs_row = row! {
+        "name": quoted("php"), "holes": php_holes, "reps": REPS, "baseline_wall_s": off,
+        "disabled_wall_s": dis, "disabled_overhead_ratio": format!("{:.4}", dis_ratio.median),
+        "tracing_wall_s": tra, "tracing_overhead_ratio": format!("{:.4}", tra_ratio.median),
+        "events": events.len(), "span_conflicts": span_conflicts, "counter_conflicts": counter_conflicts,
+    };
+
+    // Resimulation: the compiled [`aig::SimProgram`] fills a matrix from
+    // per-block RNG streams `passes` times per run. The checksum mixes
+    // every word of every pass, so a wrong word anywhere changes it.
+    let params = RandomAigParams {
+        n_pis: 64,
+        n_gates: gates,
+        n_pos: 8,
+        ..RandomAigParams::default()
+    };
+    let g = random_aig(&params, 0xC0FFEE);
+    let prog = aig::SimProgram::full(&g);
+    let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), words);
+    let mut checksum = 0u64;
+    let [sim] = sample(|_| {
+        let (t, sum) = timed(|| {
+            (0..passes).fold(0u64, |sum, pass| {
+                aig::sim::random_columns(&prog, &mut sigs, 0, words, pass);
+                sum.rotate_left(1) ^ sigs.checksum()
+            })
+        });
+        checksum = sum;
+        [t]
+    });
+    let words_simulated = (g.num_nodes() * words) as u64 * passes;
+    let words_per_sec = format!("{:.0}", words_simulated as f64 / sim.median.max(1e-9));
+    let sim_row = row! {
+        "nodes": g.num_nodes(), "words": words, "reps": REPS, "passes": passes, "wall_s": sim,
+        "words_simulated": words_simulated, "words_per_sec": words_per_sec, "checksum": checksum,
+    };
+
+    // SAT sweeping: per miter, one row with one oracle, then one per thread
+    // count with the shards pinned to the largest, so those rows differ
+    // only in scheduling. The smoke miter's first round spans two 64-pair
+    // windows, so refutations are replayed mid-round. Telemetry is read
+    // back from the `sweep.stats.*` gauges the last timed run wrote.
     let fraig_bits: &[usize] = if smoke { &[12] } else { &[16, 24] };
-    let pinned_shards = thread_counts.iter().copied().max().unwrap_or(1);
-    struct FraigRow {
-        bits: usize,
-        threads: usize,
-        shards: usize,
-        wall_s: f64,
-        wall_min_s: f64,
-        wall_max_s: f64,
-        sat_calls: u64,
-        proved: u64,
-        disproved: u64,
-        cex_patterns: u64,
-        rounds: u64,
-        deadline_interrupts: u64,
-        shard_failures: u64,
-        ands_out: usize,
-    }
-    let mut fraig_rows: Vec<FraigRow> = Vec::new();
+    let pinned = thread_counts.iter().copied().max().unwrap_or(1);
+    let mut configs = vec![(1, 1)];
+    configs.extend(thread_counts.iter().map(|&t| (t, pinned)));
+    let mut fraig_rows = Vec::new();
     for &bits in fraig_bits {
         let fg = adder_miter(bits);
-        let mut run = |threads: usize, shards: usize| {
-            // Per-row registry: row telemetry is read back from the
-            // published `sweep.stats.*` gauges — the same export path the
-            // CLI prints — not from the returned stats struct. The
-            // warm-up publishes too; last-write-wins leaves the timed run.
+        for &(threads, shards) in &configs {
             let reg = obs::Registry::metrics_only();
             let params = FraigParams {
                 threads,
@@ -385,365 +333,167 @@ fn main() {
                 obs: reg.clone(),
                 ..FraigParams::default()
             };
-            let _ = fraig(&fg, &params); // warm-up
-            let mut walls = [0f64; FRAIG_REPS];
             let mut ands_out = 0;
-            for wall in &mut walls {
-                let start = Instant::now();
-                let out = fraig(&fg, &params);
-                *wall = start.elapsed().as_secs_f64();
+            let [wall] = sample(|_| {
+                let (t, out) = timed(|| fraig(&fg, &params));
                 ands_out = out.aig.num_ands();
-            }
-            walls.sort_by(f64::total_cmp);
-            let snap = reg.snapshot();
-            let gauge = |k: &str| snap.value(k).unwrap_or(0);
-            fraig_rows.push(FraigRow {
-                bits,
-                threads,
-                shards,
-                wall_s: walls[FRAIG_REPS / 2],
-                wall_min_s: walls[0],
-                wall_max_s: walls[FRAIG_REPS - 1],
-                sat_calls: gauge("sweep.stats.sat_calls"),
-                proved: gauge("sweep.stats.proved"),
-                disproved: gauge("sweep.stats.disproved"),
-                cex_patterns: gauge("sweep.stats.cex_patterns"),
-                rounds: gauge("sweep.stats.rounds"),
-                deadline_interrupts: gauge("sweep.stats.deadline_interrupts"),
-                shard_failures: gauge("sweep.stats.shard_failures"),
-                ands_out,
+                [t]
             });
-        };
-        // The trajectory row, then one scaling row per thread count.
-        run(1, 1);
-        for &threads in &thread_counts {
-            run(threads, pinned_shards);
+            let snap = reg.snapshot();
+            let g = |k: &str| snap.value(&format!("sweep.stats.{k}")).unwrap_or(0);
+            fraig_rows.push(row! {
+                "bits": bits, "threads": threads, "shards": shards, "reps": REPS, "wall_s": wall,
+                "sat_calls": g("sat_calls"), "proved": g("proved"), "disproved": g("disproved"),
+                "cex_patterns": g("cex_patterns"), "rounds": g("rounds"), "ands_out": ands_out,
+                "deadline_interrupts": g("deadline_interrupts"), "shard_failures": g("shard_failures"),
+            });
         }
     }
 
-    // --- BMC depth sweep: incremental engine vs monolithic baseline -----
-    // One machine, every bound up to `bmc_bound`, all queries UNSAT (the
-    // counter cannot saturate within the bound). The incremental engine
-    // keeps one solver across the sweep; the monolithic baseline
-    // re-unrolls, re-encodes and re-solves from scratch per bound — the
-    // cumulative conflict gap is the learnt-clause reuse, the wall gap
-    // adds the O(k^2) re-encoding.
+    // BMC to every bound up to `bmc_bound`, all UNSAT (the counter cannot
+    // saturate). The incremental engine keeps one solver; the monolithic
+    // baseline re-encodes and re-solves each bound from scratch, so the
+    // conflict gap is learnt-clause reuse and the wall gap adds O(k^2)
+    // re-encoding.
     let (bmc_bits, bmc_bound) = if smoke { (5, 6) } else { (8, 20) };
     let machine = counter(bmc_bits);
-    struct BmcRow {
-        name: &'static str,
-        bits: usize,
-        bound: usize,
-        incremental_wall_s: f64,
-        incremental_conflicts: u64,
-        monolithic_wall_s: f64,
-        monolithic_conflicts: u64,
-        verdicts_agree: bool,
-    }
-    let bmc_row = {
-        let start = Instant::now();
-        let mut engine = BmcEngine::new(&machine, BmcOptions::default());
-        let mut inc_clean_per_bound = Vec::with_capacity(bmc_bound);
-        for k in 1..=bmc_bound {
-            inc_clean_per_bound.push(matches!(engine.check_frames(k), BmcResult::Clean { .. }));
-        }
-        let incremental_wall_s = start.elapsed().as_secs_f64();
-        let incremental_conflicts = engine.stats().conflicts;
-
-        let start = Instant::now();
-        let mut monolithic_conflicts = 0u64;
-        let mut verdicts_agree = true;
-        for k in 1..=bmc_bound {
-            let inst = machine.bmc_instance(k);
-            let (f, _) = cnf::tseitin_sat_instance(&inst);
-            let (res, stats) = solve_cnf(&f, SolverConfig::default(), Budget::UNLIMITED);
-            monolithic_conflicts += stats.conflicts;
-            verdicts_agree &= res.is_unsat() == inc_clean_per_bound[k - 1];
-        }
-        let monolithic_wall_s = start.elapsed().as_secs_f64();
-        BmcRow {
-            name: "bmc_counter",
-            bits: bmc_bits,
-            bound: bmc_bound,
-            incremental_wall_s,
-            incremental_conflicts,
-            monolithic_wall_s,
-            monolithic_conflicts,
-            verdicts_agree,
-        }
+    let (mut inc_conflicts, mut mono_conflicts, mut agree) = (0, 0, true);
+    let [inc, mono] = sample(|_| {
+        let (inc_s, clean) = timed(|| {
+            let mut engine = BmcEngine::new(&machine, BmcOptions::default());
+            let clean: Vec<bool> = (1..=bmc_bound)
+                .map(|k| matches!(engine.check_frames(k), BmcResult::Clean { .. }))
+                .collect();
+            inc_conflicts = engine.stats().conflicts;
+            clean
+        });
+        mono_conflicts = 0;
+        let (mono_s, unsat) = timed(|| {
+            (1..=bmc_bound)
+                .map(|k| {
+                    let (f, _) = cnf::tseitin_sat_instance(&machine.bmc_instance(k));
+                    let (res, stats) = solve_cnf(&f, SolverConfig::default(), Budget::UNLIMITED);
+                    mono_conflicts += stats.conflicts;
+                    res.is_unsat()
+                })
+                .collect::<Vec<bool>>()
+        });
+        agree &= clean == unsat;
+        [inc_s, mono_s]
+    });
+    let bmc_row = row! {
+        "name": quoted("bmc_counter"), "bits": bmc_bits, "bound": bmc_bound, "reps": REPS,
+        "incremental_wall_s": inc, "incremental_conflicts": inc_conflicts,
+        "monolithic_wall_s": mono, "monolithic_conflicts": mono_conflicts, "verdicts_agree": agree,
     };
 
-    // --- serve: concurrent query engine throughput ----------------------
-    // A regression-shaped LEC stream: one base adder pair plus a few
-    // function-preserving restructured near-duplicates, each submitted
-    // repeatedly. Repeats of an already-answered cone are cache hits (the
-    // UNSAT certificate re-verifies once, then the hit is free); the
-    // near-duplicates are distinct cache keys and solve live. Each worker
-    // count gets a fresh engine with a cold cache, so rows are comparable:
-    // qps folds solve + certificate-check + cache-service time together.
-    // A clean run must report zero sheds/retries/failures — nonzero means
-    // the row was degraded and CI's perf-smoke job fails the build.
-    let (serve_bits, serve_queries, serve_variants) = if smoke { (3, 12, 3) } else { (6, 48, 3) };
-    struct ServeRow {
-        workers: usize,
-        queries: usize,
-        wall_s: f64,
-        qps: f64,
-        cache_hits: u64,
-        cache_hit_rate: f64,
-        certs_verified: u64,
-        retries: u64,
-        sheds: u64,
-        failures: u64,
+    // The query service: an adder LEC pair and three restructured
+    // near-duplicates, each submitted repeatedly, so repeats are cache
+    // hits and near-duplicates solve live. Every run starts a cold engine;
+    // telemetry is read back from the `serve.stats.*` gauges of the last.
+    let (serve_bits, queries) = if smoke { (3, 12) } else { (6, 48) };
+    let a = ripple_carry_adder(serve_bits).aig;
+    let b = carry_lookahead_adder(serve_bits).aig;
+    let rhs: Vec<aig::Aig> = std::iter::once(b.clone())
+        .chain((0..3).map(|v| restructure(&b, 0x5e12_0000 + v)))
+        .collect();
+    let stream: Vec<(Query, QueryOpts)> = (0..queries)
+        .map(|i| Query::Lec(a.clone(), rhs[i % rhs.len()].clone()))
+        .map(|query| (query, QueryOpts::default()))
+        .collect();
+    let mut serve_rows = Vec::new();
+    for &workers in &thread_counts {
+        let reg = obs::Registry::metrics_only();
+        let [wall] = sample(|_| {
+            let config = EngineConfig {
+                workers,
+                obs: reg.clone(),
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(config);
+            let (t, responses) = timed(|| engine.run_batch(&stream));
+            let all_unsat = responses.iter().all(|r| r.verdict.is_unsat());
+            assert!(all_unsat, "the adder LEC stream is all-UNSAT");
+            engine.stats().publish(&reg);
+            engine.shutdown();
+            [t]
+        });
+        let snap = reg.snapshot();
+        let g = |k: &str| snap.value(&format!("serve.stats.{k}")).unwrap_or(0);
+        let hits = g("cache_hits");
+        let qps = queries as f64 / wall.median.max(1e-9);
+        serve_rows.push(row! {
+            "bits": serve_bits, "workers": workers, "queries": queries, "reps": REPS, "wall_s": wall,
+            "qps": format!("{qps:.1}"), "cache_hits": hits,
+            "cache_hit_rate": format!("{:.4}", hits as f64 / queries as f64),
+            "certs_verified": g("certs_verified"), "retries": g("retries"), "sheds": g("sheds"),
+            "failures": g("failures"),
+        });
     }
-    let serve_rows: Vec<ServeRow> = {
-        use serve::{Engine, EngineConfig, Query, QueryOpts};
-        use workloads::lec::restructure;
-        let a = ripple_carry_adder(serve_bits).aig;
-        let b = carry_lookahead_adder(serve_bits).aig;
-        let pairs: Vec<(aig::Aig, aig::Aig)> = std::iter::once(b.clone())
-            .chain((0..serve_variants as u64).map(|v| restructure(&b, 0x5e12_0000 + v)))
-            .map(|rhs| (a.clone(), rhs))
-            .collect();
-        let stream: Vec<(Query, QueryOpts)> = (0..serve_queries)
-            .map(|i| {
-                let (l, r) = &pairs[i % pairs.len()];
-                (Query::Lec(l.clone(), r.clone()), QueryOpts::default())
-            })
-            .collect();
-        thread_counts
-            .iter()
-            .map(|&workers| {
-                // Per-row registry: telemetry is read back from the
-                // `serve.stats.*` gauges the engine publishes — the same
-                // snapshot the CLI's `stats` command serves.
-                let reg = obs::Registry::metrics_only();
-                let engine = Engine::new(EngineConfig {
-                    workers,
-                    obs: reg.clone(),
-                    ..EngineConfig::default()
-                });
-                let start = Instant::now();
-                let responses = engine.run_batch(&stream);
-                let wall_s = start.elapsed().as_secs_f64();
-                assert!(
-                    responses.iter().all(|r| r.verdict.is_unsat()),
-                    "the adder LEC stream is all-UNSAT"
-                );
-                engine.stats().publish(&reg);
-                engine.shutdown();
-                let snap = reg.snapshot();
-                let gauge = |k: &str| snap.value(k).unwrap_or(0);
-                let cache_hits = gauge("serve.stats.cache_hits");
-                ServeRow {
-                    workers,
-                    queries: serve_queries,
-                    wall_s,
-                    qps: serve_queries as f64 / wall_s.max(1e-9),
-                    cache_hits,
-                    cache_hit_rate: cache_hits as f64 / serve_queries as f64,
-                    certs_verified: gauge("serve.stats.certs_verified"),
-                    retries: gauge("serve.stats.retries"),
-                    sheds: gauge("serve.stats.sheds"),
-                    failures: gauge("serve.stats.failures"),
-                }
-            })
-            .collect()
+
+    // `totals` sums the rows' medians and counters as written. Nonzero
+    // failure telemetry marks a degraded run whose rows are not comparable.
+    let kernels = || {
+        let rows = solver_rows.iter().chain(&fraig_rows).chain(&serve_rows);
+        rows.chain([&sim_row, &bmc_row])
     };
-
-    // --- report ---------------------------------------------------------
-    // Solver totals come from the shared registry snapshot — the same
-    // source `csat --metrics` prints — cross-checked against the per-row
-    // struct sums so the two export paths can never silently diverge.
-    let total_props: u64 = solver_reg
-        .snapshot()
-        .value("sat.propagations")
-        .expect("observed solver reps registered the counter");
-    assert_eq!(
-        total_props,
-        solver_rows.iter().map(|r| r.propagations).sum::<u64>(),
-        "registry counter and per-row stats sums must agree"
-    );
-    let total_solver_wall: f64 = solver_rows.iter().map(|r| r.wall_s).sum();
-    let fraig_wall: f64 = fraig_rows.iter().map(|r| r.wall_s).sum();
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(
-        json,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    // Machine context: what must match for cross-PR rows to be comparable.
-    let _ = writeln!(
-        json,
-        "  \"context\": {{\"available_parallelism\": {}, \"threads_tested\": [{}], \"build_profile\": \"{}\", \"debug_assertions\": {}}},",
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-        thread_counts
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        if cfg!(debug_assertions) { "debug" } else { "release" },
-        cfg!(debug_assertions)
-    );
-    json.push_str("  \"solver\": [\n");
-    for (i, r) in solver_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"wall_s\": {:.6}, \"propagations\": {}, \"conflicts\": {}, \"props_per_sec\": {:.0}, \"deadline_interrupts\": {}, \"cancellations\": {}}}{}",
-            r.name,
-            r.wall_s,
-            r.propagations,
-            r.conflicts,
-            r.props_per_sec,
-            r.deadline_interrupts,
-            r.cancellations,
-            if i + 1 < solver_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    {
-        let r = &proof_row;
-        let _ = writeln!(
-            json,
-            "  \"proof\": {{\"name\": \"php\", \"holes\": {php_holes}, \"reps\": {solver_reps}, \"logging_off_wall_s\": {:.6}, \"logging_on_wall_s\": {:.6}, \"overhead_ratio\": {:.4}, \"proof_additions\": {}, \"proof_deletions\": {}, \"check_reps\": {FRAIG_REPS}, \"check_wall_s\": {:.6}, \"check_wall_min_s\": {:.6}, \"check_wall_max_s\": {:.6}, \"check_verified\": {}, \"check_verified_adds\": {}, \"check_hinted_adds\": {}}},",
-            r.logging_off_wall_s,
-            r.logging_on_wall_s,
-            r.overhead_ratio,
-            r.proof_additions,
-            r.proof_deletions,
-            r.check_wall_s,
-            r.check_wall_min_s,
-            r.check_wall_max_s,
-            r.check_verified,
-            r.check_verified_adds,
-            r.check_hinted_adds
-        );
-    }
-    {
-        let r = &obs_row;
-        let _ = writeln!(
-            json,
-            "  \"obs\": {{\"name\": \"php\", \"holes\": {php_holes}, \"reps\": {solver_reps}, \"baseline_wall_s\": {:.6}, \"disabled_wall_s\": {:.6}, \"disabled_overhead_ratio\": {:.4}, \"tracing_wall_s\": {:.6}, \"tracing_overhead_ratio\": {:.4}, \"events\": {}, \"span_conflicts\": {}, \"counter_conflicts\": {}}},",
-            r.baseline_wall_s,
-            r.disabled_wall_s,
-            r.disabled_overhead_ratio,
-            r.tracing_wall_s,
-            r.tracing_overhead_ratio,
-            r.events,
-            r.span_conflicts,
-            r.counter_conflicts
-        );
-    }
-    json.push_str("  \"sim\": [\n");
-    {
-        let r = &sim_row;
-        let _ = writeln!(
-            json,
-            "    {{\"nodes\": {}, \"words\": {}, \"reps\": {}, \"wall_s\": {:.6}, \"words_simulated\": {}, \"words_per_sec\": {:.0}, \"checksum\": {}}}",
-            g.num_nodes(),
-            sim_words,
-            sim_reps,
-            r.wall_s,
-            r.words_simulated,
-            r.words_per_sec,
-            r.checksum
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"fraig\": [\n");
-    for (i, r) in fraig_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"bits\": {}, \"threads\": {}, \"shards\": {}, \"reps\": {FRAIG_REPS}, \"wall_s\": {:.6}, \"wall_min_s\": {:.6}, \"wall_max_s\": {:.6}, \"sat_calls\": {}, \"proved\": {}, \"disproved\": {}, \"cex_patterns\": {}, \"rounds\": {}, \"ands_out\": {}, \"deadline_interrupts\": {}, \"shard_failures\": {}}}{}",
-            r.bits,
-            r.threads,
-            r.shards,
-            r.wall_s,
-            r.wall_min_s,
-            r.wall_max_s,
-            r.sat_calls,
-            r.proved,
-            r.disproved,
-            r.cex_patterns,
-            r.rounds,
-            r.ands_out,
-            r.deadline_interrupts,
-            r.shard_failures,
-            if i + 1 < fraig_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"bmc\": [\n");
-    {
-        let r = &bmc_row;
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"bits\": {}, \"bound\": {}, \"incremental_wall_s\": {:.6}, \"incremental_conflicts\": {}, \"monolithic_wall_s\": {:.6}, \"monolithic_conflicts\": {}, \"verdicts_agree\": {}}}",
-            r.name,
-            r.bits,
-            r.bound,
-            r.incremental_wall_s,
-            r.incremental_conflicts,
-            r.monolithic_wall_s,
-            r.monolithic_conflicts,
-            r.verdicts_agree
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"serve\": [\n");
-    for (i, r) in serve_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"bits\": {serve_bits}, \"workers\": {}, \"queries\": {}, \"wall_s\": {:.6}, \"qps\": {:.1}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \"certs_verified\": {}, \"retries\": {}, \"sheds\": {}, \"failures\": {}}}{}",
-            r.workers,
-            r.queries,
-            r.wall_s,
-            r.qps,
-            r.cache_hits,
-            r.cache_hit_rate,
-            r.certs_verified,
-            r.retries,
-            r.sheds,
-            r.failures,
-            if i + 1 < serve_rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    // Failure telemetry: a healthy, unthrottled bench run reports zeros
-    // here; anything else means the run was degraded and its perf rows
-    // should not be compared against clean baselines.
-    let total_deadline_interrupts: u64 = solver_rows
-        .iter()
-        .map(|r| r.deadline_interrupts)
-        .chain(fraig_rows.iter().map(|r| r.deadline_interrupts))
-        .sum();
-    let total_cancellations: u64 = solver_rows.iter().map(|r| r.cancellations).sum();
-    let total_shard_failures: u64 = fraig_rows.iter().map(|r| r.shard_failures).sum();
-    let serve_wall: f64 = serve_rows.iter().map(|r| r.wall_s).sum();
-    let serve_hits: u64 = serve_rows.iter().map(|r| r.cache_hits).sum();
-    let serve_total_queries: u64 = serve_rows.iter().map(|r| r.queries as u64).sum();
-    let serve_retries: u64 = serve_rows.iter().map(|r| r.retries).sum();
-    let serve_sheds: u64 = serve_rows.iter().map(|r| r.sheds).sum();
-    let serve_failures: u64 = serve_rows.iter().map(|r| r.failures).sum();
-    let _ = writeln!(
-        json,
-        "  \"totals\": {{\"wall_s\": {:.6}, \"propagations_per_sec\": {:.0}, \"words_per_sec\": {:.0}, \"deadline_interrupts\": {}, \"cancellations\": {}, \"shard_failures\": {}, \"serve_cache_hit_rate\": {:.4}, \"serve_retries\": {}, \"serve_sheds\": {}, \"serve_failures\": {}}}",
-        total_solver_wall + sim_row.wall_s + fraig_wall + bmc_row.incremental_wall_s
-            + bmc_row.monolithic_wall_s + serve_wall,
-        total_props as f64 / total_solver_wall.max(1e-9),
-        sim_row.words_per_sec,
-        total_deadline_interrupts,
-        total_cancellations,
-        total_shard_failures,
-        serve_hits as f64 / (serve_total_queries as f64).max(1.0),
-        serve_retries,
-        serve_sheds,
-        serve_failures
-    );
-    json.push_str("}\n");
-
+    let wall = |key| sum(kernels(), key);
+    let wall_s =
+        wall("load_s") + wall("wall_s") + wall("incremental_wall_s") + wall("monolithic_wall_s");
+    let props_per_sec = sum(&solver_rows, "propagations") / sum(&solver_rows, "wall_s").max(1e-9);
+    let hit_rate = sum(&serve_rows, "cache_hits") / sum(&serve_rows, "queries").max(1.0);
+    let threads: Vec<String> = thread_counts.iter().map(|t| t.to_string()).collect();
+    let parallelism = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let document = row! {
+        "mode": quoted(if smoke { "smoke" } else { "full" }),
+        "context": object(&row! {
+            "available_parallelism": parallelism, "threads_tested": format!("[{}]", threads.join(", ")),
+            "build_profile": quoted(if cfg!(debug_assertions) { "debug" } else { "release" }),
+            "debug_assertions": cfg!(debug_assertions),
+        }),
+        "solver": list(&solver_rows), "proof": object(&proof_row), "obs": object(&obs_row),
+        "sim": list(slice::from_ref(&sim_row)), "fraig": list(&fraig_rows),
+        "bmc": list(slice::from_ref(&bmc_row)), "serve": list(&serve_rows),
+        "totals": object(&row! {
+            "wall_s": format!("{wall_s:.6}"), "propagations_per_sec": format!("{props_per_sec:.0}"),
+            "words_per_sec": words_per_sec, "deadline_interrupts": sum(kernels(), "deadline_interrupts"),
+            "cancellations": sum(kernels(), "cancellations"),
+            "shard_failures": sum(kernels(), "shard_failures"),
+            "serve_cache_hit_rate": format!("{hit_rate:.4}"), "serve_retries": sum(&serve_rows, "retries"),
+            "serve_sheds": sum(&serve_rows, "sheds"), "serve_failures": sum(&serve_rows, "failures"),
+        }),
+    };
+    let json = format!("{{\n  {}\n}}\n", join(&document, ",\n  "));
     std::fs::write(out_path, &json).expect("write BENCH_hotpath.json");
     print!("{json}");
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sampler_summarises_the_timed_runs_only() {
+        // Call 0 is the warm-up; its outlier must not reach the spread.
+        let samples = [100.0, 0.3, 0.1, 0.5, 0.2, 0.4];
+        let [s] = sample(|rep| [samples[rep]]);
+        assert_eq!((s.median, s.min, s.max), (0.3, 0.1, 0.5));
+    }
+
+    #[test]
+    fn row_writer_renders_fields_in_order() {
+        let (median, min, max) = (0.5, 0.25, 1.0);
+        let row = row! {
+            "name": quoted("php"), "reps": REPS, "check_wall_s": Spread { median, min, max },
+            "ratio": format!("{:.4}", 1.023456), "ok": true,
+        };
+        let expected = "{\"name\": \"php\", \"reps\": 5, \"check_wall_s\": 0.500000, \
+            \"check_wall_min_s\": 0.250000, \"check_wall_max_s\": 1.000000, \
+            \"ratio\": 1.0235, \"ok\": true}";
+        assert_eq!(object(&row), expected);
+        let two = list(&[row.clone(), row]);
+        assert_eq!(two, format!("[\n    {expected},\n    {expected}\n  ]"));
+        assert_eq!(sum(&[row! {"n": 2, "m": 1}, row! {"n": 3}], "n"), 5.0);
+    }
 }

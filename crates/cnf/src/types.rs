@@ -148,11 +148,6 @@ impl Cnf {
         self.clauses.len()
     }
 
-    /// Total number of literal occurrences.
-    pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
-    }
-
     /// The clauses of the formula.
     #[inline]
     pub fn clauses(&self) -> &[Vec<CnfLit>] {

@@ -700,16 +700,15 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         machine.num_pos(),
         machine.comb().num_ands()
     );
-    let certify = args.iter().any(|a| a == "--certify");
+    let opts = mc::BmcOptions {
+        query_budget,
+        deadline,
+        preprocess,
+        certify: args.iter().any(|a| a == "--certify"),
+        obs: reg.clone(),
+    };
     let t0 = Instant::now();
     let (cex, proved, frames) = if args.iter().any(|a| a == "--kind") {
-        let opts = mc::KindOptions {
-            query_budget,
-            deadline,
-            preprocess,
-            certify,
-            obs: reg.clone(),
-        };
         match mc::prove(&machine, bound, &opts) {
             mc::KindResult::Proved { k } => {
                 eprintln!("c proved invariant by {k}-induction in {:?}", t0.elapsed());
@@ -725,13 +724,6 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
             }
         }
     } else {
-        let opts = mc::BmcOptions {
-            query_budget,
-            deadline,
-            preprocess,
-            certify,
-            obs: reg.clone(),
-        };
         let mut engine = mc::BmcEngine::new(&machine, opts);
         let result = engine.check_frames(bound);
         let stats = *engine.stats();

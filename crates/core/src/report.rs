@@ -6,12 +6,11 @@ use crate::pipeline::Pipeline;
 use aig::Aig;
 use cnf::Cnf;
 use sat::{Budget, SolveResult, SolverConfig, Stats};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use workloads::Instance;
 
 /// Outcome of one (pipeline, instance, solver) run.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Status {
     /// Satisfiable; the decoded model satisfies the original circuit.
     Sat,
@@ -29,7 +28,7 @@ pub enum Status {
 }
 
 /// One run record.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Instance name.
     pub instance: String,
@@ -190,7 +189,7 @@ pub fn total_decisions(records: &[RunRecord]) -> u64 {
 }
 
 /// Avg/Std/Min/Max summary of a sample (Table I's row format).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Mean.
     pub avg: f64,

@@ -52,7 +52,7 @@ impl Preprocess {
     }
 }
 
-/// Options for [`BmcEngine`].
+/// Options for [`BmcEngine`] and for k-induction ([`prove`](crate::prove)).
 #[derive(Clone, Debug, Default)]
 pub struct BmcOptions {
     /// Conflict budget per frame query (`None` = unlimited). The engine

@@ -30,29 +30,6 @@ use cnf::CnfLit;
 use sat::{Budget, SolveResult};
 use std::time::Instant;
 
-/// Options for [`prove`].
-#[derive(Clone, Debug, Default)]
-pub struct KindOptions {
-    /// Conflict budget per query (`None` = unlimited).
-    pub query_budget: Option<u64>,
-    /// Wall-clock deadline for the whole run (shared by the base and step
-    /// solvers). Once passed, [`prove`] returns [`KindResult::Unknown`]
-    /// with the deepest strength reached — every strength below it was
-    /// genuinely discharged, so the best-so-far verdict stands.
-    pub deadline: Option<Instant>,
-    /// One-time transition-relation preprocessing (applied once, shared
-    /// by both engines).
-    pub preprocess: Preprocess,
-    /// Certified mode: both the base engine's UNSAT frame verdicts and
-    /// the step engine's UNSAT (= proof-closing) verdicts are re-checked
-    /// by the independent backward RUP checker, panicking on rejection.
-    /// Test-harness/audit mode — see [`BmcOptions::certify`].
-    pub certify: bool,
-    /// Observability domain, handed to the base BMC engine (frame spans,
-    /// clean-frames gauge — see [`BmcOptions::obs`]).
-    pub obs: obs::Registry,
-}
-
 /// Outcome of a [`prove`] run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KindResult {
@@ -83,30 +60,36 @@ impl KindResult {
 }
 
 /// Attempts to prove the machine's safety property by k-induction with
-/// strengths `1..=max_k`.
+/// strengths `1..=max_k`. It takes the BMC engine's [`BmcOptions`]:
+///
+/// * the preprocessing runs once, and the base and step solvers share it;
+/// * the conflict budget applies per query;
+/// * the deadline covers the whole run: once it passes, the result is
+///   [`KindResult::Unknown`] with the deepest strength reached, every
+///   strength below it having been discharged;
+/// * certified mode also re-checks the step solver's proof-closing UNSAT
+///   verdicts;
+/// * the registry goes to the base engine.
 ///
 /// ```
-/// use mc::{prove, KindOptions, KindResult};
+/// use mc::{prove, BmcOptions, KindResult};
 /// use workloads::seq::mod_counter;
 ///
 /// // Modulo-6 counter over 3 bits: the all-ones state is unreachable.
 /// // BMC alone can never close this; k-induction proves it.
 /// let m = mod_counter(3, 6);
-/// assert!(prove(&m, 8, &KindOptions::default()).is_proved());
+/// assert!(prove(&m, 8, &BmcOptions::default()).is_proved());
 /// ```
 ///
 /// # Panics
 /// Panics if the machine has no real PO.
-pub fn prove(seq: &SeqAig, max_k: usize, opts: &KindOptions) -> KindResult {
+pub fn prove(seq: &SeqAig, max_k: usize, opts: &BmcOptions) -> KindResult {
     let seq = opts.preprocess.apply(seq);
     let mut base = BmcEngine::new(
         &seq,
         BmcOptions {
-            query_budget: opts.query_budget,
-            deadline: opts.deadline,
             preprocess: Preprocess::None,
-            certify: opts.certify,
-            obs: opts.obs.clone(),
+            ..opts.clone()
         },
     );
     let mut step = StepEngine::new(&seq, opts);
@@ -146,7 +129,7 @@ struct StepEngine {
     enc: Enc,
     query_budget: Option<u64>,
     deadline: Option<Instant>,
-    /// Certified mode ([`KindOptions::certify`]).
+    /// Certified mode ([`BmcOptions::certify`]).
     certify: bool,
     /// `states[i]` = symbolic state entering frame `i` (`states[0]` free).
     states: Vec<Vec<Val>>,
@@ -161,7 +144,7 @@ struct StepEngine {
 }
 
 impl StepEngine {
-    fn new(seq: &SeqAig, opts: &KindOptions) -> StepEngine {
+    fn new(seq: &SeqAig, opts: &BmcOptions) -> StepEngine {
         let reach = seq.comb().reachable_from_pos();
         let mut enc = Enc::new(opts.certify);
         // s_0 is an arbitrary state: one fresh variable per latch.
@@ -314,7 +297,7 @@ mod tests {
         // does (at k=2: state 6 is the only P-satisfying predecessor of
         // the bad state and has no P-satisfying, distinct predecessor).
         let m = mod_counter(3, 6);
-        match prove(&m, 8, &KindOptions::default()) {
+        match prove(&m, 8, &BmcOptions::default()) {
             KindResult::Proved { k } => assert!(k <= 3, "expected small strength, got {k}"),
             other => panic!("expected proof, got {other:?}"),
         }
@@ -325,7 +308,7 @@ mod tests {
         // The product machine is 1-inductive: every reachable-or-not state
         // transitions into a consistent one.
         let m = retimed_adder_lec(3);
-        match prove(&m, 4, &KindOptions::default()) {
+        match prove(&m, 4, &BmcOptions::default()) {
             KindResult::Proved { k } => assert!(k <= 2),
             other => panic!("expected proof, got {other:?}"),
         }
@@ -334,7 +317,7 @@ mod tests {
     #[test]
     fn falsifiable_property_yields_the_bmc_cex() {
         let m = counter(3);
-        match prove(&m, 10, &KindOptions::default()) {
+        match prove(&m, 10, &BmcOptions::default()) {
             KindResult::Cex { depth, trace } => {
                 assert_eq!(depth, 7);
                 assert!(m.simulate(&trace)[depth][0]);
@@ -346,7 +329,7 @@ mod tests {
     #[test]
     fn shallow_cex_beats_the_step_case() {
         let m = pattern_fsm(&[true, true]);
-        match prove(&m, 6, &KindOptions::default()) {
+        match prove(&m, 6, &BmcOptions::default()) {
             KindResult::Cex { depth, trace } => {
                 assert!(m.simulate(&trace)[depth][0]);
             }
@@ -361,9 +344,9 @@ mod tests {
         // RUP checker (certify_unsat panics on rejection), and the
         // verdict matches the uncertified run.
         let m = mod_counter(3, 6);
-        let certified = KindOptions {
+        let certified = BmcOptions {
             certify: true,
-            ..KindOptions::default()
+            ..BmcOptions::default()
         };
         match prove(&m, 8, &certified) {
             KindResult::Proved { k } => assert!(k <= 3),
@@ -381,9 +364,9 @@ mod tests {
     #[test]
     fn proof_survives_preprocessing() {
         let m = mod_counter(3, 6);
-        let opts = KindOptions {
+        let opts = BmcOptions {
             preprocess: Preprocess::Synth(synth::Recipe::size_script()),
-            ..KindOptions::default()
+            ..BmcOptions::default()
         };
         assert!(prove(&m, 8, &opts).is_proved());
     }
@@ -394,12 +377,12 @@ mod tests {
         // attempted — Unknown at k = 0 — while the same options with the
         // deadline lifted prove the property outright.
         let m = mod_counter(3, 6);
-        let throttled = KindOptions {
+        let throttled = BmcOptions {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..KindOptions::default()
+            ..BmcOptions::default()
         };
         assert_eq!(prove(&m, 8, &throttled), KindResult::Unknown { k: 0 });
-        let unthrottled = KindOptions::default();
+        let unthrottled = BmcOptions::default();
         assert!(prove(&m, 8, &unthrottled).is_proved());
     }
 
@@ -409,9 +392,9 @@ mod tests {
         // it, so max_k = 1 must report Unknown, not a bogus verdict.
         let m = mod_counter(4, 14);
         assert_eq!(
-            prove(&m, 1, &KindOptions::default()),
+            prove(&m, 1, &BmcOptions::default()),
             KindResult::Unknown { k: 1 }
         );
-        assert!(prove(&m, 6, &KindOptions::default()).is_proved());
+        assert!(prove(&m, 6, &BmcOptions::default()).is_proved());
     }
 }

@@ -14,7 +14,7 @@
 //!   front end, run once on the transition relation before unrolling.
 //!
 //! ```
-//! use mc::{prove, BmcEngine, BmcOptions, BmcResult, KindOptions};
+//! use mc::{prove, BmcEngine, BmcOptions, BmcResult};
 //! use workloads::seq::{counter, mod_counter};
 //!
 //! // Falsification: a 3-bit counter saturates at depth 7.
@@ -25,7 +25,7 @@
 //! ));
 //!
 //! // Proof: the all-ones state of a modulo-6 counter is unreachable.
-//! assert!(prove(&mod_counter(3, 6), 8, &KindOptions::default()).is_proved());
+//! assert!(prove(&mod_counter(3, 6), 8, &BmcOptions::default()).is_proved());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,4 +37,4 @@ mod enc;
 pub mod kind;
 
 pub use bmc::{BmcEngine, BmcOptions, BmcResult, Preprocess};
-pub use kind::{prove, KindOptions, KindResult};
+pub use kind::{prove, KindResult};

@@ -126,11 +126,6 @@ impl SynthEnv {
         &self.current
     }
 
-    /// Steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
     /// Initial branching count (training episodes only).
     pub fn initial_branchings(&self) -> u64 {
         self.init_branchings

@@ -127,17 +127,6 @@ impl Recipe {
         }
     }
 
-    /// A `resyn2`-flavoured script with zero-gain perturbation.
-    pub fn resyn2() -> Recipe {
-        use SynthOp::*;
-        Recipe {
-            ops: vec![
-                Balance, Rewrite, Refactor, Balance, Rewrite, RewriteZ, Balance, Refactor,
-                RewriteZ, Balance,
-            ],
-        }
-    }
-
     /// The normalisation prelude the framework applies to unify input
     /// distributions before the RL episode (Sec. III-A).
     pub fn normalize() -> Recipe {

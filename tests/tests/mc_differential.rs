@@ -11,7 +11,7 @@
 //!   its SAT/UNSAT-at-depth verdict at every bound.
 
 use aig::seq::SeqAig;
-use mc::{prove, BmcEngine, BmcOptions, BmcResult, KindOptions, KindResult, Preprocess};
+use mc::{prove, BmcEngine, BmcOptions, BmcResult, KindResult, Preprocess};
 use proptest::prelude::*;
 use sat::{solve_cnf, Budget, SolverConfig};
 use workloads::random_aig::{random_aig, RandomAigParams};
@@ -117,12 +117,12 @@ fn kind_proves_what_bmc_cannot_close() {
         BmcEngine::new(&m, BmcOptions::default()).check_frames(30),
         BmcResult::Clean { frames: 30 }
     );
-    match prove(&m, 8, &KindOptions::default()) {
+    match prove(&m, 8, &BmcOptions::default()) {
         KindResult::Proved { k } => assert!(k <= 3),
         other => panic!("expected proof, got {other:?}"),
     }
     // And on a falsifiable machine, kind degrades to exactly the BMC cex.
-    match prove(&counter(3), 10, &KindOptions::default()) {
+    match prove(&counter(3), 10, &BmcOptions::default()) {
         KindResult::Cex { depth: 7, trace } => {
             assert!(counter(3).simulate(&trace)[7][0]);
         }
@@ -201,7 +201,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let m = random_machine(pis, latches, gates, seed);
-        if let KindResult::Proved { k } = prove(&m, 5, &KindOptions::default()) {
+        if let KindResult::Proved { k } = prove(&m, 5, &BmcOptions::default()) {
             let frames = (k + 10).max(16);
             prop_assert_eq!(
                 BmcEngine::new(&m, BmcOptions::default()).check_frames(frames),
