@@ -51,7 +51,7 @@ pub mod tt;
 pub mod window;
 
 pub use crate::aig::{Aig, GateList};
-pub use crate::compile::{OutRef, SimProgram};
+pub use crate::compile::SimProgram;
 pub use crate::lit::{Lit, Var};
 pub use crate::node::Node;
 pub use crate::tt::{Cube, Tt};

@@ -42,12 +42,6 @@ impl Lit {
         Lit(var << 1 | compl as u32)
     }
 
-    /// Builds a literal from its raw AIGER encoding (`2*var + compl`).
-    #[inline]
-    pub fn from_raw(raw: u32) -> Lit {
-        Lit(raw)
-    }
-
     /// The raw AIGER encoding of this literal.
     #[inline]
     pub fn raw(self) -> u32 {
@@ -70,12 +64,6 @@ impl Lit {
     #[inline]
     pub fn regular(self) -> Lit {
         Lit(self.0 & !1)
-    }
-
-    /// This literal with its complement flag set to `compl`.
-    #[inline]
-    pub fn with_compl(self, compl: bool) -> Lit {
-        Lit(self.0 & !1 | compl as u32)
     }
 
     /// XORs the complement flag with `compl` (no-op when `compl` is false).
@@ -130,7 +118,6 @@ mod tests {
                 let l = Lit::from_var(var, compl);
                 assert_eq!(l.var(), var);
                 assert_eq!(l.is_compl(), compl);
-                assert_eq!(Lit::from_raw(l.raw()), l);
             }
         }
     }
@@ -151,7 +138,6 @@ mod tests {
         assert_eq!(l.xor_compl(true), !l);
         assert_eq!(l.xor_compl(false), l);
         assert_eq!((!l).regular(), l);
-        assert_eq!(l.with_compl(true), !l);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! model checking feeds sequential problems to a combinational engine.
 
 use crate::aig::Aig;
-use crate::compile::SimProgram;
+use crate::compile::{lit_word, SimProgram};
 use crate::lit::Lit;
 
 /// A sequential AIG: combinational core + latch boundary.
@@ -195,10 +195,11 @@ impl SeqAig {
 }
 
 /// A compiled sequential stepper: the machine's core lowered once into a
-/// [`SimProgram`] (outputs-only mode, so dead logic is dropped and
-/// fanout-free chains fuse), with latch state kept as packed words — bit
-/// `i` of every state word belongs to simulation trace `i`, so one
-/// [`SeqStepper::step_words`] call advances 64 traces at once.
+/// [`SimProgram`], with latch state kept as packed words — bit `i` of
+/// every state word belongs to simulation trace `i`, so one
+/// [`SeqStepper::step_words`] call advances 64 traces at once. Each step
+/// runs the program over one word per node and reads every real output and
+/// latch next-state literal from its node's word.
 ///
 /// Used for BMC counterexample replay (one trace in bit 0) and by
 /// [`SeqAig::simulate_words`]; the interpreter path
@@ -207,8 +208,9 @@ impl SeqAig {
 #[derive(Clone, Debug)]
 pub struct SeqStepper {
     prog: SimProgram,
+    /// The core's POs: real outputs, then latch next-state functions.
+    pos: Vec<Lit>,
     num_pis: usize,
-    num_latches: usize,
     num_pos: usize,
     /// One word per latch: the current state of 64 parallel traces.
     state: Vec<u64>,
@@ -224,9 +226,9 @@ impl SeqStepper {
     /// Compiles `m`'s core and initialises the all-zero state.
     pub fn new(m: &SeqAig) -> SeqStepper {
         SeqStepper {
-            prog: SimProgram::outputs_only(m.comb()),
+            prog: SimProgram::new(m.comb()),
+            pos: m.comb().pos().to_vec(),
             num_pis: m.num_pis(),
-            num_latches: m.num_latches(),
             num_pos: m.num_pos(),
             state: vec![0; m.num_latches()],
             full_pi: vec![0; m.comb().num_pis()],
@@ -256,12 +258,12 @@ impl SeqStepper {
         self.full_pi[..self.num_pis].copy_from_slice(pi_words);
         self.full_pi[self.num_pis..].copy_from_slice(&self.state);
         self.prog.run_dense(&mut self.vals, 1, &self.full_pi);
-        for (o, w) in self.out.iter_mut().enumerate() {
-            *w = self.prog.output(o).read(&self.vals, 1, 0);
+        let (outs, nexts) = self.pos.split_at(self.num_pos);
+        for (w, &po) in self.out.iter_mut().zip(outs) {
+            *w = lit_word(&self.vals, 1, po, 0);
         }
-        debug_assert_eq!(self.state.len(), self.num_latches);
-        for (l, s) in self.state.iter_mut().enumerate() {
-            *s = self.prog.output(self.num_pos + l).read(&self.vals, 1, 0);
+        for (s, &next) in self.state.iter_mut().zip(nexts) {
+            *s = lit_word(&self.vals, 1, next, 0);
         }
         &self.out
     }

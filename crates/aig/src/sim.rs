@@ -12,7 +12,7 @@
 //! consumer allocates per-node rows.
 
 use crate::aig::Aig;
-use crate::compile::SimProgram;
+use crate::compile::{lit_word, SimProgram};
 use crate::tt::Tt;
 use rand::{Rng, SeedableRng};
 
@@ -127,10 +127,10 @@ pub fn random_signatures(aig: &Aig, n_words: usize, seed: u64) -> SimVectors {
 const SIM_BLOCK: usize = 8;
 
 /// [`random_signatures`] into a caller-owned matrix, reusing its buffer:
-/// one [`SimProgram::full`] compilation, then [`random_columns`].
+/// one [`SimProgram::new`] compilation, then [`random_columns`].
 pub fn random_signatures_into(aig: &Aig, n_words: usize, seed: u64, sigs: &mut SimVectors) {
     sigs.reshape(aig.num_nodes(), n_words);
-    random_columns(&SimProgram::full(aig), sigs, 0, n_words, seed);
+    random_columns(&SimProgram::new(aig), sigs, 0, n_words, seed);
 }
 
 /// Decorrelates a per-block random stream from the base seed (splitmix64
@@ -160,8 +160,8 @@ fn fill_pi_block(pi_block: &mut [u64], seed: u64, block: u64) {
 /// resimulation.
 ///
 /// Block `b` (columns `w0 + 8b ..`) draws its PI words PI-major from a
-/// private RNG stream keyed by `(seed, b)`. With a
-/// [`SimProgram::full`] program, row `v` of the matrix is node `v`.
+/// private RNG stream keyed by `(seed, b)`. Row `v` of the matrix is
+/// node `v`.
 ///
 /// # Panics
 /// Panics if the matrix shape does not match the program
@@ -222,11 +222,11 @@ pub fn output_tts(aig: &Aig) -> Vec<Tt> {
     let n = aig.num_pis();
     assert!(n <= Tt::MAX_VARS, "too many PIs for exhaustive simulation");
     let n_words = if n <= 6 { 1 } else { 1 << (n - 6) };
-    // Only the outputs are read, so the outputs-only program keeps one
-    // block of values for the live cone: memory stays
+    // Only the outputs are read, so the program's value buffer holds one
+    // block of at most 8 words per node: memory stays
     // O(num_nodes + num_pos * n_words) even at 20 PIs, where a full
     // node-by-word matrix would be gigabytes.
-    let prog = SimProgram::outputs_only(aig);
+    let prog = SimProgram::new(aig);
     let mut po_words = vec![vec![0u64; n_words]; aig.num_pos()];
     let mut pi_block = Vec::with_capacity(n * SIM_BLOCK);
     let mut vals = Vec::new();
@@ -246,9 +246,9 @@ pub fn output_tts(aig: &Aig) -> Vec<Tt> {
             }));
         }
         prog.run_dense(&mut vals, nb, &pi_block);
-        for (o, row) in po_words.iter_mut().enumerate() {
+        for (row, &po) in po_words.iter_mut().zip(aig.pos()) {
             for j in 0..nb {
-                row[w0 + j] = prog.output(o).read(&vals, nb, j);
+                row[w0 + j] = lit_word(&vals, nb, po, j);
             }
         }
     }
@@ -263,7 +263,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::Lit;
 
-    /// Scalar reference: asserts that column `w` of a full-mode matrix
+    /// Scalar reference: asserts that column `w` of a node matrix
     /// holds, in each of its 64 bit lanes, the value [`Aig::eval`] gives
     /// every node under the PI bits that column's PI rows hold.
     pub(crate) fn assert_column_matches_eval(g: &Aig, sigs: &SimVectors, w: usize) {
@@ -300,7 +300,7 @@ pub(crate) mod tests {
         g.add_po(y);
         let pi_words = [0b1010u64, 0b1100, 0b1111_0000];
         let mut sv = SimVectors::zero(g.num_nodes(), 1);
-        simulate_columns(&SimProgram::full(&g), &mut sv, &[(0, &pi_words)]);
+        simulate_columns(&SimProgram::new(&g), &mut sv, &[(0, &pi_words)]);
         for bit in 0..8 {
             let ins: Vec<bool> = pi_words.iter().map(|w| w >> bit & 1 != 0).collect();
             let expect = g.eval(&ins)[0];
@@ -385,7 +385,7 @@ pub(crate) mod tests {
         let x = g.or(a, b);
         g.add_po(x);
         let mut sv = SimVectors::zero(g.num_nodes(), 2);
-        let prog = SimProgram::full(&g);
+        let prog = SimProgram::new(&g);
         simulate_columns(&prog, &mut sv, &[(0, &[0b01, 0b10])]);
         simulate_columns(&prog, &mut sv, &[(1, &[0b11, 0b00])]);
         // Complement of the OR literal folds back to the node row's value.
@@ -428,7 +428,7 @@ pub(crate) mod tests {
         // 27 columns = 4 blocks (8+8+8+3), every one checked against the
         // scalar `Aig::eval` interpreter.
         let g = wide_graph();
-        let prog = SimProgram::full(&g);
+        let prog = SimProgram::new(&g);
         let mut sigs = SimVectors::zero(g.num_nodes(), 27);
         random_columns(&prog, &mut sigs, 0, 27, 0xFEED);
         for w in 0..27 {
@@ -446,7 +446,7 @@ pub(crate) mod tests {
     #[test]
     fn compiled_replay_columns_match_interpreter() {
         let g = wide_graph();
-        let prog = SimProgram::full(&g);
+        let prog = SimProgram::new(&g);
         let chunks: Vec<Vec<u64>> = (0..5)
             .map(|k| (0..g.num_pis() as u64).map(|i| i * 0xABCD + k).collect())
             .collect();

@@ -267,67 +267,6 @@ impl Tt {
         (0..self.nvars).filter(|&i| self.has_var(i)).collect()
     }
 
-    /// Swaps the roles of variables `i` and `j`.
-    pub fn swap_vars(&self, i: usize, j: usize) -> Tt {
-        if i == j {
-            return self.clone();
-        }
-        self.permute(&identity_swapped(self.nvars, i, j))
-    }
-
-    /// Reorders variables: new variable `perm[i]` takes the role of old
-    /// variable `i` (i.e. minterm bit `i` moves to bit `perm[i]`).
-    ///
-    /// # Panics
-    /// Panics if `perm` is not a permutation of `0..nvars`.
-    pub fn permute(&self, perm: &[usize]) -> Tt {
-        assert_eq!(perm.len(), self.nvars, "permutation length mismatch");
-        let mut seen = vec![false; self.nvars];
-        for &p in perm {
-            assert!(p < self.nvars && !seen[p], "not a permutation");
-            seen[p] = true;
-        }
-        let mut out = Tt::zero(self.nvars);
-        let total = 1usize << self.nvars;
-        for m in 0..total {
-            if self.bit(m) {
-                let mut mm = 0usize;
-                for (i, &p) in perm.iter().enumerate() {
-                    if m >> i & 1 != 0 {
-                        mm |= 1 << p;
-                    }
-                }
-                out.set_bit(mm, true);
-            }
-        }
-        out
-    }
-
-    /// Complements the polarity of input variable `i`.
-    pub fn flip_var(&self, i: usize) -> Tt {
-        assert!(i < self.nvars);
-        let mut t = self.clone();
-        if i < 6 {
-            let shift = 1 << i;
-            for w in &mut t.words {
-                let hi = *w & VAR_MASKS[i];
-                let lo = *w & !VAR_MASKS[i];
-                *w = hi >> shift | lo << shift;
-            }
-        } else {
-            let stride = 1 << (i - 6);
-            let n = t.words.len();
-            let mut wi = 0;
-            while wi < n {
-                for k in 0..stride {
-                    t.words.swap(wi + k, wi + stride + k);
-                }
-                wi += 2 * stride;
-            }
-        }
-        t
-    }
-
     /// Re-expresses the function over a larger variable set (the new
     /// variables are don't-cares).
     ///
@@ -350,36 +289,6 @@ impl Tt {
         t.mask_excess();
         t
     }
-
-    /// Projects the function onto the variables it actually depends on.
-    ///
-    /// Returns the shrunk table and the original indices of the kept
-    /// variables (`kept[i]` is the old index of new variable `i`).
-    pub fn shrink_to_support(&self) -> (Tt, Vec<usize>) {
-        let sup = self.support();
-        let mut t = Tt::zero(sup.len());
-        let total = 1usize << sup.len();
-        for m in 0..total {
-            // Build a representative full minterm: support vars as in `m`,
-            // other vars at 0.
-            let mut full = 0usize;
-            for (i, &v) in sup.iter().enumerate() {
-                if m >> i & 1 != 0 {
-                    full |= 1 << v;
-                }
-            }
-            if self.bit(full) {
-                t.set_bit(m, true);
-            }
-        }
-        (t, sup)
-    }
-}
-
-fn identity_swapped(n: usize, i: usize, j: usize) -> Vec<usize> {
-    let mut p: Vec<usize> = (0..n).collect();
-    p.swap(i, j);
-    p
 }
 
 macro_rules! impl_binop {
@@ -884,29 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_flip() {
-        let n = 5;
-        let f = Tt::var(n, 0) & !Tt::var(n, 3);
-        let g = f.swap_vars(0, 3);
-        assert_eq!(g, Tt::var(n, 3) & !Tt::var(n, 0));
-        let h = f.flip_var(3);
-        assert_eq!(h, Tt::var(n, 0) & Tt::var(n, 3));
-        assert_eq!(h.flip_var(3), f);
-    }
-
-    #[test]
-    fn permute_roundtrip() {
-        let n = 4;
-        let f = (Tt::var(n, 0) & Tt::var(n, 1)) | (Tt::var(n, 2) ^ Tt::var(n, 3));
-        let perm = [2usize, 0, 3, 1];
-        let mut inv = [0usize; 4];
-        for (i, &p) in perm.iter().enumerate() {
-            inv[p] = i;
-        }
-        assert_eq!(f.permute(&perm).permute(&inv), f);
-    }
-
-    #[test]
     fn extend_preserves_function() {
         let f = Tt::from_u64(2, 0x6); // xor
         let g = f.extend_to(8);
@@ -914,15 +800,6 @@ mod tests {
         for m in 0..256usize {
             assert_eq!(g.bit(m), (m & 1 != 0) ^ (m >> 1 & 1 != 0), "m={m}");
         }
-    }
-
-    #[test]
-    fn shrink_to_support_works() {
-        let n = 6;
-        let f = Tt::var(n, 1) ^ Tt::var(n, 4);
-        let (s, kept) = f.shrink_to_support();
-        assert_eq!(kept, vec![1, 4]);
-        assert_eq!(s, Tt::from_u64(2, 0x6));
     }
 
     #[test]

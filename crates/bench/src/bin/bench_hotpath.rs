@@ -293,7 +293,7 @@ fn main() {
         ..RandomAigParams::default()
     };
     let g = random_aig(&params, 0xC0FFEE);
-    let prog = aig::SimProgram::full(&g);
+    let prog = aig::SimProgram::new(&g);
     let mut sigs = aig::sim::SimVectors::zero(g.num_nodes(), words);
     let mut checksum = 0u64;
     let [sim] = sample(|_| {

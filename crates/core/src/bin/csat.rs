@@ -46,7 +46,7 @@
 
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::RecipePolicy;
-use sat::{solve_cnf, Budget, SolverConfig};
+use sat::{Budget, SolverConfig};
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -306,18 +306,14 @@ fn solve_cnf_cli(
     proof_out: Option<&str>,
     reg: &obs::Registry,
 ) -> Result<(sat::SolveResult, sat::Stats), String> {
-    if proof_out.is_none() {
-        if presolve {
+    if presolve {
+        if proof_out.is_none() {
             // The presolver owns its inner solver, so per-solve spans are
             // unavailable on this path; gauges still publish below.
             let (res, stats) = sat::presolve::solve_cnf_presolved(f, config, budget);
             stats.publish(reg);
             return Ok((res, stats));
         }
-        if !reg.is_enabled() {
-            return Ok(solve_cnf(f, config, budget));
-        }
-    } else if presolve {
         eprintln!("c presolve disabled: it does not emit proof steps (--proof is on)");
     }
     config.proof = proof_out.is_some();
@@ -392,7 +388,7 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
              (reproduce it with 'csat encode' and identical pipeline flags)"
         );
     }
-    let (res, stats) = solve_cnf_cli(
+    let solved = solve_cnf_cli(
         &pre.cnf,
         solver,
         budget,
@@ -400,60 +396,23 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
         proof_out.as_deref(),
         &obs_cli.reg,
     )?;
-    let dt = t0.elapsed();
-    eprintln!(
-        "c {}: vars={} clauses={} decisions={} conflicts={} solve={dt:?}",
-        pipeline.name(),
-        pre.cnf.num_vars(),
-        pre.cnf.num_clauses(),
-        stats.decisions,
-        stats.conflicts
-    );
-    let status = match res {
-        sat::SolveResult::Sat(_) => "sat",
-        sat::SolveResult::Unsat => "unsat",
-        sat::SolveResult::Unknown => "unknown",
-    };
-    resource_report(
-        "solve",
-        status,
-        dt,
+    report_solve(
+        &pipeline.name(),
+        &pre.cnf,
+        solved,
+        t0,
         timeout_ms,
-        &[
-            ("conflicts", stats.conflicts),
-            ("deadline_interrupts", stats.deadline_interrupts),
-            ("cancellations", stats.cancellations),
-        ],
-    );
-    obs_cli.finish()?;
-    match res {
-        sat::SolveResult::Sat(model) => {
-            let ins = pre.decoder.decode_inputs(&model);
-            // SAT-competition-style output plus the PI witness.
-            println!("s SATISFIABLE");
-            let bits: Vec<String> = ins
-                .iter()
-                .map(|&b| if b { "1".into() } else { "0".to_string() })
-                .collect();
-            println!("v inputs {}", bits.join(""));
-            // Double-check the witness before reporting success.
-            if instance.eval(&ins).iter().any(|&o| o) {
-                Ok(ExitCode::from(EXIT_SAT))
-            } else {
-                Err("internal error: model does not satisfy the instance".into())
+        &obs_cli,
+        |model| {
+            // The PI witness, replayed on the instance itself.
+            let ins = pre.decoder.decode_inputs(model);
+            if !instance.eval(&ins).iter().any(|&o| o) {
+                return Err("internal error: model does not satisfy the instance".into());
             }
-        }
-        sat::SolveResult::Unsat => {
-            println!("s UNSATISFIABLE");
-            Ok(ExitCode::from(EXIT_UNSAT))
-        }
-        sat::SolveResult::Unknown => {
-            // CDCL is complete: Unknown only ever means a budget or
-            // deadline fired, so it gets the resource exit code.
-            println!("s UNKNOWN");
-            Ok(ExitCode::from(EXIT_RESOURCE))
-        }
-    }
+            let bits: String = ins.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            Ok(format!("v inputs {bits}"))
+        },
+    )
 }
 
 /// `csat solve` on a DIMACS formula: no pipeline, no AIG witness — the
@@ -470,12 +429,43 @@ fn run_solve_dimacs(
 ) -> Result<ExitCode, String> {
     let f = load_cnf(path)?;
     let t0 = Instant::now();
-    let (res, stats) = solve_cnf_cli(&f, config, budget, presolve, proof_out, &obs_cli.reg)?;
+    let solved = solve_cnf_cli(&f, config, budget, presolve, proof_out, &obs_cli.reg)?;
+    report_solve("dimacs", &f, solved, t0, timeout_ms, obs_cli, |model| {
+        if !f.eval(model) {
+            return Err("internal error: model does not satisfy the formula".into());
+        }
+        let lits: Vec<String> = (1..=f.num_vars())
+            .map(|v| {
+                if model[(v - 1) as usize] {
+                    v.to_string()
+                } else {
+                    format!("-{v}")
+                }
+            })
+            .collect();
+        Ok(format!("v {} 0", lits.join(" ")))
+    })
+}
+
+/// The end of `csat solve` on either input kind: the `c <name>:` line,
+/// the resource report, the trace and metrics, then the `s` line with its
+/// exit code. A SAT model goes through `witness`, which replays it on the
+/// input and renders the `v` line, before any `s` or `v` line is printed,
+/// so a model that fails its input leaves no answer on stdout.
+fn report_solve(
+    name: &str,
+    cnf: &cnf::Cnf,
+    (res, stats): (sat::SolveResult, sat::Stats),
+    t0: Instant,
+    timeout_ms: Option<u64>,
+    obs_cli: &ObsCli,
+    witness: impl FnOnce(&[bool]) -> Result<String, String>,
+) -> Result<ExitCode, String> {
     let dt = t0.elapsed();
     eprintln!(
-        "c dimacs: vars={} clauses={} decisions={} conflicts={} solve={dt:?}",
-        f.num_vars(),
-        f.num_clauses(),
+        "c {name}: vars={} clauses={} decisions={} conflicts={} solve={dt:?}",
+        cnf.num_vars(),
+        cnf.num_clauses(),
         stats.decisions,
         stats.conflicts
     );
@@ -496,34 +486,18 @@ fn run_solve_dimacs(
         ],
     );
     obs_cli.finish()?;
-    match res {
-        sat::SolveResult::Sat(model) => {
-            if !f.eval(&model) {
-                return Err("internal error: model does not satisfy the formula".into());
-            }
-            println!("s SATISFIABLE");
-            let lits: Vec<String> = (1..=f.num_vars())
-                .map(|v| {
-                    let val = model[(v - 1) as usize];
-                    if val {
-                        v.to_string()
-                    } else {
-                        format!("-{v}")
-                    }
-                })
-                .collect();
-            println!("v {} 0", lits.join(" "));
-            Ok(ExitCode::from(EXIT_SAT))
-        }
-        sat::SolveResult::Unsat => {
-            println!("s UNSATISFIABLE");
-            Ok(ExitCode::from(EXIT_UNSAT))
-        }
-        sat::SolveResult::Unknown => {
-            println!("s UNKNOWN");
-            Ok(ExitCode::from(EXIT_RESOURCE))
-        }
+    let (verdict, code, v_line) = match res {
+        sat::SolveResult::Sat(model) => ("SATISFIABLE", EXIT_SAT, Some(witness(&model)?)),
+        sat::SolveResult::Unsat => ("UNSATISFIABLE", EXIT_UNSAT, None),
+        // CDCL is complete: Unknown only ever means a budget or deadline
+        // fired, so it gets the resource exit code.
+        sat::SolveResult::Unknown => ("UNKNOWN", EXIT_RESOURCE, None),
+    };
+    println!("s {verdict}");
+    if let Some(v) = v_line {
+        println!("{v}");
     }
+    Ok(ExitCode::from(code))
 }
 
 /// `csat check`: verify a DRAT certificate against a DIMACS formula with

@@ -67,11 +67,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].w.cols()
-    }
-
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
         self.layers.last().expect("non-empty").w.rows()
@@ -178,7 +173,6 @@ mod tests {
     #[test]
     fn shapes() {
         let net = Mlp::new(&[4, 8, 3], 0);
-        assert_eq!(net.input_dim(), 4);
         assert_eq!(net.output_dim(), 3);
         let y = net.infer(&[0.1, -0.2, 0.3, 0.4]);
         assert_eq!(y.len(), 3);

@@ -50,11 +50,6 @@ impl SigClasses {
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
     }
-
-    /// Total number of candidate (member, representative) pairs.
-    pub fn num_candidate_pairs(&self) -> usize {
-        self.classes.iter().map(|c| c.len() - 1).sum()
-    }
 }
 
 /// Phase mask: all-ones when the row must be complemented to canonical
@@ -162,7 +157,6 @@ mod tests {
         let classes = candidate_classes(&sigs, [1, 2]);
         // 1 = 0b01 (bit0 set -> canon !1), 2 = 0b10 (canon 2): distinct.
         assert!(classes.is_empty());
-        assert_eq!(classes.num_candidate_pairs(), 0);
     }
 
     #[test]

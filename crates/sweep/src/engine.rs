@@ -251,7 +251,7 @@ pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     // The sweep never mutates the graph mid-run, so the compiled program
     // is built once and reused by every round's resimulation and every
     // window's replay.
-    let prog = SimProgram::full(aig);
+    let prog = SimProgram::new(aig);
     // Node values under the latest window's counterexample word.
     let mut window_vals: Vec<u64> = Vec::new();
     let sweep_span = params.obs.span_with(

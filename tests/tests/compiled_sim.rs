@@ -2,17 +2,16 @@
 //! reference.
 //!
 //! [`aig::SimProgram`] is the workspace's one simulation engine: it lowers
-//! an AIG into a flat, level-ordered program of fused word-ops, and every
-//! signature matrix (sweep classes, resub filters, the RL embedding, ATPG
-//! fault filtering, `check::sim_equiv`) is its output. These tests hold it
-//! to the scalar `Aig::eval` interpreter, which shares no code with it,
-//! through [`csat_tests::eval_node_words`]:
+//! an AIG into a flat, level-ordered program of one word-op per node, and
+//! every signature matrix (sweep classes, resub filters, the RL embedding,
+//! ATPG fault filtering, `check::sim_equiv`) is its output. These tests
+//! hold it to the scalar `Aig::eval` interpreter, which shares no code
+//! with it, through [`csat_tests::eval_node_words`]:
 //!
-//! * random AIGs: every node's row of a full-mode random fill, column by
-//!   column, equals `eval` on the PI words that column holds;
+//! * random AIGs: every node's row of a random fill, column by column,
+//!   equals `eval` on the PI words that column holds;
 //! * adversarial edge shapes (constant POs, PI passthroughs, duplicated
-//!   and complemented POs, deep fanout-free chains that the outputs-only
-//!   compiler fuses into multi-input ops);
+//!   and complemented POs, a deep fanout-free AND chain, dead logic);
 //! * counterexample-style replay columns (`simulate_columns`) on explicit
 //!   PI patterns;
 //! * the compiled sequential stepper: `SeqAig::simulate_words` lanes ==
@@ -44,8 +43,8 @@ fn random_graph(gates: usize, pis: usize, seed: u64) -> Aig {
     )
 }
 
-/// Asserts that column `w` of a full-mode matrix matches the scalar
-/// reference on the PI words the column holds.
+/// Asserts that column `w` of a node matrix matches the scalar reference
+/// on the PI words the column holds.
 fn assert_column_matches_eval(g: &Aig, sigs: &SimVectors, w: usize) {
     let pi_words: Vec<u64> = g
         .pis()
@@ -61,20 +60,20 @@ fn assert_column_matches_eval(g: &Aig, sigs: &SimVectors, w: usize) {
 /// reference; `random_signatures` must produce the same matrix.
 fn assert_fill_matches_eval(g: &Aig, n_words: usize, seed: u64) {
     let mut sigs = SimVectors::zero(g.num_nodes(), n_words);
-    random_columns(&SimProgram::full(g), &mut sigs, 0, n_words, seed);
+    random_columns(&SimProgram::new(g), &mut sigs, 0, n_words, seed);
     for w in 0..n_words {
         assert_column_matches_eval(g, &sigs, w);
     }
     assert_eq!(sigs, random_signatures(g, n_words, seed));
 }
 
-/// Edge shapes the fold/fusion paths must survive: constant POs, PI
-/// passthroughs (plain and complemented), one PO repeated, and a deep
-/// fanout-free AND chain (fused into multi-input ops by the
-/// outputs-only compiler, node-per-node in full mode).
+/// Edge shapes: constant POs, PI passthroughs (plain and complemented),
+/// one PO repeated, a deep fanout-free AND chain, and gates no PO reads.
 fn edge_shape() -> Aig {
     let mut g = Aig::new();
     let pis = g.add_pis(9);
+    let dead = g.or(pis[4], !pis[6]);
+    let _dead_too = g.and(dead, pis[8]);
     g.add_po(Lit::FALSE);
     g.add_po(Lit::TRUE);
     g.add_po(pis[0]);
@@ -92,28 +91,6 @@ fn edge_shape() -> Aig {
 #[test]
 fn edge_shapes_fill_identically() {
     assert_fill_matches_eval(&edge_shape(), 8, 0xDEAD_BEEF);
-}
-
-#[test]
-fn edge_shape_outputs_only_program_matches_eval() {
-    let g = edge_shape();
-    let prog = SimProgram::outputs_only(&g);
-    assert_eq!(prog.num_outputs(), g.num_pos());
-    let n = g.num_pis();
-    for pattern in 0..1u32 << n {
-        let ins: Vec<bool> = (0..n).map(|i| pattern >> i & 1 != 0).collect();
-        let expect = g.eval(&ins);
-        let pi_words: Vec<u64> = ins.iter().map(|&b| u64::from(b)).collect();
-        let mut vals = Vec::new();
-        prog.run_dense(&mut vals, 1, &pi_words);
-        for (o, &e) in expect.iter().enumerate() {
-            assert_eq!(
-                prog.output(o).read(&vals, 1, 0) & 1 != 0,
-                e,
-                "PO {o} under pattern {pattern:#b}"
-            );
-        }
-    }
 }
 
 /// A random fill and the single-oracle sweep on a fixed miter, pinned.
@@ -155,7 +132,7 @@ fn random_fill_and_sweep_outcome_are_pinned() {
 }
 
 proptest! {
-    /// Compiled full-mode fills match the scalar `Aig::eval` interpreter,
+    /// Compiled fills match the scalar `Aig::eval` interpreter,
     /// node by node and column by column, on random AIGs.
     #[test]
     fn compiled_matches_interpreter_on_random_aigs(
@@ -177,7 +154,7 @@ proptest! {
         pi_fill in any::<u64>(),
     ) {
         let g = random_graph(gates, pis, seed);
-        let prog = SimProgram::full(&g);
+        let prog = SimProgram::new(&g);
         let patterns: Vec<Vec<u64>> = (0..3u64)
             .map(|w| (0..pis as u64).map(|i| pi_fill.rotate_left((w * 13 + i * 7) as u32)).collect())
             .collect();
