@@ -14,11 +14,11 @@
 use csat_preproc::{BaselinePipeline, Pipeline};
 use mc::{BmcEngine, BmcOptions, BmcResult};
 use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
-use serve::{Engine, EngineConfig, Query, QueryOpts};
+use serve::{Engine, EngineConfig, EngineStats, Query, QueryOpts};
 use std::fmt::Display;
 use std::slice;
 use std::time::Instant;
-use sweep::{fraig, FraigParams};
+use sweep::{fraig, FraigParams, FraigStats};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
 use workloads::lec::{adder_miter, miter, restructure};
@@ -316,8 +316,8 @@ fn main() {
     // SAT sweeping: per miter, one row with one oracle, then one per thread
     // count with the shards pinned to the largest, so those rows differ
     // only in scheduling. The smoke miter's first round spans two 64-pair
-    // windows, so refutations are replayed mid-round. Telemetry is read
-    // back from the `sweep.stats.*` gauges the last timed run wrote.
+    // windows, so refutations are replayed mid-round. The counters are
+    // the last timed run's.
     let fraig_bits: &[usize] = if smoke { &[12] } else { &[16, 24] };
     let pinned = thread_counts.iter().copied().max().unwrap_or(1);
     let mut configs = vec![(1, 1)];
@@ -326,26 +326,22 @@ fn main() {
     for &bits in fraig_bits {
         let fg = adder_miter(bits);
         for &(threads, shards) in &configs {
-            let reg = obs::Registry::metrics_only();
             let params = FraigParams {
                 threads,
                 shards,
-                obs: reg.clone(),
                 ..FraigParams::default()
             };
-            let mut ands_out = 0;
+            let (mut s, mut ands_out) = (FraigStats::default(), 0);
             let [wall] = sample(|_| {
                 let (t, out) = timed(|| fraig(&fg, &params));
-                ands_out = out.aig.num_ands();
+                (s, ands_out) = (out.stats, out.aig.num_ands());
                 [t]
             });
-            let snap = reg.snapshot();
-            let g = |k: &str| snap.value(&format!("sweep.stats.{k}")).unwrap_or(0);
             fraig_rows.push(row! {
                 "bits": bits, "threads": threads, "shards": shards, "reps": REPS, "wall_s": wall,
-                "sat_calls": g("sat_calls"), "proved": g("proved"), "disproved": g("disproved"),
-                "cex_patterns": g("cex_patterns"), "rounds": g("rounds"), "ands_out": ands_out,
-                "deadline_interrupts": g("deadline_interrupts"), "shard_failures": g("shard_failures"),
+                "sat_calls": s.sat_calls, "proved": s.proved, "disproved": s.disproved,
+                "cex_patterns": s.cex_patterns, "rounds": s.rounds, "ands_out": ands_out,
+                "deadline_interrupts": s.deadline_interrupts, "shard_failures": s.shard_failures,
             });
         }
     }
@@ -390,7 +386,7 @@ fn main() {
     // The query service: an adder LEC pair and three restructured
     // near-duplicates, each submitted repeatedly, so repeats are cache
     // hits and near-duplicates solve live. Every run starts a cold engine;
-    // telemetry is read back from the `serve.stats.*` gauges of the last.
+    // the counters are the last run's.
     let (serve_bits, queries) = if smoke { (3, 12) } else { (6, 48) };
     let a = ripple_carry_adder(serve_bits).aig;
     let b = carry_lookahead_adder(serve_bits).aig;
@@ -403,31 +399,27 @@ fn main() {
         .collect();
     let mut serve_rows = Vec::new();
     for &workers in &thread_counts {
-        let reg = obs::Registry::metrics_only();
+        let mut s = EngineStats::default();
         let [wall] = sample(|_| {
-            let config = EngineConfig {
+            let engine = Engine::new(EngineConfig {
                 workers,
-                obs: reg.clone(),
                 ..EngineConfig::default()
-            };
-            let engine = Engine::new(config);
+            });
             let (t, responses) = timed(|| engine.run_batch(&stream));
             let all_unsat = responses.iter().all(|r| r.verdict.is_unsat());
             assert!(all_unsat, "the adder LEC stream is all-UNSAT");
-            engine.stats().publish(&reg);
             engine.shutdown();
+            s = engine.stats();
             [t]
         });
-        let snap = reg.snapshot();
-        let g = |k: &str| snap.value(&format!("serve.stats.{k}")).unwrap_or(0);
-        let hits = g("cache_hits");
+        let hits = s.cache.hits;
         let qps = queries as f64 / wall.median.max(1e-9);
         serve_rows.push(row! {
             "bits": serve_bits, "workers": workers, "queries": queries, "reps": REPS, "wall_s": wall,
             "qps": format!("{qps:.1}"), "cache_hits": hits,
             "cache_hit_rate": format!("{:.4}", hits as f64 / queries as f64),
-            "certs_verified": g("certs_verified"), "retries": g("retries"), "sheds": g("sheds"),
-            "failures": g("failures"),
+            "certs_verified": s.cache.certs_verified, "retries": s.retries, "sheds": s.sheds,
+            "failures": s.failures,
         });
     }
 

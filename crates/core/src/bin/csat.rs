@@ -39,10 +39,12 @@
 //!
 //! `10` satisfiable / counterexample, `20` unsatisfiable / proved, `0`
 //! run completed without a verdict (e.g. BMC clean within its bound, or
-//! `check` accepting a certificate), `1` certificate rejected,
+//! `check` accepting a certificate), `1` certificate rejected, query
+//! failed (`batch`, `serve`) or a model or trace that failed its replay,
 //! `30` resources exhausted (conflict budget or `--timeout-ms` deadline),
-//! `2` usage or input error. Every `solve`/`fraig`/`bmc` run emits one
-//! machine-readable `c resource-report ...` line on stderr.
+//! `2` usage or input error (only these print the usage text). Every
+//! `solve`/`fraig`/`bmc` run emits one machine-readable
+//! `c resource-report ...` line on stderr.
 
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::RecipePolicy;
@@ -88,7 +90,8 @@ serve/batch (concurrent query engine; lines: solve F | lec A B | bmc M K [timeou
   on stdout, terminated by a '# EOF' line
   batch exit: 1 any failed, else 30 any unknown, else 10 all sat / 20 all unsat / 0 mixed
 exit codes: 10 sat/cex, 20 unsat/proved, 0 inconclusive-but-complete,
-            1 certificate rejected, 30 budget or deadline exhausted, 2 usage error";
+            1 certificate rejected or a model/trace failed its replay,
+            30 budget or deadline exhausted, 2 usage error";
 
 /// Exit code for satisfiable instances / counterexamples found.
 const EXIT_SAT: u8 = 10;
@@ -96,8 +99,9 @@ const EXIT_SAT: u8 = 10;
 const EXIT_UNSAT: u8 = 20;
 /// Exit code when a conflict budget or wall-clock deadline ran out.
 const EXIT_RESOURCE: u8 = 30;
-/// Exit code when `csat check` rejects a certificate.
-const EXIT_NOT_VERIFIED: u8 = 1;
+/// Exit code when `csat check` rejects a certificate, a served query
+/// fails, or a model or trace fails its replay.
+const EXIT_FAILED: u8 = 1;
 /// Exit code for usage errors (bad flags, unreadable input, ...).
 const EXIT_USAGE: u8 = 2;
 
@@ -309,9 +313,9 @@ fn solve_cnf_cli(
     if presolve {
         if proof_out.is_none() {
             // The presolver owns its inner solver, so per-solve spans are
-            // unavailable on this path; gauges still publish below.
+            // unavailable on this path; its totals still reach `sat.*`.
             let (res, stats) = sat::presolve::solve_cnf_presolved(f, config, budget);
-            stats.publish(reg);
+            stats.add_to(reg);
             return Ok((res, stats));
         }
         eprintln!("c presolve disabled: it does not emit proof steps (--proof is on)");
@@ -322,7 +326,6 @@ fn solve_cnf_cli(
     solver.set_budget(budget);
     let res = solver.solve();
     let stats = *solver.stats();
-    stats.publish(reg);
     if let Some(out) = proof_out {
         if res.is_unsat() {
             let log = solver.proof().expect("proof logging was enabled");
@@ -451,7 +454,8 @@ fn run_solve_dimacs(
 /// the resource report, the trace and metrics, then the `s` line with its
 /// exit code. A SAT model goes through `witness`, which replays it on the
 /// input and renders the `v` line, before any `s` or `v` line is printed,
-/// so a model that fails its input leaves no answer on stdout.
+/// so a model that fails its input leaves no answer on stdout, only an
+/// `error:` line and exit 1.
 fn report_solve(
     name: &str,
     cnf: &cnf::Cnf,
@@ -474,20 +478,13 @@ fn report_solve(
         sat::SolveResult::Unsat => "unsat",
         sat::SolveResult::Unknown => "unknown",
     };
-    resource_report(
-        "solve",
-        status,
-        dt,
-        timeout_ms,
-        &[
-            ("conflicts", stats.conflicts),
-            ("deadline_interrupts", stats.deadline_interrupts),
-            ("cancellations", stats.cancellations),
-        ],
-    );
+    resource_report("solve", status, dt, timeout_ms, &stats.counters());
     obs_cli.finish()?;
     let (verdict, code, v_line) = match res {
-        sat::SolveResult::Sat(model) => ("SATISFIABLE", EXIT_SAT, Some(witness(&model)?)),
+        sat::SolveResult::Sat(model) => match witness(&model) {
+            Ok(v_line) => ("SATISFIABLE", EXIT_SAT, Some(v_line)),
+            Err(msg) => return Ok(replay_failed(&msg)),
+        },
         sat::SolveResult::Unsat => ("UNSATISFIABLE", EXIT_UNSAT, None),
         // CDCL is complete: Unknown only ever means a budget or deadline
         // fired, so it gets the resource exit code.
@@ -498,6 +495,14 @@ fn report_solve(
         println!("{v}");
     }
     Ok(ExitCode::from(code))
+}
+
+/// A model or trace that failed its replay is a fault of the solver or
+/// an engine, not of the command line: `error: …` without the usage
+/// text, and exit 1.
+fn replay_failed(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(EXIT_FAILED)
 }
 
 /// `csat check`: verify a DRAT certificate against a DIMACS formula with
@@ -531,7 +536,7 @@ fn run_check(path: &str, proof_path: &str) -> Result<ExitCode, String> {
         Err(e) => {
             eprintln!("c check: rejected after {:?}", t0.elapsed());
             println!("s NOT VERIFIED ({e})");
-            Ok(ExitCode::from(EXIT_NOT_VERIFIED))
+            Ok(ExitCode::from(EXIT_FAILED))
         }
     }
 }
@@ -565,11 +570,7 @@ fn run_fraig(path: &str, args: &[String]) -> Result<ExitCode, String> {
         if timed_out { "timeout" } else { "done" },
         dt,
         timeout_ms,
-        &[
-            ("sat_calls", s.sat_calls),
-            ("deadline_interrupts", s.deadline_interrupts),
-            ("shard_failures", s.shard_failures),
-        ],
+        &s.counters(),
     );
     obs_cli.finish()?;
     if let Some(out) = value_of(args, "-o")? {
@@ -701,11 +702,7 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         let mut engine = mc::BmcEngine::new(&machine, opts);
         let result = engine.check_frames(bound);
         let stats = *engine.stats();
-        let counters = [
-            ("conflicts", stats.conflicts),
-            ("deadline_interrupts", stats.deadline_interrupts),
-            ("cancellations", stats.cancellations),
-        ];
+        let counters = stats.counters();
         match result {
             mc::BmcResult::Cex { depth, trace } => {
                 resource_report("bmc", "cex", t0.elapsed(), timeout_ms, &counters);
@@ -740,9 +737,10 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         eprintln!("c property is invariant (k = {frames})");
         return Ok(ExitCode::from(EXIT_UNSAT));
     }
-    let (depth, trace) = match cex {
-        Some(pair) => pair,
-        None => return Err("internal error: non-proved path lost its counterexample".into()),
+    let Some((depth, trace)) = cex else {
+        return Ok(replay_failed(
+            "internal error: non-proved path lost its counterexample",
+        ));
     };
     // Replay the trace word-level (compiled stepper, trace in bit 0)
     // before reporting it.
@@ -753,7 +751,9 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         fired = stepper.step_words(&pis).iter().any(|&w| w & 1 != 0);
     }
     if !fired {
-        return Err("internal error: trace does not reach a violation".into());
+        return Ok(replay_failed(
+            "internal error: trace does not reach a violation",
+        ));
     }
     eprintln!("c counterexample at depth {depth} in {:?}", t0.elapsed());
     println!("s SATISFIABLE");
@@ -882,7 +882,7 @@ fn exit_for_responses<'a>(verdicts: impl Iterator<Item = &'a serve::Verdict>) ->
         }
     }
     if failed > 0 {
-        ExitCode::from(EXIT_NOT_VERIFIED)
+        ExitCode::from(EXIT_FAILED)
     } else if unknown > 0 {
         ExitCode::from(EXIT_RESOURCE)
     } else if sat > 0 && unsat == 0 {
@@ -892,21 +892,6 @@ fn exit_for_responses<'a>(verdicts: impl Iterator<Item = &'a serve::Verdict>) ->
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Engine telemetry rendered for the `resource-report` line.
-fn serve_counters(s: &serve::EngineStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("submitted", s.submitted),
-        ("responded", s.responded),
-        ("cache_hits", s.cache.hits),
-        ("certs_verified", s.cache.certs_verified),
-        ("certs_rejected", s.cache.certs_rejected),
-        ("retries", s.retries),
-        ("sheds", s.sheds),
-        ("panics", s.panics_contained),
-        ("failures", s.failures),
-    ]
 }
 
 /// `csat serve`: line-oriented service on stdin/stdout. Queries stream in,
@@ -999,8 +984,6 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
     let verdicts = printer.join().expect("printer thread panicked");
     engine.shutdown();
     let stats = engine.stats();
-    // The final accounting used to vanish at stdin EOF; surface it.
-    eprintln!("c engine-stats {stats}");
     stats.publish(&obs_cli.reg);
     let status = if parse_errors > 0 || stats.failures > 0 {
         "failed"
@@ -1017,11 +1000,11 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
         status,
         t0.elapsed(),
         default_timeout,
-        &serve_counters(&stats),
+        &stats.counters(),
     );
     obs_cli.finish()?;
     if parse_errors > 0 {
-        return Ok(ExitCode::from(EXIT_NOT_VERIFIED));
+        return Ok(ExitCode::from(EXIT_FAILED));
     }
     Ok(exit_for_responses(verdicts.iter()))
 }
@@ -1092,7 +1075,7 @@ fn run_batch(path: &str, args: &[String]) -> Result<ExitCode, String> {
         status,
         t0.elapsed(),
         batch_timeout.or(default_timeout),
-        &serve_counters(&stats),
+        &stats.counters(),
     );
     obs_cli.finish()?;
     Ok(exit_for_responses(responses.iter().map(|r| &r.verdict)))
@@ -1261,6 +1244,22 @@ mod tests {
             .collect();
         let err = run(&args).expect_err("usage error");
         assert!(err.contains("--sweep"), "{err}");
+    }
+
+    #[test]
+    fn failed_witness_replay_exits_1_not_as_a_usage_error() {
+        let obs_cli = ObsCli::from_args(&[]).expect("no flags");
+        let solved = (sat::SolveResult::Sat(vec![true]), sat::Stats::default());
+        let code = report_solve(
+            "dimacs",
+            &cnf::Cnf::new(),
+            solved,
+            Instant::now(),
+            None,
+            &obs_cli,
+            |_| Err("internal error: model does not satisfy the formula".into()),
+        );
+        assert_eq!(code, Ok(ExitCode::from(EXIT_FAILED)));
     }
 
     #[test]

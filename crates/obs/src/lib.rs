@@ -21,8 +21,9 @@
 //! (the production default, [`Registry::disabled`]) makes every handle a
 //! `None`, so the instrumented hot paths pay exactly one branch and zero
 //! allocations — the same pattern as the solver's `Option<Box<ProofLog>>`
-//! proof sink. `metrics_only` enables the atomics but keeps span creation
-//! free; `tracing` turns on event buffering too.
+//! proof sink. `metrics_only` enables the atomics; its spans emit nothing,
+//! but their handles still reach the registry, so a component parented
+//! to a span still counts. `tracing` turns on event buffering too.
 //!
 //! ## Ordering contract
 //!
@@ -274,6 +275,16 @@ mod tests {
         assert_eq!(snap.value("sat.conflicts"), Some(10));
         assert_eq!(snap.value("sweep.rounds"), Some(4));
         assert_eq!(snap.value("missing"), None);
+    }
+
+    #[test]
+    fn metrics_only_span_handles_keep_the_registry() {
+        let reg = Registry::metrics_only();
+        let span = reg.span("outer").child("inner");
+        assert!(!span.enabled());
+        span.handle().registry().counter("n").inc();
+        assert_eq!(reg.snapshot().value("n"), Some(1));
+        assert!(reg.drain_events().is_empty());
     }
 
     #[test]

@@ -190,28 +190,26 @@ pub(crate) fn open(
     name: &'static str,
     fields: &[(&'static str, FieldValue)],
 ) -> Span {
-    let Some(inner) = inner else {
-        return Span { body: None };
-    };
-    if !inner.events {
-        // Metrics-only mode: spans exist as cheap id carriers (so code can
-        // thread handles unconditionally) but emit nothing.
-        return Span { body: None };
-    }
-    let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-    emit(&inner, EventKind::Enter, name, id, parent, fields.to_vec());
-    Span {
-        body: Some(SpanBody {
-            inner,
-            id,
-            name,
-            recorded: Mutex::new(Vec::new()),
-        }),
+    match inner {
+        Some(inner) if inner.events => {
+            let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+            emit(&inner, EventKind::Enter, name, id, parent, fields.to_vec());
+            Span {
+                inner: Some(inner),
+                body: Some(SpanBody {
+                    id,
+                    name,
+                    recorded: Mutex::new(Vec::new()),
+                }),
+            }
+        }
+        // Disabled or metrics-only: no id and no events, but a metrics-only
+        // span keeps its registry so `handle()` still reaches the metrics.
+        inner => Span { inner, body: None },
     }
 }
 
 struct SpanBody {
-    inner: Arc<Inner>,
     id: SpanId,
     name: &'static str,
     /// Fields accumulated via [`Span::record`], attached to the Exit
@@ -223,9 +221,13 @@ struct SpanBody {
 }
 
 /// RAII span guard: `Enter` on creation, `Exit` (with recorded fields) on
-/// drop. A span from a disabled (or metrics-only) registry is an inert
-/// zero-allocation shell.
+/// drop. A span from a disabled registry is an inert zero-allocation
+/// shell; one from a metrics-only registry emits nothing either, but its
+/// [`Span::handle`] still reaches the registry's metrics.
 pub struct Span {
+    /// The registry; `None` only when it is disabled.
+    inner: Option<Arc<Inner>>,
+    /// Id and recorded fields, present iff the registry records events.
     body: Option<SpanBody>,
 }
 
@@ -256,23 +258,13 @@ impl Span {
 
     /// Opens a child span with enter-event fields.
     pub fn child_with(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) -> Span {
-        match &self.body {
-            Some(b) => open(Some(Arc::clone(&b.inner)), b.id, name, fields),
-            None => Span { body: None },
-        }
+        open(self.inner.clone(), self.id(), name, fields)
     }
 
     /// Emits an instant event inside this span.
     pub fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        if let Some(b) = &self.body {
-            emit(
-                &b.inner,
-                EventKind::Instant,
-                name,
-                b.id,
-                b.id,
-                fields.to_vec(),
-            );
+        if let (Some(inner), Some(b)) = (&self.inner, &self.body) {
+            emit(inner, EventKind::Instant, name, b.id, b.id, fields.to_vec());
         }
     }
 
@@ -292,18 +284,15 @@ impl Span {
     /// work on other components/threads (outliving it is allowed but the
     /// children would no longer nest — re-parent per round/frame instead).
     pub fn handle(&self) -> SpanHandle {
-        match &self.body {
-            Some(b) => SpanHandle::new(Some(Arc::clone(&b.inner)), b.id),
-            None => SpanHandle::new(None, 0),
-        }
+        SpanHandle::new(self.inner.clone(), self.id())
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(b) = self.body.take() {
+        if let (Some(inner), Some(b)) = (&self.inner, self.body.take()) {
             let fields = b.recorded.into_inner().unwrap_or_default();
-            emit(&b.inner, EventKind::Exit, b.name, b.id, 0, fields);
+            emit(inner, EventKind::Exit, b.name, b.id, 0, fields);
         }
     }
 }

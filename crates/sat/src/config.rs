@@ -176,17 +176,13 @@ impl Cancellation {
 ///
 /// Exceeding any limit makes the solver return
 /// [`crate::SolveResult::Unknown`] with its incremental state intact —
-/// re-querying resumes correctly. The decision budget is the natural
-/// companion of the paper's branching-count metric; the wall-clock
-/// deadline and the cancellation token are the serve-layer throttles
-/// (polled coarsely in the search loop, never on the propagation hot
-/// path).
+/// re-querying resumes correctly. The wall-clock deadline and the
+/// cancellation token are the serve-layer throttles (polled coarsely in
+/// the search loop, never on the propagation hot path).
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     /// Maximum conflicts.
     pub conflicts: Option<u64>,
-    /// Maximum decisions (branchings).
-    pub decisions: Option<u64>,
     /// Wall-clock deadline: the solve returns `Unknown` once `Instant::now()`
     /// passes it. Checked once per interrupt-check period, so overshoot is
     /// bounded by a batch of conflicts, not by the whole solve.
@@ -199,7 +195,6 @@ impl Budget {
     /// No limits.
     pub const UNLIMITED: Budget = Budget {
         conflicts: None,
-        decisions: None,
         deadline: None,
         cancel: None,
     };
@@ -251,7 +246,6 @@ mod tests {
     fn budget_helpers() {
         let b = Budget::conflicts(100);
         assert_eq!(b.conflicts, Some(100));
-        assert!(b.decisions.is_none());
         assert!(b.deadline.is_none());
         assert!(b.cancel.is_none());
         let t = Budget::timeout(Duration::from_secs(1));

@@ -9,8 +9,8 @@
 //! * LBD-aware clause-database reduction and garbage collection,
 //! * Luby and Glucose-EMA restart policies,
 //! * per-run [`Stats`] whose `decisions` counter is the paper's
-//!   "variable branching times" metric, and a decision/conflict [`Budget`]
-//!   for bounded runs.
+//!   "variable branching times" metric, and a [`Budget`] (conflicts,
+//!   deadline, cancellation) for bounded runs.
 //!
 //! Two presets mirror the evaluation's solver pair:
 //! [`SolverConfig::kissat_like`] and [`SolverConfig::cadical_like`].
@@ -36,7 +36,6 @@ mod config;
 mod heap;
 pub mod presolve;
 pub mod proof;
-pub mod reference;
 pub mod restart;
 mod solver;
 mod stats;

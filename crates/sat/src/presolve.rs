@@ -428,41 +428,6 @@ pub fn solve_cnf_presolved(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::dpll_sat;
-    use rand::{Rng, SeedableRng};
-
-    fn random_cnf(rng: &mut rand::rngs::StdRng, n: u32, m: usize) -> Cnf {
-        let mut f = Cnf::new();
-        f.ensure_vars(n);
-        for _ in 0..m {
-            let len = rng.gen_range(1..=3);
-            let mut c: Vec<CnfLit> = Vec::new();
-            while c.len() < len {
-                let v = rng.gen_range(1..=n);
-                if c.iter().all(|l| l.var() != v) {
-                    c.push(CnfLit::new(v, rng.gen()));
-                }
-            }
-            f.add_clause(c);
-        }
-        f
-    }
-
-    #[test]
-    fn equisatisfiable_on_random_formulas() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for iter in 0..200 {
-            let n = rng.gen_range(3..=10);
-            let m = rng.gen_range(3..=35);
-            let f = random_cnf(&mut rng, n, m);
-            let expected = dpll_sat(&f);
-            let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
-            assert_eq!(res.is_sat(), expected, "iter {iter}");
-            if let SolveResult::Sat(model) = res {
-                assert!(f.eval(&model), "iter {iter}: reconstructed model invalid");
-            }
-        }
-    }
 
     #[test]
     fn eliminates_pure_and_low_occurrence_vars() {

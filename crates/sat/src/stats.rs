@@ -3,6 +3,16 @@
 //! [`Stats::decisions`] is the quantity the paper approximates solving time
 //! with ("variable branching times", Sec. III-B5): it is the reward signal
 //! of the RL agent and the target of the cost-customised mapper.
+//!
+//! [`Stats::counters`] names every counter once; each view derives from
+//! that list. An observed solver (see
+//! [`Solver::set_observer`](crate::Solver::set_observer)) adds each
+//! `solve()`'s increase of every counter to the registry's `sat.<name>`
+//! counter, so `sat.*` counts the work inside observed `solve()` calls:
+//! unit propagation while clauses are loaded shows in
+//! [`Stats::propagations`] but not in `sat.propagations`. A solver that
+//! is not observed (the presolver's own) reaches the registry through
+//! [`Stats::add_to`], which adds its whole totals, loading included.
 
 /// Counters accumulated across `solve()` calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,55 +39,49 @@ pub struct Stats {
     pub deadline_interrupts: u64,
     /// Solves interrupted by an external cancellation token.
     pub cancellations: u64,
-    /// Maximum trail height observed.
-    pub max_trail: usize,
 }
 
 impl Stats {
-    /// Publishes every field as a `sat.stats.*` gauge in `reg`
-    /// (last-write-wins), so CLI tables, the serve `stats` command, and
-    /// bench totals all read solver totals from one registry snapshot.
-    pub fn publish(&self, reg: &obs::Registry) {
+    /// Every counter with its name, in field order: the one list the
+    /// registry's `sat.<name>` counters and the CLI's resource report
+    /// read.
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("decisions", self.decisions),
+            ("conflicts", self.conflicts),
+            ("propagations", self.propagations),
+            ("restarts", self.restarts),
+            ("learnt_clauses", self.learnt_clauses),
+            ("deleted_clauses", self.deleted_clauses),
+            ("minimized_literals", self.minimized_literals),
+            ("gcs", self.gcs),
+            ("watcher_shrinks", self.watcher_shrinks),
+            ("deadline_interrupts", self.deadline_interrupts),
+            ("cancellations", self.cancellations),
+        ]
+    }
+
+    /// The `sat.<name>` counter of `reg` for each entry of
+    /// [`Stats::counters`], in list order.
+    pub(crate) fn registry_counters(reg: &obs::Registry) -> Vec<obs::Counter> {
+        Stats::default()
+            .counters()
+            .iter()
+            .map(|(name, _)| reg.counter(&format!("sat.{name}")))
+            .collect()
+    }
+
+    /// Adds every counter to its `sat.<name>` counter in `reg`: how the
+    /// work of a solver that was not observed (the presolver's own)
+    /// reaches the registry.
+    pub fn add_to(&self, reg: &obs::Registry) {
         if !reg.is_enabled() {
             return;
         }
-        reg.set_gauge("sat.stats.decisions", self.decisions);
-        reg.set_gauge("sat.stats.conflicts", self.conflicts);
-        reg.set_gauge("sat.stats.propagations", self.propagations);
-        reg.set_gauge("sat.stats.restarts", self.restarts);
-        reg.set_gauge("sat.stats.learnt_clauses", self.learnt_clauses);
-        reg.set_gauge("sat.stats.deleted_clauses", self.deleted_clauses);
-        reg.set_gauge("sat.stats.minimized_literals", self.minimized_literals);
-        reg.set_gauge("sat.stats.gcs", self.gcs);
-        reg.set_gauge("sat.stats.watcher_shrinks", self.watcher_shrinks);
-        reg.set_gauge("sat.stats.deadline_interrupts", self.deadline_interrupts);
-        reg.set_gauge("sat.stats.cancellations", self.cancellations);
-        reg.set_gauge("sat.stats.max_trail", self.max_trail as u64);
-    }
-}
-
-impl std::fmt::Display for Stats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Existing keys stay first and unchanged: the resource-report
-        // parser (and log-scraping tests) key on `name=value` tokens.
-        write!(
-            f,
-            "decisions={} conflicts={} propagations={} restarts={} learnt={} deleted={} \
-             minimized={} gcs={} watcher_shrinks={} deadline_interrupts={} cancellations={} \
-             max_trail={}",
-            self.decisions,
-            self.conflicts,
-            self.propagations,
-            self.restarts,
-            self.learnt_clauses,
-            self.deleted_clauses,
-            self.minimized_literals,
-            self.gcs,
-            self.watcher_shrinks,
-            self.deadline_interrupts,
-            self.cancellations,
-            self.max_trail
-        )
+        let counters = Stats::registry_counters(reg);
+        for (counter, (_, value)) in counters.iter().zip(self.counters()) {
+            counter.add(value);
+        }
     }
 }
 
@@ -93,16 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_decisions() {
-        let s = Stats {
-            decisions: 42,
-            ..Stats::default()
-        };
-        assert!(format!("{s}").contains("decisions=42"));
-    }
-
-    #[test]
-    fn display_prints_every_counter() {
+    fn counters_name_every_field_once() {
         let s = Stats {
             decisions: 1,
             conflicts: 2,
@@ -115,42 +110,33 @@ mod tests {
             watcher_shrinks: 9,
             deadline_interrupts: 10,
             cancellations: 11,
-            max_trail: 12,
         };
-        let text = format!("{s}");
-        for token in [
-            "decisions=1",
-            "conflicts=2",
-            "propagations=3",
-            "restarts=4",
-            "learnt=5",
-            "deleted=6",
-            "minimized=7",
-            "gcs=8",
-            "watcher_shrinks=9",
-            "deadline_interrupts=10",
-            "cancellations=11",
-            "max_trail=12",
-        ] {
-            assert!(text.contains(token), "missing `{token}` in `{text}`");
-        }
+        let list = s.counters();
+        let values: Vec<u64> = list.iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, (1..=11).collect::<Vec<u64>>());
+        let mut names: Vec<&str> = list.iter().map(|&(n, _)| n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), list.len(), "names are distinct");
     }
 
     #[test]
-    fn publish_mirrors_fields_into_gauges() {
+    fn add_to_accumulates_every_counter() {
         let s = Stats {
             conflicts: 21,
             minimized_literals: 4,
             ..Stats::default()
         };
         let reg = obs::Registry::metrics_only();
-        s.publish(&reg);
+        s.add_to(&reg);
+        s.add_to(&reg);
         let snap = reg.snapshot();
-        assert_eq!(snap.value("sat.stats.conflicts"), Some(21));
-        assert_eq!(snap.value("sat.stats.minimized_literals"), Some(4));
-        // Disabled registries must stay empty.
+        assert_eq!(snap.value("sat.conflicts"), Some(42));
+        assert_eq!(snap.value("sat.minimized_literals"), Some(8));
+        assert_eq!(snap.value("sat.cancellations"), Some(0));
+        // Disabled registries stay empty.
         let off = obs::Registry::disabled();
-        s.publish(&off);
+        s.add_to(&off);
         assert!(off.snapshot().is_empty());
     }
 }

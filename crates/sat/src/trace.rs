@@ -4,10 +4,12 @@
 //! The solver stores it as `Option<Box<SolverTrace>>` — the same shape as
 //! the proof log — so an unobserved solver pays one null-check at the
 //! conflict-rate probe sites and nothing on the propagation hot path.
-//! Counters are accumulated as *deltas* once per `solve()` (stats are
-//! lifetime totals; the registry wants per-call increments), and each
-//! solve runs under a `sat.solve` span carrying the per-call conflict and
-//! decision counts on exit.
+//! Once per `solve()` the trace adds the increase of every counter in
+//! [`Stats::counters`] to the registry's `sat.<name>` counter (stats are
+//! lifetime totals; the registry wants per-call increments), so `sat.*`
+//! counts the work done inside observed solves only. Each solve runs
+//! under a `sat.solve` span carrying the per-call conflict, decision and
+//! propagation counts on exit.
 
 use crate::stats::Stats;
 use crate::SolveResult;
@@ -17,10 +19,8 @@ pub(crate) struct SolverTrace {
     /// Span the per-solve spans hang under (a serve query, a sweep shard,
     /// an mc frame — or the registry root).
     pub(crate) parent: obs::SpanHandle,
-    conflicts: obs::Counter,
-    decisions: obs::Counter,
-    propagations: obs::Counter,
-    restarts: obs::Counter,
+    /// The `sat.<name>` counters, in [`Stats::counters`] order.
+    counters: Vec<obs::Counter>,
     /// Conflicts per `solve()` call (the paper's per-query cost signal).
     per_solve: obs::Histogram,
     /// Propagations between consecutive conflicts.
@@ -48,10 +48,7 @@ impl Clone for SolverTrace {
     fn clone(&self) -> SolverTrace {
         SolverTrace {
             parent: self.parent.clone(),
-            conflicts: self.conflicts.clone(),
-            decisions: self.decisions.clone(),
-            propagations: self.propagations.clone(),
-            restarts: self.restarts.clone(),
+            counters: self.counters.clone(),
             per_solve: self.per_solve.clone(),
             burst: self.burst.clone(),
             active: None,
@@ -66,10 +63,7 @@ impl SolverTrace {
         let reg = parent.registry();
         SolverTrace {
             parent,
-            conflicts: reg.counter("sat.conflicts"),
-            decisions: reg.counter("sat.decisions"),
-            propagations: reg.counter("sat.propagations"),
-            restarts: reg.counter("sat.restarts"),
+            counters: Stats::registry_counters(&reg),
             per_solve: reg.histogram("sat.solve.conflicts"),
             burst: reg.histogram("sat.propagation_burst"),
             active: None,
@@ -91,14 +85,13 @@ impl SolverTrace {
     /// Accumulates the solve's deltas into the live counters and closes
     /// the span with the per-call totals.
     pub(crate) fn solve_end(&mut self, stats: &Stats, result: &SolveResult) {
+        let (now, then) = (stats.counters(), self.base.counters());
+        for ((counter, (_, now)), (_, then)) in self.counters.iter().zip(now).zip(then) {
+            counter.add(now - then);
+        }
         let dc = stats.conflicts - self.base.conflicts;
         let dd = stats.decisions - self.base.decisions;
         let dp = stats.propagations - self.base.propagations;
-        let dr = stats.restarts - self.base.restarts;
-        self.conflicts.add(dc);
-        self.decisions.add(dd);
-        self.propagations.add(dp);
-        self.restarts.add(dr);
         self.per_solve.observe(dc);
         if let Some(span) = self.active.take() {
             span.record("conflicts", dc);
@@ -179,12 +172,12 @@ mod tests {
         let mut s = Solver::from_cnf(&php4(), SolverConfig::default());
         s.set_observer(reg.root());
         assert!(s.solve().is_unsat());
+        // php(4) has no unit clause, so loading propagates nothing and
+        // every live counter equals its stats total after one solve.
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.value("sat.conflicts"),
-            Some(s.stats().conflicts),
-            "live counter must equal the stats total after one solve"
-        );
+        for (name, total) in s.stats().counters() {
+            assert_eq!(snap.value(&format!("sat.{name}")), Some(total), "{name}");
+        }
         let events = reg.drain_events();
         obs::check::validate(&events).expect("well-formed");
         assert_eq!(

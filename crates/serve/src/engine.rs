@@ -276,57 +276,39 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Publishes every counter as a `serve.stats.*` gauge in `reg`
-    /// (last-write-wins), so the CLI summary, the `stats` line-protocol
-    /// command, and bench totals all read from one registry snapshot.
+    /// Every counter with its name, the cache's included: the one list the
+    /// `serve.stats.*` gauges and the CLI's resource report read.
+    pub fn counters(&self) -> [(&'static str, u64); 16] {
+        [
+            ("submitted", self.submitted),
+            ("responded", self.responded),
+            ("sat", self.sat),
+            ("unsat", self.unsat),
+            ("unknown_budget", self.unknown_budget),
+            ("unknown_deadline", self.unknown_deadline),
+            ("cancelled", self.cancelled),
+            ("sheds", self.sheds),
+            ("retries", self.retries),
+            ("panics", self.panics_contained),
+            ("failures", self.failures),
+            ("cache_hits", self.cache.hits),
+            ("cache_misses", self.cache.misses),
+            ("cache_insertions", self.cache.insertions),
+            ("certs_verified", self.cache.certs_verified),
+            ("certs_rejected", self.cache.certs_rejected),
+        ]
+    }
+
+    /// Publishes every counter as a `serve.stats.<name>` gauge in `reg`
+    /// (last-write-wins), for the `stats` line-protocol command and any
+    /// other registry snapshot.
     pub fn publish(&self, reg: &obs::Registry) {
         if !reg.is_enabled() {
             return;
         }
-        reg.set_gauge("serve.stats.submitted", self.submitted);
-        reg.set_gauge("serve.stats.responded", self.responded);
-        reg.set_gauge("serve.stats.sat", self.sat);
-        reg.set_gauge("serve.stats.unsat", self.unsat);
-        reg.set_gauge("serve.stats.unknown_budget", self.unknown_budget);
-        reg.set_gauge("serve.stats.unknown_deadline", self.unknown_deadline);
-        reg.set_gauge("serve.stats.cancelled", self.cancelled);
-        reg.set_gauge("serve.stats.sheds", self.sheds);
-        reg.set_gauge("serve.stats.retries", self.retries);
-        reg.set_gauge("serve.stats.panics_contained", self.panics_contained);
-        reg.set_gauge("serve.stats.failures", self.failures);
-        reg.set_gauge("serve.stats.cache_hits", self.cache.hits);
-        reg.set_gauge("serve.stats.cache_misses", self.cache.misses);
-        reg.set_gauge("serve.stats.cache_insertions", self.cache.insertions);
-        reg.set_gauge("serve.stats.certs_verified", self.cache.certs_verified);
-        reg.set_gauge("serve.stats.certs_rejected", self.cache.certs_rejected);
-    }
-}
-
-impl std::fmt::Display for EngineStats {
-    /// Stable `key=value` rendering, same convention as [`sat::Stats`] —
-    /// the `csat serve` shutdown summary line prints this.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "submitted={} responded={} sat={} unsat={} unknown_budget={} unknown_deadline={} \
-             cancelled={} sheds={} retries={} panics={} failures={} cache_hits={} \
-             cache_misses={} certs_verified={} certs_rejected={}",
-            self.submitted,
-            self.responded,
-            self.sat,
-            self.unsat,
-            self.unknown_budget,
-            self.unknown_deadline,
-            self.cancelled,
-            self.sheds,
-            self.retries,
-            self.panics_contained,
-            self.failures,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.certs_verified,
-            self.cache.certs_rejected
-        )
+        for (name, value) in self.counters() {
+            reg.set_gauge(&format!("serve.stats.{name}"), value);
+        }
     }
 }
 
@@ -354,21 +336,6 @@ struct QueueState {
     shutdown: bool,
 }
 
-#[derive(Default)]
-struct Telemetry {
-    submitted: AtomicU64,
-    responded: AtomicU64,
-    sat: AtomicU64,
-    unsat: AtomicU64,
-    unknown_budget: AtomicU64,
-    unknown_deadline: AtomicU64,
-    cancelled: AtomicU64,
-    sheds: AtomicU64,
-    retries: AtomicU64,
-    panics_contained: AtomicU64,
-    failures: AtomicU64,
-}
-
 struct Shared {
     cfg: EngineConfig,
     state: Mutex<QueueState>,
@@ -379,7 +346,10 @@ struct Shared {
     cache: Mutex<VerdictCache>,
     root: Cancellation,
     tx: Mutex<Sender<Response>>,
-    tel: Telemetry,
+    /// The engine's counters. Its `cache` part stays zero: the cache
+    /// keeps its own, and [`Engine::stats`] reads the two locks one after
+    /// the other, never nested (`respond` runs under the cache lock).
+    stats: Mutex<EngineStats>,
     /// Observability registry (clone of `cfg.obs`, hoisted for probe sites).
     obs: obs::Registry,
     /// Admission-to-first-dequeue wait, in microseconds.
@@ -435,7 +405,7 @@ impl Engine {
             cache: Mutex::new(VerdictCache::new()),
             root: Cancellation::new(),
             tx: Mutex::new(tx),
-            tel: Telemetry::default(),
+            stats: Mutex::new(EngineStats::default()),
             obs,
             queue_wait,
         });
@@ -503,7 +473,7 @@ impl Engine {
         while st.queue.len() >= sh.cfg.queue_capacity {
             match sh.cfg.admission {
                 Admission::Shed => {
-                    sh.tel.submitted.fetch_add(1, Ordering::Relaxed);
+                    lock(&sh.stats).submitted += 1;
                     drop(st);
                     sh.respond(&job, Verdict::Unknown(UnknownReason::Shed), false);
                     return Ok(Ticket { id, cancel });
@@ -516,7 +486,7 @@ impl Engine {
                 }
             }
         }
-        sh.tel.submitted.fetch_add(1, Ordering::Relaxed);
+        lock(&sh.stats).submitted += 1;
         st.queue.push(job);
         drop(st);
         sh.work_cv.notify_one();
@@ -569,20 +539,11 @@ impl Engine {
 
     /// Counter snapshot.
     pub fn stats(&self) -> EngineStats {
-        let t = &self.shared.tel;
+        // The cache guard drops before the counters are locked.
+        let cache = lock(&self.shared.cache).stats();
         EngineStats {
-            submitted: t.submitted.load(Ordering::Relaxed),
-            responded: t.responded.load(Ordering::Relaxed),
-            sat: t.sat.load(Ordering::Relaxed),
-            unsat: t.unsat.load(Ordering::Relaxed),
-            unknown_budget: t.unknown_budget.load(Ordering::Relaxed),
-            unknown_deadline: t.unknown_deadline.load(Ordering::Relaxed),
-            cancelled: t.cancelled.load(Ordering::Relaxed),
-            sheds: t.sheds.load(Ordering::Relaxed),
-            retries: t.retries.load(Ordering::Relaxed),
-            panics_contained: t.panics_contained.load(Ordering::Relaxed),
-            failures: t.failures.load(Ordering::Relaxed),
-            cache: lock(&self.shared.cache).stats(),
+            cache,
+            ..*lock(&self.shared.stats)
         }
     }
 
@@ -756,7 +717,7 @@ impl Shared {
         }));
         match outcome {
             Err(_) => {
-                self.tel.panics_contained.fetch_add(1, Ordering::Relaxed);
+                lock(&self.stats).panics_contained += 1;
                 if job.panics >= self.cfg.panic_retries {
                     self.respond(&job, Verdict::Failed, false);
                 } else {
@@ -834,7 +795,7 @@ impl Shared {
             self.respond(&job, Verdict::Unknown(UnknownReason::Budget), false);
             return;
         }
-        self.tel.retries.fetch_add(1, Ordering::Relaxed);
+        lock(&self.stats).retries += 1;
         job.next_conflicts = job.next_conflicts.saturating_mul(BUDGET_ESCALATION);
         job.not_before = Some(Instant::now() + self.backoff_delay(&job));
         self.requeue(job);
@@ -868,17 +829,18 @@ impl Shared {
 
     /// Emits the job's single response and accounts for it.
     fn respond(&self, job: &Job, verdict: Verdict, cache_hit: bool) {
-        let counter = match &verdict {
-            Verdict::Sat(_) => &self.tel.sat,
-            Verdict::Unsat => &self.tel.unsat,
-            Verdict::Unknown(UnknownReason::Budget) => &self.tel.unknown_budget,
-            Verdict::Unknown(UnknownReason::Deadline) => &self.tel.unknown_deadline,
-            Verdict::Unknown(UnknownReason::Cancelled) => &self.tel.cancelled,
-            Verdict::Unknown(UnknownReason::Shed) => &self.tel.sheds,
-            Verdict::Failed => &self.tel.failures,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.tel.responded.fetch_add(1, Ordering::Relaxed);
+        let mut stats = lock(&self.stats);
+        match &verdict {
+            Verdict::Sat(_) => stats.sat += 1,
+            Verdict::Unsat => stats.unsat += 1,
+            Verdict::Unknown(UnknownReason::Budget) => stats.unknown_budget += 1,
+            Verdict::Unknown(UnknownReason::Deadline) => stats.unknown_deadline += 1,
+            Verdict::Unknown(UnknownReason::Cancelled) => stats.cancelled += 1,
+            Verdict::Unknown(UnknownReason::Shed) => stats.sheds += 1,
+            Verdict::Failed => stats.failures += 1,
+        }
+        stats.responded += 1;
+        drop(stats);
         let wall = job.submitted_at.elapsed();
         job.span.record("status", verdict.status());
         job.span.record("cache_hit", cache_hit);

@@ -269,7 +269,8 @@ mod tests {
             ),
         ]);
         assert_eq!(rs.len(), 2);
-        engine.stats().publish(&reg);
+        let stats = engine.stats();
+        stats.publish(&reg);
         engine.shutdown(); // workers joined: every span is closed
         let events = reg.drain_events();
         obs::check::validate(&events).expect("span stream well-formed");
@@ -286,7 +287,10 @@ mod tests {
             obs::check::sum_field(&events, "sat.solve", "conflicts"),
             snap.value("sat.conflicts").unwrap_or(0)
         );
-        assert_eq!(snap.value("serve.stats.responded"), Some(2));
+        assert_eq!(stats.responded, 2);
+        for (name, value) in stats.counters() {
+            assert_eq!(snap.value(&format!("serve.stats.{name}")), Some(value));
+        }
         assert!(snap.histogram("serve.queue_wait_us").is_some());
     }
 

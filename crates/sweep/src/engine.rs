@@ -138,22 +138,32 @@ pub struct FraigStats {
 }
 
 impl FraigStats {
-    /// Publishes every field as a `sweep.stats.*` gauge (last-write-wins);
-    /// [`fraig`] calls this on completion so live snapshots and the final
-    /// stats struct agree by construction.
+    /// Every counter with its name, in field order: the one list the
+    /// `sweep.stats.*` gauges and the CLI's resource report read.
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("rounds", self.rounds as u64),
+            ("sat_calls", self.sat_calls),
+            ("proved", self.proved as u64),
+            ("disproved", self.disproved as u64),
+            ("unknown", self.unknown as u64),
+            ("cex_patterns", self.cex_patterns as u64),
+            ("deadline_interrupts", self.deadline_interrupts),
+            ("shard_failures", self.shard_failures),
+            ("certified", self.certified),
+        ]
+    }
+
+    /// Publishes every counter as a `sweep.stats.<name>` gauge
+    /// (last-write-wins); [`fraig`] calls this on completion so live
+    /// snapshots and the final stats struct agree by construction.
     pub fn publish(&self, reg: &obs::Registry) {
         if !reg.is_enabled() {
             return;
         }
-        reg.set_gauge("sweep.stats.rounds", self.rounds as u64);
-        reg.set_gauge("sweep.stats.sat_calls", self.sat_calls);
-        reg.set_gauge("sweep.stats.proved", self.proved as u64);
-        reg.set_gauge("sweep.stats.disproved", self.disproved as u64);
-        reg.set_gauge("sweep.stats.unknown", self.unknown as u64);
-        reg.set_gauge("sweep.stats.cex_patterns", self.cex_patterns as u64);
-        reg.set_gauge("sweep.stats.deadline_interrupts", self.deadline_interrupts);
-        reg.set_gauge("sweep.stats.shard_failures", self.shard_failures);
-        reg.set_gauge("sweep.stats.certified", self.certified);
+        for (name, value) in self.counters() {
+            reg.set_gauge(&format!("sweep.stats.{name}"), value);
+        }
     }
 }
 

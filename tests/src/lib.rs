@@ -5,9 +5,13 @@
 //! RUP checker accepts the solver's certificate ([`Solver::certify`]).
 //! Test suites use these instead of trusting the solver's (or the DPLL
 //! reference's) word for unsatisfiability. [`eval_node_words`] is the
-//! scalar reference the compiled simulation engine is tested against.
+//! scalar reference the compiled simulation engine is tested against, and
+//! [`reference::dpll_sat`] the plain DPLL oracle the solver's verdicts
+//! are cross-checked against.
 
 #![forbid(unsafe_code)]
+
+pub mod reference;
 
 use aig::{Aig, Lit};
 use cnf::Cnf;

@@ -9,10 +9,11 @@
 //! rather than resting on DPLL-reference agreement alone.
 
 use cnf::{Cnf, CnfLit};
+use csat_tests::reference::dpll_sat;
 use csat_tests::solve_certified;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sat::{reference::dpll_sat, solve_cnf, Budget, SolveResult, Solver, SolverConfig};
+use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
 use workloads::cnf_gen::pigeonhole;
 use workloads::dataset::{generate, DatasetParams};
 

@@ -123,6 +123,47 @@ fn integrity_audited_parallel_sweep_collapses_adder_miter() {
     assert!(par.stats.proved > 0);
 }
 
+/// An observed sweep counts every oracle solve, traced or not. The shard
+/// oracles hang under `sweep.shard` spans, which a metrics-only registry
+/// does not record, yet its counters must still reach them: every
+/// `sat::Stats` counter is registered as `sat.<name>`, the metrics-only
+/// and tracing runs of one pinned-shard sweep agree on each, the per-solve
+/// span fields sum to the counters, and `sweep.stats.*` equals the
+/// returned stats.
+#[test]
+fn observed_fraig_counts_every_oracle_solve() {
+    let m = adder_miter(8);
+    let run = |reg: &obs::Registry| {
+        let params = FraigParams {
+            threads: 1,
+            shards: 2,
+            obs: reg.clone(),
+            ..FraigParams::default()
+        };
+        (fraig(&m, &params), reg.snapshot())
+    };
+    let tracing = obs::Registry::tracing();
+    let (traced, snap) = run(&tracing);
+    let (plain, metrics) = run(&obs::Registry::metrics_only());
+    assert_identical(&traced, &plain);
+    for (name, value) in traced.stats.counters() {
+        let key = format!("sweep.stats.{name}");
+        assert_eq!(snap.value(&key), Some(value), "{key}");
+    }
+    for (name, _) in sat::Stats::default().counters() {
+        let key = format!("sat.{name}");
+        assert!(snap.value(&key).is_some(), "{key} is registered");
+        assert_eq!(metrics.value(&key), snap.value(&key), "{key}");
+    }
+    assert!(snap.value("sat.learnt_clauses") > Some(0));
+    let events = tracing.drain_events();
+    obs::check::validate(&events).expect("well-formed");
+    for field in ["conflicts", "decisions", "propagations"] {
+        let spans = obs::check::sum_field(&events, "sat.solve", field);
+        assert_eq!(Some(spans), snap.value(&format!("sat.{field}")), "{field}");
+    }
+}
+
 /// Auto thread selection (`threads = 0`) must also match an explicit
 /// thread count when the shard count is pinned — on any machine, with any
 /// core count. (With the default `shards: 0` the shard count follows the

@@ -4,8 +4,9 @@
 use aig::npn::npn_canon;
 use aig::{Aig, Cube, Lit, Tt};
 use cnf::{Cnf, CnfLit};
+use csat_tests::reference::dpll_sat;
 use proptest::prelude::*;
-use sat::{reference::dpll_sat, solve_cnf, Budget, SolverConfig};
+use sat::{solve_cnf, Budget, SolverConfig};
 
 proptest! {
     /// ISOP covers compute exactly the function they cover, from constants

@@ -10,9 +10,11 @@
 //! solver.
 
 use cnf::{Cnf, CnfLit};
+use csat_tests::reference::dpll_sat;
 use csat_tests::solve_certified;
 use rand::{Rng, SeedableRng};
-use sat::{reference::dpll_sat, solve_cnf, Budget, SolveResult, Solver, SolverConfig};
+use sat::presolve::solve_cnf_presolved;
+use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
 use workloads::dataset::{generate, DatasetParams};
 
 fn random_cnf(rng: &mut rand::rngs::StdRng, n_vars: u32, n_clauses: usize, max_len: usize) -> Cnf {
@@ -66,6 +68,105 @@ fn mixed_length_clauses_cross_checked() {
         let expected = dpll_sat(&f);
         let res = solve_certified(&f, SolverConfig::default());
         assert_eq!(res.is_sat(), expected, "iter {iter}");
+    }
+}
+
+#[test]
+fn random_3sat_cross_checked_with_reference() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    for iter in 0..60 {
+        let n = rng.gen_range(3..=12);
+        let m = (n as f64 * rng.gen_range(3.0..5.5)) as usize;
+        let mut f = Cnf::new();
+        f.ensure_vars(n);
+        for _ in 0..m {
+            let len = rng.gen_range(1..=3);
+            let mut c: Vec<CnfLit> = Vec::new();
+            while c.len() < len {
+                let v = rng.gen_range(1..=n);
+                let l = CnfLit::new(v, rng.gen());
+                if !c.iter().any(|&x| x.var() == v) {
+                    c.push(l);
+                }
+            }
+            f.add_clause(c);
+        }
+        let expected = dpll_sat(&f);
+        let (r, _) = solve_cnf(&f, SolverConfig::default(), Budget::UNLIMITED);
+        match (expected, &r) {
+            (true, SolveResult::Sat(m)) => assert!(f.eval(m), "iter {iter}"),
+            (false, SolveResult::Unsat) => {}
+            other => panic!("iter {iter}: mismatch {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn assumptions_agree_with_unit_clauses_on_random_formulas() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
+    for iter in 0..80 {
+        let n = rng.gen_range(4..=10);
+        let m = rng.gen_range(5..=38);
+        let mut f = Cnf::new();
+        f.ensure_vars(n);
+        for _ in 0..m {
+            let len = rng.gen_range(1..=3.min(n as usize));
+            let mut c: Vec<CnfLit> = Vec::new();
+            while c.len() < len {
+                let v = rng.gen_range(1..=n);
+                if !c.iter().any(|x| x.var() == v) {
+                    c.push(CnfLit::new(v, rng.gen()));
+                }
+            }
+            f.add_clause(c);
+        }
+        // Pick one or two assumption literals.
+        let assume: Vec<CnfLit> = (0..rng.gen_range(1..=2))
+            .map(|_| CnfLit::new(rng.gen_range(1..=n), rng.gen()))
+            .collect();
+        // Reference: add the assumptions as units to a copy.
+        let mut f_units = f.clone();
+        for &a in &assume {
+            f_units.add_unit(a);
+        }
+        let expected = dpll_sat(&f_units);
+        let mut s = Solver::from_cnf(&f, SolverConfig::default());
+        let res = s.solve_with_assumptions(&assume);
+        assert_eq!(res.is_sat(), expected, "iter {iter}");
+        if let SolveResult::Sat(model) = res {
+            assert!(
+                f_units.eval(&model),
+                "iter {iter}: model violates assumptions"
+            );
+        }
+        // And the solver is reusable afterwards with the opposite set.
+        let flipped: Vec<CnfLit> = assume.iter().map(|&a| !a).collect();
+        let mut f_flip = f.clone();
+        for &a in &flipped {
+            f_flip.add_unit(a);
+        }
+        let expected_flip = dpll_sat(&f_flip);
+        assert_eq!(
+            s.solve_with_assumptions(&flipped).is_sat(),
+            expected_flip,
+            "iter {iter} (flipped)"
+        );
+    }
+}
+
+#[test]
+fn equisatisfiable_on_random_formulas() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    for iter in 0..200 {
+        let n = rng.gen_range(3..=10);
+        let m = rng.gen_range(3..=35);
+        let f = random_cnf(&mut rng, n, m, 3);
+        let expected = dpll_sat(&f);
+        let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
+        assert_eq!(res.is_sat(), expected, "iter {iter}");
+        if let SolveResult::Sat(model) = res {
+            assert!(f.eval(&model), "iter {iter}: reconstructed model invalid");
+        }
     }
 }
 
