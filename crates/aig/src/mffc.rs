@@ -61,15 +61,17 @@ impl Mffc {
     ///
     /// This is the gain numerator of DAG-aware rewriting: nodes below or at
     /// a leaf survive because the replacement still references the leaf.
+    /// The walk stops at the leaves by scanning the slice, which holds a
+    /// cut of at most a dozen leaves.
     pub fn cone_size(&mut self, aig: &Aig, v: Var, leaves: &[Var]) -> usize {
         self.cone_collect_impl(aig, v, leaves, &mut None)
     }
 
-    /// The AND nodes counted by [`Mffc::cone_size`], `v` first.
-    pub fn cone_collect(&mut self, aig: &Aig, v: Var, leaves: &[Var]) -> Vec<Var> {
-        let mut nodes = Vec::new();
-        self.cone_collect_impl(aig, v, leaves, &mut Some(&mut nodes));
-        nodes
+    /// The AND nodes counted by [`Mffc::cone_size`], `v` first, into
+    /// `nodes` (cleared first).
+    pub fn cone_collect(&mut self, aig: &Aig, v: Var, leaves: &[Var], nodes: &mut Vec<Var>) {
+        nodes.clear();
+        self.cone_collect_impl(aig, v, leaves, &mut Some(nodes));
     }
 
     fn cone_collect_impl(
@@ -82,9 +84,8 @@ impl Mffc {
         if !aig.node(v).is_and() || leaves.contains(&v) {
             return 0;
         }
-        let stop: crate::hash::FastSet<Var> = leaves.iter().copied().collect();
-        let n = self.deref_cone(aig, v, &stop, out);
-        self.reref_cone(aig, v, &stop);
+        let n = self.deref_cone(aig, v, leaves, out);
+        self.reref_cone(aig, v, leaves);
         n
     }
 
@@ -92,7 +93,7 @@ impl Mffc {
         &mut self,
         aig: &Aig,
         v: Var,
-        stop: &crate::hash::FastSet<Var>,
+        stop: &[Var],
         out: &mut Option<&mut Vec<Var>>,
     ) -> usize {
         let mut count = 1;
@@ -111,7 +112,7 @@ impl Mffc {
         count
     }
 
-    fn reref_cone(&mut self, aig: &Aig, v: Var, stop: &crate::hash::FastSet<Var>) {
+    fn reref_cone(&mut self, aig: &Aig, v: Var, stop: &[Var]) {
         let node = *aig.node(v);
         for f in node.fanins() {
             let fv = f.var();
@@ -219,7 +220,8 @@ mod tests {
         assert_eq!(m.size(&g, v.var()), 3);
         let leaves = [t0.var(), pis[2].var(), pis[3].var()];
         assert_eq!(m.cone_size(&g, v.var(), &leaves), 2);
-        let nodes = m.cone_collect(&g, v.var(), &leaves);
+        let mut nodes = vec![pis[0].var()];
+        m.cone_collect(&g, v.var(), &leaves, &mut nodes);
         assert_eq!(nodes, vec![v.var(), t1.var()]);
         // Reference counts restored.
         assert_eq!(m.refs, g.fanout_counts());

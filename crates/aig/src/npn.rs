@@ -1,13 +1,26 @@
-//! Exact NPN canonisation of 4-variable functions.
+//! Exact NPN canonisation of 4-variable functions, by table.
 //!
 //! Two functions are NPN-equivalent when one can be obtained from the other
 //! by Negating inputs, Permuting inputs, and/or Negating the output. The
 //! 65 536 four-variable functions fall into 222 NPN classes; DAG-aware
 //! rewriting keeps one pre-computed optimal structure per class and
 //! instantiates it through the recorded transform.
+//!
+//! A function's canon is the least member of its class, and its transform
+//! is the first of the 768 transforms, in the search order
+//! `(perm, flips, out)`, that takes it there: exactly what a search over
+//! all 768 transforms per function returns (the tests keep that search as
+//! the reference and compare all 65 536 functions). [`NpnTable::build`]
+//! gets the same table by walking orbits instead. The first function not
+//! yet placed is its class's least member `f0`, and the images of `f0`
+//! under the 768 transforms are the class. A member `g = U·f0` is taken to
+//! `f0` by the transforms `V ∘ U⁻¹` with `V·f0 = f0`, and the table keeps
+//! the first of those. That is 222 × 768 transforms applied instead of
+//! 65 536 × 768, a few milliseconds; [`NpnTable::get`] builds the table
+//! once per process, and every lookup after that is one index.
 
 use crate::lit::Lit;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// An NPN transform `T` acting on 4-variable functions.
 ///
@@ -26,6 +39,38 @@ pub struct NpnTransform {
     pub out: bool,
 }
 
+/// The 24 permutations of four elements in lexicographic order, and the
+/// rank of each, indexed by its packed code `p0 << 6 | p1 << 4 | p2 << 2 | p3`.
+const PERMS: ([[u8; 4]; 24], [u8; 256]) = {
+    let (mut perms, mut rank) = ([[0u8; 4]; 24], [0u8; 256]);
+    let (mut code, mut n) = (0usize, 0usize);
+    while code < 256 {
+        let p = [
+            (code >> 6) as u8 & 3,
+            (code >> 4) as u8 & 3,
+            (code >> 2) as u8 & 3,
+            code as u8 & 3,
+        ];
+        let distinct = p[0] != p[1]
+            && p[0] != p[2]
+            && p[0] != p[3]
+            && p[1] != p[2]
+            && p[1] != p[3]
+            && p[2] != p[3];
+        if distinct {
+            perms[n] = p;
+            rank[code] = n as u8;
+            n += 1;
+        }
+        code += 1;
+    }
+    (perms, rank)
+};
+
+/// Number of NPN transforms of 4-variable functions: 24 permutations ×
+/// 16 input flips × 2 output polarities.
+const TRANSFORMS: usize = 768;
+
 impl NpnTransform {
     /// The identity transform.
     pub const IDENTITY: NpnTransform = NpnTransform {
@@ -36,22 +81,24 @@ impl NpnTransform {
 
     /// Applies the transform to a truth table.
     pub fn apply(&self, f: u16) -> u16 {
-        let mut g = 0u16;
-        for m in 0..16u32 {
-            // y_i = x_{p[i]} ^ fl_i, where x bits come from m.
-            let mut y = 0u32;
-            for i in 0..4 {
-                let xb = m >> self.perm[i] & 1;
-                y |= (xb ^ (self.flips as u32 >> i & 1)) << i;
-            }
-            if f >> y & 1 != 0 {
-                g |= 1 << m;
-            }
-        }
+        let g = apply_inputs(f, &self.source_minterms());
         if self.out {
-            g = !g;
+            !g
+        } else {
+            g
         }
-        g
+    }
+
+    /// The input part of the transform as a minterm map: bit `m` of `T·F`
+    /// reads `F` at minterm `y = source_minterms()[m]`, where
+    /// `y_i = x_{p[i]} ⊕ fl_i` and the bits `x` come from `m`.
+    fn source_minterms(&self) -> [u8; 16] {
+        std::array::from_fn(|m| {
+            (0..4).fold(0, |y, i| {
+                let xb = m >> self.perm[i] & 1;
+                y | (xb ^ (self.flips as usize >> i & 1)) << i
+            }) as u8
+        })
     }
 
     /// Given concrete leaf literals for `F`'s inputs, produces the leaf
@@ -73,70 +120,152 @@ impl NpnTransform {
         }
         (w, self.out)
     }
-}
 
-/// All 24 permutations of four elements.
-fn permutations4() -> &'static [[u8; 4]; 24] {
-    static PERMS: OnceLock<[[u8; 4]; 24]> = OnceLock::new();
-    PERMS.get_or_init(|| {
-        let mut out = [[0u8; 4]; 24];
-        let mut idx = 0;
-        for a in 0..4u8 {
-            for b in 0..4u8 {
-                if b == a {
-                    continue;
-                }
-                for c in 0..4u8 {
-                    if c == a || c == b {
-                        continue;
-                    }
-                    let d = (0..4u8).find(|&d| d != a && d != b && d != c).unwrap();
-                    out[idx] = [a, b, c, d];
-                    idx += 1;
-                }
-            }
-        }
-        debug_assert_eq!(idx, 24);
-        out
-    })
-}
-
-/// Minterm-mapping tables for every (perm, flips) pair: `maps[p][fl][m]`
-/// is the source minterm `F` is read at when producing bit `m` of `T·F`.
-fn minterm_maps() -> &'static Vec<[[u8; 16]; 16]> {
-    static MAPS: OnceLock<Vec<[[u8; 16]; 16]>> = OnceLock::new();
-    MAPS.get_or_init(|| {
-        let perms = permutations4();
-        let mut all = Vec::with_capacity(24);
-        for perm in perms.iter() {
-            let mut per_flip = [[0u8; 16]; 16];
-            for (fl, row) in per_flip.iter_mut().enumerate() {
-                for (m, slot) in row.iter_mut().enumerate() {
-                    let mut y = 0usize;
-                    for i in 0..4 {
-                        let xb = m >> perm[i] & 1;
-                        y |= (xb ^ (fl >> i & 1)) << i;
-                    }
-                    *slot = y as u8;
-                }
-            }
-            all.push(per_flip);
-        }
-        all
-    })
-}
-
-fn apply_with_map(f: u16, map: &[u8; 16], out: bool) -> u16 {
-    let mut g = 0u16;
-    for (m, &src) in map.iter().enumerate() {
-        if f >> src & 1 != 0 {
-            g |= 1 << m;
+    /// The transform at position `i` of the search order: permutations in
+    /// lexicographic order, then input flips, then output polarity.
+    fn from_index(i: usize) -> NpnTransform {
+        NpnTransform {
+            perm: PERMS.0[i / 32],
+            flips: (i / 2 % 16) as u8,
+            out: i % 2 == 1,
         }
     }
-    if out {
-        !g
-    } else {
-        g
+
+    /// This transform's position in the search order.
+    fn index(self) -> usize {
+        let code = self.perm.iter().fold(0, |c, &p| c << 2 | p as usize);
+        PERMS.1[code] as usize * 32 + self.flips as usize * 2 + self.out as usize
+    }
+
+    /// The transform that applies `self` first and `second` after it:
+    /// `(self.then(second))·F = second·(self·F)`.
+    fn then(self, second: NpnTransform) -> NpnTransform {
+        let mut t = NpnTransform {
+            perm: [0; 4],
+            flips: self.flips,
+            out: self.out ^ second.out,
+        };
+        for (j, &p) in self.perm.iter().enumerate() {
+            t.perm[j] = second.perm[p as usize];
+            t.flips ^= (second.flips >> p & 1) << j;
+        }
+        t
+    }
+
+    /// The transform undoing `self`: `self.then(self.inverse())` is the
+    /// identity.
+    fn inverse(self) -> NpnTransform {
+        let mut t = NpnTransform {
+            perm: [0; 4],
+            flips: 0,
+            out: self.out,
+        };
+        for (i, &p) in self.perm.iter().enumerate() {
+            t.perm[p as usize] = i as u8;
+            t.flips |= (self.flips >> i & 1) << p;
+        }
+        t
+    }
+}
+
+/// `F` with its inputs moved by a minterm map (see
+/// [`NpnTransform::source_minterms`]).
+fn apply_inputs(f: u16, map: &[u8; 16]) -> u16 {
+    map.iter()
+        .enumerate()
+        .fold(0, |g, (m, &y)| g | (f >> y & 1) << m)
+}
+
+/// One function's row of the [`NpnTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NpnEntry {
+    /// The least member of the function's class.
+    pub canon: u16,
+    /// The class's index: the rank of `canon` among the 222 canons.
+    pub class: u8,
+    /// The first transform in search order with `transform.apply(f) == canon`.
+    pub transform: NpnTransform,
+}
+
+/// Canon, class and transform of every 4-variable function, in one flat
+/// table indexed by the function (see the module docs).
+#[derive(Clone, Debug)]
+pub struct NpnTable {
+    entries: Vec<NpnEntry>,
+    canons: Vec<u16>,
+}
+
+impl NpnTable {
+    /// Builds the table by walking the 222 orbits.
+    pub fn build() -> NpnTable {
+        let transforms: Vec<NpnTransform> = (0..TRANSFORMS).map(NpnTransform::from_index).collect();
+        // Transforms `2k` and `2k + 1` share their inputs, map `k`.
+        let maps: Vec<[u8; 16]> = transforms
+            .iter()
+            .step_by(2)
+            .map(NpnTransform::source_minterms)
+            .collect();
+        let mut entries: Vec<Option<NpnEntry>> = vec![None; 1 << 16];
+        let mut canons = Vec::new();
+        let mut images = [0u16; TRANSFORMS];
+        let mut stabiliser = Vec::new();
+        for f0 in 0..=u16::MAX {
+            if entries[f0 as usize].is_some() {
+                continue;
+            }
+            // Every smaller function is placed, so `f0` is the least member
+            // of its class, which is the class's canon.
+            let class = canons.len() as u8;
+            canons.push(f0);
+            for (pair, map) in images.chunks_exact_mut(2).zip(&maps) {
+                let g = apply_inputs(f0, map);
+                pair.copy_from_slice(&[g, !g]);
+            }
+            stabiliser.clear();
+            stabiliser.extend((0..TRANSFORMS).filter(|&v| images[v] == f0));
+            for (u, &g) in images.iter().enumerate() {
+                let entry = &mut entries[g as usize];
+                if entry.is_some() {
+                    continue;
+                }
+                let undo = transforms[u].inverse();
+                let first = stabiliser
+                    .iter()
+                    .map(|&v| undo.then(transforms[v]).index())
+                    .min()
+                    .expect("the identity fixes f0");
+                *entry = Some(NpnEntry {
+                    canon: f0,
+                    class,
+                    transform: transforms[first],
+                });
+            }
+        }
+        NpnTable {
+            entries: entries
+                .into_iter()
+                .map(|e| e.expect("every function lies in an orbit"))
+                .collect(),
+            canons,
+        }
+    }
+
+    /// The process-wide table, built on first use.
+    pub fn get() -> &'static NpnTable {
+        static TABLE: OnceLock<NpnTable> = OnceLock::new();
+        TABLE.get_or_init(NpnTable::build)
+    }
+
+    /// The row of function `f`.
+    #[inline]
+    pub fn entry(&self, f: u16) -> NpnEntry {
+        self.entries[f as usize]
+    }
+
+    /// The canon of every class, in increasing order (class `i` is
+    /// `canons()[i]`).
+    pub fn canons(&self) -> &[u16] {
+        &self.canons
     }
 }
 
@@ -153,59 +282,14 @@ fn apply_with_map(f: u16, map: &[u8; 16], out: bool) -> u16 {
 /// assert_eq!(c1, c2);
 /// ```
 pub fn npn_canon(f: u16) -> (u16, NpnTransform) {
-    let perms = permutations4();
-    let maps = minterm_maps();
-    let mut best = u16::MAX;
-    let mut best_t = NpnTransform::IDENTITY;
-    for (pi, perm) in perms.iter().enumerate() {
-        for fl in 0..16u8 {
-            let map = &maps[pi][fl as usize];
-            for out in [false, true] {
-                let g = apply_with_map(f, map, out);
-                if g < best {
-                    best = g;
-                    best_t = NpnTransform {
-                        perm: *perm,
-                        flips: fl,
-                        out,
-                    };
-                }
-            }
-        }
-    }
-    (best, best_t)
+    let e = NpnTable::get().entry(f);
+    (e.canon, e.transform)
 }
 
-/// Memoised variant of [`npn_canon`]; the cache is global and thread-safe.
-pub fn npn_canon_cached(f: u16) -> (u16, NpnTransform) {
-    static CACHE: OnceLock<Mutex<crate::hash::FastMap<u16, (u16, NpnTransform)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(crate::hash::FastMap::default()));
-    {
-        let guard = cache.lock().unwrap();
-        if let Some(&hit) = guard.get(&f) {
-            return hit;
-        }
-    }
-    let res = npn_canon(f);
-    cache.lock().unwrap().insert(f, res);
-    res
-}
-
-/// Enumerates one representative per NPN class of 4-variable functions.
-///
-/// There are exactly 222 classes; this is used to pre-build the rewriting
-/// library and verified in tests.
+/// The canon of each of the 222 NPN classes of 4-variable functions, in
+/// increasing order; the rewriting library builds one structure per class.
 pub fn npn_class_representatives() -> Vec<u16> {
-    let mut seen = crate::hash::FastSet::default();
-    let mut reps = Vec::new();
-    for f in 0..=u16::MAX {
-        let (c, _) = npn_canon_cached(f);
-        if seen.insert(c) {
-            reps.push(c);
-        }
-    }
-    reps.sort_unstable();
-    reps
+    NpnTable::get().canons().to_vec()
 }
 
 #[cfg(test)]
@@ -213,10 +297,56 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// The reference: tries all 768 transforms in search order and keeps
+    /// the first that reaches the least table.
+    fn brute_force_canon(f: u16) -> (u16, NpnTransform) {
+        let mut best = (u16::MAX, NpnTransform::IDENTITY);
+        for i in 0..TRANSFORMS {
+            let t = NpnTransform::from_index(i);
+            let g = t.apply(f);
+            if g < best.0 {
+                best = (g, t);
+            }
+        }
+        best
+    }
+
     #[test]
     fn identity_applies_trivially() {
         for f in [0x0000u16, 0xFFFF, 0x8888, 0x6666, 0xCAFE] {
             assert_eq!(NpnTransform::IDENTITY.apply(f), f);
+        }
+    }
+
+    #[test]
+    fn search_order_is_perm_then_flips_then_out() {
+        assert_eq!(NpnTransform::from_index(0), NpnTransform::IDENTITY);
+        assert_eq!(PERMS.0[1], [0, 1, 3, 2]);
+        assert_eq!(PERMS.0[23], [3, 2, 1, 0]);
+        for i in 0..TRANSFORMS {
+            assert_eq!(NpnTransform::from_index(i).index(), i);
+        }
+    }
+
+    #[test]
+    fn composition_and_inverse_act_as_documented() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        for _ in 0..200 {
+            let f: u16 = rng.gen();
+            let a = NpnTransform::from_index(rng.gen_range(0..TRANSFORMS));
+            let b = NpnTransform::from_index(rng.gen_range(0..TRANSFORMS));
+            assert_eq!(a.then(b).apply(f), b.apply(a.apply(f)));
+            assert_eq!(a.then(a.inverse()), NpnTransform::IDENTITY);
+        }
+    }
+
+    #[test]
+    fn table_matches_brute_force_on_every_function() {
+        let table = NpnTable::build();
+        for f in 0..=u16::MAX {
+            let e = table.entry(f);
+            assert_eq!((e.canon, e.transform), brute_force_canon(f), "f={f:#06x}");
+            assert_eq!(table.canons()[e.class as usize], e.canon, "f={f:#06x}");
         }
     }
 
@@ -239,7 +369,7 @@ mod tests {
     }
 
     fn rand_perm(rng: &mut impl Rng) -> &'static [u8; 4] {
-        &permutations4()[rng.gen_range(0..24usize)]
+        &PERMS.0[rng.gen_range(0..24usize)]
     }
 
     #[test]
@@ -254,7 +384,9 @@ mod tests {
 
     #[test]
     fn exactly_222_classes() {
-        assert_eq!(npn_class_representatives().len(), 222);
+        let reps = npn_class_representatives();
+        assert_eq!(reps.len(), 222);
+        assert!(reps.windows(2).all(|w| w[0] < w[1]), "increasing");
     }
 
     #[test]
@@ -291,13 +423,6 @@ mod tests {
             let mg = (0..4).fold(0u16, |acc, j| acc | (wval(w[j]) as u16) << j);
             let rhs = out ^ (g >> mg & 1 != 0);
             assert_eq!(lhs, rhs, "f={f:#06x} t={t:?}");
-        }
-    }
-
-    #[test]
-    fn cached_matches_uncached() {
-        for f in [0u16, 1, 0x1234, 0xFFFF, 0x8000] {
-            assert_eq!(npn_canon_cached(f), npn_canon(f));
         }
     }
 }

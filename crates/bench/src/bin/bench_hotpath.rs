@@ -1,8 +1,9 @@
 //! Hot-path throughput harness: `BENCH_hotpath.json` emitter.
 //!
-//! Times CDCL propagation, bit-parallel resimulation, SAT sweeping, BMC
-//! and the query service on fixed built-in workloads; every timed row
-//! comes from one sampler, [`sample`], as a median with its spread.
+//! Times CDCL propagation, bit-parallel resimulation, SAT sweeping, BMC,
+//! the query service, each synthesis op and the NPN table build on fixed
+//! built-in workloads; every timed row comes from one sampler, [`sample`],
+//! as a median with its spread.
 //!
 //! Usage: `bench_hotpath [--smoke] [--out PATH] [--threads LIST]`
 //!
@@ -19,6 +20,7 @@ use std::fmt::Display;
 use std::slice;
 use std::time::Instant;
 use sweep::{fraig, FraigParams, FraigStats};
+use synth::{apply_op, SynthOp};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
 use workloads::lec::{adder_miter, miter, restructure};
@@ -423,11 +425,50 @@ fn main() {
         });
     }
 
+    // Synthesis: each op applied to one adder miter, the output's size and
+    // structural hash recorded. The warm-up builds the process-wide NPN
+    // table and structure library, so the `rw` row times rewriting alone;
+    // the `npn` row times the table build by itself.
+    let synth_bits = if smoke { 8 } else { 16 };
+    let synth_in = miter(
+        &ripple_carry_adder(synth_bits).aig,
+        &carry_lookahead_adder(synth_bits).aig,
+    );
+    let mut synth_rows = Vec::new();
+    for op in [
+        SynthOp::Balance,
+        SynthOp::Rewrite,
+        SynthOp::Refactor,
+        SynthOp::Resub,
+    ] {
+        let (mut ands_out, mut hash) = (0, 0);
+        let [wall] = sample(|_| {
+            let (t, out) = timed(|| apply_op(&synth_in, op));
+            (ands_out, hash) = (out.num_ands(), out.structural_hash());
+            [t]
+        });
+        synth_rows.push(row! {
+            "op": quoted(op.mnemonic()), "bits": synth_bits, "reps": REPS, "wall_s": wall,
+            "ands_in": synth_in.num_ands(), "ands_out": ands_out, "hash": hash,
+        });
+    }
+    let mut classes = 0;
+    let [npn_build] = sample(|_| {
+        let (t, table) = timed(aig::npn::NpnTable::build);
+        classes = table.canons().len();
+        [t]
+    });
+    let npn_row = row! { "name": quoted("npn4_table"), "reps": REPS, "wall_s": npn_build, "classes": classes };
+
     // `totals` sums the rows' medians and counters as written. Nonzero
     // failure telemetry marks a degraded run whose rows are not comparable.
     let kernels = || {
-        let rows = solver_rows.iter().chain(&fraig_rows).chain(&serve_rows);
-        rows.chain([&sim_row, &bmc_row])
+        let rows = solver_rows
+            .iter()
+            .chain(&fraig_rows)
+            .chain(&serve_rows)
+            .chain(&synth_rows);
+        rows.chain([&sim_row, &bmc_row, &npn_row])
     };
     let wall = |key| sum(kernels(), key);
     let wall_s =
@@ -446,6 +487,7 @@ fn main() {
         "solver": list(&solver_rows), "proof": object(&proof_row), "obs": object(&obs_row),
         "sim": list(slice::from_ref(&sim_row)), "fraig": list(&fraig_rows),
         "bmc": list(slice::from_ref(&bmc_row)), "serve": list(&serve_rows),
+        "synth": list(&synth_rows), "npn": list(slice::from_ref(&npn_row)),
         "totals": object(&row! {
             "wall_s": format!("{wall_s:.6}"), "propagations_per_sec": format!("{props_per_sec:.0}"),
             "words_per_sec": words_per_sec, "deadline_interrupts": sum(kernels(), "deadline_interrupts"),

@@ -23,7 +23,9 @@ pub(crate) struct SolverTrace {
     counters: Vec<obs::Counter>,
     /// Conflicts per `solve()` call (the paper's per-query cost signal).
     per_solve: obs::Histogram,
-    /// Propagations between consecutive conflicts.
+    /// Propagations from a solve's start to its first conflict, between
+    /// consecutive conflicts, and after its last conflict, so the bursts
+    /// sum to the solve's propagations.
     burst: obs::Histogram,
     /// Span of the in-flight `solve()`, if any.
     active: Option<obs::Span>,
@@ -93,6 +95,10 @@ impl SolverTrace {
         let dd = stats.decisions - self.base.decisions;
         let dp = stats.propagations - self.base.propagations;
         self.per_solve.observe(dc);
+        let tail = stats.propagations - self.last_props;
+        if tail > 0 {
+            self.burst.observe(tail);
+        }
         if let Some(span) = self.active.take() {
             span.record("conflicts", dc);
             span.record("decisions", dd);
@@ -150,15 +156,19 @@ mod tests {
 
     /// php(4): 5 pigeons, 4 holes — UNSAT with a non-trivial search.
     fn php4() -> Cnf {
-        let holes = 4;
+        pigeons_in_holes(5, 4)
+    }
+
+    /// Each pigeon in some hole, no two in one.
+    fn pigeons_in_holes(pigeons: usize, holes: usize) -> Cnf {
         let var = |p: usize, h: usize| (p * holes + h + 1) as u32;
         let mut f = Cnf::new();
-        for p in 0..=holes {
+        for p in 0..pigeons {
             f.add_clause((0..holes).map(|h| CnfLit::pos(var(p, h))).collect());
         }
         for h in 0..holes {
-            for p1 in 0..=holes {
-                for p2 in (p1 + 1)..=holes {
+            for p1 in 0..pigeons {
+                for p2 in (p1 + 1)..pigeons {
                     f.add_clause(vec![CnfLit::neg(var(p1, h)), CnfLit::neg(var(p2, h))]);
                 }
             }
@@ -187,6 +197,24 @@ mod tests {
         let hist = snap.histogram("sat.solve.conflicts").expect("registered");
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, s.stats().conflicts);
+    }
+
+    #[test]
+    fn propagation_bursts_sum_to_the_propagation_counter() {
+        let reg = obs::Registry::metrics_only();
+        let mut s = Solver::from_cnf(&php4(), SolverConfig::default());
+        s.set_observer(reg.root());
+        assert!(s.solve().is_unsat());
+        // A satisfiable solve propagates after its last conflict, until
+        // every variable is assigned.
+        let mut t = Solver::from_cnf(&pigeons_in_holes(6, 6), SolverConfig::default());
+        t.set_observer(reg.root());
+        assert!(t.solve().is_sat());
+        let snap = reg.snapshot();
+        let bursts = snap.histogram("sat.propagation_burst").expect("registered");
+        let props = snap.value("sat.propagations").expect("registered");
+        assert!(props > 0);
+        assert_eq!(bursts.sum, props);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`recipe`] — the action enum and sequence runner ("synthesis recipes"),
 //! * [`plan`] — the replacement-plan rebuild engine all passes share,
 //! * [`dsd`]/[`factor`] — truth-table-to-structure generators,
-//! * [`rewrite_lib`] — the lazily built NPN-class structure library.
+//! * [`rewrite_lib`] — the NPN-class structure library, built once per process.
 //!
 //! Every pass returns a new, structurally hashed, functionally equivalent
 //! graph; equivalence is enforced by construction and double-checked in the

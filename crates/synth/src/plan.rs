@@ -10,7 +10,6 @@
 //! Demanding only earlier nodes makes the dependency relation acyclic, so
 //! the rebuild is a straightforward worklist evaluation.
 
-use aig::hash::FastSet;
 use aig::{Aig, GateList, Lit, Var};
 
 /// Per-node reconstruction choice.
@@ -137,14 +136,10 @@ fn mapped(map: &[Option<Lit>], old: Lit) -> Lit {
 
 /// Counts how many *new* AND gates instantiating `gl` over `leaves` would
 /// create, crediting structure gates that already exist in the graph
-/// (outside `excluded`, typically the MFFC being replaced). This is the
-/// gain denominator of rewriting and refactoring.
-pub(crate) fn dry_run_cost(
-    aig: &Aig,
-    leaves: &[Lit],
-    gl: &GateList,
-    excluded: &FastSet<Var>,
-) -> usize {
+/// (outside `cone`, the part of the MFFC being replaced, which the caller
+/// collected with [`aig::mffc::Mffc::cone_collect`]). This is the gain
+/// denominator of rewriting and refactoring.
+pub(crate) fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, cone: &[Var]) -> usize {
     // Each signal is either a known old-graph literal or a new node.
     let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
     let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
@@ -159,7 +154,7 @@ pub(crate) fn dry_run_cost(
         let out = match (decode(&sigs, a), decode(&sigs, b)) {
             (Some(x), Some(y)) => match aig.find_and(x, y) {
                 // Folded to a constant, or an existing gate that survives.
-                Some(l) if l.is_const() || !excluded.contains(&l.var()) => Some(l),
+                Some(l) if l.is_const() || !cone.contains(&l.var()) => Some(l),
                 _ => {
                     cost += 1;
                     None

@@ -127,15 +127,6 @@ impl Recipe {
         }
     }
 
-    /// The normalisation prelude the framework applies to unify input
-    /// distributions before the RL episode (Sec. III-A).
-    pub fn normalize() -> Recipe {
-        use SynthOp::*;
-        Recipe {
-            ops: vec![Balance, Rewrite],
-        }
-    }
-
     /// The operations of the recipe.
     pub fn ops(&self) -> &[SynthOp] {
         &self.ops

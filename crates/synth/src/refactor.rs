@@ -6,12 +6,17 @@
 //! ([`crate::factor::best_structure`]). The node is replaced when the new
 //! structure is smaller than the logic it makes redundant — Brayton-style
 //! re-factorisation as in ABC's `refactor`.
+//!
+//! Synthesis dominates the pass, and a graph repeats cut functions (an
+//! adder's bit slices, say), so one call memoises the structure of each
+//! cut function it has synthesised. The memo lives for that call only: a
+//! second call on the same graph synthesises everything again.
 
 use crate::factor::best_structure;
 use crate::plan::{dry_run_cost, rebuild, Choice};
-use aig::hash::FastSet;
+use aig::hash::FastMap;
 use aig::mffc::Mffc;
-use aig::{Aig, Lit, Var, Window};
+use aig::{Aig, GateList, Lit, Tt, Var, Window};
 
 /// Maximum leaves of the reconvergence-driven cut (hard cap 12).
 const MAX_LEAVES: usize = 10;
@@ -22,6 +27,9 @@ pub fn refactor(aig: &Aig) -> Aig {
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
     let mut window = Window::new();
+    let mut cone: Vec<Var> = Vec::new();
+    // Structure per cut function synthesised in this call.
+    let mut memo: FastMap<Tt, GateList> = FastMap::default();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -31,21 +39,20 @@ pub fn refactor(aig: &Aig) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let cone = mffc.cone_collect(aig, v, &leaves);
+        mffc.cone_collect(aig, v, &leaves, &mut cone);
         if cone.len() < 2 {
             continue; // nothing worth saving here
         }
-        let cone_set: FastSet<Var> = cone.iter().copied().collect();
         let f = window.cut_function(aig, v, &leaves);
-        let gl = best_structure(&f);
+        let gl = memo.entry(f).or_insert_with_key(best_structure);
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
-        let cost = dry_run_cost(aig, &leaf_lits, &gl, &cone_set);
+        let cost = dry_run_cost(aig, &leaf_lits, gl, &cone);
         let gain = cone.len() as i64 - cost as i64;
         // Zero-gain replacements are not accepted.
         if gain >= 1 {
             choices[v as usize] = Choice::Structure {
                 leaves: leaf_lits,
-                gl,
+                gl: gl.clone(),
             };
         }
     }

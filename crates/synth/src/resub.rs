@@ -16,7 +16,6 @@
 
 use crate::plan::{rebuild, Choice};
 use crate::refactor::reconvergence_cut;
-use aig::hash::FastSet;
 use aig::mffc::Mffc;
 use aig::sim::random_signatures;
 use aig::{Aig, GateList, Lit, Var, Window};
@@ -44,6 +43,11 @@ pub fn resub(aig: &Aig) -> Aig {
     let mask = |c: bool| if c { !0u64 } else { 0 };
     let mut window = Window::new();
     let mut covers: Vec<u8> = Vec::new();
+    let mut cone: Vec<Var> = Vec::new();
+    // Cone membership: node `d` is in the current node's cone when
+    // `cone_epoch[d] == epoch`; each node takes a fresh epoch.
+    let mut cone_epoch: Vec<u32> = vec![0; aig.num_nodes()];
+    let mut epoch = 0u32;
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
@@ -53,11 +57,15 @@ pub fn resub(aig: &Aig) -> Aig {
         if leaves.len() < 2 {
             continue;
         }
-        let cone: Vec<Var> = mffc.cone_collect(aig, v, &leaves);
+        mffc.cone_collect(aig, v, &leaves, &mut cone);
         if cone.is_empty() {
             continue;
         }
-        let cone_set: FastSet<Var> = cone.iter().copied().collect();
+        epoch += 1;
+        for &c in &cone {
+            cone_epoch[c as usize] = epoch;
+        }
+        let in_cone = |d: Var| cone_epoch[d as usize] == epoch;
 
         // Window truth tables: evaluate the whole cone between leaves and v,
         // keeping every intermediate node as a divisor candidate.
@@ -71,7 +79,7 @@ pub fn resub(aig: &Aig) -> Aig {
             .nodes()
             .iter()
             .copied()
-            .filter(|&d| d != v && d < v && !cone_set.contains(&d))
+            .filter(|&d| d != v && d < v && !in_cone(d))
             .collect();
         debug_assert!(
             leaves.iter().all(|l| divisors.contains(l)),
@@ -86,7 +94,7 @@ pub fn resub(aig: &Aig) -> Aig {
             let d = frontier[qi];
             qi += 1;
             for &c in &fanout_lists[d as usize] {
-                if c >= v || cone_set.contains(&c) || !window.try_eval(aig, c) {
+                if c >= v || in_cone(c) || !window.try_eval(aig, c) {
                     continue;
                 }
                 divisors.push(c);

@@ -1,7 +1,8 @@
 //! DAG-aware 4-cut NPN rewriting (`rewrite`).
 //!
 //! For every AND node, each enumerated 4-feasible cut's function is NPN
-//! canonised and looked up in the structure library; the candidate's cost is
+//! canonised and looked up in the structure library, both by plain index
+//! into tables built once per process; the candidate's cost is
 //! measured by a dry-run build against the existing graph (gates that
 //! already exist — outside the node's MFFC — are free), and the node is
 //! replaced when the saving is positive. This is the reconstruction
@@ -11,9 +12,8 @@ use crate::builder::sig_not;
 use crate::plan::{dry_run_cost, rebuild, Choice};
 use crate::rewrite_lib::npn_structure;
 use aig::cut::{enumerate_cuts, CutParams};
-use aig::hash::FastSet;
 use aig::mffc::Mffc;
-use aig::npn::npn_canon_cached;
+use aig::npn::npn_canon;
 use aig::{Aig, GateList, Lit, Var, Window};
 
 /// Priority cuts kept per node.
@@ -35,24 +35,25 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
     let mut window = Window::new();
+    let mut cone: Vec<Var> = Vec::new();
 
     for v in aig.iter_ands() {
         if fanout[v as usize] == 0 {
             continue; // dead logic disappears in the rebuild anyway
         }
-        let mut best: Option<(i64, Vec<Lit>, GateList)> = None;
+        // (gain, structure leaves, class structure, output complement)
+        let mut best: Option<(i64, [Lit; 4], &GateList, bool)> = None;
         for cut in &cuts[v as usize] {
             let nl = cut.size();
             if nl < 2 || cut.leaves() == [v] {
                 continue;
             }
             // Nodes that disappear if v is re-expressed over this cut.
-            let cone: Vec<Var> = mffc.cone_collect(aig, v, cut.leaves());
-            let cone_set: FastSet<Var> = cone.iter().copied().collect();
+            mffc.cone_collect(aig, v, cut.leaves(), &mut cone);
             // The stretched cut word's low 16 bits are the cut function
             // over four variables (missing leaves are don't-cares).
             let f4 = window.cut_word(aig, v, cut.leaves()) as u16;
-            let (canon, tr) = npn_canon_cached(f4);
+            let (canon, tr) = npn_canon(f4);
             let gl = npn_structure(canon);
             // Concrete leaves, padded to 4 with constant-false.
             let mut leaves4 = [Lit::FALSE; 4];
@@ -60,25 +61,21 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
                 leaves4[i] = Lit::from_var(l, false);
             }
             let (w, out_compl) = tr.instantiate(&leaves4);
-            let cost = dry_run_cost(aig, &w, &gl, &cone_set);
+            let cost = dry_run_cost(aig, &w, gl, &cone);
             let gain = cone.len() as i64 - cost as i64;
-            let better = match &best {
-                None => true,
-                Some((g, _, _)) => gain > *g,
-            };
-            if better {
-                let rooted = GateList {
-                    root: if out_compl { sig_not(gl.root) } else { gl.root },
-                    ..gl
-                };
-                best = Some((gain, w.to_vec(), rooted));
+            if best.as_ref().is_none_or(|&(g, ..)| gain > g) {
+                best = Some((gain, w, gl, out_compl));
             }
         }
 
-        if let Some((gain, leaves, gl)) = best {
+        if let Some((gain, leaves, gl, out_compl)) = best {
             let threshold = if zero_gain { 0 } else { 1 };
             if gain >= threshold {
-                choices[v as usize] = Choice::Structure { leaves, gl };
+                let root = if out_compl { sig_not(gl.root) } else { gl.root };
+                choices[v as usize] = Choice::Structure {
+                    leaves: leaves.to_vec(),
+                    gl: GateList { root, ..gl.clone() },
+                };
             }
         }
     }
