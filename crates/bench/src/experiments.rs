@@ -2,15 +2,13 @@
 //! the extension ablations, each a set of arms run by [`run_campaign`].
 
 use csat_preproc::report::{
-    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, SolveFn, Status,
-    Summary,
+    cactus, run_campaign, summarize, total_decisions, total_runtime, RunRecord, Status, Summary,
 };
 use csat_preproc::{BaselinePipeline, CompPipeline, FrameworkPipeline, Pipeline};
 use rl::env::EnvConfig;
 use rl::train::{train_agent, TrainConfig};
 use rl::{DqnAgent, DqnConfig, RecipePolicy};
-use sat::presolve::solve_cnf_presolved;
-use sat::{solve_cnf, Budget, SolverConfig};
+use sat::{Budget, SolverConfig};
 use std::process::ExitCode;
 use sweep::FraigParams;
 use synth::Recipe;
@@ -133,6 +131,19 @@ pub fn train_split(scale: &Scale) -> Vec<Instance> {
     generate(&scale.train_params(), 0xAB1E)
 }
 
+/// The extension ablations' extended families (prefix adders, tree
+/// multipliers, shifters): half the test split's count, at its widths.
+fn extended_split(scale: &Scale) -> Vec<Instance> {
+    generate_extended(
+        &DatasetParams {
+            count: scale.test_count / 2,
+            hard_multipliers: false,
+            ..scale.test_params()
+        },
+        0xE87,
+    )
+}
+
 /// Deterministic test split (disjoint seed). Scales with non-zero
 /// `hard_difficulty` use the hard profile of [`workloads::dataset::generate_hard`],
 /// matching the paper's "300 hard instances for testing".
@@ -195,7 +206,8 @@ pub struct Table1Row {
 /// arm over the training split, whose verdicts are checked like any other.
 pub fn table1(scale: &Scale) -> (Vec<Table1Row>, Arm) {
     let set = train_split(scale);
-    let mut arm = Arm::run(&BaselinePipeline, &set, solve_cnf, "kissat", scale);
+    let solver = solver_preset("kissat");
+    let mut arm = Arm::run(&BaselinePipeline, &set, "kissat", &solver, scale);
     arm.name = format!("train: {}", arm.name);
     let stats: Vec<_> = set.iter().map(|inst| instance_stats(&inst.aig)).collect();
     let row = |metric, xs: Vec<f64>| Table1Row {
@@ -248,25 +260,17 @@ pub struct Arm {
 }
 
 impl Arm {
-    /// Runs `pipeline` over `instances` with the named solver preset and
-    /// the scale's budget, solving with `solve`; the arm takes the
-    /// pipeline's name.
+    /// Runs `pipeline` over `instances` with the named solver
+    /// configuration and the scale's budget; the arm takes the pipeline's
+    /// name.
     fn run(
         pipeline: &dyn Pipeline,
         instances: &[Instance],
-        solve: SolveFn,
         solver_name: &str,
+        solver: &SolverConfig,
         scale: &Scale,
     ) -> Arm {
-        let solver = solver_preset(solver_name);
-        let records = run_campaign(
-            pipeline,
-            instances,
-            solve,
-            solver_name,
-            &solver,
-            scale.budget(),
-        );
+        let records = run_campaign(pipeline, instances, solver_name, solver, scale.budget());
         Arm {
             name: pipeline.name(),
             records,
@@ -308,9 +312,10 @@ pub fn fig4(scale: &Scale, solver_name: &str, agent: &DqnAgent) -> Vec<Arm> {
         )))),
     ];
     let test = test_split(scale);
+    let solver = solver_preset(solver_name);
     pipelines
         .iter()
-        .map(|p| Arm::run(p.as_ref(), &test, solve_cnf, solver_name, scale))
+        .map(|p| Arm::run(p.as_ref(), &test, solver_name, &solver, scale))
         .collect()
 }
 
@@ -326,9 +331,10 @@ pub fn fig5(scale: &Scale, agent: &DqnAgent) -> Vec<Arm> {
         ))),
     ];
     let test = test_split(scale);
+    let solver = solver_preset("kissat");
     pipelines
         .iter()
-        .map(|p| Arm::run(p.as_ref(), &test, solve_cnf, "kissat", scale))
+        .map(|p| Arm::run(p.as_ref(), &test, "kissat", &solver, scale))
         .collect()
 }
 
@@ -338,30 +344,28 @@ pub fn fig5(scale: &Scale, agent: &DqnAgent) -> Vec<Arm> {
 /// and Ours + fraig are each solved plain and presolved under the
 /// Kissat-like preset, on the test split and on the extended families
 /// (prefix adders, tree multipliers, shifters): 12 arms, each `+presolve`
-/// arm next to its plain twin.
+/// arm, whose solver sets [`SolverConfig::presolve`], next to its plain
+/// twin.
 pub fn ext(scale: &Scale) -> Vec<Arm> {
-    let extended = generate_extended(
-        &DatasetParams {
-            count: scale.test_count / 2,
-            hard_multipliers: false,
-            ..scale.test_params()
-        },
-        0xE87,
-    );
     let ours = || FrameworkPipeline::ours(RecipePolicy::Fixed(Recipe::size_script()));
     let pipelines: Vec<Box<dyn Pipeline>> = vec![
         Box::new(BaselinePipeline),
         Box::new(ours()),
         Box::new(ours().with_sweep(FraigParams::default())),
     ];
+    let plain = solver_preset("kissat");
+    let presolving = SolverConfig {
+        presolve: true,
+        ..plain.clone()
+    };
     let mut arms = Vec::new();
-    for (set, instances) in [("test", test_split(scale)), ("extended", extended)] {
+    for (set, instances) in [
+        ("test", test_split(scale)),
+        ("extended", extended_split(scale)),
+    ] {
         for p in &pipelines {
-            for (suffix, solve) in [
-                ("", solve_cnf as SolveFn),
-                (" +presolve", solve_cnf_presolved),
-            ] {
-                let mut arm = Arm::run(p.as_ref(), &instances, solve, "kissat", scale);
+            for (suffix, solver) in [("", &plain), (" +presolve", &presolving)] {
+                let mut arm = Arm::run(p.as_ref(), &instances, "kissat", solver, scale);
                 arm.name = format!("{set}: {}{suffix}", arm.name);
                 arms.push(arm);
             }
@@ -519,6 +523,53 @@ mod tests {
             .map(Arm::decisions)
             .collect();
         assert_eq!(decisions, [1603, 1971, 1996, 1474, 301, 531, 380, 393]);
+    }
+
+    /// With presolve and proof on, the solver certifies php(8) and every
+    /// UNSAT encoding of the quick test split and the extended families
+    /// under Baseline and size-script Ours against the input formula; with
+    /// presolve's leading steps cut out, some certificate fails to check.
+    #[test]
+    fn presolved_certificates_check_against_the_input() {
+        let scale = Scale::quick();
+        let ours = FrameworkPipeline::ours(RecipePolicy::Fixed(Recipe::size_script()));
+        let instances = [test_split(&scale), extended_split(&scale)].concat();
+        let mut cnfs = vec![
+            BaselinePipeline
+                .preprocess(&workloads::cnf_gen::pigeonhole_aig(8))
+                .cnf,
+        ];
+        for p in [&BaselinePipeline as &dyn Pipeline, &ours] {
+            cnfs.extend(instances.iter().map(|i| p.preprocess(&i.aig).cnf));
+        }
+        let config = SolverConfig {
+            presolve: true,
+            proof: true,
+            ..solver_preset("kissat")
+        };
+        let (mut certified, mut rejected_without_presolve) = (0, 0);
+        for cnf in &cnfs {
+            let mut solver = sat::Solver::from_cnf(cnf, config.clone());
+            solver.set_budget(scale.budget());
+            if !solver.solve().is_unsat() {
+                continue;
+            }
+            solver.certify(&[]).expect("presolved certificate checks");
+            certified += 1;
+            let mut presolve_steps = checker::Proof::new();
+            sat::presolve::presolve(cnf, Some(&mut presolve_steps));
+            let log = solver.proof().expect("logging on");
+            let (head, search) = log.proof().steps.split_at(presolve_steps.steps.len());
+            assert_eq!(head, presolve_steps.steps, "presolve's steps lead the log");
+            let search = checker::Proof {
+                steps: search.to_vec(),
+            };
+            if checker::check(log.originals(), &search).is_err() {
+                rejected_without_presolve += 1;
+            }
+        }
+        assert_eq!(certified, 11);
+        assert!(rejected_without_presolve >= 1);
     }
 
     #[test]

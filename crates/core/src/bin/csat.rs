@@ -295,34 +295,23 @@ fn is_dimacs_path(path: &str) -> bool {
     path.ends_with(".cnf") || path.ends_with(".dimacs")
 }
 
-/// Solves one CNF, optionally with DRAT proof logging (`--proof FILE`).
-///
-/// With logging on, presolve is automatically disabled — its derived and
-/// eliminated clauses carry no proof steps, so a certificate produced
-/// behind presolve would not refute the formula the user handed us. On
+/// Solves one CNF in one solver observed by `reg`, optionally with DRAT
+/// proof logging (`--proof FILE`). Under `--presolve` the solver presolves
+/// the formula as it loads it, inside the same observer and proof log, so
+/// the certificate refutes the formula handed in, presolve included. On
 /// UNSAT the certificate is written to `proof_out`; SAT and Unknown
 /// verdicts write nothing (a DRAT proof only ever certifies UNSAT).
 fn solve_cnf_cli(
     f: &cnf::Cnf,
     mut config: SolverConfig,
     budget: Budget,
-    presolve: bool,
     proof_out: Option<&str>,
     reg: &obs::Registry,
 ) -> Result<(sat::SolveResult, sat::Stats), String> {
-    if presolve {
-        if proof_out.is_none() {
-            // The presolver owns its inner solver, so per-solve spans are
-            // unavailable on this path; its totals still reach `sat.*`.
-            let (res, stats) = sat::presolve::solve_cnf_presolved(f, config, budget);
-            stats.add_to(reg);
-            return Ok((res, stats));
-        }
-        eprintln!("c presolve disabled: it does not emit proof steps (--proof is on)");
-    }
     config.proof = proof_out.is_some();
-    let mut solver = sat::Solver::from_cnf(f, config);
+    let mut solver = sat::Solver::new(config);
     solver.set_observer(reg.root());
+    solver.add_cnf(f);
     solver.set_budget(budget);
     let res = solver.solve();
     let stats = *solver.stats();
@@ -349,18 +338,18 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
     let obs_cli = ObsCli::from_args(args)?;
     let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let solver = match value_of(args, "--solver")?.as_deref() {
+    let mut solver = match value_of(args, "--solver")?.as_deref() {
         None | Some("kissat") => SolverConfig::kissat_like(),
         Some("cadical") => SolverConfig::cadical_like(),
         Some(other) => return Err(format!("unknown solver '{other}'")),
     };
+    solver.presolve = args.iter().any(|a| a == "--presolve");
     let budget = Budget {
         conflicts: parsed(args, "--conflicts")?,
         ..Budget::UNLIMITED
     }
     .with_deadline(deadline);
     let proof_out = value_of(args, "--proof")?;
-    let presolve = args.iter().any(|a| a == "--presolve");
 
     if is_dimacs_path(path) {
         for flag in ["--pipeline", "--recipe", "--sweep"] {
@@ -374,7 +363,6 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
             path,
             budget,
             solver,
-            presolve,
             proof_out.as_deref(),
             timeout_ms,
             &obs_cli,
@@ -391,14 +379,7 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
              (reproduce it with 'csat encode' and identical pipeline flags)"
         );
     }
-    let solved = solve_cnf_cli(
-        &pre.cnf,
-        solver,
-        budget,
-        presolve,
-        proof_out.as_deref(),
-        &obs_cli.reg,
-    )?;
+    let solved = solve_cnf_cli(&pre.cnf, solver, budget, proof_out.as_deref(), &obs_cli.reg)?;
     report_solve(
         &pipeline.name(),
         &pre.cnf,
@@ -425,14 +406,13 @@ fn run_solve_dimacs(
     path: &str,
     budget: Budget,
     config: SolverConfig,
-    presolve: bool,
     proof_out: Option<&str>,
     timeout_ms: Option<u64>,
     obs_cli: &ObsCli,
 ) -> Result<ExitCode, String> {
     let f = load_cnf(path)?;
     let t0 = Instant::now();
-    let solved = solve_cnf_cli(&f, config, budget, presolve, proof_out, &obs_cli.reg)?;
+    let solved = solve_cnf_cli(&f, config, budget, proof_out, &obs_cli.reg)?;
     report_solve("dimacs", &f, solved, t0, timeout_ms, obs_cli, |model| {
         if !f.eval(model) {
             return Err("internal error: model does not satisfy the formula".into());

@@ -4,8 +4,7 @@
 
 use crate::pipeline::Pipeline;
 use aig::Aig;
-use cnf::Cnf;
-use sat::{Budget, SolveResult, SolverConfig, Stats};
+use sat::{solve_cnf, Budget, SolveResult, SolverConfig, Stats};
 use std::time::Instant;
 use workloads::Instance;
 
@@ -66,23 +65,18 @@ impl RunRecord {
     }
 }
 
-/// The solve step of a run: [`sat::solve_cnf`], or
-/// [`sat::presolve::solve_cnf_presolved`] to presolve the CNF first.
-pub type SolveFn = fn(&Cnf, SolverConfig, Budget) -> (SolveResult, Stats);
-
-/// Runs one pipeline on one instance with one solver preset, solving the
-/// CNF with `solve`.
+/// Runs one pipeline on one instance with one solver preset (which may
+/// set [`SolverConfig::presolve`]).
 pub fn run_one(
     pipeline: &dyn Pipeline,
     instance: &Instance,
-    solve: SolveFn,
     solver_name: &str,
     solver: &SolverConfig,
     budget: Budget,
 ) -> RunRecord {
     let pre = pipeline.preprocess(&instance.aig);
     let t0 = Instant::now();
-    let (result, stats) = solve(&pre.cnf, solver.clone(), budget);
+    let (result, stats) = solve_cnf(&pre.cnf, solver.clone(), budget);
     let solve_secs = t0.elapsed().as_secs_f64();
     let status = classify(&instance.aig, &pre, &result, instance.expected);
     let Stats {
@@ -134,18 +128,17 @@ fn classify(
     }
 }
 
-/// Runs a pipeline over a whole instance set, solving with `solve`.
+/// Runs a pipeline over a whole instance set.
 pub fn run_campaign(
     pipeline: &dyn Pipeline,
     instances: &[Instance],
-    solve: SolveFn,
     solver_name: &str,
     solver: &SolverConfig,
     budget: Budget,
 ) -> Vec<RunRecord> {
     instances
         .iter()
-        .map(|inst| run_one(pipeline, inst, solve, solver_name, solver, budget.clone()))
+        .map(|inst| run_one(pipeline, inst, solver_name, solver, budget.clone()))
         .collect()
 }
 
@@ -228,8 +221,6 @@ pub fn summarize(xs: &[f64]) -> Summary {
 mod tests {
     use super::*;
     use crate::baseline::BaselinePipeline;
-    use sat::presolve::solve_cnf_presolved;
-    use sat::solve_cnf;
     use workloads::dataset::{generate, DatasetParams};
 
     #[test]
@@ -246,7 +237,6 @@ mod tests {
         let records = run_campaign(
             &BaselinePipeline,
             &set,
-            solve_cnf,
             "kissat",
             &SolverConfig::kissat_like(),
             Budget::conflicts(200_000),
@@ -285,13 +275,16 @@ mod tests {
                 aig,
                 expected: Some(expected),
             };
-            for solve in [solve_cnf as SolveFn, solve_cnf_presolved] {
+            for presolve in [false, true] {
+                let solver = SolverConfig {
+                    presolve,
+                    ..SolverConfig::kissat_like()
+                };
                 let r = run_one(
                     &BaselinePipeline,
                     &inst,
-                    solve,
                     "kissat",
-                    &SolverConfig::kissat_like(),
+                    &solver,
                     Budget::conflicts(1_000),
                 );
                 assert_eq!(
@@ -319,7 +312,6 @@ mod tests {
         let records = run_campaign(
             &BaselinePipeline,
             &set,
-            solve_cnf,
             "kissat",
             &SolverConfig::kissat_like(),
             Budget::conflicts(200_000),

@@ -51,13 +51,19 @@ pub struct SolverConfig {
     pub default_phase: bool,
     /// Record a DRAT-style [`crate::proof::ProofLog`] of every derived
     /// clause addition (learnt clauses with hints for the checker) and
-    /// deletion. Off by default; when off the solver carries no log,
-    /// collects no hints, and pays nothing beyond a per-conflict `None`
-    /// check.
-    /// Presolve does not emit proof steps, so certified pipelines must
-    /// solve the unpreprocessed formula (csat disables presolve under
-    /// `--proof`).
+    /// deletion, presolve's steps included. Off by default; when off the
+    /// solver carries no log, collects no hints, and pays nothing beyond
+    /// a per-conflict `None` check.
     pub proof: bool,
+    /// Run CNF presolve ([`crate::presolve`]) as the load step of
+    /// [`crate::Solver::add_cnf`]: the solver searches the simplified
+    /// formula, logs presolve's steps when [`SolverConfig::proof`] is on,
+    /// and extends each model to the input's variables. A presolving
+    /// solver takes one formula, through `add_cnf`, and nothing else:
+    /// `add_clause` and non-empty assumptions panic, since a clause or
+    /// an assumption on an eliminated variable would make model
+    /// extension unsound. Off in both presets.
+    pub presolve: bool,
 }
 
 impl SolverConfig {
@@ -72,6 +78,7 @@ impl SolverConfig {
             keep_lbd: 2,
             default_phase: false,
             proof: false,
+            presolve: false,
         }
     }
 
@@ -91,6 +98,7 @@ impl SolverConfig {
             keep_lbd: 3,
             default_phase: true,
             proof: false,
+            presolve: false,
         }
     }
 }

@@ -8,6 +8,9 @@
 //! * first-UIP learning with recursive clause minimisation,
 //! * LBD-aware clause-database reduction and garbage collection,
 //! * Luby and Glucose-EMA restart policies,
+//! * optional SatELite-style CNF presolve as the load step
+//!   ([`SolverConfig::presolve`]), inside the solver's observer and proof
+//!   log,
 //! * per-run [`Stats`] whose `decisions` counter is the paper's
 //!   "variable branching times" metric, and a [`Budget`] (conflicts,
 //!   deadline, cancellation) for bounded runs.

@@ -2,14 +2,20 @@
 //! resolution, and bounded variable elimination (SatELite-style).
 //!
 //! The paper's evaluation "keeps the default CNF-based preprocessing" of
-//! Kissat/CaDiCaL; this module provides the same class of simplification
-//! for our solver, as a pure CNF-to-CNF transformation with model
-//! reconstruction. It is exposed separately from the CDCL core so
-//! pipelines (and benches) can toggle it explicitly.
+//! Kissat/CaDiCaL, which runs inside the solver and is covered by its
+//! proof and statistics. Here too: [`crate::SolverConfig::presolve`]
+//! makes [`presolve`] the load step of [`crate::Solver::add_cnf`], under
+//! the solver's observer and into its proof log.
+//!
+//! Every step has a DRAT form (Järvisalo, Heule and Biere, "Inprocessing
+//! rules", IJCAR 2012). Strengthened clauses, resolvents, derived units
+//! and the empty clause are RUP additions, logged in derivation order;
+//! each clause they replace, and each satisfied, subsumed or eliminated
+//! clause, is a deletion logged after the additions that need it. Unit
+//! clauses are never deleted. The clauses presolve returns are therefore
+//! all active in the proof, so the search's lemmas check against it.
 
-use crate::config::{Budget, SolverConfig};
-use crate::solver::{solve_cnf, SolveResult};
-use crate::stats::Stats;
+use checker::Proof;
 use cnf::{Cnf, CnfLit};
 use std::collections::HashMap;
 
@@ -31,6 +37,11 @@ pub struct Reconstructor {
 }
 
 impl Reconstructor {
+    /// Number of variables eliminated by resolution.
+    pub(crate) fn eliminated_vars(&self) -> usize {
+        self.eliminated.len()
+    }
+
     /// Extends a model of the simplified formula to the original variables.
     ///
     /// `model[v-1]` is the value of variable `v`; missing variables get a
@@ -73,9 +84,41 @@ pub enum Presolved {
     Simplified(Cnf, Reconstructor),
 }
 
+/// Presolve's DRAT steps, or nothing when the caller keeps no proof.
+struct Drat<'a>(Option<&'a mut Proof>);
+
+impl Drat<'_> {
+    /// Logs a derived clause.
+    fn add(&mut self, lits: &[i32]) {
+        if let Some(p) = self.0.as_deref_mut() {
+            p.add(lits.to_vec());
+        }
+    }
+
+    /// Logs the deletion of the clause `lits ∪ more`, unless it is a unit:
+    /// unit clauses stay, as the support of presolve's forced values.
+    fn delete(&mut self, lits: &[i32], more: &[i32]) {
+        if let Some(p) = self.0.as_deref_mut() {
+            if lits.len() + more.len() > 1 {
+                p.delete(lits.iter().chain(more).copied().collect());
+            }
+        }
+    }
+
+    /// Logs the empty clause: every clause it needs is still active.
+    fn refuted(&mut self) -> Presolved {
+        self.add(&[]);
+        Presolved::Unsat
+    }
+}
+
 /// Simplifies a formula. Equisatisfiable by construction; models of the
 /// output extend to models of the input via the [`Reconstructor`].
-pub fn presolve(formula: &Cnf) -> Presolved {
+///
+/// With `proof`, appends presolve's DRAT steps over `formula` (see the
+/// module doc); on [`Presolved::Unsat`] they end with the empty clause.
+pub fn presolve(formula: &Cnf, proof: Option<&mut Proof>) -> Presolved {
+    let mut drat = Drat(proof);
     let num_vars = formula.num_vars() as usize;
     // Clause store in DIMACS ints; None = deleted.
     let mut clauses: Vec<Option<Vec<i32>>> = formula
@@ -92,20 +135,20 @@ pub fn presolve(formula: &Cnf) -> Presolved {
 
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
-        if !propagate_units(&mut clauses, &mut assign, &mut recon) {
-            return Presolved::Unsat;
+        if !propagate_units(&mut clauses, &mut assign, &mut recon, &mut drat) {
+            return drat.refuted();
         }
-        changed |= subsumption_pass(&mut clauses);
-        match eliminate_variables(&mut clauses, &assign, &mut recon) {
-            None => return Presolved::Unsat,
+        changed |= subsumption_pass(&mut clauses, &mut drat);
+        match eliminate_variables(&mut clauses, &assign, &mut recon, &mut drat) {
+            None => return drat.refuted(),
             Some(c) => changed |= c,
         }
         if !changed {
             break;
         }
     }
-    if !propagate_units(&mut clauses, &mut assign, &mut recon) {
-        return Presolved::Unsat;
+    if !propagate_units(&mut clauses, &mut assign, &mut recon, &mut drat) {
+        return drat.refuted();
     }
 
     let live: Vec<&Vec<i32>> = clauses.iter().flatten().collect();
@@ -120,17 +163,20 @@ pub fn presolve(formula: &Cnf) -> Presolved {
     Presolved::Simplified(out, recon)
 }
 
-/// Propagates unit clauses destructively; false on conflict.
+/// Propagates unit clauses destructively; false on conflict, with the
+/// falsified clause still active in the proof.
 fn propagate_units(
     clauses: &mut [Option<Vec<i32>>],
     assign: &mut [i8],
     recon: &mut Reconstructor,
+    drat: &mut Drat,
 ) -> bool {
     loop {
         let mut found_unit: Option<i32> = None;
         for c in clauses.iter_mut() {
             let Some(lits) = c else { continue };
             let mut satisfied = false;
+            let mut removed = Vec::new();
             lits.retain(|&l| {
                 let v = assign[l.unsigned_abs() as usize];
                 if v == 0 {
@@ -139,19 +185,24 @@ fn propagate_units(
                 if (v == 1) == (l > 0) {
                     satisfied = true;
                 }
+                removed.push(l);
                 false
             });
             if satisfied {
+                drat.delete(lits, &removed);
                 *c = None;
                 continue;
             }
-            match lits.len() {
-                0 => return false, // conflict
-                1 => {
-                    found_unit = Some(lits[0]);
-                    *c = None;
-                }
-                _ => {}
+            if lits.is_empty() {
+                return false; // conflict
+            }
+            if !removed.is_empty() {
+                drat.add(lits);
+                drat.delete(lits, &removed);
+            }
+            if lits.len() == 1 {
+                found_unit = Some(lits[0]);
+                *c = None;
             }
             if found_unit.is_some() {
                 break;
@@ -181,7 +232,7 @@ fn propagate_units(
 /// any clause subsumed by `ci` must contain `ci`'s least-occurring
 /// variable, so only that variable's occurrence list is scanned — near
 /// linear on circuit CNFs instead of quadratic over all clause pairs.
-fn subsumption_pass(clauses: &mut [Option<Vec<i32>>]) -> bool {
+fn subsumption_pass(clauses: &mut [Option<Vec<i32>>], drat: &mut Drat) -> bool {
     let mut changed = false;
     for c in clauses.iter_mut().flatten() {
         c.sort_unstable();
@@ -227,6 +278,7 @@ fn subsumption_pass(clauses: &mut [Option<Vec<i32>>]) -> bool {
                 continue;
             }
             if is_subset(&ci, cj) {
+                drat.delete(cj, &[]);
                 clauses[j] = None;
                 changed = true;
                 continue;
@@ -236,6 +288,8 @@ fn subsumption_pass(clauses: &mut [Option<Vec<i32>>]) -> bool {
             if let Some(neg) = self_subsumes(&ci, cj) {
                 let cj = clauses[j].as_mut().expect("checked");
                 cj.retain(|&l| l != neg);
+                drat.add(cj);
+                drat.delete(cj, &[neg]);
                 changed = true;
             }
         }
@@ -282,6 +336,7 @@ fn eliminate_variables(
     clauses: &mut Vec<Option<Vec<i32>>>,
     assign: &[i8],
     recon: &mut Reconstructor,
+    drat: &mut Drat,
 ) -> Option<bool> {
     let num_vars = assign.len() - 1;
     let mut changed = false;
@@ -354,9 +409,14 @@ fn eliminate_variables(
             continue; // elimination would grow the formula
         }
         // Commit: record originals for reconstruction, swap in resolvents.
+        for r in &resolvents {
+            drat.add(r);
+        }
         let mut originals = Vec::with_capacity(occ);
         for &idx in pos.iter().chain(&neg) {
-            originals.push(clauses[idx].take().expect("live"));
+            let c = clauses[idx].take().expect("live");
+            drat.delete(&c, &[]);
+            originals.push(c);
         }
         recon.eliminated.push((v, originals));
         for r in resolvents {
@@ -395,39 +455,10 @@ fn resolve(a: &[i32], b: &[i32], v: i32) -> Option<Vec<i32>> {
     Some(r)
 }
 
-/// Preprocess-then-solve convenience; model reconstruction applied.
-pub fn solve_cnf_presolved(
-    formula: &Cnf,
-    cfg: SolverConfig,
-    budget: Budget,
-) -> (SolveResult, Stats) {
-    match presolve(formula) {
-        Presolved::Sat(recon) => {
-            let model = recon.extend_model(vec![false; formula.num_vars() as usize]);
-            debug_assert!(
-                formula.eval(&model),
-                "reconstruction must satisfy the input"
-            );
-            (SolveResult::Sat(model), Stats::default())
-        }
-        Presolved::Unsat => (SolveResult::Unsat, Stats::default()),
-        Presolved::Simplified(simplified, recon) => {
-            let (res, stats) = solve_cnf(&simplified, cfg, budget);
-            match res {
-                SolveResult::Sat(model) => {
-                    let full = recon.extend_model(model);
-                    debug_assert!(formula.eval(&full), "reconstruction must satisfy the input");
-                    (SolveResult::Sat(full), stats)
-                }
-                other => (other, stats),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{solve_cnf, Budget, SolverConfig};
 
     #[test]
     fn eliminates_pure_and_low_occurrence_vars() {
@@ -436,7 +467,7 @@ mod tests {
         f.add_clause(vec![CnfLit::pos(1), CnfLit::pos(2)]);
         f.add_clause(vec![CnfLit::neg(2), CnfLit::pos(3)]);
         f.add_clause(vec![CnfLit::pos(1), CnfLit::pos(3)]);
-        match presolve(&f) {
+        match presolve(&f, None) {
             Presolved::Unsat => panic!("satisfiable formula reported UNSAT"),
             Presolved::Sat(_) => {}
             Presolved::Simplified(out, _) => {
@@ -450,7 +481,60 @@ mod tests {
         let mut f = Cnf::new();
         f.add_unit(CnfLit::pos(1));
         f.add_unit(CnfLit::neg(1));
-        assert!(matches!(presolve(&f), Presolved::Unsat));
+        assert!(matches!(presolve(&f, None), Presolved::Unsat));
+    }
+
+    /// A presolving solver's configuration.
+    fn presolving() -> SolverConfig {
+        SolverConfig {
+            presolve: true,
+            ..SolverConfig::default()
+        }
+    }
+
+    #[test]
+    fn refutation_steps_are_a_certificate() {
+        // (1 ∨ 2)(¬1 ∨ 2)(1 ∨ ¬2)(¬1 ∨ ¬2): self-subsumption derives the
+        // units, whose propagation refutes the formula.
+        let mut f = Cnf::new();
+        for (a, b) in [(1, 2), (-1, 2), (1, -2), (-1, -2)] {
+            f.add_clause(vec![CnfLit::from_dimacs(a), CnfLit::from_dimacs(b)]);
+        }
+        let mut proof = Proof::new();
+        assert!(matches!(presolve(&f, Some(&mut proof)), Presolved::Unsat));
+        let formula: Vec<Vec<i32>> = f
+            .clauses()
+            .iter()
+            .map(|c| c.iter().map(|l| l.to_dimacs()).collect())
+            .collect();
+        checker::check(&formula, &proof).expect("presolve's steps refute the input");
+        // A presolving solver answers without a decision, with the same
+        // steps as its certificate.
+        let mut s = crate::Solver::from_cnf(
+            &f,
+            SolverConfig {
+                proof: true,
+                ..presolving()
+            },
+        );
+        assert!(s.solve().is_unsat());
+        assert_eq!(s.stats().decisions, 0);
+        assert_eq!(s.proof().expect("logging on").proof(), &proof);
+        s.certify(&[]).expect("the certificate checks");
+    }
+
+    #[test]
+    #[should_panic(expected = "takes its formula through add_cnf only")]
+    fn presolved_formula_takes_no_clause() {
+        let mut s = crate::Solver::from_cnf(&pinned_formula(), presolving());
+        s.add_clause_cnf(&[CnfLit::pos(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes no assumptions")]
+    fn presolved_formula_takes_no_assumption() {
+        let mut s = crate::Solver::from_cnf(&pinned_formula(), presolving());
+        s.solve_with_assumptions(&[CnfLit::pos(1)]);
     }
 
     #[test]
@@ -461,7 +545,7 @@ mod tests {
         // Force var 3 to stay (occurrence in another clause pair).
         f.add_clause(vec![CnfLit::neg(3), CnfLit::pos(4), CnfLit::neg(1)]);
         f.add_clause(vec![CnfLit::pos(3), CnfLit::neg(4), CnfLit::pos(2)]);
-        if let Presolved::Simplified(out, _) = presolve(&f) {
+        if let Presolved::Simplified(out, _) = presolve(&f, None) {
             assert!(out.num_clauses() < f.num_clauses());
         }
     }
@@ -474,7 +558,7 @@ mod tests {
         let x = g.xor_many(&pis);
         g.add_po(x);
         let (f, _) = cnf::tseitin_sat_instance(&g);
-        match presolve(&f) {
+        match presolve(&f, None) {
             Presolved::Simplified(out, _) => {
                 assert!(
                     out.num_clauses() <= f.num_clauses() * 2,
@@ -487,7 +571,7 @@ mod tests {
             Presolved::Unsat => panic!("xor instance is satisfiable"),
         }
         // And solving with presolve gives a valid witness.
-        let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
+        let (res, _) = solve_cnf(&f, presolving(), Budget::UNLIMITED);
         let model = res.model().expect("xor is satisfiable").to_vec();
         assert!(f.eval(&model));
     }
@@ -541,7 +625,7 @@ mod tests {
     /// clauses and their order.
     #[test]
     fn presolve_output_is_pinned() {
-        let Presolved::Simplified(out, _) = presolve(&pinned_formula()) else {
+        let Presolved::Simplified(out, _) = presolve(&pinned_formula(), None) else {
             panic!("the pinned formula simplifies");
         };
         assert_eq!(

@@ -2,11 +2,13 @@
 //!
 //! When [`crate::SolverConfig::proof`] is on, the solver records every
 //! clause it is *given* (the originals) and every clause it *derives or
-//! deletes* (the steps): learnt clauses of all three tiers (units,
-//! binary-tier two-literal learnts, arena clauses) with their
-//! post-minimization literal sets, input clauses whose stored form was
-//! strengthened by level-0 simplification, the empty clause on genuine
-//! UNSAT, and every `reduce_db` deletion. The steps are recorded directly
+//! deletes* (the steps): under [`crate::SolverConfig::presolve`], first
+//! presolve's additions and deletions over the input formula; then
+//! learnt clauses of all three tiers (units, binary-tier two-literal
+//! learnts, arena clauses) with their post-minimization literal sets,
+//! input clauses whose stored form was strengthened by level-0
+//! simplification, the empty clause on genuine UNSAT, and every
+//! `reduce_db` deletion. The steps are recorded directly
 //! in the independent checker's format ([`checker::Proof`]), so the log
 //! is a certificate as it stands: [`crate::Solver::certify`] checks it by
 //! reverse unit propagation without trusting any solver code.
@@ -30,8 +32,10 @@
 //! `originals + one unit clause per assumption` against the steps plus an
 //! explicit terminal empty clause (see `checker::Proof::close`).
 
+use crate::presolve::{presolve, Presolved};
 use crate::types::{Lit, Var};
 use checker::Proof;
+use cnf::Cnf;
 
 /// Accumulated proof log of one solver: original clauses plus derivation
 /// and deletion steps, in the order they happened.
@@ -42,6 +46,8 @@ use checker::Proof;
 pub struct ProofLog {
     originals: Vec<Vec<i32>>,
     proof: Proof,
+    /// Leading steps logged by presolve; the rest are the search's.
+    presolve_steps: usize,
 }
 
 fn to_dimacs(lits: &[Lit]) -> Vec<i32> {
@@ -52,6 +58,20 @@ impl ProofLog {
     /// Records an input clause exactly as the caller asserted it.
     pub(crate) fn log_original(&mut self, lits: &[Lit]) {
         self.originals.push(to_dimacs(lits));
+    }
+
+    /// Records `formula` as the originals and presolves it, logging
+    /// presolve's steps; the simplified clauses are not originals.
+    pub(crate) fn log_presolve(&mut self, formula: &Cnf) -> Presolved {
+        self.originals.extend(
+            formula
+                .clauses()
+                .iter()
+                .map(|c| c.iter().map(|l| l.to_dimacs()).collect()),
+        );
+        let presolved = presolve(formula, Some(&mut self.proof));
+        self.presolve_steps = self.proof.steps.len();
+        presolved
     }
 
     /// Records a derived clause addition (strengthened input or the empty
@@ -95,6 +115,11 @@ impl ProofLog {
     /// Number of deletion steps.
     pub fn deletions(&self) -> usize {
         self.proof.steps.iter().filter(|s| s.delete).count()
+    }
+
+    /// The steps logged after presolve's: the search's own.
+    pub(crate) fn search_steps(&self) -> &[checker::Step] {
+        &self.proof.steps[self.presolve_steps..]
     }
 
     /// True once an empty-clause addition has been logged (the proof

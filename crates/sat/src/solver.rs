@@ -10,6 +10,7 @@
 use crate::clause::ClauseDb;
 use crate::config::{Budget, SolverConfig};
 use crate::heap::VarHeap;
+use crate::presolve::{presolve, Presolved, Reconstructor};
 use crate::proof::ProofLog;
 use crate::restart::RestartPolicy;
 use crate::stats::Stats;
@@ -145,6 +146,10 @@ pub struct Solver {
     /// an enabled registry. Boxed like the proof log: the unobserved case
     /// costs one null-check at conflict-rate probe sites only.
     trace: Option<Box<crate::trace::SolverTrace>>,
+    /// Set by the presolving load ([`SolverConfig::presolve`]): extends
+    /// each model to the input's variables. Empty, and never applied,
+    /// when presolve refuted the formula.
+    presolved: Option<Reconstructor>,
 
     // Analysis scratch space.
     seen: Vec<bool>,
@@ -187,6 +192,7 @@ impl Solver {
             proof,
             interrupt_countdown: 1,
             trace: None,
+            presolved: None,
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
@@ -285,11 +291,64 @@ impl Solver {
     }
 
     /// Loads every clause of a [`Cnf`].
+    ///
+    /// Under [`SolverConfig::presolve`] the formula is presolved first
+    /// (under a `sat.presolve` span when observed, recording clauses in,
+    /// clauses out and, unless presolve refutes the formula, variables
+    /// eliminated) and the simplified clauses
+    /// are loaded in its place, with the input's variable count. A
+    /// formula presolve decides alone creates no variable, so its solve
+    /// makes no decision.
+    ///
+    /// # Panics
+    /// Panics on a second formula under [`SolverConfig::presolve`].
     pub fn add_cnf(&mut self, formula: &Cnf) {
+        if self.config.presolve {
+            return self.load_presolved(formula);
+        }
         self.ensure_vars(formula.num_vars() as usize);
         for clause in formula.clauses() {
             self.add_clause_cnf(clause);
         }
+    }
+
+    /// The presolving load behind [`Solver::add_cnf`].
+    fn load_presolved(&mut self, formula: &Cnf) {
+        assert!(
+            self.presolved.is_none(),
+            "a presolving solver takes one formula"
+        );
+        let span = self
+            .trace
+            .as_deref()
+            .map(|t| t.parent.child("sat.presolve"));
+        let presolved = match self.proof.as_deref_mut() {
+            Some(log) => log.log_presolve(formula),
+            None => presolve(formula, None),
+        };
+        let (recon, clauses_out) = match presolved {
+            Presolved::Unsat => {
+                self.ok = false;
+                (Reconstructor::default(), 0)
+            }
+            Presolved::Sat(recon) => (recon, 0),
+            Presolved::Simplified(simplified, recon) => {
+                self.ensure_vars(simplified.num_vars() as usize);
+                for clause in simplified.clauses() {
+                    self.load_clause(clause.iter().map(|&l| Lit::from_cnf(l)).collect());
+                }
+                (recon, simplified.num_clauses())
+            }
+        };
+        if let Some(span) = span {
+            span.record("clauses_in", formula.num_clauses());
+            span.record("clauses_out", clauses_out);
+            if self.ok {
+                // A refutation returns no reconstructor to count.
+                span.record("eliminated_vars", recon.eliminated_vars());
+            }
+        }
+        self.presolved = Some(recon);
     }
 
     /// Adds one clause in DIMACS-literal form.
@@ -302,17 +361,30 @@ impl Solver {
     /// level 0 (i.e. before or between `solve()` calls).
     ///
     /// # Panics
-    /// Panics if called with outstanding decisions.
-    pub fn add_clause(&mut self, mut lits: Vec<Lit>) {
+    /// Panics if called with outstanding decisions, or under
+    /// [`SolverConfig::presolve`].
+    pub fn add_clause(&mut self, lits: Vec<Lit>) {
+        assert!(
+            !self.config.presolve,
+            "a presolving solver takes its formula through add_cnf only"
+        );
+        if self.ok {
+            if let Some(p) = self.proof.as_deref_mut() {
+                p.log_original(&lits);
+            }
+        }
+        self.load_clause(lits);
+    }
+
+    /// Stores a clause the proof log already accounts for: an original
+    /// logged by [`Solver::add_clause`], or a presolve output.
+    fn load_clause(&mut self, mut lits: Vec<Lit>) {
         assert!(
             self.trail_lim.is_empty(),
             "clauses must be added at level 0"
         );
         if !self.ok {
             return;
-        }
-        if let Some(p) = self.proof.as_deref_mut() {
-            p.log_original(&lits);
         }
         let max_var = lits.iter().map(|l| l.var() as usize + 1).max().unwrap_or(0);
         self.ensure_vars(max_var);
@@ -1015,10 +1087,11 @@ impl Solver {
         // Proof-log audit: with logging on, every clause the solver can
         // still use — live arena clauses and binary-tier edges — must be
         // accounted for in the certificate, either as an original clause
-        // or as a logged addition (learnts of every tier, level-0
-        // strengthened inputs). Compared as sorted literal sets: watch
-        // reordering permutes stored clauses but never changes their
-        // literal set. Deletion steps must match reduce_db's count —
+        // or as a logged addition (presolve's outputs, learnts of every
+        // tier, level-0 strengthened inputs). Compared as sorted literal
+        // sets: watch reordering permutes stored clauses but never changes
+        // their literal set. The search's deletion steps (those after
+        // presolve's) must match reduce_db's count —
         // together with the watcher checks above ("watcher points at a
         // deleted clause") this pins the log to the live database.
         if let Some(log) = self.proof.as_deref() {
@@ -1033,14 +1106,10 @@ impl Solver {
             for c in log.originals() {
                 derivable.insert(norm(c.clone()));
             }
-            let mut deletions = 0u64;
-            for s in &log.proof().steps {
-                if s.delete {
-                    deletions += 1;
-                } else {
-                    derivable.insert(norm(s.lits.clone()));
-                }
+            for s in log.proof().steps.iter().filter(|s| !s.delete) {
+                derivable.insert(norm(s.lits.clone()));
             }
+            let deletions = log.search_steps().iter().filter(|s| s.delete).count() as u64;
             assert_eq!(
                 deletions, self.stats.deleted_clauses,
                 "every clause deletion must be logged"
@@ -1124,7 +1193,14 @@ impl Solver {
     /// assert!(s.solve_with_assumptions(&[CnfLit::pos(1), CnfLit::neg(2)]).is_unsat());
     /// assert!(s.solve().is_sat()); // still satisfiable without assumptions
     /// ```
+    ///
+    /// # Panics
+    /// Panics on non-empty `assumptions` under [`SolverConfig::presolve`].
     pub fn solve_with_assumptions(&mut self, assumptions: &[CnfLit]) -> SolveResult {
+        assert!(
+            assumptions.is_empty() || !self.config.presolve,
+            "a presolving solver takes no assumptions"
+        );
         if self.trace.is_none() {
             return self.solve_inner(assumptions);
         }
@@ -1264,7 +1340,10 @@ impl Solver {
                             .map(|&a| a == LBool::True)
                             .collect::<Vec<bool>>();
                         self.backtrack(0);
-                        return SolveResult::Sat(model);
+                        return SolveResult::Sat(match &self.presolved {
+                            Some(recon) => recon.extend_model(model),
+                            None => model,
+                        });
                     }
                     Some(l) => {
                         if self.budget_exhausted() || self.interrupted() {

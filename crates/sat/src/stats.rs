@@ -10,9 +10,7 @@
 //! `solve()`'s increase of every counter to the registry's `sat.<name>`
 //! counter, so `sat.*` counts the work inside observed `solve()` calls:
 //! unit propagation while clauses are loaded shows in
-//! [`Stats::propagations`] but not in `sat.propagations`. A solver that
-//! is not observed (the presolver's own) reaches the registry through
-//! [`Stats::add_to`], which adds its whole totals, loading included.
+//! [`Stats::propagations`] but not in `sat.propagations`.
 
 /// Counters accumulated across `solve()` calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,19 +68,6 @@ impl Stats {
             .map(|(name, _)| reg.counter(&format!("sat.{name}")))
             .collect()
     }
-
-    /// Adds every counter to its `sat.<name>` counter in `reg`: how the
-    /// work of a solver that was not observed (the presolver's own)
-    /// reaches the registry.
-    pub fn add_to(&self, reg: &obs::Registry) {
-        if !reg.is_enabled() {
-            return;
-        }
-        let counters = Stats::registry_counters(reg);
-        for (counter, (_, value)) in counters.iter().zip(self.counters()) {
-            counter.add(value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,25 +103,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), list.len(), "names are distinct");
-    }
-
-    #[test]
-    fn add_to_accumulates_every_counter() {
-        let s = Stats {
-            conflicts: 21,
-            minimized_literals: 4,
-            ..Stats::default()
-        };
-        let reg = obs::Registry::metrics_only();
-        s.add_to(&reg);
-        s.add_to(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.value("sat.conflicts"), Some(42));
-        assert_eq!(snap.value("sat.minimized_literals"), Some(8));
-        assert_eq!(snap.value("sat.cancellations"), Some(0));
-        // Disabled registries stay empty.
-        let off = obs::Registry::disabled();
-        s.add_to(&off);
-        assert!(off.snapshot().is_empty());
     }
 }

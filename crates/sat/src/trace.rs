@@ -9,7 +9,8 @@
 //! lifetime totals; the registry wants per-call increments), so `sat.*`
 //! counts the work done inside observed solves only. Each solve runs
 //! under a `sat.solve` span carrying the per-call conflict, decision and
-//! propagation counts on exit.
+//! propagation counts on exit; a presolving load runs under a
+//! `sat.presolve` span beside them.
 
 use crate::stats::Stats;
 use crate::SolveResult;
@@ -215,6 +216,29 @@ mod tests {
         let props = snap.value("sat.propagations").expect("registered");
         assert!(props > 0);
         assert_eq!(bursts.sum, props);
+    }
+
+    #[test]
+    fn presolving_load_runs_under_a_presolve_span() {
+        let reg = obs::Registry::tracing();
+        let f = php4();
+        let mut s = Solver::new(SolverConfig {
+            presolve: true,
+            ..SolverConfig::default()
+        });
+        s.set_observer(reg.root());
+        s.add_cnf(&f);
+        assert!(s.solve().is_unsat());
+        let events = reg.drain_events();
+        obs::check::validate(&events).expect("well-formed");
+        let field = |span, name| obs::check::sum_field(&events, span, name);
+        assert_eq!(field("sat.presolve", "clauses_in"), f.num_clauses() as u64);
+        let out = field("sat.presolve", "clauses_out");
+        assert!(0 < out && out < f.num_clauses() as u64, "{out}");
+        assert!(field("sat.presolve", "eliminated_vars") > 0);
+        assert_eq!(field("sat.solve", "decisions"), s.stats().decisions);
+        let snap = reg.snapshot();
+        assert_eq!(snap.value("sat.decisions"), Some(s.stats().decisions));
     }
 
     #[test]

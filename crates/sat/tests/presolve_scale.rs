@@ -48,7 +48,7 @@ fn presolve_handles_circuit_scale_quickly() {
         f.num_clauses()
     );
     let t0 = Instant::now();
-    let out = presolve(&f);
+    let out = presolve(&f, None);
     let dt = t0.elapsed();
     assert!(
         dt.as_secs_f64() < 5.0,

@@ -7,7 +7,7 @@ use csat_preproc::{BaselinePipeline, FrameworkPipeline, Pipeline};
 use rl::env::{measure_branchings, EnvConfig};
 use rl::train::{train_agent, TrainConfig};
 use rl::{DqnConfig, RecipePolicy};
-use sat::{solve_cnf, Budget, SolverConfig};
+use sat::{Budget, SolverConfig};
 use workloads::dataset::{generate, generate_hard, DatasetParams};
 
 #[test]
@@ -61,14 +61,7 @@ fn miniature_paper_run() {
         ))),
     ];
     for arm in &arms {
-        let records = run_campaign(
-            arm.as_ref(),
-            &test,
-            solve_cnf,
-            "kissat",
-            &solver,
-            budget.clone(),
-        );
+        let records = run_campaign(arm.as_ref(), &test, "kissat", &solver, budget.clone());
         assert_eq!(records.len(), test.len());
         // All models valid, no verdict contradicting its label.
         for r in &records {

@@ -136,7 +136,8 @@ proptest! {
     }
 
     /// CNF presolve is equisatisfiable and its model reconstruction is
-    /// sound on arbitrary small formulas.
+    /// sound on arbitrary small formulas; each UNSAT verdict carries a
+    /// certificate, presolve's steps included, that the checker accepts.
     #[test]
     fn presolve_equisatisfiable(clauses in proptest::collection::vec(
         proptest::collection::vec((1u32..=9, any::<bool>()), 1..5), 1..35)) {
@@ -152,8 +153,11 @@ proptest! {
             f.add_clause(lits);
         }
         let expected = dpll_sat(&f);
-        let (res, _) =
-            sat::presolve::solve_cnf_presolved(&f, SolverConfig::cadical_like(), Budget::UNLIMITED);
+        let presolving = SolverConfig {
+            presolve: true,
+            ..SolverConfig::cadical_like()
+        };
+        let res = csat_tests::solve_certified(&f, presolving);
         prop_assert_eq!(res.is_sat(), expected);
         if let sat::SolveResult::Sat(model) = res {
             prop_assert!(f.eval(&model), "reconstructed model must satisfy the input");

@@ -13,7 +13,6 @@ use cnf::{Cnf, CnfLit};
 use csat_tests::reference::dpll_sat;
 use csat_tests::solve_certified;
 use rand::{Rng, SeedableRng};
-use sat::presolve::solve_cnf_presolved;
 use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
 use workloads::dataset::{generate, DatasetParams};
 
@@ -162,7 +161,11 @@ fn equisatisfiable_on_random_formulas() {
         let m = rng.gen_range(3..=35);
         let f = random_cnf(&mut rng, n, m, 3);
         let expected = dpll_sat(&f);
-        let (res, _) = solve_cnf_presolved(&f, SolverConfig::default(), Budget::UNLIMITED);
+        let presolving = SolverConfig {
+            presolve: true,
+            ..SolverConfig::default()
+        };
+        let res = solve_certified(&f, presolving);
         assert_eq!(res.is_sat(), expected, "iter {iter}");
         if let SolveResult::Sat(model) = res {
             assert!(f.eval(&model), "iter {iter}: reconstructed model invalid");
