@@ -1,9 +1,9 @@
 //! Hot-path throughput harness: `BENCH_hotpath.json` emitter.
 //!
-//! Times CDCL propagation, bit-parallel resimulation, SAT sweeping, BMC,
-//! the query service, each synthesis op and the NPN table build on fixed
-//! built-in workloads; every timed row comes from one sampler, [`sample`],
-//! as a median with its spread.
+//! Times CDCL propagation, proof checking, bit-parallel resimulation, SAT
+//! sweeping, BMC, the query service, each synthesis op and the NPN table
+//! build on fixed built-in workloads; every timed row comes from one
+//! sampler, [`sample`], as a median with its spread.
 //!
 //! Usage: `bench_hotpath [--smoke] [--out PATH] [--threads LIST]`
 //!
@@ -270,6 +270,35 @@ fn main() {
         "check_hinted_adds": outcome.as_ref().map_or(0, |o| o.hinted_adds),
     };
 
+    // The checker on an equivalence miter's certificate: the Tseitin CNF
+    // of two adder architectures, solved once with proof logging on.
+    let check_bits = if smoke { 12 } else { 32 };
+    let lec = miter(
+        &ripple_carry_adder(check_bits).aig,
+        &carry_lookahead_adder(check_bits).aig,
+    );
+    let (lec_formula, _) = cnf::tseitin_sat_instance(&lec);
+    let mut lec_solver = Solver::from_cnf(&lec_formula, logging.clone());
+    assert!(
+        lec_solver.solve().is_unsat(),
+        "equal adders: the miter is UNSAT"
+    );
+    let lec_log = lec_solver.proof().expect("proof logging was on");
+    let mut lec_outcome = None;
+    let [lec_check] = sample(|_| {
+        let (t, o) = timed(|| checker::check(lec_log.originals(), lec_log.proof()));
+        lec_outcome = Some(o);
+        [t]
+    });
+    let lec_outcome = lec_outcome.expect("the checker ran");
+    let check_row = row! {
+        "name": quoted("miter_rca_cla"), "bits": check_bits, "reps": REPS,
+        "steps": lec_log.proof().steps.len(), "check_wall_s": lec_check,
+        "accepted": lec_outcome.is_ok(),
+        "verified_adds": lec_outcome.as_ref().map_or(0, |o| o.verified_adds),
+        "hinted_adds": lec_outcome.as_ref().map_or(0, |o| o.hinted_adds),
+    };
+
     let events = tracing.drain_events();
     obs::check::validate(&events).expect("bench trace stream well-formed");
     let span_conflicts = obs::check::sum_field(&events, "sat.solve", "conflicts");
@@ -484,7 +513,8 @@ fn main() {
             "build_profile": quoted(if cfg!(debug_assertions) { "debug" } else { "release" }),
             "debug_assertions": cfg!(debug_assertions),
         }),
-        "solver": list(&solver_rows), "proof": object(&proof_row), "obs": object(&obs_row),
+        "solver": list(&solver_rows), "proof": object(&proof_row),
+        "check": list(slice::from_ref(&check_row)), "obs": object(&obs_row),
         "sim": list(slice::from_ref(&sim_row)), "fraig": list(&fraig_rows),
         "bmc": list(slice::from_ref(&bmc_row)), "serve": list(&serve_rows),
         "synth": list(&synth_rows), "npn": list(slice::from_ref(&npn_row)),

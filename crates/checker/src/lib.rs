@@ -1,13 +1,13 @@
 //! # `checker` — an independent backward RUP/DRAT proof checker
 //!
 //! Verifies UNSAT certificates produced by the `sat` crate's proof logger
-//! (or any DRAT producer) **without sharing a line of solver code**: this
-//! crate has its own clause representation, its own two-watched-literal
-//! unit propagation, and a deliberately simple backward checking loop in
-//! the style of `drat-trim`. The solver is ~3k lines of carefully
-//! optimised search; this checker is a few hundred lines of boring code —
-//! a soundness bug would have to appear in *both*, independently, to slip
-//! a bogus UNSAT verdict through.
+//! (or any DRAT producer). It shares no solver code and depends on
+//! nothing: this crate has its own clause representation, its own
+//! two-watched-literal unit propagation, and a deliberately simple
+//! backward checking loop in the style of `drat-trim`. The solver is ~3k
+//! lines of carefully optimised search; this checker is a few hundred
+//! lines of boring code — a soundness bug would have to appear in *both*,
+//! independently, to slip a bogus UNSAT verdict through.
 //!
 //! A proof is a sequence of clause additions and deletions over a fixed
 //! original formula (DIMACS `i32` literals throughout). Checking runs
@@ -45,9 +45,35 @@
 //!
 //! The checker is *strict*: a proof must contain an explicit empty-clause
 //! addition (or the formula itself must contain the empty clause). A
-//! certificate for an UNSAT-under-assumptions verdict is therefore built
-//! by appending each assumption as a unit clause to the formula and
-//! closing the proof with an empty clause ([`Proof::close`]).
+//! certificate for an UNSAT-under-assumptions verdict is therefore
+//! checked against the formula plus each assumption as a unit clause,
+//! with the proof closed by an empty clause ([`Proof::close`]);
+//! [`check_with_assumptions`] does both without copying either.
+//!
+//! ## Engine
+//!
+//! One check builds its state once and drops it on return; no result of
+//! one check reaches another.
+//!
+//! - **Literal arena.** Every clause's literals sit back to back in one
+//!   flat `Vec<i32>`, sorted and deduplicated when the clause is created.
+//!   Each clause's start, length and flag byte (active, needed,
+//!   tautology) sit in parallel arrays indexed by clause id.
+//! - **Blocker watches.** A watch entry names its clause and a *blocker*,
+//!   another literal of that clause. While the blocker is true the clause
+//!   is satisfied, and a visit skips it without reading the arena.
+//! - **Literal-indexed values.** Values live at `val[2·var + sign]`, so one
+//!   load gives a literal's value.
+//! - **Stale watches dropped.** Deleting a clause (forward) or un-adding a
+//!   lemma (backward) only clears its active flag. Propagation removes a
+//!   watch entry of an inactive clause when it visits one; undoing a
+//!   deletion removes whatever entries are left and watches the clause
+//!   afresh.
+//! - **Hashed deletions.** The forward replay sorts each step's literals
+//!   into one reused buffer. A deletion finds its target, the most recent
+//!   active clause with the same literal set, through a map from a 64-bit
+//!   hash of the sorted literals (seeded per check) to a chain of clause
+//!   ids, comparing the literals in the arena.
 //!
 //! ```
 //! use checker::{check, Proof};
@@ -65,8 +91,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// One proof step: a clause addition, or a deletion when `delete` is set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -274,18 +302,30 @@ pub struct CheckOutcome {
     pub core_formula: Vec<usize>,
 }
 
-const NO_REASON: usize = usize::MAX;
+/// Reason slot of an unassigned or assumed variable.
+const NO_REASON: u32 = u32::MAX;
 
-#[derive(Clone, Debug)]
-struct Clause {
-    /// Literal set; for watched clauses the first two slots are the
-    /// watched literals (propagation permutes, never changes the set).
-    lits: Vec<i32>,
-    active: bool,
-    needed: bool,
-    /// Contains both polarities of some variable: never falsifiable, so
-    /// it is excluded from propagation entirely.
-    tautology: bool,
+/// Values in [`Checker::val`].
+const TRUE: i8 = 1;
+const FALSE: i8 = -1;
+const UNDEF: i8 = 0;
+
+/// Bits of [`Checker::flags`].
+const ACTIVE: u8 = 1;
+/// In the core: some verified conflict used the clause.
+const NEEDED: u8 = 2;
+/// Contains both polarities of some variable: never falsifiable, so it
+/// is excluded from propagation entirely.
+const TAUTOLOGY: u8 = 4;
+
+/// One watch-list entry.
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    /// The watched clause.
+    cid: u32,
+    /// Another literal of the clause. While it is true the clause is
+    /// satisfied, and a visit reads nothing else.
+    blocker: i32,
 }
 
 /// Replayed effect of one proof step (formula clauses are not actions).
@@ -314,25 +354,37 @@ enum Conflict {
 }
 
 struct Checker {
-    clauses: Vec<Clause>,
+    /// Every clause's literals, back to back: clause `c` owns
+    /// `arena[start[c]..start[c] + len[c]]`, sorted and deduplicated when
+    /// created. A watched clause keeps its two watched literals in its
+    /// first two slots (propagation permutes, never changes the set).
+    arena: Vec<i32>,
+    start: Vec<usize>,
+    len: Vec<u32>,
+    /// `ACTIVE`, `NEEDED` and `TAUTOLOGY` bits per clause.
+    flags: Vec<u8>,
     n_formula: usize,
-    /// Clause ids watching each literal, indexed by `lit_index`. Entries
-    /// of inactive clauses are kept in place and skipped (lazy removal);
-    /// an active clause has exactly two entries, on `lits[0]`/`lits[1]`.
-    watches: Vec<Vec<usize>>,
+    /// Watch entries per literal, indexed by `lit_index`. An active
+    /// clause has exactly one entry on each of its first two literals; an
+    /// inactive one's entries are stale and are dropped when propagation
+    /// reaches them.
+    watches: Vec<Vec<Watch>>,
     /// Ids of unit clauses, in creation order (sources of the root trail).
     units: Vec<usize>,
-    /// Assignment by variable: 0 undef, 1 true, -1 false.
-    assign: Vec<i8>,
+    /// Value per literal, indexed by `lit_index`: `TRUE`, `FALSE` or
+    /// `UNDEF`. A literal and its negation are set together.
+    val: Vec<i8>,
     /// Reason clause id per variable, `NO_REASON` for assumptions.
-    reason: Vec<usize>,
+    reason: Vec<u32>,
     trail: Vec<i32>,
     qhead: usize,
     /// Conflict reached by propagating the active units alone. While set,
     /// every RUP check succeeds trivially from this conflict.
     root_confl: Option<usize>,
-    /// Scratch for core marking.
+    /// Scratch for core marking: a flag per variable, and the flagged
+    /// variables in the order they were reached.
     seen_var: Vec<bool>,
+    marked: Vec<usize>,
     /// The current lemma's hint variables; while a hinted pass runs,
     /// propagation enqueues only literals on these.
     hinted: Vec<bool>,
@@ -346,12 +398,13 @@ fn var_of(l: i32) -> usize {
     l.unsigned_abs() as usize
 }
 
-/// Sorted, deduplicated literal set — the canonical clause key.
-fn canonical(lits: &[i32]) -> Vec<i32> {
-    let mut v = lits.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v
+/// Writes the sorted, deduplicated literal set of `lits` — the canonical
+/// clause — into `buf`.
+fn canonical_into(lits: &[i32], buf: &mut Vec<i32>) {
+    buf.clear();
+    buf.extend_from_slice(lits);
+    buf.sort_unstable();
+    buf.dedup();
 }
 
 fn is_tautology(canonical: &[i32]) -> bool {
@@ -359,118 +412,240 @@ fn is_tautology(canonical: &[i32]) -> bool {
     canonical.windows(2).any(|w| w[0] == -w[1])
 }
 
+/// A `Hasher` for keys that are already hashes: it passes a `u64` key
+/// through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The active clauses by literal set, for resolving deletions: each
+/// clause hash leads to the newest active clause with that hash, and
+/// `older[c]` to the next older one, or to [`ClauseIndex::END`].
+struct ClauseIndex {
+    /// Drawn per check, so that a proof cannot be crafted to make its
+    /// clauses collide.
+    seed: u64,
+    newest: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    older: Vec<u32>,
+}
+
+impl ClauseIndex {
+    /// Ends a chain.
+    const END: u32 = u32::MAX;
+
+    fn with_capacity(n: usize) -> ClauseIndex {
+        ClauseIndex {
+            seed: RandomState::new().build_hasher().finish(),
+            newest: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+            older: Vec::with_capacity(n),
+        }
+    }
+
+    /// A 64-bit hash of a canonical clause, mixed so that its low bits
+    /// (the ones a hash table indexes by) depend on every literal.
+    fn hash(&self, canonical: &[i32]) -> u64 {
+        let mut h = self.seed ^ canonical.len() as u64;
+        for &l in canonical {
+            h = (h.rotate_left(5) ^ u64::from(l as u32)).wrapping_mul(0x517C_C1B7_2722_0A95);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^ (h >> 33)
+    }
+
+    /// Indexes clause `id`, with literals `canonical`; `id` must be the
+    /// next id in creation order.
+    fn insert(&mut self, canonical: &[i32], id: usize) {
+        debug_assert_eq!(id, self.older.len());
+        let prev = self.newest.insert(self.hash(canonical), id as u32);
+        self.older.push(prev.unwrap_or(Self::END));
+    }
+
+    /// Unindexes and returns the newest active clause whose literals are
+    /// `canonical`, if any.
+    fn remove(&mut self, canonical: &[i32], ck: &Checker) -> Option<usize> {
+        let hash = self.hash(canonical);
+        let mut prev = Self::END;
+        let mut cur = *self.newest.get(&hash)?;
+        while cur != Self::END {
+            let next = self.older[cur as usize];
+            if ck.lits(cur as usize) == canonical {
+                if prev != Self::END {
+                    self.older[prev as usize] = next;
+                } else if next != Self::END {
+                    self.newest.insert(hash, next);
+                } else {
+                    self.newest.remove(&hash);
+                }
+                return Some(cur as usize);
+            }
+            prev = cur;
+            cur = next;
+        }
+        None
+    }
+}
+
 impl Checker {
-    fn new(max_var: usize) -> Checker {
+    /// An empty checker over variables `1..=max_var`, with room for
+    /// `n_clauses` clauses of `n_lits` literals in all.
+    fn new(max_var: usize, n_clauses: usize, n_lits: usize) -> Checker {
         Checker {
-            clauses: Vec::new(),
+            arena: Vec::with_capacity(n_lits),
+            start: Vec::with_capacity(n_clauses),
+            len: Vec::with_capacity(n_clauses),
+            flags: Vec::with_capacity(n_clauses),
             n_formula: 0,
             watches: vec![Vec::new(); 2 * (max_var + 1)],
             units: Vec::new(),
-            assign: vec![0; max_var + 1],
+            val: vec![UNDEF; 2 * (max_var + 1)],
             reason: vec![NO_REASON; max_var + 1],
             trail: Vec::new(),
             qhead: 0,
             root_confl: None,
             seen_var: vec![false; max_var + 1],
+            marked: Vec::new(),
             hinted: vec![false; max_var + 1],
         }
     }
 
-    fn value(&self, l: i32) -> i8 {
-        let a = self.assign[var_of(l)];
-        if l < 0 {
-            -a
-        } else {
-            a
-        }
+    fn lits(&self, cid: usize) -> &[i32] {
+        let s = self.start[cid];
+        &self.arena[s..s + self.len[cid] as usize]
     }
 
-    fn enqueue(&mut self, l: i32, reason: usize) {
-        debug_assert_eq!(self.value(l), 0);
-        self.assign[var_of(l)] = if l < 0 { -1 } else { 1 };
+    fn value(&self, l: i32) -> i8 {
+        self.val[lit_index(l)]
+    }
+
+    fn enqueue(&mut self, l: i32, reason: u32) {
+        debug_assert_eq!(self.value(l), UNDEF);
+        let li = lit_index(l);
+        self.val[li] = TRUE;
+        self.val[li ^ 1] = FALSE;
         self.reason[var_of(l)] = reason;
         self.trail.push(l);
     }
 
-    /// Creates a clause (canonical literals), wiring watches and the unit
-    /// list. The caller sets activity via the forward replay.
-    fn create(&mut self, can: Vec<i32>, active: bool) -> usize {
-        let id = self.clauses.len();
-        let tautology = is_tautology(&can);
+    /// Unassigns the trail above `mark`.
+    fn backtrack(&mut self, mark: usize) {
+        for &l in &self.trail[mark..] {
+            let li = lit_index(l);
+            self.val[li] = UNDEF;
+            self.val[li ^ 1] = UNDEF;
+            self.reason[var_of(l)] = NO_REASON;
+        }
+        self.trail.truncate(mark);
+        self.qhead = mark;
+    }
+
+    /// Creates an active clause from canonical literals, wiring watches
+    /// and the unit list.
+    fn create(&mut self, can: &[i32]) -> usize {
+        let id = self.start.len();
+        let cid = u32::try_from(id).expect("fewer than 2^32 clauses");
+        let len = u32::try_from(can.len()).expect("fewer than 2^32 literals per clause");
+        let tautology = is_tautology(can);
         if !tautology && can.len() >= 2 {
-            self.watches[lit_index(can[0])].push(id);
-            self.watches[lit_index(can[1])].push(id);
+            self.watch(cid, can[0], can[1]);
         }
         if !tautology && can.len() == 1 {
             self.units.push(id);
         }
-        self.clauses.push(Clause {
-            lits: can,
-            active,
-            needed: false,
-            tautology,
+        self.start.push(self.arena.len());
+        self.len.push(len);
+        self.flags.push(if tautology {
+            ACTIVE | TAUTOLOGY
+        } else {
+            ACTIVE
         });
+        self.arena.extend_from_slice(can);
         id
     }
 
-    /// Standard two-watched-literal propagation over the active clauses,
-    /// starting at the current queue head. With `hinted_only`, a clause
-    /// that becomes unit on a variable outside the hint set is skipped
-    /// (it stays watched); conflicts are still detected in every clause.
+    /// Watches clause `cid` on `a` and `b`, each the other's blocker.
+    fn watch(&mut self, cid: u32, a: i32, b: i32) {
+        self.watches[lit_index(a)].push(Watch { cid, blocker: b });
+        self.watches[lit_index(b)].push(Watch { cid, blocker: a });
+    }
+
+    /// Two-watched-literal propagation over the active clauses, starting
+    /// at the current queue head. With `hinted_only`, a clause that
+    /// becomes unit on a variable outside the hint set is skipped (it
+    /// stays watched); conflicts are still detected in every clause.
     fn propagate(&mut self, hinted_only: bool) -> Option<usize> {
         while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+            let false_lit = -self.trail[self.qhead];
             self.qhead += 1;
-            let false_lit = -p;
             let wi = lit_index(false_lit);
             let mut ws = std::mem::take(&mut self.watches[wi]);
             let mut i = 0;
             let mut j = 0;
             let mut confl = None;
-            'clauses: while i < ws.len() {
-                let cid = ws[i];
+            'visits: while i < ws.len() {
+                let w = ws[i];
                 i += 1;
-                if !self.clauses[cid].active {
-                    // Lazy removal: keep the stale entry, skip the clause.
-                    ws[j] = cid;
+                if self.val[lit_index(w.blocker)] == TRUE {
+                    ws[j] = w;
                     j += 1;
                     continue;
                 }
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
+                let cid = w.cid as usize;
+                if self.flags[cid] & ACTIVE == 0 {
+                    continue; // stale: the entry is dropped
                 }
-                debug_assert_eq!(self.clauses[cid].lits[1], false_lit);
-                let first = self.clauses[cid].lits[0];
-                if self.value(first) == 1 {
-                    ws[j] = cid;
+                let s = self.start[cid];
+                let c = &mut self.arena[s..s + self.len[cid] as usize];
+                if c[0] == false_lit {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                let kept = Watch {
+                    cid: w.cid,
+                    blocker: first,
+                };
+                if first != w.blocker && self.val[lit_index(first)] == TRUE {
+                    ws[j] = kept;
                     j += 1;
                     continue;
                 }
-                for k in 2..self.clauses[cid].lits.len() {
-                    if self.value(self.clauses[cid].lits[k]) != -1 {
-                        self.clauses[cid].lits.swap(1, k);
-                        let nw = self.clauses[cid].lits[1];
-                        self.watches[lit_index(nw)].push(cid);
-                        continue 'clauses; // entry moved off this list
+                for k in 2..c.len() {
+                    if self.val[lit_index(c[k])] != FALSE {
+                        c.swap(1, k);
+                        self.watches[lit_index(c[1])].push(kept);
+                        continue 'visits; // entry moved off this list
                     }
                 }
-                ws[j] = cid;
+                ws[j] = kept;
                 j += 1;
-                if self.value(first) == -1 {
+                if self.val[lit_index(first)] == FALSE {
                     confl = Some(cid);
                     break;
                 }
                 if hinted_only && !self.hinted[var_of(first)] {
                     continue;
                 }
-                self.enqueue(first, cid);
+                self.enqueue(first, w.cid);
             }
             if confl.is_some() {
-                while i < ws.len() {
-                    ws[j] = ws[i];
-                    j += 1;
-                    i += 1;
-                }
+                ws.copy_within(i.., j);
+                j += ws.len() - i;
             }
             ws.truncate(j);
             self.watches[wi] = ws;
@@ -484,23 +659,17 @@ impl Checker {
     /// Recomputes the persistent root trail: propagate the active unit
     /// clauses to fixpoint (or to a conflict).
     fn root_rebuild(&mut self) {
-        for i in 0..self.trail.len() {
-            let l = self.trail[i];
-            self.assign[var_of(l)] = 0;
-            self.reason[var_of(l)] = NO_REASON;
-        }
-        self.trail.clear();
-        self.qhead = 0;
+        self.backtrack(0);
         self.root_confl = None;
         for ui in 0..self.units.len() {
             let cid = self.units[ui];
-            if !self.clauses[cid].active {
+            if self.flags[cid] & ACTIVE == 0 {
                 continue;
             }
-            let l = self.clauses[cid].lits[0];
+            let l = self.arena[self.start[cid]];
             match self.value(l) {
-                1 => {}
-                0 => self.enqueue(l, cid),
+                TRUE => {}
+                UNDEF => self.enqueue(l, cid as u32),
                 _ => {
                     // Two contradictory active units: the unit clause
                     // itself is the (all-false) conflict.
@@ -517,29 +686,31 @@ impl Checker {
     /// Deactivates a clause (reverse of an addition). Rebuilds the root
     /// trail when the clause supported it.
     fn deactivate(&mut self, cid: usize) {
-        self.clauses[cid].active = false;
+        self.flags[cid] &= !ACTIVE;
         let supports_root = self.root_confl == Some(cid)
-            || self.clauses[cid]
-                .lits
+            || self
+                .lits(cid)
                 .iter()
-                .any(|&l| self.assign[var_of(l)] != 0 && self.reason[var_of(l)] == cid);
+                .any(|&l| self.reason[var_of(l)] == cid as u32);
         if supports_root {
             self.root_rebuild();
         }
     }
 
-    /// Reactivates a clause (reverse of a deletion), repairing its watch
-    /// entries for the current root assignment and extending the root
-    /// trail if the clause is unit or false under it.
+    /// Reactivates a clause (reverse of a deletion), re-watching it for
+    /// the current root assignment and extending the root trail if the
+    /// clause is unit or false under it.
     fn reactivate(&mut self, cid: usize) {
-        self.clauses[cid].active = true;
-        if self.clauses[cid].tautology || self.clauses[cid].lits.len() < 2 {
-            if self.clauses[cid].lits.len() == 1 && self.root_confl.is_none() {
-                let l = self.clauses[cid].lits[0];
+        self.flags[cid] |= ACTIVE;
+        let s = self.start[cid];
+        let n = self.len[cid] as usize;
+        if self.flags[cid] & TAUTOLOGY != 0 || n < 2 {
+            if n == 1 && self.root_confl.is_none() {
+                let l = self.arena[s];
                 match self.value(l) {
-                    1 => {}
-                    0 => {
-                        self.enqueue(l, cid);
+                    TRUE => {}
+                    UNDEF => {
+                        self.enqueue(l, cid as u32);
                         self.root_confl = self.propagate(false);
                     }
                     _ => self.root_confl = Some(cid),
@@ -547,55 +718,49 @@ impl Checker {
             }
             return;
         }
-        // Drop the stale entries (placed when the clause was deleted),
-        // then watch two sound slots: a true or undef literal if one
-        // exists, falling back to false ones.
+        // Drop whatever stale entries propagation has not dropped yet
+        // (they sit on the first two literals, which no visit permutes
+        // while the clause is inactive), then watch two sound slots: a
+        // true or undefined literal if one exists, else a false one.
+        let id = cid as u32;
         for slot in 0..2 {
-            let l = self.clauses[cid].lits[slot];
-            self.watches[lit_index(l)].retain(|&c| c != cid);
-        }
-        let rank = |v: i8| match v {
-            -1 => 2,
-            _ => 0, // true and undef are both sound to watch
-        };
-        for slot in 0..2 {
-            let best = (slot..self.clauses[cid].lits.len())
-                .min_by_key(|&k| rank(self.value(self.clauses[cid].lits[k])))
-                .expect("len >= 2");
-            self.clauses[cid].lits.swap(slot, best);
+            self.watches[lit_index(self.arena[s + slot])].retain(|w| w.cid != id);
         }
         for slot in 0..2 {
-            let l = self.clauses[cid].lits[slot];
-            self.watches[lit_index(l)].push(cid);
+            let best = (slot..n)
+                .find(|&k| self.value(self.arena[s + k]) != FALSE)
+                .unwrap_or(slot);
+            self.arena.swap(s + slot, s + best);
         }
+        let (first, second) = (self.arena[s], self.arena[s + 1]);
+        self.watch(id, first, second);
         if self.root_confl.is_some() {
             return;
         }
         // Extend the root trail if the clause is unit/false under it.
-        let first = self.clauses[cid].lits[0];
-        let second = self.clauses[cid].lits[1];
         match (self.value(first), self.value(second)) {
-            (-1, -1) => self.root_confl = Some(cid),
-            (0, -1) => {
-                self.enqueue(first, cid);
+            (FALSE, FALSE) => self.root_confl = Some(cid),
+            (UNDEF, FALSE) => {
+                self.enqueue(first, id);
                 self.root_confl = self.propagate(false);
             }
             _ => {}
         }
     }
 
-    /// Verifies `lits` is RUP under the current root state, in up to two
-    /// passes: first propagating only the hinted variables, then — only if
-    /// that pass reached a fixpoint without a conflict — everything.
-    /// Marks the conflict's antecedents into the core on success.
-    fn rup_check(&mut self, lits: &[i32], hints: &[u32]) -> Option<Rup> {
+    /// Verifies clause `cid` is RUP under the current root state, in up
+    /// to two passes: first propagating only the hinted variables, then —
+    /// only if that pass reached a fixpoint without a conflict —
+    /// everything. Marks the conflict's antecedents into the core on
+    /// success.
+    fn rup_check(&mut self, cid: usize, hints: &[u32]) -> Option<Rup> {
         if !hints.is_empty() {
             let n_vars = self.hinted.len();
             let in_range = |h: &&u32| (1..n_vars).contains(&(**h as usize));
             for &h in hints.iter().filter(in_range) {
                 self.hinted[h as usize] = true;
             }
-            let refuted = self.refute_negation(lits, true);
+            let refuted = self.refute_negation(cid, true);
             for &h in hints.iter().filter(in_range) {
                 self.hinted[h as usize] = false;
             }
@@ -603,14 +768,14 @@ impl Checker {
                 return Some(Rup::Hinted);
             }
         }
-        self.refute_negation(lits, false).then_some(Rup::Full)
+        self.refute_negation(cid, false).then_some(Rup::Full)
     }
 
-    /// Assumes every literal of `lits` false, propagates (see
+    /// Assumes every literal of clause `cid` false, propagates (see
     /// [`Checker::propagate`] for `hinted_only`), and reports whether a
     /// conflict was reached, marking its antecedents into the core. Always
     /// restores the root trail.
-    fn refute_negation(&mut self, lits: &[i32], hinted_only: bool) -> bool {
+    fn refute_negation(&mut self, cid: usize, hinted_only: bool) -> bool {
         if let Some(c) = self.root_confl {
             self.mark_conflict(Conflict::Clause(c));
             return true;
@@ -618,10 +783,12 @@ impl Checker {
         let mark = self.trail.len();
         debug_assert_eq!(self.qhead, mark);
         let mut confl = None;
-        for &l in lits {
+        let s = self.start[cid];
+        for k in s..s + self.len[cid] as usize {
+            let l = self.arena[k];
             match self.value(-l) {
-                1 => {} // already assumed / implied
-                0 => self.enqueue(-l, NO_REASON),
+                TRUE => {} // already assumed / implied
+                UNDEF => self.enqueue(-l, NO_REASON),
                 _ => {
                     // ¬l is false: l is true under root propagation, so
                     // the clause is entailed via l's reason chain.
@@ -637,56 +804,44 @@ impl Checker {
         if let Some(c) = confl {
             self.mark_conflict(c);
         }
-        while self.trail.len() > mark {
-            let l = self.trail.pop().unwrap();
-            self.assign[var_of(l)] = 0;
-            self.reason[var_of(l)] = NO_REASON;
-        }
-        self.qhead = mark;
+        self.backtrack(mark);
         ok
     }
 
     /// Marks the conflict clause and the transitive reason clauses of
     /// every variable it involves as needed (core membership).
     fn mark_conflict(&mut self, confl: Conflict) {
-        let mut queue: Vec<usize> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
-        let push_var = |v: usize, seen: &mut Vec<bool>, queue: &mut Vec<usize>| {
-            if !seen[v] {
-                seen[v] = true;
-                queue.push(v);
-            }
-        };
+        debug_assert!(self.marked.is_empty());
         match confl {
-            Conflict::Clause(cid) => {
-                self.clauses[cid].needed = true;
-                for i in 0..self.clauses[cid].lits.len() {
-                    let v = var_of(self.clauses[cid].lits[i]);
-                    push_var(v, &mut self.seen_var, &mut queue);
-                }
-            }
-            Conflict::Lit(l) => {
-                push_var(var_of(l), &mut self.seen_var, &mut queue);
+            Conflict::Clause(cid) => self.mark_clause(cid),
+            Conflict::Lit(l) => self.mark_var(var_of(l)),
+        }
+        let mut next = 0;
+        while next < self.marked.len() {
+            let r = self.reason[self.marked[next]];
+            next += 1;
+            if r != NO_REASON {
+                self.mark_clause(r as usize);
             }
         }
-        touched.extend_from_slice(&queue);
-        while let Some(v) = queue.pop() {
-            let r = self.reason[v];
-            if r == NO_REASON {
-                continue;
-            }
-            self.clauses[r].needed = true;
-            for i in 0..self.clauses[r].lits.len() {
-                let u = var_of(self.clauses[r].lits[i]);
-                if !self.seen_var[u] {
-                    self.seen_var[u] = true;
-                    queue.push(u);
-                    touched.push(u);
-                }
-            }
-        }
-        for v in touched {
+        for &v in &self.marked {
             self.seen_var[v] = false;
+        }
+        self.marked.clear();
+    }
+
+    fn mark_clause(&mut self, cid: usize) {
+        self.flags[cid] |= NEEDED;
+        let s = self.start[cid];
+        for k in s..s + self.len[cid] as usize {
+            self.mark_var(var_of(self.arena[k]));
+        }
+    }
+
+    fn mark_var(&mut self, v: usize) {
+        if !self.seen_var[v] {
+            self.seen_var[v] = true;
+            self.marked.push(v);
         }
     }
 }
@@ -698,67 +853,96 @@ impl Checker {
 /// the unsatisfiable core; any structural or semantic defect rejects the
 /// certificate with a [`CheckError`].
 pub fn check(formula: &[Vec<i32>], proof: &Proof) -> Result<CheckOutcome, CheckError> {
+    replay(formula, &[], proof, false)
+}
+
+/// Certifies an UNSAT-under-assumptions verdict: checks `proof` against
+/// `formula` plus one unit clause per assumption, with the terminal empty
+/// clause appended unless the proof has one. The outcome is
+/// [`check`]'s on that formula and that closed proof (see
+/// [`Proof::close`]); neither is copied.
+pub fn check_with_assumptions(
+    formula: &[Vec<i32>],
+    assumptions: &[i32],
+    proof: &Proof,
+) -> Result<CheckOutcome, CheckError> {
+    replay(formula, assumptions, proof, true)
+}
+
+/// The one checking loop: `formula` followed by the `units` is the
+/// formula; with `close`, a proof without an empty-clause addition is
+/// checked as if one followed its last step.
+fn replay(
+    formula: &[Vec<i32>],
+    units: &[i32],
+    proof: &Proof,
+    close: bool,
+) -> Result<CheckOutcome, CheckError> {
+    let clauses = || {
+        let units = units.iter().map(std::slice::from_ref);
+        formula.iter().map(Vec::as_slice).chain(units)
+    };
     let mut max_var = 0usize;
-    for c in formula {
-        for &l in c {
+    let mut n_lits = 0usize;
+    for lits in clauses().chain(proof.steps.iter().map(|s| s.lits.as_slice())) {
+        for &l in lits {
             if l == 0 {
                 return Err(CheckError::InvalidLiteral);
             }
             max_var = max_var.max(var_of(l));
         }
-    }
-    for s in &proof.steps {
-        for &l in &s.lits {
-            if l == 0 {
-                return Err(CheckError::InvalidLiteral);
-            }
-            max_var = max_var.max(var_of(l));
-        }
+        n_lits += lits.len();
     }
 
-    let mut ck = Checker::new(max_var);
+    let n_clauses = formula.len() + units.len() + proof.steps.len();
+    let mut ck = Checker::new(max_var, n_clauses, n_lits);
+    let mut index = ClauseIndex::with_capacity(n_clauses);
     let mut outcome = CheckOutcome::default();
 
     // Forward replay: load the formula, apply every step up to the first
     // empty-clause addition, resolving deletions against the most recent
     // active clause of the same literal set.
-    let mut shape: HashMap<Vec<i32>, Vec<usize>> = HashMap::new();
-    for (fi, c) in formula.iter().enumerate() {
-        let can = canonical(c);
-        if can.is_empty() {
+    let mut buf = Vec::new();
+    for (fi, c) in clauses().enumerate() {
+        canonical_into(c, &mut buf);
+        if buf.is_empty() {
             // The formula contains the empty clause: trivially UNSAT.
             outcome.core_formula.push(fi);
             return Ok(outcome);
         }
-        let id = ck.create(can.clone(), true);
-        shape.entry(can).or_default().push(id);
+        let id = ck.create(&buf);
+        index.insert(&buf, id);
     }
-    ck.n_formula = ck.clauses.len();
+    ck.n_formula = ck.start.len();
 
-    let mut actions: Vec<Action> = Vec::new();
-    let mut empty_step: Option<usize> = None;
+    let mut actions: Vec<Action> = Vec::with_capacity(proof.steps.len());
+    let mut empty_step = None;
     for (si, step) in proof.steps.iter().enumerate() {
-        let can = canonical(&step.lits);
+        canonical_into(&step.lits, &mut buf);
         if step.delete {
-            match shape.get_mut(&can).and_then(Vec::pop) {
+            match index.remove(&buf, &ck) {
                 Some(id) => {
-                    ck.clauses[id].active = false;
+                    ck.flags[id] &= !ACTIVE;
                     actions.push(Action::Delete(id));
                 }
                 None => outcome.ignored_deletes += 1,
             }
+        } else if buf.is_empty() {
+            empty_step = Some(si);
+            outcome.trailing_ignored = proof.steps.len() - si - 1;
+            break;
         } else {
-            if can.is_empty() {
-                empty_step = Some(si);
-                outcome.trailing_ignored = proof.steps.len() - si - 1;
-                break;
-            }
-            let id = ck.create(can.clone(), true);
-            shape.entry(can).or_default().push(id);
+            let id = ck.create(&buf);
+            index.insert(&buf, id);
             actions.push(Action::Add(id, si));
         }
     }
-    let empty_step = empty_step.ok_or(CheckError::EmptyClauseMissing)?;
+    let empty_step = match empty_step {
+        Some(si) => si,
+        None if close => proof.steps.len(),
+        None => return Err(CheckError::EmptyClauseMissing),
+    };
+    drop(index);
 
     // The terminal empty clause: the active clauses must propagate to a
     // conflict on their own.
@@ -772,18 +956,17 @@ pub fn check(formula: &[Vec<i32>], proof: &Proof) -> Result<CheckOutcome, CheckE
 
     // Backward pass: undo each action; re-verify the additions the
     // refutation marked as needed, which marks their own antecedents.
-    for act in actions.into_iter().rev() {
+    for &act in actions.iter().rev() {
         match act {
             Action::Delete(id) => ck.reactivate(id),
             Action::Add(id, si) => {
-                let needed = ck.clauses[id].needed;
+                let needed = ck.flags[id] & NEEDED != 0;
                 ck.deactivate(id);
                 if !needed {
                     outcome.skipped_adds += 1;
                     continue;
                 }
-                let lits = ck.clauses[id].lits.clone();
-                match ck.rup_check(&lits, &proof.steps[si].hints) {
+                match ck.rup_check(id, &proof.steps[si].hints) {
                     None => return Err(CheckError::StepNotRup { step: si }),
                     Some(Rup::Hinted) => outcome.hinted_adds += 1,
                     Some(Rup::Full) => {}
@@ -793,28 +976,11 @@ pub fn check(formula: &[Vec<i32>], proof: &Proof) -> Result<CheckOutcome, CheckE
             }
         }
     }
-    for (fi, c) in ck.clauses[..ck.n_formula].iter().enumerate() {
-        if c.needed {
-            outcome.core_formula.push(fi);
-        }
-    }
+    outcome.core_formula = (0..ck.n_formula)
+        .filter(|&fi| ck.flags[fi] & NEEDED != 0)
+        .collect();
     outcome.core_steps.sort_unstable();
     Ok(outcome)
-}
-
-/// Convenience wrapper: certifies an UNSAT-under-assumptions verdict by
-/// appending each assumption as a unit clause and closing the proof with
-/// the terminal empty clause.
-pub fn check_with_assumptions(
-    formula: &[Vec<i32>],
-    assumptions: &[i32],
-    proof: &Proof,
-) -> Result<CheckOutcome, CheckError> {
-    let mut f = formula.to_vec();
-    f.extend(assumptions.iter().map(|&a| vec![a]));
-    let mut p = proof.clone();
-    p.close();
-    check(&f, &p)
 }
 
 #[cfg(test)]
@@ -985,6 +1151,104 @@ mod tests {
         assert_eq!(out.verified_adds, 1);
         // Without the assumptions the same certificate fails.
         assert!(check_with_assumptions(&formula, &[], &Proof::new()).is_err());
+    }
+
+    #[test]
+    fn deleting_one_of_two_copies_keeps_the_other() {
+        // The formula holds (1∨2) twice: one deletion leaves a copy, so
+        // the lemma 2 stays RUP; a second deletion removes the last copy,
+        // and a third matches nothing.
+        let mut formula = xor_unsat();
+        formula.push(vec![2, 1]);
+        let refute_after = |deletions: usize| {
+            let mut p = Proof::new();
+            for _ in 0..deletions {
+                p.delete(vec![1, 2]);
+            }
+            p.add(vec![2]);
+            p.add(vec![]);
+            check(&formula, &p)
+        };
+        let one = refute_after(1).unwrap();
+        assert_eq!((one.verified_adds, one.ignored_deletes), (2, 0));
+        assert_eq!(refute_after(2), Err(CheckError::StepNotRup { step: 2 }));
+        assert_eq!(refute_after(3), Err(CheckError::StepNotRup { step: 3 }));
+    }
+
+    #[test]
+    fn a_deletion_removes_the_newest_copy() {
+        // The lemma (2∨1) duplicates formula clause 0; deleting (1∨2)
+        // then removes the lemma, so the refutation uses clause 0 and the
+        // lemma is never verified.
+        let mut p = Proof::new();
+        p.add(vec![2, 1]);
+        p.delete(vec![1, 2]);
+        p.add(vec![2]);
+        p.add(vec![]);
+        let out = check(&xor_unsat(), &p).unwrap();
+        assert_eq!(out.core_steps, vec![2, 3]);
+        assert_eq!(out.skipped_adds, 1);
+        assert!(out.core_formula.contains(&0));
+    }
+
+    #[test]
+    fn a_lemma_rechecked_after_its_antecedent_is_undeleted_finds_it_watched() {
+        // (5)(6)(¬5∨¬6∨2∨3)(¬2∨3)(¬3∨4)(¬3∨¬4): the lemma 3 needs clause 2,
+        // which the proof deletes right after deriving 3. Propagating the
+        // final root trail (5, 6, 3) falsifies both literals clause 2 was
+        // watched on while it is deleted, so both its watch entries are
+        // dropped; undoing the deletion must watch it afresh, or the
+        // lemma is no longer RUP.
+        let formula = vec![
+            vec![5],
+            vec![6],
+            vec![-5, -6, 2, 3],
+            vec![-2, 3],
+            vec![-3, 4],
+            vec![-3, -4],
+        ];
+        let mut p = Proof::new();
+        p.add(vec![3]);
+        p.delete(vec![3, 2, -6, -5]);
+        p.add(vec![]);
+        let out = check(&formula, &p).unwrap();
+        assert_eq!(out.core_steps, vec![0, 2]);
+        assert_eq!(out.core_formula, vec![0, 1, 2, 3, 4, 5]);
+        // Without the lemma the deletion leaves no refutation.
+        let mut broken = p.clone();
+        broken.steps.remove(0);
+        assert_eq!(check(&formula, &broken), Err(CheckError::EmptyClauseNotRup));
+    }
+
+    #[test]
+    fn assumption_checks_equal_checks_of_the_formula_with_units_and_closed_proof() {
+        // (¬1∨2)(¬2∨3)(¬3∨4): refuted under 1 and ¬4, not under 1 alone.
+        let formula = vec![vec![-1, 2], vec![-2, 3], vec![-3, 4]];
+        let mut lemma = Proof::new();
+        lemma.add_hinted(vec![-1, 3], vec![2]);
+        lemma.delete(vec![-2, 3]);
+        let mut refuted = lemma.clone();
+        refuted.add(vec![]);
+        refuted.add(vec![7]); // after the empty clause: ignored
+        let mut bogus = Proof::new();
+        bogus.add(vec![-1]);
+        for assumptions in [vec![1, -4], vec![1], vec![-4, 1, 1], vec![]] {
+            for proof in [&Proof::new(), &lemma, &refuted, &bogus] {
+                let mut with_units = formula.clone();
+                with_units.extend(assumptions.iter().map(|&a| vec![a]));
+                let mut closed = proof.clone();
+                closed.close();
+                assert_eq!(
+                    check_with_assumptions(&formula, &assumptions, proof),
+                    check(&with_units, &closed),
+                    "{assumptions:?} {proof:?}"
+                );
+            }
+        }
+        assert_eq!(
+            check_with_assumptions(&formula, &[0], &lemma),
+            Err(CheckError::InvalidLiteral)
+        );
     }
 
     #[test]

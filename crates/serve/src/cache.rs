@@ -14,7 +14,10 @@
 //!   Tseitin encoding of the cone before their first reuse. Verification is
 //!   lazy — inserting is free, the first hit pays — and sticky: once a
 //!   certificate checks out, the entry drops it and later hits skip the
-//!   checker.
+//!   checker. When the probing query is traced, the check runs under a
+//!   `serve.certify` child of its span, which records the certificate's
+//!   `steps`, the checker's `verified_adds` and `hinted_adds`, and whether
+//!   it was `accepted`.
 //!
 //! A corrupted or forged artifact is evicted and the probe reports a miss,
 //! so the engine falls through to a live solve; soundness never depends on
@@ -106,9 +109,10 @@ impl VerdictCache {
     }
 
     /// Probes for a verdict on `cone` under `key`, re-validating the stored
-    /// artifact as described in the module docs. Rejected artifacts are
-    /// evicted and reported as a miss.
-    pub fn lookup(&mut self, key: u64, cone: &Aig) -> CacheAnswer {
+    /// artifact as described in the module docs; a certificate check runs
+    /// under a `serve.certify` child of `span` when `span` is traced.
+    /// Rejected artifacts are evicted and reported as a miss.
+    pub fn lookup(&mut self, key: u64, cone: &Aig, span: &obs::Span) -> CacheAnswer {
         let idx = self
             .buckets
             .get(&key)
@@ -137,13 +141,22 @@ impl VerdictCache {
                 }
                 CachedVerdict::UnsatVerified => Probe::Hit(CacheAnswer::Unsat),
                 CachedVerdict::UnsatUnverified(proof) => {
+                    let certify = span.enabled().then(|| span.child("serve.certify"));
                     let (formula, _) = cnf::tseitin_sat_instance(&entry.cone);
                     let clauses: Vec<Vec<i32>> = formula
                         .clauses()
                         .iter()
                         .map(|c| c.iter().map(|&l| l.to_dimacs()).collect())
                         .collect();
-                    if checker::check(&clauses, proof).is_ok() {
+                    let checked = checker::check(&clauses, proof);
+                    if let Some(certify) = certify {
+                        let outcome = checked.as_ref().ok();
+                        certify.record("steps", proof.steps.len());
+                        certify.record("verified_adds", outcome.map_or(0, |o| o.verified_adds));
+                        certify.record("hinted_adds", outcome.map_or(0, |o| o.hinted_adds));
+                        certify.record("accepted", checked.is_ok());
+                    }
+                    if checked.is_ok() {
                         entry.verdict = CachedVerdict::UnsatVerified;
                         Probe::JustVerified
                     } else {
@@ -202,6 +215,11 @@ impl VerdictCache {
 mod tests {
     use super::*;
 
+    /// The span of a query that is not traced.
+    fn untraced() -> obs::Span {
+        obs::Registry::disabled().span("serve.query")
+    }
+
     /// `a & !a`: UNSAT with a one-step certificate.
     fn contradiction() -> Aig {
         let mut g = Aig::new();
@@ -237,9 +255,12 @@ mod tests {
         let g = conjunction();
         let key = g.structural_hash();
         let mut c = VerdictCache::new();
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Miss);
+        assert_eq!(c.lookup(key, &g, &untraced()), CacheAnswer::Miss);
         c.insert_sat(key, g.clone(), vec![true, true]);
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Sat(vec![true, true]));
+        assert_eq!(
+            c.lookup(key, &g, &untraced()),
+            CacheAnswer::Sat(vec![true, true])
+        );
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -250,7 +271,7 @@ mod tests {
         let key = g.structural_hash();
         let mut c = VerdictCache::new();
         c.insert_sat(key, g.clone(), vec![true, false]); // does not satisfy
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Miss);
+        assert_eq!(c.lookup(key, &g, &untraced()), CacheAnswer::Miss);
         assert_eq!(c.stats().certs_rejected, 1);
         assert!(c.is_empty());
     }
@@ -262,9 +283,9 @@ mod tests {
         let proof = solve_unsat_proof(&g);
         let mut c = VerdictCache::new();
         c.insert_unsat(key, g.clone(), proof);
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Unsat);
+        assert_eq!(c.lookup(key, &g, &untraced()), CacheAnswer::Unsat);
         assert_eq!(c.stats().certs_verified, 1);
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Unsat);
+        assert_eq!(c.lookup(key, &g, &untraced()), CacheAnswer::Unsat);
         assert_eq!(c.stats().certs_verified, 1, "second hit skips the checker");
         assert_eq!(c.stats().hits, 2);
     }
@@ -286,6 +307,43 @@ mod tests {
     }
 
     #[test]
+    fn traced_first_reuse_check_is_one_certify_span() {
+        let reg = obs::Registry::tracing();
+        let g = xor_miter();
+        let key = g.structural_hash();
+        let proof = solve_unsat_proof(&g);
+        let steps = proof.steps.len() as u64;
+        let mut c = VerdictCache::new();
+        c.insert_unsat(key, g.clone(), proof);
+        let query = reg.span("serve.query");
+        assert_eq!(c.lookup(key, &g, &query), CacheAnswer::Unsat);
+        assert_eq!(c.lookup(key, &g, &query), CacheAnswer::Unsat);
+        let query_id = query.id();
+        drop(query);
+        let events = reg.drain_events();
+        obs::check::validate(&events).expect("span stream well-formed");
+        let certify = |kind| {
+            let of_kind = |e: &&obs::Event| e.kind == kind && e.name == "serve.certify";
+            events.iter().filter(of_kind).collect::<Vec<_>>()
+        };
+        let enters = certify(obs::EventKind::Enter);
+        assert_eq!(enters.len(), 1, "the sticky second hit checks nothing");
+        assert_eq!(enters[0].parent, query_id);
+        let exit = certify(obs::EventKind::Exit)[0];
+        let field = |key| {
+            let (_, value) = exit.fields.iter().find(|(k, _)| *k == key).expect("field");
+            match value {
+                obs::FieldValue::U64(v) => *v,
+                obs::FieldValue::Str(s) => panic!("{key} = {s}"),
+            }
+        };
+        assert_eq!(field("steps"), steps);
+        assert_eq!(field("accepted"), 1);
+        assert!(field("hinted_adds") <= field("verified_adds"));
+        assert!(field("verified_adds") >= 1);
+    }
+
+    #[test]
     fn corrupt_unsat_cert_rejected_and_evicted() {
         let g = xor_miter();
         let key = g.structural_hash();
@@ -295,7 +353,7 @@ mod tests {
         bogus.add(vec![]);
         let mut c = VerdictCache::new();
         c.insert_unsat(key, g.clone(), bogus);
-        assert_eq!(c.lookup(key, &g), CacheAnswer::Miss);
+        assert_eq!(c.lookup(key, &g, &untraced()), CacheAnswer::Miss);
         assert_eq!(c.stats().certs_rejected, 1);
         assert!(c.is_empty());
     }
@@ -309,7 +367,10 @@ mod tests {
         let key = 42;
         let mut c = VerdictCache::new();
         c.insert_sat(key, sat_g.clone(), vec![true, true]);
-        assert_eq!(c.lookup(key, &unsat_g), CacheAnswer::Miss);
-        assert_eq!(c.lookup(key, &sat_g), CacheAnswer::Sat(vec![true, true]));
+        assert_eq!(c.lookup(key, &unsat_g, &untraced()), CacheAnswer::Miss);
+        assert_eq!(
+            c.lookup(key, &sat_g, &untraced()),
+            CacheAnswer::Sat(vec![true, true])
+        );
     }
 }

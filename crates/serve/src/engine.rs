@@ -98,7 +98,8 @@ pub struct EngineConfig {
     pub chaos: Option<ChaosPlan>,
     /// Observability registry. Disabled by default; when tracing, each
     /// query runs under one `serve.query` span tree (admission →
-    /// queue-wait → per-attempt solve → response).
+    /// queue-wait → a cached certificate's first-reuse check or a
+    /// per-attempt solve → response).
     pub obs: obs::Registry,
 }
 
@@ -698,7 +699,7 @@ impl Shared {
             self.retry_or_unknown(job);
             return;
         }
-        match lock(&self.cache).lookup(job.norm.key, &job.norm.cone) {
+        match lock(&self.cache).lookup(job.norm.key, &job.norm.cone, &job.span) {
             CacheAnswer::Sat(w) => {
                 let witness = job.norm.expand_witness(&w);
                 self.respond(&job, Verdict::Sat(witness), true);

@@ -1,14 +1,15 @@
 //! Certificate round-trip suite: every UNSAT verdict the solver produces
 //! must come with a proof the independent backward RUP checker accepts,
 //! the solver's hints must settle every hinted lemma the checker
-//! re-verifies, and corrupted certificates must be rejected.
+//! re-verifies, and corrupted certificates — or genuine ones checked
+//! against a satisfiable weakening of their formula — must be rejected.
 
 use checker::{CheckError, CheckOutcome, Proof};
-use cnf::{tseitin_sat_instance, Cnf};
+use cnf::{tseitin_sat_instance, Cnf, CnfLit};
 use csat_tests::{cnf_clauses, solve_certified};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sat::{Solver, SolverConfig};
+use sat::{SolveResult, Solver, SolverConfig};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::lec::adder_miter;
 
@@ -169,6 +170,106 @@ fn mutated_certificates_are_rejected() {
         "{flip_rejects}/{}",
         core.len()
     );
+}
+
+/// `formula` without the clauses at the indices in `removed`.
+fn without(formula: &[Vec<i32>], removed: &[usize]) -> Vec<Vec<i32>> {
+    let kept = (0..formula.len()).filter(|i| !removed.contains(i));
+    kept.map(|i| formula[i].clone()).collect()
+}
+
+/// True when the solver finds a model of `clauses` (over `num_vars`
+/// variables) and the model satisfies every clause on replay.
+fn replayed_sat(clauses: &[Vec<i32>], num_vars: u32) -> bool {
+    let mut f = Cnf::new();
+    f.ensure_vars(num_vars);
+    for c in clauses {
+        f.add_clause(c.iter().map(|&l| CnfLit::from_dimacs(l)).collect());
+    }
+    match Solver::from_cnf(&f, SolverConfig::default()).solve() {
+        SolveResult::Sat(model) => {
+            let holds = |l: i32| model[l.unsigned_abs() as usize - 1] == (l > 0);
+            assert!(clauses.iter().all(|c| c.iter().any(|&l| holds(l))));
+            true
+        }
+        SolveResult::Unsat => false,
+        SolveResult::Unknown => unreachable!("no budget was set"),
+    }
+}
+
+/// Satisfiable weakenings of `formula`, each with a replayed model: the
+/// formula without one of up to `n` clauses spread over `core`, for each
+/// such clause whose removal leaves it satisfiable; if none does, the
+/// formula without the first core clauses, as few as leave it so.
+fn satisfiable_weakenings(
+    formula: &[Vec<i32>],
+    num_vars: u32,
+    core: &[usize],
+    n: usize,
+) -> Vec<Vec<Vec<i32>>> {
+    let spread = core.iter().step_by((core.len() / n).max(1)).take(n);
+    let mut out: Vec<Vec<Vec<i32>>> = spread
+        .map(|&ci| without(formula, &[ci]))
+        .filter(|w| replayed_sat(w, num_vars))
+        .collect();
+    if out.is_empty() {
+        let prefix = (1..=core.len()).map(|k| without(formula, &core[..k]));
+        out.extend(prefix.filter(|w| replayed_sat(w, num_vars)).take(1));
+    }
+    out
+}
+
+/// The checker's soundness, whatever its engine: a certificate checked
+/// against a satisfiable weakening of its formula refutes nothing, so
+/// every such check must be rejected.
+#[test]
+fn certificates_are_rejected_on_satisfiable_weakenings() {
+    let mut cases: Vec<(String, Cnf, Vec<usize>)> = Vec::new();
+    for holes in 4..=6u32 {
+        // Clause p is pigeon p's at-least-one clause: without it the
+        // other pigeons fit.
+        cases.push((
+            format!("php({holes})"),
+            pigeonhole(holes),
+            vec![0, holes as usize],
+        ));
+    }
+    cases.push((
+        "adder_miter(8)".into(),
+        tseitin_sat_instance(&adder_miter(8)).0,
+        vec![],
+    ));
+    let unsat_3sat = (0..64u64)
+        .map(|seed| (seed, random_3sat(40, 6.0, seed)))
+        .filter(|(_, f)| !replayed_sat(&cnf_clauses(f), f.num_vars()))
+        .take(4);
+    for (seed, f) in unsat_3sat {
+        cases.push((format!("random_3sat(40, 6.0, {seed})"), f, vec![]));
+    }
+    assert_eq!(cases.len(), 8, "four seeded UNSAT 3-SAT formulas");
+    for (name, f, named) in &cases {
+        let (formula, proof, outcome) =
+            certificate(f, SolverConfig::kissat_like()).expect("the cases are UNSAT");
+        let mut weakenings: Vec<Vec<Vec<i32>>> =
+            named.iter().map(|&ci| without(&formula, &[ci])).collect();
+        assert!(
+            weakenings.iter().all(|w| replayed_sat(w, f.num_vars())),
+            "{name}"
+        );
+        weakenings.extend(satisfiable_weakenings(
+            &formula,
+            f.num_vars(),
+            &outcome.core_formula,
+            4,
+        ));
+        assert!(!weakenings.is_empty(), "{name}: no satisfiable weakening");
+        for w in &weakenings {
+            assert!(
+                checker::check(w, &proof).is_err(),
+                "{name}: a certificate was accepted for a satisfiable formula"
+            );
+        }
+    }
 }
 
 proptest! {
