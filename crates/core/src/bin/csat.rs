@@ -128,34 +128,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return run_gen(args);
     }
     if cmd == "serve" {
-        check_flags(&args[1..], SERVE_VALUE_FLAGS, SERVE_BOOL_FLAGS)?;
-        return run_serve(args);
+        return run_serve(&parse_flags(&args[1..], SERVE_FLAGS)?);
     }
     let path = args.get(1).ok_or("missing instance path")?;
-    if cmd == "batch" {
-        let mut value_flags = SERVE_VALUE_FLAGS.to_vec();
-        value_flags.push("--batch-timeout-ms");
-        check_flags(&args[2..], &value_flags, SERVE_BOOL_FLAGS)?;
-        return run_batch(path, args);
-    }
-    if cmd == "bmc" {
-        check_flags(
-            &args[2..],
-            &[
-                "--bound",
-                "--conflicts",
-                "--timeout-ms",
-                "--preprocess",
-                "--trace",
-            ],
-            &["--kind", "--certify", "--metrics"],
-        )?;
-        return run_bmc(path, args);
-    }
-
     match cmd.as_str() {
+        "batch" => run_batch(path, &parse_flags(&args[2..], BATCH_FLAGS)?),
+        "bmc" => run_bmc(path, &parse_flags(&args[2..], BMC_FLAGS)?),
         "stats" => {
-            check_flags(&args[2..], &[], &[])?;
+            parse_flags(&args[2..], "")?;
             let instance = load(path)?;
             println!(
                 "pis={} pos={} ands={} depth={}",
@@ -167,13 +147,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "encode" => {
-            check_flags(&args[2..], &["--pipeline", "--recipe", "-o"], &["--sweep"])?;
-            let pipeline = make_pipeline(args, None, &obs::Registry::disabled())?;
+            let flags = parse_flags(&args[2..], ENCODE_FLAGS)?;
+            let pipeline = make_pipeline(&flags, None, &obs::Registry::disabled())?;
             let instance = load(path)?;
             let pre = pipeline.preprocess(&instance);
             let text = cnf::dimacs::to_dimacs_string(&pre.cnf);
-            match value_of(args, "-o")? {
-                Some(out) => std::fs::write(&out, text).map_err(|e| e.to_string())?,
+            match flags.value("-o") {
+                Some(out) => std::fs::write(out, text).map_err(|e| e.to_string())?,
                 None => print!("{text}"),
             }
             eprintln!(
@@ -186,33 +166,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        "fraig" => {
-            check_flags(
-                &args[2..],
-                &["--timeout-ms", "-o", "--trace"],
-                &["--metrics"],
-            )?;
-            run_fraig(path, args)
-        }
-        "solve" => {
-            check_flags(
-                &args[2..],
-                &[
-                    "--pipeline",
-                    "--recipe",
-                    "--solver",
-                    "--conflicts",
-                    "--timeout-ms",
-                    "--proof",
-                    "--trace",
-                ],
-                &["--sweep", "--presolve", "--metrics"],
-            )?;
-            run_solve(path, args)
-        }
+        "fraig" => run_fraig(path, &parse_flags(&args[2..], FRAIG_FLAGS)?),
+        "solve" => run_solve(path, &parse_flags(&args[2..], SOLVE_FLAGS)?),
         "check" => {
             let proof = args.get(2).ok_or("check: missing proof path")?;
-            check_flags(&args[3..], &[], &[])?;
+            parse_flags(&args[3..], "")?;
             run_check(path, proof)
         }
         other => Err(format!("unknown command '{other}'")),
@@ -229,9 +187,9 @@ struct ObsCli {
 }
 
 impl ObsCli {
-    fn from_args(args: &[String]) -> Result<ObsCli, String> {
-        let trace_out = value_of(args, "--trace")?;
-        let metrics = args.iter().any(|a| a == "--metrics");
+    fn from_flags(flags: &Flags) -> ObsCli {
+        let trace_out = flags.value("--trace").map(str::to_string);
+        let metrics = flags.has("--metrics");
         let reg = if trace_out.is_some() {
             obs::Registry::tracing()
         } else if metrics {
@@ -239,11 +197,11 @@ impl ObsCli {
         } else {
             obs::Registry::disabled()
         };
-        Ok(ObsCli {
+        ObsCli {
             reg,
             trace_out,
             metrics,
-        })
+        }
     }
 
     /// Drains the registry at end of run: writes the trace file (Chrome
@@ -334,42 +292,35 @@ fn solve_cnf_cli(
 
 /// `csat solve`: preprocess and solve one combinational instance, or
 /// solve a DIMACS formula directly (`.cnf`/`.dimacs` input).
-fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
-    let obs_cli = ObsCli::from_args(args)?;
-    let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
+fn run_solve(path: &str, flags: &Flags) -> Result<ExitCode, String> {
+    let obs_cli = ObsCli::from_flags(flags);
+    let timeout_ms: Option<u64> = flags.parsed("--timeout-ms")?;
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut solver = match value_of(args, "--solver")?.as_deref() {
+    let mut solver = match flags.value("--solver") {
         None | Some("kissat") => SolverConfig::kissat_like(),
         Some("cadical") => SolverConfig::cadical_like(),
         Some(other) => return Err(format!("unknown solver '{other}'")),
     };
-    solver.presolve = args.iter().any(|a| a == "--presolve");
+    solver.presolve = flags.has("--presolve");
     let budget = Budget {
-        conflicts: parsed(args, "--conflicts")?,
+        conflicts: flags.parsed("--conflicts")?,
         ..Budget::UNLIMITED
     }
     .with_deadline(deadline);
-    let proof_out = value_of(args, "--proof")?;
+    let proof_out = flags.value("--proof");
 
     if is_dimacs_path(path) {
         for flag in ["--pipeline", "--recipe", "--sweep"] {
-            if args.iter().any(|a| a == flag) {
+            if flags.has(flag) {
                 return Err(format!(
                     "{flag} applies to AIGER inputs, not a DIMACS formula"
                 ));
             }
         }
-        return run_solve_dimacs(
-            path,
-            budget,
-            solver,
-            proof_out.as_deref(),
-            timeout_ms,
-            &obs_cli,
-        );
+        return run_solve_dimacs(path, budget, solver, proof_out, timeout_ms, &obs_cli);
     }
 
-    let pipeline = make_pipeline(args, deadline, &obs_cli.reg)?;
+    let pipeline = make_pipeline(flags, deadline, &obs_cli.reg)?;
     let instance = load(path)?;
     let t0 = Instant::now();
     let pre = pipeline.preprocess(&instance);
@@ -379,7 +330,7 @@ fn run_solve(path: &str, args: &[String]) -> Result<ExitCode, String> {
              (reproduce it with 'csat encode' and identical pipeline flags)"
         );
     }
-    let solved = solve_cnf_cli(&pre.cnf, solver, budget, proof_out.as_deref(), &obs_cli.reg)?;
+    let solved = solve_cnf_cli(&pre.cnf, solver, budget, proof_out, &obs_cli.reg)?;
     report_solve(
         &pipeline.name(),
         &pre.cnf,
@@ -522,10 +473,10 @@ fn run_check(path: &str, proof_path: &str) -> Result<ExitCode, String> {
 }
 
 /// `csat fraig`: SAT-sweep one combinational instance.
-fn run_fraig(path: &str, args: &[String]) -> Result<ExitCode, String> {
-    let obs_cli = ObsCli::from_args(args)?;
+fn run_fraig(path: &str, flags: &Flags) -> Result<ExitCode, String> {
+    let obs_cli = ObsCli::from_flags(flags);
     let instance = load(path)?;
-    let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
+    let timeout_ms: Option<u64> = flags.parsed("--timeout-ms")?;
     let params = sweep::FraigParams {
         deadline: timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
         obs: obs_cli.reg.clone(),
@@ -553,8 +504,8 @@ fn run_fraig(path: &str, args: &[String]) -> Result<ExitCode, String> {
         &s.counters(),
     );
     obs_cli.finish()?;
-    if let Some(out) = value_of(args, "-o")? {
-        let file = std::fs::File::create(&out).map_err(|e| format!("cannot write {out}: {e}"))?;
+    if let Some(out) = flags.value("-o") {
+        let file = std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
         aig::aiger::write_aag(&outcome.aig, file).map_err(|e| e.to_string())?;
     }
     Ok(if timed_out {
@@ -567,7 +518,7 @@ fn run_fraig(path: &str, args: &[String]) -> Result<ExitCode, String> {
 /// `csat gen`: write a generated workload as ASCII AIGER.
 fn run_gen(args: &[String]) -> Result<ExitCode, String> {
     let family = args.get(1).ok_or("gen: missing family (try 'php')")?;
-    let aig = match family.as_str() {
+    let (aig, flags) = match family.as_str() {
         "php" => {
             let holes: u32 = args
                 .get(2)
@@ -577,15 +528,15 @@ fn run_gen(args: &[String]) -> Result<ExitCode, String> {
             if !(1..=64).contains(&holes) {
                 return Err("gen php: hole count must be in 1..=64".into());
             }
-            check_flags(&args[3..], &["-o"], &[])?;
-            workloads::cnf_gen::pigeonhole_aig(holes)
+            let flags = parse_flags(&args[3..], "-o=")?;
+            (workloads::cnf_gen::pigeonhole_aig(holes), flags)
         }
         other => return Err(format!("unknown gen family '{other}'")),
     };
-    match value_of(args, "-o")? {
+    match flags.value("-o") {
         Some(out) => {
             let file =
-                std::fs::File::create(&out).map_err(|e| format!("cannot write {out}: {e}"))?;
+                std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
             aig::aiger::write_aag(&aig, file).map_err(|e| e.to_string())?;
         }
         None => {
@@ -624,16 +575,16 @@ fn bmc_preprocess(
 }
 
 /// `csat bmc`: incremental bounded model checking / k-induction.
-fn run_bmc(path: &str, args: &[String]) -> Result<ExitCode, String> {
+fn run_bmc(path: &str, flags: &Flags) -> Result<ExitCode, String> {
     // The inner runner has several verdict-specific early returns; the
     // wrapper guarantees the trace/metrics drain happens on all of them.
-    let obs_cli = ObsCli::from_args(args)?;
-    let code = run_bmc_inner(path, args, &obs_cli.reg)?;
+    let obs_cli = ObsCli::from_flags(flags);
+    let code = run_bmc_inner(path, flags, &obs_cli.reg)?;
     obs_cli.finish()?;
     Ok(code)
 }
 
-fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<ExitCode, String> {
+fn run_bmc_inner(path: &str, flags: &Flags, reg: &obs::Registry) -> Result<ExitCode, String> {
     if !path.ends_with(".aag") {
         return Err("bmc needs an ASCII sequential AIGER (.aag) file".into());
     }
@@ -643,11 +594,11 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
     if machine.num_pos() == 0 {
         return Err("machine has no real PO to use as a bad signal".into());
     }
-    let bound: usize = parsed(args, "--bound")?.unwrap_or(20);
-    let query_budget: Option<u64> = parsed(args, "--conflicts")?;
-    let timeout_ms: Option<u64> = parsed(args, "--timeout-ms")?;
+    let bound: usize = flags.parsed("--bound")?.unwrap_or(20);
+    let query_budget: Option<u64> = flags.parsed("--conflicts")?;
+    let timeout_ms: Option<u64> = flags.parsed("--timeout-ms")?;
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let preprocess = bmc_preprocess(value_of(args, "--preprocess")?.as_deref(), deadline, reg)?;
+    let preprocess = bmc_preprocess(flags.value("--preprocess"), deadline, reg)?;
     eprintln!(
         "c machine: pis={} latches={} pos={} ands={}",
         machine.num_pis(),
@@ -659,11 +610,11 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
         query_budget,
         deadline,
         preprocess,
-        certify: args.iter().any(|a| a == "--certify"),
+        certify: flags.has("--certify"),
         obs: reg.clone(),
     };
     let t0 = Instant::now();
-    let (cex, proved, frames) = if args.iter().any(|a| a == "--kind") {
+    let (cex, proved, frames) = if flags.has("--kind") {
         match mc::prove(&machine, bound, &opts) {
             mc::KindResult::Proved { k } => {
                 eprintln!("c proved invariant by {k}-induction in {:?}", t0.elapsed());
@@ -747,34 +698,23 @@ fn run_bmc_inner(path: &str, args: &[String], reg: &obs::Registry) -> Result<Exi
     Ok(ExitCode::from(EXIT_SAT))
 }
 
-/// Flags shared by `csat serve` and `csat batch` that take a value.
-const SERVE_VALUE_FLAGS: &[&str] = &[
-    "--workers",
-    "--queue",
-    "--timeout-ms",
-    "--conflicts",
-    "--retries",
-    "--trace",
-];
-/// Boolean flags shared by `csat serve` and `csat batch`.
-const SERVE_BOOL_FLAGS: &[&str] = &["--shed", "--metrics"];
-
 /// Builds the query engine from the shared serve/batch flags.
-fn engine_from_args(args: &[String], reg: &obs::Registry) -> Result<serve::Engine, String> {
+fn engine_from_flags(flags: &Flags, reg: &obs::Registry) -> Result<serve::Engine, String> {
     let defaults = serve::EngineConfig::default();
     let cfg = serve::EngineConfig {
-        workers: parsed(args, "--workers")?.unwrap_or(0),
+        workers: flags.parsed("--workers")?.unwrap_or(0),
         obs: reg.clone(),
-        queue_capacity: parsed(args, "--queue")?.unwrap_or(defaults.queue_capacity),
-        admission: if args.iter().any(|a| a == "--shed") {
+        queue_capacity: flags.parsed("--queue")?.unwrap_or(defaults.queue_capacity),
+        admission: if flags.has("--shed") {
             serve::Admission::Shed
         } else {
             serve::Admission::Block
         },
         // Like `csat solve`, the default is an unlimited conflict budget —
         // budget-escalating retries only engage once --conflicts bounds it.
-        base_conflicts: parsed(args, "--conflicts")?.unwrap_or(u64::MAX),
-        max_attempts: parsed::<u32>(args, "--retries")?
+        base_conflicts: flags.parsed("--conflicts")?.unwrap_or(u64::MAX),
+        max_attempts: flags
+            .parsed::<u32>("--retries")?
             .unwrap_or(defaults.max_attempts - 1)
             .saturating_add(1),
         ..defaults
@@ -878,14 +818,14 @@ fn exit_for_responses<'a>(verdicts: impl Iterator<Item = &'a serve::Verdict>) ->
 /// result lines stream out as verdicts land (a printer thread owns stdout,
 /// so a slow query never blocks earlier results); EOF drains outstanding
 /// queries, shuts the engine down, and exits by the batch convention.
-fn run_serve(args: &[String]) -> Result<ExitCode, String> {
+fn run_serve(flags: &Flags) -> Result<ExitCode, String> {
     use std::io::BufRead;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let obs_cli = ObsCli::from_args(args)?;
-    let engine = Arc::new(engine_from_args(args, &obs_cli.reg)?);
-    let default_timeout: Option<u64> = parsed(args, "--timeout-ms")?;
+    let obs_cli = ObsCli::from_flags(flags);
+    let engine = Arc::new(engine_from_flags(flags, &obs_cli.reg)?);
+    let default_timeout: Option<u64> = flags.parsed("--timeout-ms")?;
     let submitted = Arc::new(AtomicU64::new(0));
     let eof = Arc::new(AtomicBool::new(false));
     let printer = {
@@ -990,7 +930,7 @@ fn run_serve(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `csat batch`: run a query file to completion through the engine.
-fn run_batch(path: &str, args: &[String]) -> Result<ExitCode, String> {
+fn run_batch(path: &str, flags: &Flags) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut queries = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -1007,10 +947,10 @@ fn run_batch(path: &str, args: &[String]) -> Result<ExitCode, String> {
             queries.push((norm, q.timeout_ms));
         }
     }
-    let default_timeout: Option<u64> = parsed(args, "--timeout-ms")?;
-    let batch_timeout: Option<u64> = parsed(args, "--batch-timeout-ms")?;
-    let obs_cli = ObsCli::from_args(args)?;
-    let engine = engine_from_args(args, &obs_cli.reg)?;
+    let default_timeout: Option<u64> = flags.parsed("--timeout-ms")?;
+    let batch_timeout: Option<u64> = flags.parsed("--batch-timeout-ms")?;
+    let obs_cli = ObsCli::from_flags(flags);
+    let engine = engine_from_flags(flags, &obs_cli.reg)?;
     let t0 = Instant::now();
     let batch_deadline = batch_timeout.map(|ms| t0 + Duration::from_millis(ms));
     let total = queries.len();
@@ -1098,30 +1038,31 @@ fn load(path: &str) -> Result<aig::Aig, String> {
 /// only the *Ours* pipeline, so naming them with another one is an error
 /// rather than a silently ignored flag.
 fn make_pipeline(
-    args: &[String],
+    flags: &Flags,
     deadline: Option<Instant>,
     reg: &obs::Registry,
 ) -> Result<Box<dyn Pipeline>, String> {
-    let name = value_of(args, "--pipeline")?;
-    if let Some(fixed @ ("baseline" | "comp")) = name.as_deref() {
+    let name = flags.value("--pipeline");
+    if let Some(fixed @ ("baseline" | "comp")) = name {
         for flag in ["--recipe", "--sweep"] {
-            if args.iter().any(|a| a == flag) {
+            if flags.has(flag) {
                 return Err(format!(
                     "{flag} applies to the 'ours' pipeline, not '{fixed}'"
                 ));
             }
         }
     }
-    match name.as_deref() {
+    match name {
         Some("baseline") => Ok(Box::new(BaselinePipeline)),
         Some("comp") => Ok(Box::new(CompPipeline)),
         None | Some("ours") => {
-            let recipe: Recipe = value_of(args, "--recipe")?
-                .unwrap_or_else(|| "rs;rs;rw".to_string())
+            let recipe: Recipe = flags
+                .value("--recipe")
+                .unwrap_or("rs;rs;rw")
                 .parse()
                 .map_err(|e| format!("{e}"))?;
             let mut pipeline = FrameworkPipeline::ours(RecipePolicy::Fixed(recipe));
-            if args.iter().any(|a| a == "--sweep") {
+            if flags.has("--sweep") {
                 // The solve deadline governs the sweep stage too: a
                 // timed-out preprocess degrades to fewer merges, never to
                 // a stuck run.
@@ -1137,58 +1078,90 @@ fn make_pipeline(
     }
 }
 
-/// Rejects any argument that is not a recognised flag of the current
-/// command (catching typos that would otherwise be silently ignored).
-/// `value_flags` consume the following token as their value.
-fn check_flags(args: &[String], value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if value_flags.contains(&a) {
-            if i + 1 >= args.len() {
-                return Err(format!("flag {a} needs a value"));
-            }
-            i += 2;
-        } else if bool_flags.contains(&a) {
-            i += 1;
-        } else {
+// Each command's flags, for `parse_flags`: a trailing `=` marks a flag
+// that takes the next argument as its value; the others are switches.
+const SOLVE_FLAGS: &str = "--pipeline= --recipe= --solver= --conflicts= --timeout-ms= \
+                           --proof= --trace= --sweep --presolve --metrics";
+const ENCODE_FLAGS: &str = "--pipeline= --recipe= -o= --sweep";
+const FRAIG_FLAGS: &str = "--timeout-ms= -o= --trace= --metrics";
+const BMC_FLAGS: &str = "--bound= --conflicts= --timeout-ms= --preprocess= --trace= \
+                         --kind --certify --metrics";
+const SERVE_FLAGS: &str = "--workers= --queue= --timeout-ms= --conflicts= --retries= \
+                           --trace= --shed --metrics";
+const BATCH_FLAGS: &str = "--workers= --queue= --timeout-ms= --conflicts= --retries= \
+                           --trace= --shed --metrics --batch-timeout-ms=";
+
+/// One command's flags as [`parse_flags`] read them, in order: each flag
+/// given, with its value if it takes one. The handlers read flags only
+/// from here, so no argument is read both as a value and as a flag.
+#[derive(Debug, Default)]
+struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    /// The value given to `name` (its first occurrence), if any.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// Parses the value of `name`, with the offending text in the error.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("bad value '{v}' for {name}")))
+            .transpose()
+    }
+
+    /// True when `name` was given, as a switch or with a value.
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(flag, _)| *flag == name)
+    }
+}
+
+/// Parses a command's arguments against its flag list in one pass. A
+/// value flag takes the next argument as its value, whatever it looks
+/// like; a value flag at the end, or any argument the command does not
+/// accept, is an error (catching typos that would otherwise be silently
+/// ignored, and never letting a dangling flag fall back to a default).
+fn parse_flags(args: &[String], spec: &'static str) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let Some(flag) = spec
+            .split_whitespace()
+            .find(|f| f.strip_suffix('=').unwrap_or(f) == a)
+        else {
             return Err(format!("unexpected argument '{a}'"));
-        }
+        };
+        flags.0.push(match flag.strip_suffix('=') {
+            Some(name) => {
+                let value = rest.next().ok_or(format!("flag {name} needs a value"))?;
+                (name, Some(value.clone()))
+            }
+            None => (flag, None),
+        });
     }
-    Ok(())
-}
-
-/// The value following `name`, or `Err` if the flag is present but the
-/// value is missing — a dangling flag must never silently fall back to a
-/// default.
-fn value_of(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("flag {name} needs a value")),
-        },
-    }
-}
-
-/// Parses the value of `name`, with the offending text in the error.
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match value_of(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad value '{v}' for {name}")),
-    }
+    Ok(flags)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The pipeline a `solve` or `encode` command line configures.
     fn pipeline_for(args: &[&str]) -> Result<String, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        make_pipeline(&args, None, &obs::Registry::disabled()).map(|p| p.name())
+        let spec = if args[0] == "encode" {
+            ENCODE_FLAGS
+        } else {
+            SOLVE_FLAGS
+        };
+        let flags = parse_flags(&strings(&args[2..]), spec)?;
+        make_pipeline(&flags, None, &obs::Registry::disabled()).map(|p| p.name())
     }
 
     #[test]
@@ -1218,17 +1191,30 @@ mod tests {
 
     #[test]
     fn rejection_is_a_usage_error_before_the_input_is_read() {
-        let args: Vec<String> = ["encode", "missing.aag", "--pipeline", "comp", "--sweep"]
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
+        let args = strings(&["encode", "missing.aag", "--pipeline", "comp", "--sweep"]);
         let err = run(&args).expect_err("usage error");
         assert!(err.contains("--sweep"), "{err}");
     }
 
     #[test]
+    fn a_token_taken_as_a_value_is_not_also_a_switch() {
+        // `--proof` takes `--metrics` as its file name, so no metrics
+        // table is printed as well.
+        let args = strings(&["--pipeline", "baseline", "--proof", "--metrics"]);
+        let flags = parse_flags(&args, SOLVE_FLAGS).expect("well-formed");
+        assert_eq!(flags.value("--proof"), Some("--metrics"));
+        assert!(!flags.has("--metrics"));
+        let obs_cli = ObsCli::from_flags(&flags);
+        assert!(!obs_cli.metrics);
+        assert!(!obs_cli.reg.is_enabled());
+        // A value flag at the end has no value.
+        let err = parse_flags(&strings(&["--proof"]), SOLVE_FLAGS).expect_err("dangling flag");
+        assert!(err.contains("--proof"), "{err}");
+    }
+
+    #[test]
     fn failed_witness_replay_exits_1_not_as_a_usage_error() {
-        let obs_cli = ObsCli::from_args(&[]).expect("no flags");
+        let obs_cli = ObsCli::from_flags(&Flags::default());
         let solved = (sat::SolveResult::Sat(vec![true]), sat::Stats::default());
         let code = report_solve(
             "dimacs",

@@ -6,10 +6,12 @@
 //! from the previous pass's actual cover. The final cover is extracted from
 //! the PO drivers downward and emitted as a [`LutNetlist`].
 //!
-//! Depth is deliberately *not* constrained: the consumer of the netlist is
-//! a SAT solver, for which circuit delay is meaningless. (The paper keeps
-//! mockturtle's delay constraint because its mapper requires one; see the
-//! README's "Substitutions" section.)
+//! Mapping keeps depth-optimal PO levels, the paper's delay constraint
+//! ("fixing the delay cost as a constraint", Sec. III-C2). The first pass
+//! holds every node to its depth-optimal label; each later pass holds the
+//! cover to required times anchored at each PO's depth-optimal level, and
+//! nodes outside the cover to their labels. Cut cost only chooses among
+//! the cuts that meet that bound.
 
 use crate::cost::CutCost;
 use aig::cut::{enumerate_cuts, Cut, CutParams};
@@ -26,19 +28,11 @@ const ROUNDS: usize = 2;
 pub struct MapParams {
     /// LUT input count (2..=6; the paper uses k = 4).
     pub k: usize,
-    /// Delay constraint: `Some(slack)` restricts cut choice to cuts whose
-    /// arrival meets the depth-optimal mapping's level plus `slack` LUT
-    /// levels ("fixing the delay cost as a constraint", Sec. III-C2);
-    /// `None` leaves depth unconstrained.
-    pub depth_slack: Option<u32>,
 }
 
 impl Default for MapParams {
     fn default() -> MapParams {
-        MapParams {
-            k: 4,
-            depth_slack: Some(0),
-        }
+        MapParams { k: 4 }
     }
 }
 
@@ -90,7 +84,8 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
         .collect();
 
     let mut best_cut: Vec<usize> = vec![usize::MAX; n];
-    // Required times: unconstrained until a cover exists.
+    // Required times exist once a cover does; until then, and outside the
+    // cover, a node's depth-optimal label is its limit.
     let mut required: Vec<u32> = vec![u32::MAX; n];
     for round in 0..=ROUNDS {
         area_flow_pass(
@@ -110,9 +105,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
             for (e, &r) in est_refs.iter_mut().zip(&refs) {
                 *e = ((*e + r as f64) / 2.0).max(1.0);
             }
-            if let Some(slack) = params.depth_slack {
-                compute_required(aig, &cuts, &best_cut, &opt_depth, slack, &mut required);
-            }
+            compute_required(aig, &cuts, &best_cut, &opt_depth, &mut required);
         }
     }
 
@@ -143,13 +136,12 @@ fn depth_labels(aig: &Aig, cuts: &[Vec<Cut>]) -> Vec<u32> {
 }
 
 /// Required times induced by the current cover, anchored at the
-/// depth-optimal PO level plus `slack`.
+/// depth-optimal PO levels.
 fn compute_required(
     aig: &Aig,
     cuts: &[Vec<Cut>],
     best_cut: &[usize],
     opt_depth: &[u32],
-    slack: u32,
     required: &mut [u32],
 ) {
     for r in required.iter_mut() {
@@ -157,8 +149,7 @@ fn compute_required(
     }
     for po in aig.pos() {
         let v = po.var() as usize;
-        let target = opt_depth[v].saturating_add(slack);
-        required[v] = required[v].min(target);
+        required[v] = required[v].min(opt_depth[v]);
     }
     // Reverse topological propagation over the cover.
     let refs = cover_refs(aig, cuts, best_cut);
@@ -371,14 +362,7 @@ mod tests {
         for seed in 0..6 {
             let g = random_aig(seed, 7, 60);
             for k in [3usize, 4, 5, 6] {
-                let net = map_luts(
-                    &g,
-                    &MapParams {
-                        k,
-                        ..MapParams::default()
-                    },
-                    &AreaCost,
-                );
+                let net = map_luts(&g, &MapParams { k }, &AreaCost);
                 check_netlist_equiv(&g, &net);
                 assert!(net.max_fanin() <= k);
             }
@@ -391,6 +375,42 @@ mod tests {
             let g = random_aig(seed, 8, 80);
             let net = map_luts(&g, &MapParams::default(), &BranchingCost::new());
             check_netlist_equiv(&g, &net);
+        }
+    }
+
+    /// LUT level of each netlist output; inputs and constants are level 0.
+    fn output_levels(net: &LutNetlist) -> Vec<u32> {
+        let mut level = vec![0u32; net.num_inputs()];
+        for lut in net.luts() {
+            let fanin = lut.fanins.iter().map(|f| level[f.node as usize]).max();
+            level.push(fanin.map_or(0, |l| l + 1));
+        }
+        net.outputs()
+            .iter()
+            .map(|s| level[s.node as usize])
+            .collect()
+    }
+
+    #[test]
+    fn po_levels_are_depth_optimal() {
+        for seed in 0..8 {
+            let g = random_aig(seed, 8, 80);
+            for k in [3usize, 4, 6] {
+                let cuts = enumerate_cuts(
+                    &g,
+                    &CutParams {
+                        k,
+                        max_cuts: MAX_CUTS,
+                    },
+                );
+                let labels = depth_labels(&g, &cuts);
+                let optimal: Vec<u32> =
+                    g.pos().iter().map(|po| labels[po.var() as usize]).collect();
+                for cost in [&AreaCost as &dyn CutCost, &BranchingCost::new()] {
+                    let net = map_luts(&g, &MapParams { k }, cost);
+                    assert_eq!(output_levels(&net), optimal, "seed={seed} k={k}");
+                }
+            }
         }
     }
 

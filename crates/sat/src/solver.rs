@@ -77,8 +77,8 @@ enum Conflict {
 ///
 /// `Clone` duplicates the *complete* solver state — clause arena, both
 /// watcher tiers, learnt clauses, trail, activities — as flat buffer
-/// copies. That is how parallel clients (the sweep engine's sharded
-/// oracles, future portfolio solving) fan a formula out to workers:
+/// copies. That is how the sweep engine's sharded oracles fan a formula
+/// out to workers:
 /// normalise the CNF into one base solver, then clone it per worker
 /// instead of re-adding and re-simplifying every clause.
 ///

@@ -346,4 +346,23 @@ mod tests {
         assert_eq!(rs[0].attempts, 2);
         assert_eq!(engine.stats().retries, 1);
     }
+
+    /// A retried query keeps its worker until it is decided, so with one
+    /// worker its duplicate waits in the queue and then hits the cache on
+    /// its first attempt.
+    #[test]
+    fn retried_query_keeps_its_worker_until_decided() {
+        use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            base_conflicts: 20,
+            ..EngineConfig::default()
+        });
+        let q = Query::Lec(ripple_carry_adder(6).aig, carry_lookahead_adder(6).aig);
+        let rs = engine.run_batch(&[(q.clone(), QueryOpts::default()), (q, QueryOpts::default())]);
+        assert_eq!((rs[0].attempts, rs[0].cache_hit), (2, false));
+        assert_eq!((rs[1].attempts, rs[1].cache_hit), (1, true));
+        let stats = engine.stats();
+        assert_eq!((stats.retries, stats.cache.misses), (1, 2));
+    }
 }

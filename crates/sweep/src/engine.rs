@@ -13,9 +13,8 @@
 //! Pair `i` of a window is always proved on oracle `i % shards` in
 //! ascending order, and answers are merged in pair order, so each window's
 //! contents depend only on pair order and on earlier windows' answers —
-//! for a pinned shard count the outcome is bit-identical for every thread
-//! count (see [`FraigParams::shards`] for the default's
-//! shards-follow-threads trade-off).
+//! for a given shard count ([`DEFAULT_SHARDS`] unless set) the outcome is
+//! bit-identical for every thread count.
 
 use crate::classes::candidate_classes;
 use crate::pool::{resolve_threads, run_sharded, ChaosPlan, Fault};
@@ -33,6 +32,10 @@ const MAX_ROUNDS: usize = 4;
 const WINDOW: usize = 64;
 /// Simulation seed.
 const SEED: u64 = 0x5eed_f4a1;
+/// Oracle shards of a default sweep ([`FraigParams::shards`]). Fixed, so
+/// a default sweep decides the same on every host; two, because on two
+/// cores two oracles beat one (the README's "Concurrency model").
+pub const DEFAULT_SHARDS: usize = 2;
 
 /// Tuning knobs for [`fraig`].
 #[derive(Clone, Debug)]
@@ -49,16 +52,14 @@ pub struct FraigParams {
     /// fixed by the shard layout, threads only decide how much of it runs
     /// concurrently.
     pub threads: usize,
-    /// Logical oracle shards. Pair `i` of a window is always proved on
-    /// oracle `i % shards`, whatever `threads` is, so every oracle sees the
-    /// same query sequence (and returns the same answers, counterexamples
-    /// included) on one core or many — pin this and the result is
-    /// bit-identical from one thread to many. `0` (the default) tracks the
-    /// resolved thread count: each worker gets one oracle, which maximises
-    /// learnt-clause reuse (`threads: 1, shards: 0` *is* the classic
-    /// single-oracle sweep), at the price of the outcome varying with the
-    /// machine's parallelism. Effective parallelism is capped by the shard
-    /// count.
+    /// Logical oracle shards, [`DEFAULT_SHARDS`] by default; at least 1.
+    /// Pair `i` of a window is always proved on oracle `i % shards`,
+    /// whatever `threads` is, so every oracle sees the same query sequence
+    /// (and returns the same answers, counterexamples included) on one
+    /// core or many, and the result is bit-identical from one thread to
+    /// many. One shard maximises learnt-clause reuse (`shards: 1` *is* the
+    /// classic single-oracle sweep). Effective parallelism is capped by the
+    /// shard count.
     pub shards: usize,
     /// Whole-sweep wall-clock deadline. Once passed, the round loop exits
     /// before starting another round, and in-flight SAT queries are
@@ -99,7 +100,7 @@ impl Default for FraigParams {
             sim_words: 8,
             conflict_budget: 2_000,
             threads: 0,
-            shards: 0,
+            shards: DEFAULT_SHARDS,
             deadline: None,
             chaos: None,
             certify: false,
@@ -192,13 +193,14 @@ struct PairTask {
 /// `a ⊕ b` over the *original* graph, so substitutions compose soundly in
 /// any order. Budget exhaustion only loses reductions, never correctness.
 ///
-/// The run is deterministic for a fixed seed, and for a **pinned shard
-/// count** it is independent of the thread count: the pairs of each
-/// window are assigned to logical oracle shards by index, each shard's
-/// query sequence is fixed, and each window's answers are applied in pair
-/// order whatever order they arrive in, before the next window is formed.
-/// The default `shards: 0` trades that invariance for throughput by giving
-/// every worker thread its own oracle.
+/// The run is deterministic for a fixed seed and independent of the
+/// thread count: the pairs of each window are assigned to logical oracle
+/// shards by index, each shard's query sequence is fixed, and each
+/// window's answers are applied in pair order whatever order they arrive
+/// in, before the next window is formed.
+///
+/// # Panics
+/// Panics if `params.shards` is 0.
 ///
 /// ```
 /// use aig::Aig;
@@ -214,12 +216,9 @@ struct PairTask {
 pub fn fraig(aig: &Aig, params: &FraigParams) -> FraigOutcome {
     let mut stats = FraigStats::default();
     let n = aig.num_nodes();
+    assert!(params.shards > 0, "FraigParams::shards must be at least 1");
     let threads = resolve_threads(params.threads);
-    let shards = if params.shards == 0 {
-        threads
-    } else {
-        params.shards
-    };
+    let shards = params.shards;
     let reach = aig.reachable_from_pos();
     let (base_cnf, vmap) = tseitin(aig);
     // The Tseitin encoding is normalised into a solver once; each oracle
@@ -943,9 +942,9 @@ mod tests {
     fn single_shard_matches_the_classic_sequential_sweep() {
         // Different shard counts are *allowed* to produce different (still
         // correct) outcomes; every configuration must stay equivalent to
-        // the input, and shards=0 must track the thread count.
+        // the input.
         let g = equivalence_miter(4);
-        for shards in [0usize, 1, 2, 8] {
+        for shards in [1usize, 2, 8] {
             let out = fraig(
                 &g,
                 &FraigParams {
@@ -956,13 +955,14 @@ mod tests {
             );
             assert_eq!(out.aig.pos()[0], Lit::FALSE, "shards={shards}");
         }
-        // threads=1, shards=0 is the classic single-oracle sweep: one
-        // solver, every pair in order — same outcome as an explicit
-        // single shard at any thread count.
+        // threads=1, shards=1 is the classic single-oracle sweep: one
+        // solver, every pair in order — same outcome as a single shard at
+        // any thread count.
         let classic = fraig(
             &g,
             &FraigParams {
                 threads: 1,
+                shards: 1,
                 ..FraigParams::default()
             },
         );
@@ -976,5 +976,17 @@ mod tests {
         );
         assert_eq!(classic.stats, one_shard.stats);
         assert!(same_aig(&classic.aig, &one_shard.aig));
+    }
+
+    #[test]
+    #[should_panic(expected = "shards must be at least 1")]
+    fn zero_shards_is_rejected() {
+        fraig(
+            &equivalence_miter(4),
+            &FraigParams {
+                shards: 0,
+                ..FraigParams::default()
+            },
+        );
     }
 }

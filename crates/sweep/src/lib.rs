@@ -16,7 +16,8 @@
 //! mapping.
 //!
 //! The engine is multi-threaded: SAT queries run on sharded incremental
-//! oracles, with a determinism contract — pin [`FraigParams::shards`] and the outcome is
+//! oracles, with a determinism contract — for a given
+//! [`FraigParams::shards`] (by default [`DEFAULT_SHARDS`]) the outcome is
 //! bit-identical for any thread count (see [`pool`] for the scaffolding
 //! and the README's "Concurrency model" section for the design).
 //!
@@ -50,5 +51,5 @@ mod engine;
 pub mod pool;
 
 pub use classes::{candidate_classes, ClassMember, SigClasses};
-pub use engine::{fraig, FraigOutcome, FraigParams, FraigStats};
+pub use engine::{fraig, FraigOutcome, FraigParams, FraigStats, DEFAULT_SHARDS};
 pub use pool::{ChaosPlan, Fault};

@@ -1,9 +1,9 @@
 //! Scoped worker-thread scaffolding for sharded, deterministic parallelism.
 //!
-//! The sweep engine (and, in later PRs, portfolio solving above it) runs
-//! many independent stateful tasks — SAT oracles — whose
-//! *assignment* must not depend on how many OS threads happen to execute
-//! them, or results would change with the machine. The primitive here makes
+//! The sweep engine, this module's one user, runs many independent
+//! stateful tasks — SAT oracles — whose *assignment* must not depend on
+//! how many OS threads happen to execute them, or results would change
+//! with the machine. The primitive here makes
 //! that split explicit:
 //!
 //! * work is divided into **logical shards**, each owning mutable state
@@ -34,11 +34,12 @@ use std::sync::mpsc;
 ///
 /// Faults are rolled per work item from `(seed, round, task)` alone, so an
 /// injected fault pattern is bit-reproducible and — like every other part
-/// of a pinned-shard run — independent of the thread or worker count. Any
-/// [`run_sharded`] user (the fraig sweep's oracle shards, the serve
-/// engine's query workers) can consume the same plan: interpret `round` as
-/// its coarse progress counter (sweep round, retry attempt) and `task` as
-/// the item index. Three fault shapes cover the real failure modes:
+/// of a sharded run — independent of the thread or worker count. The fraig
+/// sweep's oracle shards (run by [`run_sharded`]) and the serve engine's
+/// query workers (its own pool) consume the same plan, each reading
+/// `round` as its coarse progress counter (sweep round, retry attempt) and
+/// `task` as the item index. Three fault shapes cover the real failure
+/// modes:
 ///
 /// * **Unknown storms** (`unknown_in_1024`): the worker's answer is
 ///   replaced by an inconclusive one without running the real work,

@@ -111,6 +111,7 @@ fn random_fill_and_sweep_outcome_are_pinned() {
         &adder_miter(12),
         &FraigParams {
             threads: 1,
+            shards: 1,
             ..FraigParams::default()
         },
     );

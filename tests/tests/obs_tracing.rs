@@ -139,7 +139,6 @@ proptest! {
             workers,
             max_attempts: 2,
             panic_retries: 1,
-            backoff: Duration::from_micros(10),
             chaos: Some(ChaosPlan {
                 seed,
                 unknown_in_1024: unknown,

@@ -15,7 +15,7 @@
 use aig::check::{exhaustive_equiv, sim_equiv};
 use aig::Aig;
 use proptest::prelude::*;
-use sweep::{fraig, ChaosPlan, FraigOutcome, FraigParams};
+use sweep::{fraig, ChaosPlan, FraigOutcome, FraigParams, FraigStats};
 use workloads::lec::{adder_miter, miter, restructure};
 use workloads::random_aig::{random_aig, RandomAigParams};
 
@@ -123,6 +123,37 @@ fn integrity_audited_parallel_sweep_collapses_adder_miter() {
     assert!(par.stats.proved > 0);
 }
 
+/// A certified sweep checks each merge's UNSAT answer with the independent
+/// proof checker and otherwise decides exactly as a plain one: the same
+/// graph, the same counters, and one accepted certificate per proved pair.
+#[test]
+fn certified_fraig_matches_plain_and_certifies_every_merge() {
+    for (bits, proved) in [(4, 12), (8, 44), (12, 76)] {
+        let m = adder_miter(bits);
+        let plain = fraig(&m, &FraigParams::default());
+        let certified = fraig(
+            &m,
+            &FraigParams {
+                certify: true,
+                ..FraigParams::default()
+            },
+        );
+        assert_eq!(plain.stats.certified, 0, "bits={bits}");
+        assert_eq!(certified.stats.proved, proved, "bits={bits}");
+        assert_eq!(certified.stats.certified, proved as u64, "bits={bits}");
+        assert_identical(
+            &plain,
+            &FraigOutcome {
+                stats: FraigStats {
+                    certified: 0,
+                    ..certified.stats
+                },
+                aig: certified.aig,
+            },
+        );
+    }
+}
+
 /// An observed sweep counts every oracle solve, traced or not. The shard
 /// oracles hang under `sweep.shard` spans, which a metrics-only registry
 /// does not record, yet its counters must still reach them: every
@@ -165,10 +196,8 @@ fn observed_fraig_counts_every_oracle_solve() {
 }
 
 /// Auto thread selection (`threads = 0`) must also match an explicit
-/// thread count when the shard count is pinned — on any machine, with any
-/// core count. (With the default `shards: 0` the shard count follows the
-/// machine's parallelism, which is exactly the non-portable outcome this
-/// pin avoids.)
+/// thread count for a given shard count — on any machine, with any core
+/// count.
 #[test]
 fn auto_threads_match_sequential_under_pinned_shards() {
     let m = adder_miter(6);

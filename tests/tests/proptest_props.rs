@@ -168,7 +168,7 @@ proptest! {
     #[test]
     fn mapping_preserves_function(seed in any::<u64>(), k in 3usize..=6) {
         let g = arbitrary_aig(seed, 6, 30);
-        let params = mapper::MapParams { k, depth_slack: Some(0) };
+        let params = mapper::MapParams { k };
         for cost in [true, false] {
             let net = if cost {
                 mapper::map_luts(&g, &params, &mapper::BranchingCost::new())

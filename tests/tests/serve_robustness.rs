@@ -110,7 +110,6 @@ fn chaotic_config(workers: usize, seed: u64, unknown: u16, panic: u16) -> Engine
         workers,
         max_attempts: 2,
         panic_retries: 1,
-        backoff: Duration::from_micros(10),
         chaos: Some(ChaosPlan {
             seed,
             unknown_in_1024: unknown,
