@@ -5,12 +5,15 @@
 //! build on fixed built-in workloads; every timed row comes from one
 //! sampler, [`sample`], as a median with its spread.
 //!
-//! Usage: `bench_hotpath [--smoke] [--out PATH] [--threads LIST]`
+//! Usage: `bench_hotpath [--out PATH]` (default `BENCH_hotpath.json`).
 //!
-//! `--smoke` shrinks every workload so CI can check the harness in
-//! seconds. `--threads 1,2,4` selects the thread counts for the parallel
-//! kernels (fraig oracle shards and serve workers), one row each; the
-//! `context` object records the machine facts rows depend on.
+//! Every run measures the same workloads, the ones the committed
+//! `BENCH_hotpath.json` holds, with the parallel kernels (fraig oracle
+//! shards and serve workers) at each of [`THREADS`]; the `context` object
+//! records the machine facts rows depend on. Each relation that must hold
+//! within one run is an `assert!` where its row is built, so a run that
+//! breaks one writes no file. `bench_validate FRESH COMMITTED` then
+//! compares a fresh file with the committed one, row by row.
 
 use csat_preproc::{BaselinePipeline, Pipeline};
 use mc::{BmcEngine, BmcOptions, BmcResult};
@@ -29,6 +32,9 @@ use workloads::seq::counter;
 
 /// Timed runs behind every row, after one untimed warm-up.
 const REPS: usize = 5;
+
+/// Thread counts of the parallel kernels, one row each.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Median, minimum and maximum of one measurement over the timed runs.
 #[derive(Clone, Copy, Debug)]
@@ -133,6 +139,24 @@ fn sum<'a>(rows: impl IntoIterator<Item = &'a Row>, key: &str) -> f64 {
         .sum()
 }
 
+/// The checker's verdict on a certificate the bench made: it must be
+/// accepted, with some core lemma settled by the solver's hints alone, so
+/// the bench fails if the solver stops emitting hints.
+fn checked(
+    outcome: Option<Result<checker::CheckOutcome, checker::CheckError>>,
+    name: &str,
+) -> checker::CheckOutcome {
+    let outcome = outcome.expect("the checker ran");
+    let outcome = outcome.unwrap_or_else(|e| panic!("{name}: certificate rejected: {e:?}"));
+    assert!(
+        0 < outcome.hinted_adds && outcome.hinted_adds <= outcome.verified_adds,
+        "{name}: {} hinted of {} verified additions",
+        outcome.hinted_adds,
+        outcome.verified_adds
+    );
+    outcome
+}
+
 /// One `solver` row: the solve's time with its spread, the load's median
 /// apart, and the counters of one solve (every run repeats the search).
 fn solver_row(name: &str, [load, solve]: [Spread; 2], s: &sat::Stats) -> Row {
@@ -167,25 +191,15 @@ fn load_and_solve(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let value_of = |flag: &str| {
-        let i = args.iter().position(|a| a == flag)?;
-        args.get(i + 1)
+    let out_path = match args.as_slice() {
+        [] => "BENCH_hotpath.json",
+        [flag, path] if flag == "--out" => path.as_str(),
+        _ => {
+            eprintln!("usage: bench_hotpath [--out PATH]");
+            std::process::exit(2);
+        }
     };
-    let out_path = value_of("--out").map_or("BENCH_hotpath.json", String::as_str);
-    let thread_counts: Vec<usize> = value_of("--threads").map_or_else(
-        || if smoke { vec![1, 2] } else { vec![1, 2, 4] },
-        |s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4"))
-                .collect()
-        },
-    );
-    let (php_holes, sat_vars, twosat_vars, adder_bits, gates, words, passes) = if smoke {
-        (5, 40, 2_000, 4, 500, 16, 2)
-    } else {
-        (8, 150, 120_000, 12, 20_000, 64, 10)
-    };
+    let php_holes = 8;
 
     // One interleaved php loop feeds the solver, proof and obs rows. Each
     // rep runs four variants of one search (proof logging off, proof
@@ -224,16 +238,16 @@ fn main() {
     // CDCL propagation. The registries' counters must equal the rows'
     // per-solve statistics times the solves they observed.
     let solver_reg = obs::Registry::metrics_only();
-    let rca = ripple_carry_adder(adder_bits).aig;
-    let cla = carry_lookahead_adder(adder_bits).aig;
+    let rca = ripple_carry_adder(12).aig;
+    let cla = carry_lookahead_adder(12).aig;
     let lec_cnf = BaselinePipeline.preprocess(&miter(&rca, &cla)).cnf;
     let mut solver_rows = vec![solver_row("php", [php_load, off], &php_stats)];
     for (name, f, cfg) in [
-        ("random3sat", random_3sat(sat_vars, 4.2, 3), &kissat),
+        ("random3sat", random_3sat(150, 4.2, 3), &kissat),
         // All-binary workload: propagation runs entirely in the solver's
         // inline binary-watcher tier (ratio just under the 2-SAT
         // threshold keeps it SAT with long implication chains).
-        ("random2sat", random_2sat(twosat_vars, 0.95, 9), &kissat),
+        ("random2sat", random_2sat(120_000, 0.95, 9), &kissat),
         ("lec_miter", lec_cnf, &SolverConfig::cadical_like()),
     ] {
         let mut stats = sat::Stats::default();
@@ -260,19 +274,18 @@ fn main() {
         outcome = Some(o);
         [t]
     });
-    let outcome = outcome.expect("the checker ran");
+    let outcome = checked(outcome, "php");
     let proof_row = row! {
         "name": quoted("php"), "holes": php_holes, "reps": REPS, "logging_off_wall_s": off,
         "logging_on_wall_s": on, "overhead_ratio": format!("{:.4}", on_ratio.median),
         "proof_additions": log.additions(), "proof_deletions": log.deletions(), "check_wall_s": check,
-        "check_verified": outcome.is_ok(),
-        "check_verified_adds": outcome.as_ref().map_or(0, |o| o.verified_adds),
-        "check_hinted_adds": outcome.as_ref().map_or(0, |o| o.hinted_adds),
+        "check_verified": true, "check_verified_adds": outcome.verified_adds,
+        "check_hinted_adds": outcome.hinted_adds,
     };
 
     // The checker on an equivalence miter's certificate: the Tseitin CNF
     // of two adder architectures, solved once with proof logging on.
-    let check_bits = if smoke { 12 } else { 32 };
+    let check_bits = 32;
     let lec = miter(
         &ripple_carry_adder(check_bits).aig,
         &carry_lookahead_adder(check_bits).aig,
@@ -290,13 +303,11 @@ fn main() {
         lec_outcome = Some(o);
         [t]
     });
-    let lec_outcome = lec_outcome.expect("the checker ran");
+    let lec_outcome = checked(lec_outcome, "miter_rca_cla");
     let check_row = row! {
         "name": quoted("miter_rca_cla"), "bits": check_bits, "reps": REPS,
-        "steps": lec_log.proof().steps.len(), "check_wall_s": lec_check,
-        "accepted": lec_outcome.is_ok(),
-        "verified_adds": lec_outcome.as_ref().map_or(0, |o| o.verified_adds),
-        "hinted_adds": lec_outcome.as_ref().map_or(0, |o| o.hinted_adds),
+        "steps": lec_log.proof().steps.len(), "check_wall_s": lec_check, "accepted": true,
+        "verified_adds": lec_outcome.verified_adds, "hinted_adds": lec_outcome.hinted_adds,
     };
 
     let events = tracing.drain_events();
@@ -306,6 +317,13 @@ fn main() {
     assert_eq!(
         span_conflicts, counter_conflicts,
         "span tree and live counter must agree on total conflicts"
+    );
+    // The disabled registry detaches entirely, so its ratio is the A/A
+    // noise floor and must stay near 1.
+    assert!(
+        0.5 < dis_ratio.median && dis_ratio.median < 1.5,
+        "disabled-registry overhead ratio {} is outside (0.5, 1.5)",
+        dis_ratio.median
     );
     let obs_row = row! {
         "name": quoted("php"), "holes": php_holes, "reps": REPS, "baseline_wall_s": off,
@@ -317,9 +335,10 @@ fn main() {
     // Resimulation: the compiled [`aig::SimProgram`] fills a matrix from
     // per-block RNG streams `passes` times per run. The checksum mixes
     // every word of every pass, so a wrong word anywhere changes it.
+    let (words, passes) = (64, 10);
     let params = RandomAigParams {
         n_pis: 64,
-        n_gates: gates,
+        n_gates: 20_000,
         n_pos: 8,
         ..RandomAigParams::default()
     };
@@ -346,16 +365,16 @@ fn main() {
 
     // SAT sweeping: per miter, one row with one oracle, then one per thread
     // count with the shards pinned to the largest, so those rows differ
-    // only in scheduling. The smoke miter's first round spans two 64-pair
-    // windows, so refutations are replayed mid-round. The counters are
-    // the last timed run's.
-    let fraig_bits: &[usize] = if smoke { &[12] } else { &[16, 24] };
-    let pinned = thread_counts.iter().copied().max().unwrap_or(1);
+    // only in scheduling and must decide bit-identically. Every
+    // refutation is replayed as a counterexample pattern. The counters
+    // are the last timed run's.
+    let pinned = THREADS[THREADS.len() - 1];
     let mut configs = vec![(1, 1)];
-    configs.extend(thread_counts.iter().map(|&t| (t, pinned)));
+    configs.extend(THREADS.map(|t| (t, pinned)));
     let mut fraig_rows = Vec::new();
-    for &bits in fraig_bits {
+    for bits in [16, 24] {
         let fg = adder_miter(bits);
+        let mut pinned_outcome = None;
         for &(threads, shards) in &configs {
             let params = FraigParams {
                 threads,
@@ -368,6 +387,12 @@ fn main() {
                 (s, ands_out) = (out.stats, out.aig.num_ands());
                 [t]
             });
+            assert_eq!(s.cex_patterns, s.disproved, "every refutation is replayed");
+            if shards == pinned {
+                let outcome = (s.sat_calls, s.proved, s.disproved, s.cex_patterns, ands_out);
+                let first = *pinned_outcome.get_or_insert(outcome);
+                assert_eq!(outcome, first, "{threads} threads, {shards} shards");
+            }
             fraig_rows.push(row! {
                 "bits": bits, "threads": threads, "shards": shards, "reps": REPS, "wall_s": wall,
                 "sat_calls": s.sat_calls, "proved": s.proved, "disproved": s.disproved,
@@ -382,7 +407,7 @@ fn main() {
     // baseline re-encodes and re-solves each bound from scratch, so the
     // conflict gap is learnt-clause reuse and the wall gap adds O(k^2)
     // re-encoding.
-    let (bmc_bits, bmc_bound) = if smoke { (5, 6) } else { (8, 20) };
+    let (bmc_bits, bmc_bound) = (8, 20);
     let machine = counter(bmc_bits);
     let (mut inc_conflicts, mut mono_conflicts, mut agree) = (0, 0, true);
     let [inc, mono] = sample(|_| {
@@ -408,6 +433,7 @@ fn main() {
         agree &= clean == unsat;
         [inc_s, mono_s]
     });
+    assert!(agree, "incremental and monolithic BMC agree at every bound");
     let bmc_row = row! {
         "name": quoted("bmc_counter"), "bits": bmc_bits, "bound": bmc_bound, "reps": REPS,
         "incremental_wall_s": inc, "incremental_conflicts": inc_conflicts,
@@ -418,7 +444,7 @@ fn main() {
     // near-duplicates, each submitted repeatedly, so repeats are cache
     // hits and near-duplicates solve live. Every run starts a cold engine;
     // the counters are the last run's.
-    let (serve_bits, queries) = if smoke { (3, 12) } else { (6, 48) };
+    let (serve_bits, queries) = (6, 48);
     let a = ripple_carry_adder(serve_bits).aig;
     let b = carry_lookahead_adder(serve_bits).aig;
     let rhs: Vec<aig::Aig> = std::iter::once(b.clone())
@@ -429,7 +455,7 @@ fn main() {
         .map(|query| (query, QueryOpts::default()))
         .collect();
     let mut serve_rows = Vec::new();
-    for &workers in &thread_counts {
+    for workers in THREADS {
         let mut s = EngineStats::default();
         let [wall] = sample(|_| {
             let engine = Engine::new(EngineConfig {
@@ -444,6 +470,23 @@ fn main() {
             [t]
         });
         let hits = s.cache.hits;
+        assert!(
+            hits > 0 && s.cache.certs_verified > 0,
+            "repeats hit the cache"
+        );
+        assert_eq!(
+            (s.sheds, s.failures),
+            (0, 0),
+            "a clean run sheds and fails nothing"
+        );
+        if workers == 1 {
+            // One worker answers each of the four cones before any
+            // duplicate of it, so every other query hits, and each cone's
+            // certificate is verified once. With more workers a duplicate
+            // can be solved alongside its twin.
+            assert_eq!(hits, queries as u64 - 4, "one miss per cone");
+            assert_eq!(s.cache.certs_verified, 4, "one check per cone");
+        }
         let qps = queries as f64 / wall.median.max(1e-9);
         serve_rows.push(row! {
             "bits": serve_bits, "workers": workers, "queries": queries, "reps": REPS, "wall_s": wall,
@@ -458,7 +501,7 @@ fn main() {
     // structural hash recorded. The warm-up builds the process-wide NPN
     // table and structure library, so the `rw` row times rewriting alone;
     // the `npn` row times the table build by itself.
-    let synth_bits = if smoke { 8 } else { 16 };
+    let synth_bits = 16;
     let synth_in = miter(
         &ripple_carry_adder(synth_bits).aig,
         &carry_lookahead_adder(synth_bits).aig,
@@ -476,6 +519,7 @@ fn main() {
             (ands_out, hash) = (out.num_ands(), out.structural_hash());
             [t]
         });
+        assert!(ands_out <= synth_in.num_ands(), "{op:?} grew the miter");
         synth_rows.push(row! {
             "op": quoted(op.mnemonic()), "bits": synth_bits, "reps": REPS, "wall_s": wall,
             "ands_in": synth_in.num_ands(), "ands_out": ands_out, "hash": hash,
@@ -489,8 +533,9 @@ fn main() {
     });
     let npn_row = row! { "name": quoted("npn4_table"), "reps": REPS, "wall_s": npn_build, "classes": classes };
 
-    // `totals` sums the rows' medians and counters as written. Nonzero
-    // failure telemetry marks a degraded run whose rows are not comparable.
+    // `totals` sums the rows' medians and counters as written. The bench
+    // runs unthrottled and fault-free: nonzero failure telemetry would
+    // mark a degraded run whose rows are not comparable.
     let kernels = || {
         let rows = solver_rows
             .iter()
@@ -499,17 +544,21 @@ fn main() {
             .chain(&synth_rows);
         rows.chain([&sim_row, &bmc_row, &npn_row])
     };
+    for key in ["deadline_interrupts", "cancellations", "shard_failures"] {
+        assert_eq!(sum(kernels(), key), 0.0, "{key} in a fault-free run");
+    }
     let wall = |key| sum(kernels(), key);
     let wall_s =
         wall("load_s") + wall("wall_s") + wall("incremental_wall_s") + wall("monolithic_wall_s");
     let props_per_sec = sum(&solver_rows, "propagations") / sum(&solver_rows, "wall_s").max(1e-9);
     let hit_rate = sum(&serve_rows, "cache_hits") / sum(&serve_rows, "queries").max(1.0);
-    let threads: Vec<String> = thread_counts.iter().map(|t| t.to_string()).collect();
-    let parallelism = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let threads = THREADS.map(|t| t.to_string()).join(", ");
+    let parallelism = std::thread::available_parallelism().expect("the core count is known");
     let document = row! {
-        "mode": quoted(if smoke { "smoke" } else { "full" }),
+        // The one configuration; the key keeps files of every run comparable.
+        "mode": quoted("full"),
         "context": object(&row! {
-            "available_parallelism": parallelism, "threads_tested": format!("[{}]", threads.join(", ")),
+            "available_parallelism": parallelism, "threads_tested": format!("[{threads}]"),
             "build_profile": quoted(if cfg!(debug_assertions) { "debug" } else { "release" }),
             "debug_assertions": cfg!(debug_assertions),
         }),
@@ -520,7 +569,8 @@ fn main() {
         "synth": list(&synth_rows), "npn": list(slice::from_ref(&npn_row)),
         "totals": object(&row! {
             "wall_s": format!("{wall_s:.6}"), "propagations_per_sec": format!("{props_per_sec:.0}"),
-            "words_per_sec": words_per_sec, "deadline_interrupts": sum(kernels(), "deadline_interrupts"),
+            "words_per_sec": sum([&sim_row], "words_per_sec"),
+            "deadline_interrupts": sum(kernels(), "deadline_interrupts"),
             "cancellations": sum(kernels(), "cancellations"),
             "shard_failures": sum(kernels(), "shard_failures"),
             "serve_cache_hit_rate": format!("{hit_rate:.4}"), "serve_retries": sum(&serve_rows, "retries"),

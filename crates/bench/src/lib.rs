@@ -15,7 +15,8 @@
 //! Scale is controlled by the `CSAT_SCALE` environment variable
 //! (`quick` | `standard` | `full`; any other value panics); `run_all`
 //! defaults to `standard`. The `bench_hotpath` binary times the hot
-//! kernels and writes `BENCH_hotpath.json`.
+//! kernels and writes `BENCH_hotpath.json`; `bench_validate` checks a
+//! fresh file against the committed one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

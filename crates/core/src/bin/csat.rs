@@ -105,15 +105,37 @@ const EXIT_FAILED: u8 = 1;
 /// Exit code for usage errors (bad flags, unreadable input, ...).
 const EXIT_USAGE: u8 = 2;
 
+/// A command line that stops before its command runs: `--help` or `-h`
+/// where a command or flag may stand prints the usage text on stdout and
+/// exits 0; a usage or input error prints its message and the usage text
+/// on stderr and exits 2.
+#[derive(Debug, PartialEq)]
+enum Usage {
+    Help,
+    Error(String),
+}
+
+impl From<String> for Usage {
+    fn from(msg: String) -> Usage {
+        Usage::Error(msg)
+    }
+}
+
+impl From<&str> for Usage {
+    fn from(msg: &str) -> Usage {
+        Usage::Error(msg.to_string())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Usage::Help) => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Err(Usage::Error(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
@@ -122,18 +144,18 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, Usage> {
     let cmd = args.first().ok_or("missing command")?;
-    if cmd == "gen" {
-        return run_gen(args);
-    }
-    if cmd == "serve" {
-        return run_serve(&parse_flags(&args[1..], SERVE_FLAGS)?);
+    match cmd.as_str() {
+        "--help" | "-h" => return Err(Usage::Help),
+        "gen" => return run_gen(args),
+        "serve" => return Ok(run_serve(&parse_flags(&args[1..], SERVE_FLAGS)?)?),
+        _ => {}
     }
     let path = args.get(1).ok_or("missing instance path")?;
     match cmd.as_str() {
-        "batch" => run_batch(path, &parse_flags(&args[2..], BATCH_FLAGS)?),
-        "bmc" => run_bmc(path, &parse_flags(&args[2..], BMC_FLAGS)?),
+        "batch" => Ok(run_batch(path, &parse_flags(&args[2..], BATCH_FLAGS)?)?),
+        "bmc" => Ok(run_bmc(path, &parse_flags(&args[2..], BMC_FLAGS)?)?),
         "stats" => {
             parse_flags(&args[2..], "")?;
             let instance = load(path)?;
@@ -166,14 +188,14 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        "fraig" => run_fraig(path, &parse_flags(&args[2..], FRAIG_FLAGS)?),
-        "solve" => run_solve(path, &parse_flags(&args[2..], SOLVE_FLAGS)?),
+        "fraig" => Ok(run_fraig(path, &parse_flags(&args[2..], FRAIG_FLAGS)?)?),
+        "solve" => Ok(run_solve(path, &parse_flags(&args[2..], SOLVE_FLAGS)?)?),
         "check" => {
             let proof = args.get(2).ok_or("check: missing proof path")?;
             parse_flags(&args[3..], "")?;
-            run_check(path, proof)
+            Ok(run_check(path, proof)?)
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
@@ -516,7 +538,7 @@ fn run_fraig(path: &str, flags: &Flags) -> Result<ExitCode, String> {
 }
 
 /// `csat gen`: write a generated workload as ASCII AIGER.
-fn run_gen(args: &[String]) -> Result<ExitCode, String> {
+fn run_gen(args: &[String]) -> Result<ExitCode, Usage> {
     let family = args.get(1).ok_or("gen: missing family (try 'php')")?;
     let (aig, flags) = match family.as_str() {
         "php" => {
@@ -531,7 +553,7 @@ fn run_gen(args: &[String]) -> Result<ExitCode, String> {
             let flags = parse_flags(&args[3..], "-o=")?;
             (workloads::cnf_gen::pigeonhole_aig(holes), flags)
         }
-        other => return Err(format!("unknown gen family '{other}'")),
+        other => return Err(format!("unknown gen family '{other}'").into()),
     };
     match flags.value("-o") {
         Some(out) => {
@@ -1092,13 +1114,13 @@ const BATCH_FLAGS: &str = "--workers= --queue= --timeout-ms= --conflicts= --retr
                            --trace= --shed --metrics --batch-timeout-ms=";
 
 /// One command's flags as [`parse_flags`] read them, in order: each flag
-/// given, with its value if it takes one. The handlers read flags only
-/// from here, so no argument is read both as a value and as a flag.
+/// given, once, with its value if it takes one. The handlers read flags
+/// only from here, so no argument is read both as a value and as a flag.
 #[derive(Debug, Default)]
 struct Flags(Vec<(&'static str, Option<String>)>);
 
 impl Flags {
-    /// The value given to `name` (its first occurrence), if any.
+    /// The value given to `name`, if any.
     fn value(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
@@ -1121,26 +1143,34 @@ impl Flags {
 
 /// Parses a command's arguments against its flag list in one pass. A
 /// value flag takes the next argument as its value, whatever it looks
-/// like; a value flag at the end, or any argument the command does not
-/// accept, is an error (catching typos that would otherwise be silently
-/// ignored, and never letting a dangling flag fall back to a default).
-fn parse_flags(args: &[String], spec: &'static str) -> Result<Flags, String> {
+/// like; `--help` or `-h` anywhere else asks for the usage text. A value
+/// flag at the end, a flag given twice, or any argument the command does
+/// not accept is an error (catching typos that would otherwise be
+/// silently ignored, and never letting a dangling flag fall back to a
+/// default or a repeat quietly lose to the first).
+fn parse_flags(args: &[String], spec: &'static str) -> Result<Flags, Usage> {
     let mut flags = Flags::default();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
+        if a == "--help" || a == "-h" {
+            return Err(Usage::Help);
+        }
         let Some(flag) = spec
             .split_whitespace()
             .find(|f| f.strip_suffix('=').unwrap_or(f) == a)
         else {
-            return Err(format!("unexpected argument '{a}'"));
+            return Err(format!("unexpected argument '{a}'").into());
         };
-        flags.0.push(match flag.strip_suffix('=') {
-            Some(name) => {
-                let value = rest.next().ok_or(format!("flag {name} needs a value"))?;
-                (name, Some(value.clone()))
-            }
-            None => (flag, None),
-        });
+        let name = flag.strip_suffix('=').unwrap_or(flag);
+        if flags.has(name) {
+            return Err(format!("flag {name} given twice").into());
+        }
+        let value = if flag.ends_with('=') {
+            Some(rest.next().ok_or(format!("flag {name} needs a value"))?)
+        } else {
+            None
+        };
+        flags.0.push((name, value.cloned()));
     }
     Ok(flags)
 }
@@ -1153,6 +1183,14 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// The message of a usage error.
+    fn usage_error<T: std::fmt::Debug>(r: Result<T, Usage>) -> String {
+        match r {
+            Err(Usage::Error(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
     /// The pipeline a `solve` or `encode` command line configures.
     fn pipeline_for(args: &[&str]) -> Result<String, String> {
         let spec = if args[0] == "encode" {
@@ -1160,7 +1198,7 @@ mod tests {
         } else {
             SOLVE_FLAGS
         };
-        let flags = parse_flags(&strings(&args[2..]), spec)?;
+        let flags = parse_flags(&strings(&args[2..]), spec).expect("well-formed flags");
         make_pipeline(&flags, None, &obs::Registry::disabled()).map(|p| p.name())
     }
 
@@ -1192,7 +1230,7 @@ mod tests {
     #[test]
     fn rejection_is_a_usage_error_before_the_input_is_read() {
         let args = strings(&["encode", "missing.aag", "--pipeline", "comp", "--sweep"]);
-        let err = run(&args).expect_err("usage error");
+        let err = usage_error(run(&args));
         assert!(err.contains("--sweep"), "{err}");
     }
 
@@ -1208,8 +1246,156 @@ mod tests {
         assert!(!obs_cli.metrics);
         assert!(!obs_cli.reg.is_enabled());
         // A value flag at the end has no value.
-        let err = parse_flags(&strings(&["--proof"]), SOLVE_FLAGS).expect_err("dangling flag");
+        let err = usage_error(parse_flags(&strings(&["--proof"]), SOLVE_FLAGS));
         assert!(err.contains("--proof"), "{err}");
+    }
+
+    #[test]
+    fn help_is_read_only_where_a_flag_may_stand() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["solve", "missing.aag", "--help"],
+            &["solve", "missing.aag", "--pipeline", "baseline", "-h"],
+            &["serve", "-h"],
+            &["gen", "php", "3", "--help"],
+            &["check", "missing.cnf", "missing.drat", "-h"],
+        ] {
+            assert_eq!(run(&strings(args)), Err(Usage::Help), "{args:?}");
+        }
+        // As a value, `-h` is a file name: the certificate goes to `-h`.
+        let args = strings(&["--pipeline", "baseline", "--proof", "-h"]);
+        let flags = parse_flags(&args, SOLVE_FLAGS).expect("well-formed");
+        assert_eq!(flags.value("--proof"), Some("-h"));
+        let args = strings(&["--timeout-ms", "--help"]);
+        let flags = parse_flags(&args, FRAIG_FLAGS).expect("well-formed");
+        assert_eq!(flags.value("--timeout-ms"), Some("--help"));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_a_usage_error_that_names_it() {
+        let args = [
+            "--pipeline",
+            "baseline",
+            "--conflicts",
+            "1",
+            "--conflicts",
+            "100000",
+        ];
+        let err = usage_error(parse_flags(&strings(&args), SOLVE_FLAGS));
+        assert_eq!(err, "flag --conflicts given twice");
+        let err = usage_error(parse_flags(&strings(&["--sweep", "--sweep"]), SOLVE_FLAGS));
+        assert_eq!(err, "flag --sweep given twice");
+        // Before the input is read.
+        let mut args = vec!["solve", "missing.aag"];
+        args.extend(["--trace", "a.jsonl", "--metrics", "--trace", "b.jsonl"]);
+        assert_eq!(
+            usage_error(run(&strings(&args))),
+            "flag --trace given twice"
+        );
+    }
+
+    /// A scratch directory for one test, removed when dropped.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("csat-{test}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("create a scratch directory");
+            Scratch(dir)
+        }
+
+        /// The path of `name` in the directory.
+        fn path(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+
+        /// Writes php(`holes`) as ASCII AIGER and returns its path.
+        fn php(&self, holes: u32) -> String {
+            let path = self.path(&format!("php{holes}.aag"));
+            let aag = aig::aiger::to_aag_string(&workloads::cnf_gen::pigeonhole_aig(holes));
+            std::fs::write(&path, aag).expect("write the instance");
+            path
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Reads back a JSONL trace csat wrote and checks its span stream
+    /// with `obs::check::validate`.
+    fn read_trace(path: &str) -> (Vec<obs::Event>, obs::Snapshot) {
+        let text = std::fs::read_to_string(path).expect("the trace was written");
+        let (events, metrics) = obs::export::from_jsonl(&text).expect("the trace is JSONL");
+        assert!(!events.is_empty(), "the trace has events");
+        obs::check::validate(&events).expect("the span stream is well-formed");
+        (events, metrics)
+    }
+
+    /// The exit events of spans named `name`.
+    fn exits<'a>(events: &'a [obs::Event], name: &str) -> Vec<&'a obs::Event> {
+        let exit = |e: &&obs::Event| e.kind == obs::EventKind::Exit && e.name == name;
+        events.iter().filter(exit).collect()
+    }
+
+    #[test]
+    fn traced_solves_write_traces_that_agree_with_their_metrics() {
+        let dir = Scratch::new("traced-solve");
+        let php = dir.php(8);
+        for presolve in [false, true] {
+            let trace = dir.path(&format!("presolve-{presolve}.jsonl"));
+            let mut args = vec!["solve", &php, "--pipeline", "baseline", "--trace", &trace];
+            args.push(if presolve { "--presolve" } else { "--metrics" });
+            assert_eq!(run(&strings(&args)), Ok(ExitCode::from(EXIT_UNSAT)));
+            let (events, metrics) = read_trace(&trace);
+            let solves = exits(&events, "sat.solve");
+            assert!(!solves.is_empty(), "no sat.solve span");
+            // One name per number: each per-solve span field sums to its
+            // `sat.*` counter, and no `sat.stats.*` mirror of them is left.
+            for field in ["conflicts", "decisions", "propagations"] {
+                let spans = obs::check::sum_field(&events, "sat.solve", field);
+                let counter = metrics.value(&format!("sat.{field}"));
+                assert_eq!(Some(spans), counter, "{field}, presolve {presolve}");
+            }
+            let mirror = metrics
+                .counters
+                .iter()
+                .find(|(k, _)| k.starts_with("sat.stats."));
+            assert_eq!(mirror, None);
+            let presolves = exits(&events, "sat.presolve").len();
+            assert_eq!(presolves, usize::from(presolve), "presolve {presolve}");
+        }
+    }
+
+    #[test]
+    fn a_traced_batch_certifies_the_hit_once_under_its_query() {
+        let dir = Scratch::new("traced-batch");
+        let php = dir.php(4);
+        let queries = dir.path("queries.txt");
+        std::fs::write(&queries, format!("solve {php}\nsolve {php}\n")).expect("write queries");
+        let trace = dir.path("batch.jsonl");
+        let args = ["batch", &queries, "--workers", "1", "--trace", &trace];
+        assert_eq!(run(&strings(&args)), Ok(ExitCode::from(EXIT_UNSAT)));
+        let (events, _) = read_trace(&trace);
+        // One worker: the duplicate hits the cache, and its first reuse
+        // checks the certificate under one serve.certify span, a child of
+        // that query's serve.query span. The checker accepted it
+        // (booleans are recorded as 0 or 1).
+        let certify = exits(&events, "serve.certify");
+        assert_eq!(certify.len(), 1, "{certify:?}");
+        let parent = events
+            .iter()
+            .find(|e| e.kind == obs::EventKind::Enter && e.span == certify[0].span)
+            .map(|e| e.parent);
+        let query = events
+            .iter()
+            .find(|e| e.kind == obs::EventKind::Enter && Some(e.span) == parent);
+        assert_eq!(query.map(|e| e.name), Some("serve.query"));
+        let accepted = certify[0].fields.iter().find(|(k, _)| *k == "accepted");
+        assert_eq!(accepted, Some(&("accepted", obs::FieldValue::U64(1))));
     }
 
     #[test]

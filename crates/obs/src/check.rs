@@ -1,10 +1,12 @@
 //! Structural validation of drained event streams.
 //!
-//! Used by the test suites (well-formedness under chaos plans) and by the
-//! CI trace checker: a valid stream has unique sequence numbers, balanced
-//! enter/exit pairs, children strictly nested inside their parents (by
-//! sequence number), instant events inside their span's window, and
-//! per-thread non-decreasing timestamps.
+//! Used by the test suites (well-formedness under chaos plans, and the
+//! traces `csat` writes, read back with
+//! [`export::from_jsonl`](crate::export::from_jsonl)) and by the
+//! benchmarks' span-tree readers: a valid stream has unique sequence
+//! numbers, balanced enter/exit pairs, children strictly nested inside
+//! their parents (by sequence number), instant events inside their
+//! span's window, and per-thread non-decreasing timestamps.
 
 use crate::span::{Event, EventKind, SpanId};
 use std::collections::BTreeMap;

@@ -40,6 +40,7 @@
 
 pub mod check;
 pub mod export;
+pub mod json;
 mod metrics;
 mod span;
 

@@ -93,7 +93,7 @@ impl std::fmt::Display for FieldValue {
 }
 
 /// One buffered trace event.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Nanoseconds since the registry's epoch (monotonic clock).
     pub ts_ns: u64,
