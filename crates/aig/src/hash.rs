@@ -9,6 +9,8 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash-style hasher: fold every word in with a rotate-xor-multiply step.
+/// Byte slices (a truth table's words, say) fold eight bytes per step,
+/// little-endian, and their tail one byte per step.
 #[derive(Debug, Default, Clone)]
 pub struct FastHasher {
     state: u64,
@@ -24,7 +26,11 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        for &b in words.remainder() {
             self.write_u64(b as u64);
         }
     }
@@ -75,5 +81,18 @@ mod tests {
         let mut h3 = FastHasher::default();
         h3.write_u64(43);
         assert_ne!(h1.finish(), h3.finish());
+    }
+
+    #[test]
+    fn bytes_fold_eight_per_step_then_the_tail_one_by_one() {
+        let bytes: Vec<u8> = (1..=11).collect();
+        let mut slice = FastHasher::default();
+        slice.write(&bytes);
+        let mut steps = FastHasher::default();
+        steps.write_u64(0x0807_0605_0403_0201);
+        for b in [9, 10, 11] {
+            steps.write_u64(b);
+        }
+        assert_eq!(slice.finish(), steps.finish());
     }
 }

@@ -504,6 +504,29 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + 3 * scale.test_count);
     }
 
+    /// Training repeats bit for bit: two quick trainings give the same
+    /// Q-values, `f64` bit patterns and all, at the rollout state of every
+    /// quick test instance. The digest is pinned, so it also pins what
+    /// training sees of each synthesis op, refactoring (action 2) included.
+    #[test]
+    fn quick_training_repeats_bit_for_bit() {
+        use std::hash::Hasher;
+        let scale = Scale::quick();
+        let digest = |agent: &DqnAgent| {
+            let mut h = aig::hash::FastHasher::default();
+            for inst in test_split(&scale) {
+                let env = rl::env::SynthEnv::new_rollout(&inst.aig, EnvConfig::default());
+                for q in agent.q_values(&env.state()) {
+                    h.write_u64(q.to_bits());
+                }
+            }
+            h.finish()
+        };
+        let first = digest(&trained_agent(&scale));
+        assert_eq!(first, digest(&trained_agent(&scale)));
+        assert_eq!(first, 0xac35_9bc9_82bc_8321);
+    }
+
     #[test]
     fn ext_quick_counts_hold() {
         let arms = ext(&Scale::quick());

@@ -113,8 +113,10 @@ impl Query {
     /// rejected here, synchronously, so the queue and the workers only ever
     /// see well-formed instances.
     pub fn normalize(&self) -> Result<NormalizedQuery, QueryError> {
+        // A solve query's graph is read in place; the others build theirs.
+        let built;
         let instance = match self {
-            Query::Solve(a) => a.clone(),
+            Query::Solve(a) => a,
             Query::Lec(a, b) => {
                 if a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos() {
                     return Err(QueryError::ShapeMismatch {
@@ -125,13 +127,15 @@ impl Query {
                 if a.num_pos() == 0 {
                     return Err(QueryError::NoOutputs);
                 }
-                workloads::lec::miter(a, b)
+                built = workloads::lec::miter(a, b);
+                &built
             }
             Query::Bmc(m, k) => {
                 if *k == 0 {
                     return Err(QueryError::ZeroBound);
                 }
-                m.bmc_instance(*k)
+                built = m.bmc_instance(*k);
+                &built
             }
         };
         if instance.num_pos() == 0 {

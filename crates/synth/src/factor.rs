@@ -4,11 +4,16 @@
 //! `refactor` citation), a sum-of-products cover is turned into a factored
 //! form by *literal division*: pick the most frequent literal `l`, split the
 //! cover into `l · Q + R`, and recurse. The factored form is then emitted
-//! as an AND/OR structure via [`StructBuilder`].
+//! as an AND/OR structure via [`StructBuilder`]. The recursion partitions
+//! cubes inside one arena: each level appends its quotient and remainder,
+//! each in cover order, past the end of one vector of cubes and truncates
+//! them on return.
 //!
 //! [`best_structure`] combines this generator with the decomposition engine
 //! of [`crate::dsd`] and returns the smaller result — our stand-in for the
-//! pre-computed optimal structures of ABC's rewriting library.
+//! pre-computed optimal structures of ABC's rewriting library. The tests
+//! require both engines to return the gate lists of full-table reference
+//! generators kept in the test tree (`oracle.rs`).
 
 use crate::builder::{sig_not, Sig, StructBuilder, SIG_FALSE, SIG_TRUE};
 use aig::{Cube, GateList, Tt};
@@ -18,33 +23,34 @@ use aig::{Cube, GateList, Tt};
 /// Both `f` and `!f` are factored; the smaller structure (complemented back
 /// if needed) wins.
 pub fn factor(f: &Tt) -> GateList {
-    let mut cover = Vec::new();
-    f.isop_into(false, &mut cover);
-    let pos = factor_cover(f.nvars(), &cover);
-    cover.clear();
-    f.isop_into(true, &mut cover);
-    let neg = factor_cover(f.nvars(), &cover);
+    let mut cubes = Vec::new();
+    f.isop_into(false, &mut cubes);
+    let pos = factor_cover(f.nvars(), &mut cubes);
+    cubes.clear();
+    f.isop_into(true, &mut cubes);
+    let neg = factor_cover(f.nvars(), &mut cubes);
     if pos.size() <= neg.size() {
         pos
     } else {
         GateList {
-            root: flip_root(neg.root),
+            root: sig_not(neg.root),
             ..neg
         }
     }
 }
 
-fn flip_root(root: Sig) -> Sig {
-    sig_not(root)
-}
-
-fn factor_cover(nvars: usize, cover: &[Cube]) -> GateList {
+/// Factors the cover `cubes` holds. The vector is the arena of the
+/// recursion: each level appends its quotient and remainder and truncates
+/// them on return.
+fn factor_cover(nvars: usize, cubes: &mut Vec<Cube>) -> GateList {
     let mut b = StructBuilder::new(nvars);
-    let root = factor_rec(cover, &mut b);
+    let root = factor_rec(cubes, 0, cubes.len(), &mut b);
     b.finish(root)
 }
 
-fn factor_rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
+/// Factors the cover `arena[lo..hi]`.
+fn factor_rec(arena: &mut Vec<Cube>, lo: usize, hi: usize, b: &mut StructBuilder) -> Sig {
+    let cover = &arena[lo..hi];
     if cover.is_empty() {
         return SIG_FALSE;
     }
@@ -54,50 +60,66 @@ fn factor_rec(cover: &[Cube], b: &mut StructBuilder) -> Sig {
     if cover.len() == 1 {
         return build_cube(&cover[0], b);
     }
-    // Most frequent literal over the cover.
+    // Divide by the most frequent literal: the quotient (the cubes with
+    // the literal, which they drop) then the remainder, each in cover
+    // order, past the end of the arena.
     let (var, positive) = most_frequent_literal(cover);
-    let mut quotient = Vec::new();
-    let mut remainder = Vec::new();
     let bit = 1u32 << var;
-    for c in cover {
-        if c.mask & bit != 0 && (c.vals & bit != 0) == positive {
-            let mut q = *c;
-            q.mask &= !bit;
-            q.vals &= !bit;
-            quotient.push(q);
-        } else {
-            remainder.push(*c);
+    let has_lit = |c: &Cube| c.mask & bit != 0 && (c.vals & bit != 0) == positive;
+    let top = arena.len();
+    for i in lo..hi {
+        let c = arena[i];
+        if has_lit(&c) {
+            arena.push(Cube {
+                mask: c.mask & !bit,
+                vals: c.vals & !bit,
+            });
         }
     }
-    debug_assert!(!quotient.is_empty());
-    let q_sig = factor_rec(&quotient, b);
+    let mid = arena.len();
+    for i in lo..hi {
+        let c = arena[i];
+        if !has_lit(&c) {
+            arena.push(c);
+        }
+    }
+    let end = arena.len();
+    debug_assert!(mid > top);
+    let q_sig = factor_rec(arena, top, mid, b);
     let lit_sig = if positive {
         b.leaf(var)
     } else {
         sig_not(b.leaf(var))
     };
     let lhs = b.and(lit_sig, q_sig);
-    if remainder.is_empty() {
+    let s = if mid == end {
         lhs
     } else {
-        let r_sig = factor_rec(&remainder, b);
+        let r_sig = factor_rec(arena, mid, end, b);
         b.or(lhs, r_sig)
-    }
+    };
+    arena.truncate(top);
+    s
 }
 
 fn build_cube(c: &Cube, b: &mut StructBuilder) -> Sig {
     let mut acc = SIG_TRUE;
-    for (v, pos) in c.lits() {
-        let l = if pos { b.leaf(v) } else { sig_not(b.leaf(v)) };
-        acc = b.and(acc, l);
+    let mut lits = c.mask;
+    while lits != 0 {
+        let v = lits.trailing_zeros() as usize;
+        lits &= lits - 1;
+        let l = b.leaf(v);
+        acc = b.and(acc, if c.vals >> v & 1 != 0 { l } else { sig_not(l) });
     }
     acc
 }
 
 fn most_frequent_literal(cover: &[Cube]) -> (usize, bool) {
     // Literal counts in one pass over the cubes' literals.
-    let (mut pos, mut neg) = ([0usize; 32], [0usize; 32]);
+    let (mut pos, mut neg) = ([0u32; 32], [0u32; 32]);
+    let mut present = 0u32;
     for c in cover {
+        present |= c.mask;
         let mut lits = c.mask;
         while lits != 0 {
             let v = lits.trailing_zeros() as usize;
@@ -111,8 +133,10 @@ fn most_frequent_literal(cover: &[Cube]) -> (usize, bool) {
     }
     // Ties go to the lowest variable, positive literal first.
     let mut best = (0usize, true);
-    let mut best_count = 0usize;
-    for v in 0..32 {
+    let mut best_count = 0;
+    while present != 0 {
+        let v = present.trailing_zeros() as usize;
+        present &= present - 1;
         if pos[v] > best_count {
             best_count = pos[v];
             best = (v, true);

@@ -38,6 +38,8 @@ mod balance;
 pub mod builder;
 pub mod dsd;
 pub mod factor;
+#[cfg(test)]
+mod oracle;
 pub mod plan;
 pub mod recipe;
 mod refactor;

@@ -10,7 +10,11 @@
 //! Synthesis dominates the pass, and a graph repeats cut functions (an
 //! adder's bit slices, say), so one call memoises the structure of each
 //! cut function it has synthesised. The memo lives for that call only: a
-//! second call on the same graph synthesises everything again.
+//! second call on the same graph synthesises everything again. Neither
+//! generator allocates per recursion step: decomposition works on
+//! tables reduced to each sub-function's support (most depend on six
+//! variables or fewer, so one word instead of the cut's 16) and factoring
+//! partitions its cubes in one arena.
 
 use crate::factor::best_structure;
 use crate::plan::{dry_run_cost, rebuild, Choice};
@@ -23,6 +27,13 @@ const MAX_LEAVES: usize = 10;
 
 /// Refactors the graph, returning a functionally equivalent one.
 pub fn refactor(aig: &Aig) -> Aig {
+    refactor_with(aig, best_structure)
+}
+
+/// [`refactor`] with `synthesise` in place of [`best_structure`]: it is
+/// called once per distinct cut function, which lets the tests see every
+/// function refactoring meets.
+pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateList) -> Aig {
     let mut mffc = Mffc::new(aig);
     let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
@@ -44,7 +55,7 @@ pub fn refactor(aig: &Aig) -> Aig {
             continue; // nothing worth saving here
         }
         let f = window.cut_function(aig, v, &leaves);
-        let gl = memo.entry(f).or_insert_with_key(best_structure);
+        let gl = memo.entry(f).or_insert_with_key(|f| synthesise(f));
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
         let cost = dry_run_cost(aig, &leaf_lits, gl, &cone);
         let gain = cone.len() as i64 - cost as i64;
