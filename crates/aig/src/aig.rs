@@ -294,17 +294,42 @@ impl Aig {
         fc
     }
 
-    /// Explicit fanout lists (AND-gate consumers only, no POs).
-    pub fn fanout_lists(&self) -> Vec<Vec<Var>> {
-        let mut out = vec![Vec::new(); self.nodes.len()];
+    /// The AND-gate consumers of every node (POs are not listed), in one
+    /// arena; see [`Fanouts`].
+    pub fn fanouts(&self) -> Fanouts {
+        let n = self.nodes.len();
+        let fanin_vars = |v: Var| {
+            let node = &self.nodes[v as usize];
+            (node.fanin0.var(), node.fanin1.var())
+        };
+        // Count into `offsets[u + 1]`, then prefix-sum.
+        let mut offsets = vec![0u32; n + 1];
         for v in self.iter_ands() {
-            let n = &self.nodes[v as usize];
-            out[n.fanin0.var() as usize].push(v);
-            if n.fanin1.var() != n.fanin0.var() {
-                out[n.fanin1.var() as usize].push(v);
+            let (a, b) = fanin_vars(v);
+            offsets[a as usize + 1] += 1;
+            if b != a {
+                offsets[b as usize + 1] += 1;
             }
         }
-        out
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        // Consumers are placed in ascending order of `v`, so every row
+        // comes out sorted.
+        let mut next = offsets[..n].to_vec();
+        let mut consumers = vec![0; offsets[n] as usize];
+        let mut place = |u: Var, v: Var| {
+            consumers[next[u as usize] as usize] = v;
+            next[u as usize] += 1;
+        };
+        for v in self.iter_ands() {
+            let (a, b) = fanin_vars(v);
+            place(a, v);
+            if b != a {
+                place(b, v);
+            }
+        }
+        Fanouts { offsets, consumers }
     }
 
     /// Marks every node reachable from the POs (transitive fanin).
@@ -459,6 +484,27 @@ impl Aig {
             .iter()
             .map(|l| val[l.var() as usize] ^ l.is_compl())
             .collect()
+    }
+}
+
+/// The AND-gate consumers of every node of a graph, from [`Aig::fanouts`],
+/// in compressed sparse rows: one offsets array and one flat consumer
+/// array. A node's row lists each consumer once, in strictly ascending
+/// order, so a walk that wants only consumers below some node can stop at
+/// the first one that is not.
+#[derive(Clone, Debug)]
+pub struct Fanouts {
+    /// Node `v`'s row is `consumers[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    consumers: Vec<Var>,
+}
+
+impl Fanouts {
+    /// The AND gates that read node `v`, ascending.
+    #[inline]
+    pub fn of(&self, v: Var) -> &[Var] {
+        let v = v as usize;
+        &self.consumers[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 }
 
@@ -660,6 +706,40 @@ mod tests {
         let fc = g.fanout_counts();
         assert_eq!(fc[x.var() as usize], 2);
         assert_eq!(fc[a.var() as usize], 1);
+    }
+
+    /// Resubstitution's side-divisor walk stops at the first consumer that
+    /// is not below its node, which is sound only if every row ascends.
+    /// The reference builds each row as its own vector.
+    #[test]
+    fn fanout_rows_ascend_and_match_nested_lists() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = Aig::new();
+            let mut pool = g.add_pis(2 + seed as usize % 7);
+            for _ in 0..40 + 10 * seed {
+                let a = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+                let b = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+                let l = g.and(a, b);
+                pool.push(l);
+            }
+            g.add_po(pool[pool.len() - 1]);
+            let mut nested = vec![Vec::new(); g.num_nodes()];
+            for v in g.iter_ands() {
+                let n = g.node(v);
+                nested[n.fanin0().var() as usize].push(v);
+                if n.fanin1().var() != n.fanin0().var() {
+                    nested[n.fanin1().var() as usize].push(v);
+                }
+            }
+            let fanouts = g.fanouts();
+            for u in 0..g.num_nodes() as Var {
+                let row = fanouts.of(u);
+                assert_eq!(row, nested[u as usize], "seed {seed} node {u}");
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "seed {seed} node {u}");
+            }
+        }
     }
 
     #[test]

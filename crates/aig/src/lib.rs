@@ -14,7 +14,8 @@
 //! * k-feasible cut enumeration ([`cut`]) and window truth tables over a
 //!   cut ([`Window`]),
 //! * exact NPN canonisation of 4-variable functions ([`npn`]),
-//! * MFFC computation for rewriting gain ([`mffc`]).
+//! * MFFC computation for rewriting gain ([`mffc`]) and every node's AND
+//!   consumers in one arena ([`Fanouts`]).
 //!
 //! ## Quick example
 //!
@@ -50,7 +51,7 @@ pub mod sim;
 pub mod tt;
 pub mod window;
 
-pub use crate::aig::{Aig, GateList};
+pub use crate::aig::{Aig, Fanouts, GateList};
 pub use crate::compile::SimProgram;
 pub use crate::lit::{Lit, Var};
 pub use crate::node::Node;

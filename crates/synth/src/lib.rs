@@ -42,6 +42,7 @@ pub mod factor;
 mod oracle;
 pub mod plan;
 pub mod recipe;
+mod reconv;
 mod refactor;
 mod resub;
 mod rewrite;

@@ -1,12 +1,17 @@
-//! The full-table structure generators that the arena engines of
-//! [`crate::dsd`] and [`crate::factor`] replaced, kept as their oracle:
-//! every recursion step here clones whole tables, allocates its cover
-//! partitions and keys the memo by the full table. The tests assert that
-//! the engines return exactly these gate lists.
+//! Reference implementations of engines that were rebuilt for speed, kept
+//! in the test tree as their oracles.
+//!
+//! Here: the full-table structure generators that the arena engines of
+//! [`crate::dsd`] and [`crate::factor`] replaced. Every recursion step
+//! clones whole tables, allocates its cover partitions and keys the memo
+//! by the full table. The tests assert that the engines return exactly
+//! these gate lists. The submodule `resub` holds resubstitution's oracle.
 
 use crate::builder::{sig_not, Sig, StructBuilder, SIG_FALSE, SIG_TRUE};
 use aig::hash::FastMap;
-use aig::{Cube, GateList, Tt};
+use aig::{Aig, Cube, GateList, Lit, Tt};
+
+mod resub;
 
 /// Structure of `f` by recursive decomposition over full tables.
 pub(crate) fn decompose(f: &Tt) -> GateList {
@@ -206,9 +211,41 @@ pub(crate) fn best_structure(f: &Tt) -> GateList {
     }
 }
 
+/// `synth_equivalence`'s random graph.
+fn random_aig(seed: u64, n_pis: usize, n_gates: usize) -> Aig {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut g = Aig::new();
+    let mut pool: Vec<Lit> = g.add_pis(n_pis);
+    for _ in 0..n_gates {
+        let a = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+        let b = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
+        let l = match rng.gen_range(0..4) {
+            0 | 1 => g.and(a, b),
+            2 => g.or(a, b),
+            _ => g.xor(a, b),
+        };
+        pool.push(l);
+    }
+    let n = pool.len();
+    g.add_po(pool[n - 1]);
+    g.add_po(pool[n - 2].xor_compl(true));
+    g
+}
+
+/// `synth_equivalence`'s four pinned graphs.
+fn pinned_graphs() -> [Aig; 4] {
+    use workloads::datapath::{alu, carry_lookahead_adder, ripple_carry_adder};
+    [
+        ripple_carry_adder(16).aig,
+        carry_lookahead_adder(12).aig,
+        alu(8).aig,
+        random_aig(2025, 12, 220),
+    ]
+}
+
 mod tests {
     use super::*;
-    use aig::{Aig, Lit};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -261,41 +298,13 @@ mod tests {
         }
     }
 
-    /// `synth_equivalence`'s random graph.
-    fn random_aig(seed: u64, n_pis: usize, n_gates: usize) -> Aig {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = Aig::new();
-        let mut pool: Vec<Lit> = g.add_pis(n_pis);
-        for _ in 0..n_gates {
-            let a = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
-            let b = pool[rng.gen_range(0..pool.len())].xor_compl(rng.gen());
-            let l = match rng.gen_range(0..4) {
-                0 | 1 => g.and(a, b),
-                2 => g.or(a, b),
-                _ => g.xor(a, b),
-            };
-            pool.push(l);
-        }
-        let n = pool.len();
-        g.add_po(pool[n - 1]);
-        g.add_po(pool[n - 2].xor_compl(true));
-        g
-    }
-
     /// Every cut function refactoring synthesises on `synth_equivalence`'s
     /// four pinned graphs, as given and as the size script hands them to
     /// refactoring (after balancing and rewriting).
     #[test]
     fn every_cut_function_refactor_meets() {
-        use workloads::datapath::{alu, carry_lookahead_adder, ripple_carry_adder};
-        let graphs = [
-            ripple_carry_adder(16).aig,
-            carry_lookahead_adder(12).aig,
-            alu(8).aig,
-            random_aig(2025, 12, 220),
-        ];
         let mut seen = 0;
-        for g in &graphs {
+        for g in &pinned_graphs() {
             let scripted = crate::rewrite(&crate::balance(g), false);
             for input in [g, &scripted] {
                 crate::refactor::refactor_with(input, |f| {

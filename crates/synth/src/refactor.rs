@@ -15,9 +15,14 @@
 //! tables reduced to each sub-function's support (most depend on six
 //! variables or fewer, so one word instead of the cut's 16) and factoring
 //! partitions its cubes in one arena.
+//!
+//! Cuts come from the builder resubstitution shares (`crate::reconv`): it
+//! marks leaves with epoch stamps instead of scanning the leaf list, and
+//! one builder serves the whole pass.
 
 use crate::factor::best_structure;
 use crate::plan::{dry_run_cost, rebuild, Choice};
+use crate::reconv::ReconvCut;
 use aig::hash::FastMap;
 use aig::mffc::Mffc;
 use aig::{Aig, GateList, Lit, Tt, Var, Window};
@@ -35,7 +40,7 @@ pub fn refactor(aig: &Aig) -> Aig {
 /// function refactoring meets.
 pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateList) -> Aig {
     let mut mffc = Mffc::new(aig);
-    let fanout = aig.fanout_counts();
+    let mut cuts = ReconvCut::new(aig);
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
     let mut window = Window::new();
     let mut cone: Vec<Var> = Vec::new();
@@ -43,18 +48,19 @@ pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateLi
     let mut memo: FastMap<Tt, GateList> = FastMap::default();
 
     for v in aig.iter_ands() {
-        if fanout[v as usize] == 0 {
+        // Every MFFC query restores the counts, so this is v's fanout.
+        if mffc.refs(v) == 0 {
             continue;
         }
-        let leaves = reconvergence_cut(aig, v, MAX_LEAVES);
+        let leaves = cuts.cut(aig, v, MAX_LEAVES);
         if leaves.len() < 2 {
             continue;
         }
-        mffc.cone_collect(aig, v, &leaves, &mut cone);
+        mffc.cone_collect(aig, v, leaves, &mut cone);
         if cone.len() < 2 {
             continue; // nothing worth saving here
         }
-        let f = window.cut_function(aig, v, &leaves);
+        let f = window.cut_function(aig, v, leaves);
         let gl = memo.entry(f).or_insert_with_key(|f| synthesise(f));
         let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
         let cost = dry_run_cost(aig, &leaf_lits, gl, &cone);
@@ -69,46 +75,6 @@ pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateLi
     }
 
     rebuild(aig, &choices)
-}
-
-/// Grows a reconvergence-driven cut of `root` with at most `max_leaves`
-/// leaves: starting from `{root}`, repeatedly expands the leaf whose fanins
-/// add the fewest new leaves (preferring reconvergent expansions).
-pub(crate) fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
-    let mut leaves: Vec<Var> = vec![root];
-    loop {
-        let mut best: Option<(i32, usize)> = None; // (cost, index in leaves)
-        for (i, &l) in leaves.iter().enumerate() {
-            let n = aig.node(l);
-            if !n.is_and() {
-                continue;
-            }
-            let f0 = n.fanin0().var();
-            let f1 = n.fanin1().var();
-            let cost =
-                (!leaves.contains(&f0)) as i32 + (!leaves.contains(&f1) && f1 != f0) as i32 - 1;
-            if leaves.len() as i32 + cost > max_leaves as i32 {
-                continue;
-            }
-            if best.is_none() || cost < best.expect("some").0 {
-                best = Some((cost, i));
-            }
-        }
-        let Some((_, i)) = best else { break };
-        let n = *aig.node(leaves[i]);
-        leaves.swap_remove(i);
-        for f in n.fanins() {
-            if !leaves.contains(&f.var()) {
-                leaves.push(f.var());
-            }
-        }
-        if leaves.len() >= max_leaves {
-            break;
-        }
-    }
-    leaves.sort_unstable();
-    leaves.dedup();
-    leaves
 }
 
 #[cfg(test)]
@@ -141,12 +107,13 @@ mod tests {
     #[test]
     fn reconv_cut_is_a_cut() {
         let g = random_aig(1, 6, 60);
+        let mut cuts = ReconvCut::new(&g);
         for v in g.iter_ands() {
-            let leaves = reconvergence_cut(&g, v, 8);
+            let leaves = cuts.cut(&g, v, 8);
             assert!(leaves.len() <= 8);
             // Verify it is a cut: evaluating the cone must never escape the
             // leaves (cut_function panics otherwise).
-            let _ = cut_function(&g, v, &leaves);
+            let _ = cut_function(&g, v, leaves);
         }
     }
 

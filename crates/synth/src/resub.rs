@@ -11,53 +11,58 @@
 //! * **1-resub**: the target is the AND/OR of two divisors in some polarity
 //!   — one fresh gate replaces the whole cone.
 //!
+//! Every test reads the window tables, which are exact: a divisor's cone
+//! bottoms out at the cut, so equal tables mean equal global functions.
+//! At eight leaves a table is at most four words, so no cheaper filter
+//! could read less. A 1-resub pair is tried only if each input, in its
+//! polarity, contains the target; those cover bits are computed once per
+//! divisor. Side divisors come from a walk over the graph's fanout rows,
+//! which ascend, so the walk stops at the first consumer not below the
+//! node. The cut builder, the divisor and frontier lists and the window
+//! are reused for the whole pass.
+//!
 //! This follows the permissible-function resubstitution lineage the paper
 //! cites (Sato et al.) in its windowed, truth-table-driven ABC form.
 
 use crate::plan::{rebuild, Choice};
-use crate::refactor::reconvergence_cut;
+use crate::reconv::ReconvCut;
 use aig::mffc::Mffc;
-use aig::sim::random_signatures;
 use aig::{Aig, GateList, Lit, Var, Window};
 
-/// Words of global random simulation behind the divisor filter.
-const SIG_WORDS: usize = 4;
-/// Seed of the filter signatures (fixed: resub stays deterministic).
-const SIG_SEED: u64 = 0x5e5b_51f7;
-
 /// Maximum leaves of the window cut (hard cap 12).
-const MAX_LEAVES: usize = 8;
+pub(crate) const MAX_LEAVES: usize = 8;
 /// Maximum divisors examined per node.
-const MAX_DIVISORS: usize = 64;
+pub(crate) const MAX_DIVISORS: usize = 64;
+
+/// A replacement: leaf literals and the structure over them.
+type Resub = (Vec<Lit>, GateList);
 
 /// Resubstitutes nodes from existing logic, returning an equivalent graph.
 pub fn resub(aig: &Aig) -> Aig {
     let mut mffc = Mffc::new(aig);
-    let fanout = aig.fanout_counts();
-    let fanout_lists = aig.fanout_lists();
+    let fanouts = aig.fanouts();
+    let mut cuts = ReconvCut::new(aig);
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
-    // Global random signatures, computed once into one strided matrix.
-    // Window-TT equality implies global-function equality, so a signature
-    // mismatch soundly rejects a candidate before any truth-table work.
-    let sigs = random_signatures(aig, SIG_WORDS, SIG_SEED);
-    let mask = |c: bool| if c { !0u64 } else { 0 };
     let mut window = Window::new();
-    let mut covers: Vec<u8> = Vec::new();
     let mut cone: Vec<Var> = Vec::new();
+    let mut divisors: Vec<Var> = Vec::new();
+    let mut frontier: Vec<Var> = Vec::new();
+    let mut covers: Vec<u8> = Vec::new();
     // Cone membership: node `d` is in the current node's cone when
     // `cone_epoch[d] == epoch`; each node takes a fresh epoch.
     let mut cone_epoch: Vec<u32> = vec![0; aig.num_nodes()];
     let mut epoch = 0u32;
 
     for v in aig.iter_ands() {
-        if fanout[v as usize] == 0 {
+        // Every MFFC query restores the counts, so this is v's fanout.
+        if mffc.refs(v) == 0 {
             continue;
         }
-        let leaves = reconvergence_cut(aig, v, MAX_LEAVES);
+        let leaves = cuts.cut(aig, v, MAX_LEAVES);
         if leaves.len() < 2 {
             continue;
         }
-        mffc.cone_collect(aig, v, &leaves, &mut cone);
+        mffc.cone_collect(aig, v, leaves, &mut cone);
         if cone.is_empty() {
             continue;
         }
@@ -65,129 +70,55 @@ pub fn resub(aig: &Aig) -> Aig {
         for &c in &cone {
             cone_epoch[c as usize] = epoch;
         }
-        let in_cone = |d: Var| cone_epoch[d as usize] == epoch;
 
         // Window truth tables: evaluate the whole cone between leaves and v,
         // keeping every intermediate node as a divisor candidate.
-        window.start(aig, &leaves);
+        window.start(aig, leaves);
         window.eval_cone(aig, v);
 
         // Divisors: the cut leaves themselves, plus window nodes that
         // survive the replacement (not in the disappearing cone), strictly
         // below v...
-        let mut divisors: Vec<Var> = window
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&d| d != v && d < v && !in_cone(d))
-            .collect();
+        divisors.clear();
+        divisors.extend(
+            window
+                .nodes()
+                .iter()
+                .copied()
+                .filter(|&d| d < v && cone_epoch[d as usize] != epoch),
+        );
         debug_assert!(
             leaves.iter().all(|l| divisors.contains(l)),
             "leaves are divisors"
         );
         // ...plus *side* divisors: logic outside the cone whose support lies
         // within the cut, grown by walking fanouts of known-table nodes.
-        let mut frontier: Vec<Var> = divisors.clone();
-        frontier.extend_from_slice(&leaves);
+        // The frontier holds the leaves twice (once among the divisors);
+        // that copy fixes the order in which side divisors are found.
+        frontier.clear();
+        frontier.extend_from_slice(&divisors);
+        frontier.extend_from_slice(leaves);
         let mut qi = 0;
         while qi < frontier.len() && divisors.len() < MAX_DIVISORS {
             let d = frontier[qi];
             qi += 1;
-            for &c in &fanout_lists[d as usize] {
-                if c >= v || in_cone(c) || !window.try_eval(aig, c) {
-                    continue;
+            // Rows ascend, so every later consumer is at or above v. Cone
+            // nodes already have tables, so `try_eval` refuses them.
+            for &c in fanouts.of(d) {
+                if c >= v {
+                    break;
                 }
-                divisors.push(c);
-                frontier.push(c);
+                if window.try_eval(aig, c) {
+                    divisors.push(c);
+                    frontier.push(c);
+                }
             }
         }
         divisors.truncate(MAX_DIVISORS);
 
-        // Divisor tests compare the window tables word by word.
-        let table = |d: Var| window.table(d).expect("window node has a table");
-        let ft = table(v);
-
-        // 0-resub. The signature filter rejects non-candidates with a few
-        // word compares; the window truth table confirms survivors.
-        let rv = sigs.row(v as usize);
-        let mut chosen: Option<(Vec<Lit>, GateList)> = None;
-        for &d in &divisors {
-            let rd = sigs.row(d as usize);
-            let direct = rd.iter().zip(rv).all(|(&x, &y)| x == y);
-            let compl = !direct && rd.iter().zip(rv).all(|(&x, &y)| x == !y);
-            if !direct && !compl {
-                continue;
-            }
-            let td = table(d);
-            if td == ft {
-                chosen = Some((vec![Lit::from_var(d, false)], identity_gl(false)));
-                break;
-            }
-            if td.iter().zip(ft).all(|(&x, &y)| x == !y) {
-                chosen = Some((vec![Lit::from_var(d, false)], identity_gl(true)));
-                break;
-            }
-        }
-
-        // 1-resub: only profitable when at least two nodes disappear.
-        if chosen.is_none() && cone.len() >= 2 {
-            // An AND reproduces the target's signature only if each input,
-            // in its polarity, contains it: bit `2 * co + c` of `covers[i]`
-            // says divisor `i` complemented by `c` contains the target
-            // complemented by `co`. Polarities failing this skip the
-            // signature filter; the pairs tried, and their order, stay.
-            covers.clear();
-            covers.extend(divisors.iter().map(|&d| {
-                let rd = sigs.row(d as usize);
-                (0..4).fold(0u8, |bits, k| {
-                    let (mc, mo) = (mask(k & 1 != 0), mask(k & 2 != 0));
-                    let contains = rd.iter().zip(rv).all(|(&x, &y)| (y ^ mo) & !(x ^ mc) == 0);
-                    bits | (contains as u8) << k
-                })
-            }));
-            'outer: for i in 0..divisors.len() {
-                if covers[i] == 0 {
-                    continue;
-                }
-                for j in (i + 1)..divisors.len() {
-                    let (da, db) = (divisors[i], divisors[j]);
-                    let (ra, rb) = (sigs.row(da as usize), sigs.row(db as usize));
-                    for (ca, cb, co) in POLARITIES {
-                        let k = 2 * co as usize;
-                        if covers[i] >> (k + ca as usize) & covers[j] >> (k + cb as usize) & 1 == 0
-                        {
-                            continue;
-                        }
-                        // Word-parallel signature filter: the candidate's
-                        // global signature must reproduce the target's
-                        // before any window table is compared.
-                        let (ma, mb, mo) = (mask(ca), mask(cb), mask(co));
-                        let sig_ok = ra
-                            .iter()
-                            .zip(rb)
-                            .zip(rv)
-                            .all(|((&wa, &wb), &wv)| ((wa ^ ma) & (wb ^ mb)) ^ mo == wv);
-                        if !sig_ok {
-                            continue;
-                        }
-                        let hit = table(da)
-                            .iter()
-                            .zip(table(db))
-                            .zip(ft)
-                            .all(|((&wa, &wb), &wf)| ((wa ^ ma) & (wb ^ mb)) ^ mo == wf);
-                        if hit {
-                            chosen = Some((
-                                vec![Lit::from_var(da, ca), Lit::from_var(db, cb)],
-                                and2_gl(co),
-                            ));
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some((leaves, gl)) = chosen {
+        // 1-resub only pays when at least two nodes disappear.
+        let pairs = cone.len() >= 2;
+        if let Some((leaves, gl)) = find_resub(&window, v, &divisors, pairs, &mut covers) {
             choices[v as usize] = Choice::Structure { leaves, gl };
         }
     }
@@ -195,9 +126,107 @@ pub fn resub(aig: &Aig) -> Aig {
     rebuild(aig, &choices)
 }
 
+/// The table of a window node.
+fn table(window: &Window, d: Var) -> &[u64] {
+    window.table(d).expect("window node has a table")
+}
+
+/// All-ones when `c` is set: XOR with it complements a word.
+fn mask(c: bool) -> u64 {
+    if c {
+        !0
+    } else {
+        0
+    }
+}
+
+/// The first replacement of `v` by its divisors, if any.
+///
+/// 0-resub comes first: the first divisor whose table is the target's or
+/// its complement. Then, if `pairs` is set, 1-resub: the first pair
+/// `i < j` of divisors, in [`POLARITIES`] order within a pair, whose AND
+/// reproduces the target.
+fn find_resub(
+    window: &Window,
+    v: Var,
+    divisors: &[Var],
+    pairs: bool,
+    covers: &mut Vec<u8>,
+) -> Option<Resub> {
+    let ft = table(window, v);
+    // Bits 0 and 3 of a divisor's cover bits say it equals the target,
+    // bits 1 and 2 that it equals the target's complement.
+    covers.clear();
+    for &d in divisors {
+        let bits = cover_bits(table(window, d), ft);
+        let compl = bits & 0b0110 == 0b0110;
+        if compl || bits & 0b1001 == 0b1001 {
+            return Some((vec![Lit::from_var(d, false)], identity_gl(compl)));
+        }
+        covers.push(bits);
+    }
+    if !pairs {
+        return None;
+    }
+    // An AND reproduces the target only if each input, in its polarity,
+    // contains it under the pair's output polarity. `partner` holds the
+    // bits of `covers[j]` under an output polarity that `covers[i]` has a
+    // bit for: a pair with none of them has no polarity to try.
+    for i in 0..divisors.len() {
+        let ci = covers[i];
+        let partner =
+            if ci & 0b0011 != 0 { 0b0011 } else { 0 } | if ci & 0b1100 != 0 { 0b1100 } else { 0 };
+        if partner == 0 {
+            continue;
+        }
+        let ta = table(window, divisors[i]);
+        for j in (i + 1)..divisors.len() {
+            let cj = covers[j];
+            if cj & partner == 0 {
+                continue;
+            }
+            for (ca, cb, co) in POLARITIES {
+                let k = 2 * co as usize;
+                if ci >> (k + ca as usize) & cj >> (k + cb as usize) & 1 == 0 {
+                    continue;
+                }
+                let (ma, mb, mo) = (mask(ca), mask(cb), mask(co));
+                let hit = ta
+                    .iter()
+                    .zip(table(window, divisors[j]))
+                    .zip(ft)
+                    .all(|((&wa, &wb), &wf)| ((wa ^ ma) & (wb ^ mb)) ^ mo == wf);
+                if hit {
+                    let leaves = vec![
+                        Lit::from_var(divisors[i], ca),
+                        Lit::from_var(divisors[j], cb),
+                    ];
+                    return Some((leaves, and2_gl(co)));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Which polarities of divisor table `d` contain which polarities of
+/// target table `f`: bit `2 * co + c` is set when `d`, complemented if
+/// `c`, contains `f`, complemented if `co`.
+fn cover_bits(d: &[u64], f: &[u64]) -> u8 {
+    // Per bit: the words where `f ^ co` is set and `d ^ c` is not.
+    let mut missed = [0u64; 4];
+    for (&x, &y) in d.iter().zip(f) {
+        missed[0] |= y & !x;
+        missed[1] |= y & x;
+        missed[2] |= !y & !x;
+        missed[3] |= !y & x;
+    }
+    (0..4).fold(0, |bits, k| bits | ((missed[k] == 0) as u8) << k)
+}
+
 /// All input/output polarity combinations for 1-resub. `(ca, cb, co)` tries
 /// `co ^ ((a ^ ca) & (b ^ cb))`, covering AND and OR in every polarity.
-const POLARITIES: [(bool, bool, bool); 8] = [
+pub(crate) const POLARITIES: [(bool, bool, bool); 8] = [
     (false, false, false),
     (true, false, false),
     (false, true, false),
@@ -208,7 +237,8 @@ const POLARITIES: [(bool, bool, bool); 8] = [
     (true, true, true),
 ];
 
-fn identity_gl(compl: bool) -> GateList {
+/// The structure of a 0-resub: its one leaf, complemented if `compl`.
+pub(crate) fn identity_gl(compl: bool) -> GateList {
     GateList {
         n_leaves: 1,
         gates: vec![],
@@ -216,9 +246,9 @@ fn identity_gl(compl: bool) -> GateList {
     }
 }
 
-fn and2_gl(out_compl: bool) -> GateList {
-    // Complement is folded into the leaf literals by the caller, so the gate
-    // is a plain AND of leaf 0 and leaf 1.
+/// The structure of a 1-resub: the AND of its two leaves, complemented if
+/// `out_compl`. Input complements live in the caller's leaf literals.
+pub(crate) fn and2_gl(out_compl: bool) -> GateList {
     GateList {
         n_leaves: 2,
         gates: vec![(GateList::leaf(0, false), GateList::leaf(1, false))],

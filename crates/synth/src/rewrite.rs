@@ -32,13 +32,13 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
         },
     );
     let mut mffc = Mffc::new(aig);
-    let fanout = aig.fanout_counts();
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
     let mut window = Window::new();
     let mut cone: Vec<Var> = Vec::new();
 
     for v in aig.iter_ands() {
-        if fanout[v as usize] == 0 {
+        // Every MFFC query restores the counts, so this is v's fanout.
+        if mffc.refs(v) == 0 {
             continue; // dead logic disappears in the rebuild anyway
         }
         // (gain, structure leaves, class structure, output complement)
