@@ -282,6 +282,99 @@ fn synthesis_and_mapping_outputs_are_pinned() {
     }
 }
 
+/// Exact LUT mappings of the `rs;rs;rw` result at the LUT sizes the pin
+/// above leaves out: `(luts, branching, clauses, clause digest)` per LUT
+/// size and cost. Cut functions over fewer leaves than the LUT size carry
+/// don't-care variables, so these rows catch a cut function whose
+/// variables sit in the wrong places.
+#[test]
+fn mapping_at_lut_sizes_3_5_and_6_is_pinned() {
+    use cnf::lut_to_cnf;
+    use mapper::{map_luts, AreaCost, BranchingCost, CutCost, MapParams};
+
+    let circuits: [(&str, Aig); 4] = [
+        ("rca16", ripple_carry_adder(16).aig),
+        ("cla12", carry_lookahead_adder(12).aig),
+        ("alu8", alu(8).aig),
+        ("random", random_aig(2025, 12, 220)),
+    ];
+    let mut got = Vec::new();
+    for (name, g) in &circuits {
+        let ours = apply_recipe(g, &[SynthOp::Resub, SynthOp::Resub, SynthOp::Rewrite]);
+        let mut mapped = Vec::new();
+        for k in [3, 5, 6] {
+            let costs: [&dyn CutCost; 2] = [&AreaCost, &BranchingCost::new()];
+            for cost in costs {
+                let net = map_luts(&ours, &MapParams { k }, cost);
+                let (formula, _) = lut_to_cnf(&net);
+                mapped.push((
+                    net.num_luts(),
+                    net.total_branching_complexity(),
+                    formula.num_clauses(),
+                    clause_digest(&formula),
+                ));
+            }
+        }
+        got.push((*name, mapped));
+    }
+    // Per circuit: k = 3, 5 and 6, each under area then branching cost.
+    #[allow(clippy::type_complexity)]
+    let want: [(&str, [(usize, usize, usize, u64); 6]); 4] = [
+        (
+            "rca16",
+            [
+                (32, 217, 217, 10470965410161647893),
+                (47, 217, 217, 16490040957318619565),
+                (46, 291, 291, 16459105624640760664),
+                (50, 262, 262, 9446512929608339988),
+                (46, 291, 291, 16459105624640760664),
+                (50, 262, 262, 9446512929608339988),
+            ],
+        ),
+        (
+            "cla12",
+            [
+                (94, 431, 431, 8070250860861333310),
+                (94, 377, 377, 5955263132996944078),
+                (74, 471, 471, 13928250354075112909),
+                (74, 421, 421, 7268448419951646153),
+                (74, 471, 471, 13928250354075112909),
+                (74, 421, 421, 7268448419951646153),
+            ],
+        ),
+        (
+            "alu8",
+            [
+                (46, 224, 224, 4255334368987951456),
+                (52, 222, 222, 8107742626234023793),
+                (41, 244, 244, 10168351568000686631),
+                (45, 227, 227, 16481371860956180638),
+                (41, 244, 244, 10168351568000686631),
+                (45, 227, 227, 16481371860956180638),
+            ],
+        ),
+        (
+            "random",
+            [
+                (21, 84, 84, 4298002835513797153),
+                (21, 81, 81, 5238271054495680862),
+                (13, 76, 76, 6195624895615725721),
+                (13, 64, 64, 15546470566343055187),
+                (13, 76, 76, 6195624895615725721),
+                (13, 64, 64, 15546470566343055187),
+            ],
+        ),
+    ];
+    for ((name, mapped), (want_name, want_mapped)) in got.iter().zip(&want) {
+        assert_eq!(name, want_name);
+        assert_eq!(
+            mapped.as_slice(),
+            want_mapped.as_slice(),
+            "{name}: k = 3, 5, 6 area and branching mappings"
+        );
+    }
+}
+
 /// *Comp.* is the *C. Mapper* arm on the fixed size script: the same
 /// clauses in the same order, the same decoder and the same recipe string
 /// on each pinned circuit, under its own report name.
