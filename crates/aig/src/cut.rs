@@ -1,49 +1,64 @@
-//! k-feasible cut enumeration.
+//! k-feasible cut enumeration, with each cut's function.
 //!
 //! A *cut* of node `n` is a set of nodes (the *leaves*) such that every path
 //! from a PI to `n` passes through a leaf; it is k-feasible when it has at
 //! most `k` leaves. Cuts are the unit of work for both DAG-aware rewriting
-//! (k = 4) and LUT mapping (k = 4..6): the function of `n` expressed over
+//! (k = 4) and LUT mapping (k = 2..=6): the function of `n` expressed over
 //! the cut leaves is what gets replaced or mapped.
 //!
 //! The enumeration is the classic bottom-up merge with priority capping and
-//! dominance filtering, as in ABC's cut package.
+//! dominance filtering, as in ABC's cut package. Two cuts whose signatures
+//! together set more than `k` bits have more than `k` distinct leaves, so
+//! such a pair is rejected before its leaves are merged.
+//!
+//! Every kept cut carries its function as one word ([`Cut::truth`]), taken
+//! from the merge as ABC's priority cuts do: a merged cut's word is the AND
+//! of its parents' words, each moved onto the merged leaf set and
+//! complemented with its fanin edge. Words are computed only for the cuts
+//! that survive dominance filtering and the cap, so no pass evaluates a
+//! cut's cone to learn its function.
 
 use crate::aig::Aig;
 use crate::lit::Var;
-use crate::tt::Tt;
+use crate::tt::{Tt, VAR_MASKS};
 use crate::window::Window;
 
-/// Maximum number of leaves a [`Cut`] can hold.
-pub const MAX_CUT_SIZE: usize = 8;
+/// Maximum number of leaves a [`Cut`] can hold: its function fits one word.
+const MAX_CUT_SIZE: usize = 6;
 
-/// A cut: a sorted set of at most [`MAX_CUT_SIZE`] leaf nodes.
+/// A cut: a sorted set of at most six leaf nodes, with the function of its
+/// node over them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cut {
     leaves: [Var; MAX_CUT_SIZE],
     len: u8,
-    /// 64-bit Bloom-style signature for fast subset tests.
+    /// 64-bit Bloom-style signature for fast subset and size tests.
     sig: u64,
+    /// The node's function over the leaves (see [`Cut::truth`]).
+    truth: u64,
 }
 
 impl Cut {
-    /// The trivial cut `{node}`.
-    pub fn trivial(node: Var) -> Cut {
+    /// The trivial cut `{node}`: its function is variable 0.
+    fn trivial(node: Var) -> Cut {
         let mut leaves = [0; MAX_CUT_SIZE];
         leaves[0] = node;
         Cut {
             leaves,
             len: 1,
             sig: 1u64 << (node % 64),
+            truth: VAR_MASKS[0],
         }
     }
 
-    /// Builds a cut from a sorted, deduplicated slice of leaves.
+    /// Builds a cut from a sorted, deduplicated slice of leaves, with no
+    /// function.
     ///
     /// # Panics
     /// Panics if the slice is longer than [`MAX_CUT_SIZE`] or not strictly
     /// sorted.
-    pub fn from_sorted(leaves_in: &[Var]) -> Cut {
+    #[cfg(test)]
+    fn from_sorted(leaves_in: &[Var]) -> Cut {
         assert!(leaves_in.len() <= MAX_CUT_SIZE, "cut too large");
         assert!(
             leaves_in.windows(2).all(|w| w[0] < w[1]),
@@ -56,6 +71,7 @@ impl Cut {
             leaves,
             len: leaves_in.len() as u8,
             sig,
+            truth: 0,
         }
     }
 
@@ -71,8 +87,18 @@ impl Cut {
         self.len as usize
     }
 
+    /// The function of the cut's node over its leaves, as one word
+    /// stretched across all 64 bits: leaf `i` is variable `i`, and the
+    /// variables from [`Cut::size`] upwards are don't-cares. Its low `2^k`
+    /// bits are the table over `k` leaves, and its low 16 bits are that
+    /// table extended to four variables.
+    #[inline]
+    pub fn truth(&self) -> u64 {
+        self.truth
+    }
+
     /// True if `self`'s leaves are a subset of `other`'s.
-    pub fn subset_of(&self, other: &Cut) -> bool {
+    fn subset_of(&self, other: &Cut) -> bool {
         if self.len > other.len || self.sig & !other.sig != 0 {
             return false;
         }
@@ -90,8 +116,9 @@ impl Cut {
         true
     }
 
-    /// Merges two cuts; `None` if the union exceeds `k` leaves.
-    pub fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
+    /// Merges two cuts' leaves, with no function; `None` if the union
+    /// exceeds `k` leaves.
+    fn merge(&self, other: &Cut, k: usize) -> Option<Cut> {
         debug_assert!(k <= MAX_CUT_SIZE);
         let (a, b) = (self.leaves(), other.leaves());
         let mut out = [0 as Var; MAX_CUT_SIZE];
@@ -120,14 +147,49 @@ impl Cut {
             leaves: out,
             len: n as u8,
             sig: self.sig | other.sig,
+            truth: 0,
         })
     }
+
+    /// This cut's word as a function of `to`'s leaves, a superset of its
+    /// own: leaf `i` moves from variable `i` to its position in `to`,
+    /// working from the top leaf down, so that every move lands on a
+    /// variable the word does not depend on.
+    fn truth_over(&self, to: &Cut) -> u64 {
+        let to = to.leaves();
+        let mut pos = [0usize; MAX_CUT_SIZE];
+        let mut j = 0;
+        for (i, &leaf) in self.leaves().iter().enumerate() {
+            while to[j] != leaf {
+                j += 1;
+            }
+            pos[i] = j;
+        }
+        let mut word = self.truth;
+        for i in (0..self.size()).rev() {
+            if pos[i] != i {
+                word = swap_vars(word, i, pos[i]);
+            }
+        }
+        word
+    }
+}
+
+/// `word` with variables `i < j` exchanged.
+#[inline]
+fn swap_vars(word: u64, i: usize, j: usize) -> u64 {
+    // Minterms with `i` set and `j` clear trade places with those with `i`
+    // clear and `j` set, which sit `2^j - 2^i` bits higher.
+    let shift = (1 << j) - (1 << i);
+    let up = VAR_MASKS[i] & !VAR_MASKS[j];
+    let down = !VAR_MASKS[i] & VAR_MASKS[j];
+    (word & !(up | down)) | (word & up) << shift | (word & down) >> shift
 }
 
 /// Parameters for cut enumeration.
 #[derive(Clone, Copy, Debug)]
 pub struct CutParams {
-    /// Maximum leaves per cut (`2..=MAX_CUT_SIZE`).
+    /// Maximum leaves per cut (`2..=6`).
     pub k: usize,
     /// Maximum cuts kept per node (the trivial cut is kept in addition).
     pub max_cuts: usize,
@@ -139,47 +201,65 @@ impl Default for CutParams {
     }
 }
 
-/// All k-feasible cuts of every node.
+/// A merged cut and the indices of its parents in its node's fanin cut
+/// lists.
+type Merged = (Cut, usize, usize);
+
+/// All k-feasible cuts of every node, each with its function.
 ///
 /// `cuts[v]` holds the priority cuts of node `v`, each list ending with the
 /// trivial cut. PIs have just their trivial cut; the constant node has none
 /// (structural hashing guarantees it never feeds an AND gate).
+///
+/// # Panics
+/// Panics if `p.k` is outside `2..=6`.
 pub fn enumerate_cuts(aig: &Aig, p: &CutParams) -> Vec<Vec<Cut>> {
     assert!((2..=MAX_CUT_SIZE).contains(&p.k), "cut size out of range");
     let mut cuts: Vec<Vec<Cut>> = vec![Vec::new(); aig.num_nodes()];
+    let mut set: Vec<Merged> = Vec::with_capacity(p.max_cuts + 1);
     for v in 1..aig.num_nodes() as Var {
         let node = aig.node(v);
         if node.is_pi() {
             cuts[v as usize].push(Cut::trivial(v));
             continue;
         }
-        let f0 = node.fanin0().var();
-        let f1 = node.fanin1().var();
-        let mut set: Vec<Cut> = Vec::with_capacity(p.max_cuts + 1);
+        let (f0, f1) = (node.fanin0(), node.fanin1());
         // Split borrows: the fanin cut lists are at smaller indices.
-        let (c0, c1) = (&cuts[f0 as usize], &cuts[f1 as usize]);
-        for a in c0 {
-            for b in c1 {
+        let (c0, c1) = (&cuts[f0.var() as usize], &cuts[f1.var() as usize]);
+        set.clear();
+        for (i, a) in c0.iter().enumerate() {
+            for (j, b) in c1.iter().enumerate() {
+                // More than k signature bits means more than k leaves.
+                if (a.sig | b.sig).count_ones() as usize > p.k {
+                    continue;
+                }
                 let Some(m) = a.merge(b, p.k) else { continue };
-                insert_filtered(&mut set, m, p.max_cuts);
+                insert_filtered(&mut set, (m, i, j), p.max_cuts);
             }
         }
-        set.push(Cut::trivial(v));
-        cuts[v as usize] = set;
+        let mask = |compl: bool| if compl { u64::MAX } else { 0 };
+        let (m0, m1) = (mask(f0.is_compl()), mask(f1.is_compl()));
+        let mut kept = Vec::with_capacity(set.len() + 1);
+        for &(mut cut, i, j) in &set {
+            cut.truth = (c0[i].truth_over(&cut) ^ m0) & (c1[j].truth_over(&cut) ^ m1);
+            kept.push(cut);
+        }
+        kept.push(Cut::trivial(v));
+        cuts[v as usize] = kept;
     }
     cuts
 }
 
 /// Inserts `c` into `set` unless dominated; removes cuts `c` dominates;
 /// keeps the set sorted by size and capped at `cap`.
-fn insert_filtered(set: &mut Vec<Cut>, c: Cut, cap: usize) {
-    for existing in set.iter() {
-        if existing.subset_of(&c) {
+fn insert_filtered(set: &mut Vec<Merged>, c: Merged, cap: usize) {
+    for (existing, ..) in set.iter() {
+        if existing.subset_of(&c.0) {
             return; // dominated by a smaller-or-equal cut
         }
     }
-    set.retain(|existing| !c.subset_of(existing));
-    let pos = set.partition_point(|e| e.size() <= c.size());
+    set.retain(|(existing, ..)| !c.0.subset_of(existing));
+    let pos = set.partition_point(|(e, ..)| e.size() <= c.0.size());
     set.insert(pos, c);
     if set.len() > cap {
         set.truncate(cap);
@@ -192,9 +272,10 @@ fn insert_filtered(set: &mut Vec<Cut>, c: Cut, cap: usize) {
 /// enumerated cut). Leaf `i` is mapped to elementary variable `i`.
 ///
 /// This is a one-off convenience: it sets up a fresh [`Window`], whose
-/// per-node index is sized to the graph. Passes that evaluate a cut per
-/// node keep one `Window` and call [`Window::cut_function`] or
-/// [`Window::cut_word`] instead.
+/// per-node index is sized to the graph. A pass that needs the function of
+/// every enumerated cut reads [`Cut::truth`]; one that evaluates other
+/// cuts node by node keeps one `Window` and calls
+/// [`Window::cut_function`].
 ///
 /// # Panics
 /// Panics if the cone is not closed under the leaves (i.e. the leaf set is
@@ -263,20 +344,21 @@ mod tests {
 
     #[test]
     fn window_matches_oracle_on_enumerated_cuts() {
-        // One window reused across every cut of every node, as the passes
-        // use it, at every cut size up to the maximum.
+        // Every cut of every node at every cut size: the word the merge
+        // gave the cut is the oracle's table stretched to six variables,
+        // and one window reused across the cuts, as a pass would use it,
+        // evaluates the same table.
         let mut w = Window::new();
-        for (seed, k) in [(1u64, 4usize), (2, 6), (3, 8)] {
+        for seed in 1..=12u64 {
             let g = random_aig(seed, 10, 150);
-            let cuts = enumerate_cuts(&g, &CutParams { k, max_cuts: 8 });
-            for v in g.iter_ands() {
-                for cut in &cuts[v as usize] {
-                    let want = cut_function_oracle(&g, v, cut.leaves());
-                    assert_eq!(w.cut_function(&g, v, cut.leaves()), want, "v={v}");
-                    if cut.size() <= 6 {
-                        // The word is the table stretched to six variables.
-                        let word = w.cut_word(&g, v, cut.leaves());
-                        assert_eq!(word, want.extend_to(6).to_u64(), "v={v}");
+            for k in 2..=MAX_CUT_SIZE {
+                let cuts = enumerate_cuts(&g, &CutParams { k, max_cuts: 8 });
+                for v in g.iter_ands() {
+                    for cut in &cuts[v as usize] {
+                        let want = cut_function_oracle(&g, v, cut.leaves());
+                        let word = want.extend_to(6).to_u64();
+                        assert_eq!(cut.truth(), word, "seed={seed} k={k} v={v}");
+                        assert_eq!(w.cut_function(&g, v, cut.leaves()), want, "v={v}");
                     }
                 }
             }
@@ -354,8 +436,8 @@ mod tests {
     #[test]
     fn dominance_filtering() {
         let mut set = Vec::new();
-        let big = Cut::from_sorted(&[1, 2, 3]);
-        let small = Cut::from_sorted(&[1, 2]);
+        let big = (Cut::from_sorted(&[1, 2, 3]), 0, 0);
+        let small = (Cut::from_sorted(&[1, 2]), 1, 0);
         insert_filtered(&mut set, big, 8);
         insert_filtered(&mut set, small, 8);
         // The small cut dominates and evicts the big one.

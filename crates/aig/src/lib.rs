@@ -11,8 +11,8 @@
 //!   programs ([`compile`]), and equivalence checks ([`check`]),
 //! * multi-word truth tables with ISOP covers ([`Tt`], [`tt::Cube`]) — the
 //!   source of the paper's *branching complexity* metric,
-//! * k-feasible cut enumeration ([`cut`]) and window truth tables over a
-//!   cut ([`Window`]),
+//! * k-feasible cut enumeration, each cut with its function ([`cut`]), and
+//!   window truth tables over a cut ([`Window`]),
 //! * exact NPN canonisation of 4-variable functions ([`npn`]),
 //! * MFFC computation for rewriting gain ([`mffc`]) and every node's AND
 //!   consumers in one arena ([`Fanouts`]).

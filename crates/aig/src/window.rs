@@ -1,9 +1,10 @@
 //! Truth tables of a window's nodes over its cut leaves, in one word arena.
 //!
 //! A *window* is a set of leaves plus logic above them whose functions a
-//! pass needs as truth tables over those leaves: the cone of a cut for
-//! [`crate::cut::cut_function`], the cone and its side divisors for
-//! resubstitution. A [`Window`] keeps every table in one flat `Vec<u64>`
+//! pass needs as truth tables over those leaves: the cone of a
+//! refactoring cut ([`crate::cut::cut_function`]), the cone and its side
+//! divisors for resubstitution. Enumerated cuts need no window: they carry
+//! their function from the merge ([`crate::cut::Cut::truth`]). A [`Window`] keeps every table in one flat `Vec<u64>`
 //! arena, `2^(k-6)` words per table over `k` leaves (one word, stretched
 //! across all 64 bits, up to six leaves). A per-node slot index finds a
 //! node's table and is cleared through the list of nodes that received
@@ -138,21 +139,6 @@ impl Window {
         self.eval_cone(aig, root);
         let t = self.table(root).expect("root evaluated");
         Tt::from_words(self.nvars, t.to_vec())
-    }
-
-    /// Truth table of `root` over at most six `leaves`, as one word
-    /// stretched across all 64 bits: its low `2^k` bits are the table over
-    /// `k` leaves, and its low 16 bits are that table extended to four
-    /// variables.
-    ///
-    /// # Panics
-    /// Panics if there are more than six leaves or they are not a cut of
-    /// `root`.
-    pub fn cut_word(&mut self, aig: &Aig, root: Var, leaves: &[Var]) -> u64 {
-        assert!(leaves.len() <= 6, "cut_word takes at most 6 leaves");
-        self.start(aig, leaves);
-        self.eval_cone(aig, root);
-        self.table(root).expect("root evaluated")[0]
     }
 
     /// Appends the table of AND node `v` with fanins `a` and `b`.

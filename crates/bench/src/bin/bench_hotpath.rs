@@ -1,9 +1,10 @@
 //! Hot-path throughput harness: `BENCH_hotpath.json` emitter.
 //!
 //! Times CDCL propagation, proof checking, bit-parallel resimulation, SAT
-//! sweeping, BMC, the query service, each synthesis op and the NPN table
-//! build on fixed built-in workloads; every timed row comes from one
-//! sampler, [`sample`], as a median with its spread.
+//! sweeping, BMC, the query service, each synthesis op, LUT mapping under
+//! each cut cost and the NPN table build on fixed built-in workloads;
+//! every timed row comes from one sampler, [`sample`], as a median with
+//! its spread.
 //!
 //! Usage: `bench_hotpath [--out PATH]` (default `BENCH_hotpath.json`).
 //!
@@ -16,6 +17,7 @@
 //! compares a fresh file with the committed one, row by row.
 
 use csat_preproc::{BaselinePipeline, Pipeline};
+use mapper::{map_luts, AreaCost, BranchingCost, CutCost, MapParams};
 use mc::{BmcEngine, BmcOptions, BmcResult};
 use sat::{solve_cnf, Budget, SolveResult, Solver, SolverConfig};
 use serve::{Engine, EngineConfig, EngineStats, Query, QueryOpts};
@@ -23,7 +25,7 @@ use std::fmt::Display;
 use std::slice;
 use std::time::Instant;
 use sweep::{fraig, FraigParams, FraigStats};
-use synth::{apply_op, SynthOp};
+use synth::{apply_op, apply_recipe, SynthOp};
 use workloads::cnf_gen::{pigeonhole, random_2sat, random_3sat};
 use workloads::datapath::{carry_lookahead_adder, ripple_carry_adder};
 use workloads::lec::{adder_miter, miter, restructure};
@@ -137,6 +139,20 @@ fn sum<'a>(rows: impl IntoIterator<Item = &'a Row>, key: &str) -> f64 {
     values
         .map(|(_, v)| v.parse::<f64>().expect("numeric field"))
         .sum()
+}
+
+/// Order-sensitive digest of a CNF's clause list: the solver sees clauses
+/// in this order, so a reordering changes it.
+fn clause_digest(f: &cnf::Cnf) -> u64 {
+    use std::hash::Hasher;
+    let mut h = aig::hash::FastHasher::default();
+    for clause in f.clauses() {
+        h.write_u64(clause.len() as u64);
+        for lit in clause {
+            h.write_u64(lit.to_dimacs() as i64 as u64);
+        }
+    }
+    h.finish()
 }
 
 /// The checker's verdict on a certificate the bench made: it must be
@@ -525,6 +541,41 @@ fn main() {
             "ands_in": synth_in.num_ands(), "ands_out": ands_out, "hash": hash,
         });
     }
+
+    // LUT mapping: the `rs;rs;rw` output of the synthesis miter, mapped
+    // under each cut cost with a fresh cost model per run, as the
+    // pipelines map. The exact fields pin the cover and its clause list.
+    let map_in = apply_recipe(
+        &synth_in,
+        &[SynthOp::Resub, SynthOp::Resub, SynthOp::Rewrite],
+    );
+    let mut map_rows = Vec::new();
+    for cost_name in ["area", "branching"] {
+        let mut net = None;
+        let [wall] = sample(|_| {
+            let cost: Box<dyn CutCost> = match cost_name {
+                "area" => Box::new(AreaCost),
+                _ => Box::new(BranchingCost::new()),
+            };
+            let (t, out) = timed(|| map_luts(&map_in, &MapParams::default(), cost.as_ref()));
+            net = Some(out);
+            [t]
+        });
+        let net = net.expect("the sampler ran");
+        let (formula, _) = cnf::lut_to_cnf(&net);
+        let branching = net.total_branching_complexity();
+        assert_eq!(
+            formula.num_clauses(),
+            branching,
+            "{cost_name}: a LUT's clauses are its branching complexity"
+        );
+        map_rows.push(row! {
+            "cost": quoted(cost_name), "bits": synth_bits, "reps": REPS, "wall_s": wall,
+            "ands_in": map_in.num_ands(), "luts": net.num_luts(), "branching": branching,
+            "clauses": formula.num_clauses(), "clause_digest": clause_digest(&formula),
+        });
+    }
+
     let mut classes = 0;
     let [npn_build] = sample(|_| {
         let (t, table) = timed(aig::npn::NpnTable::build);
@@ -541,7 +592,8 @@ fn main() {
             .iter()
             .chain(&fraig_rows)
             .chain(&serve_rows)
-            .chain(&synth_rows);
+            .chain(&synth_rows)
+            .chain(&map_rows);
         rows.chain([&sim_row, &bmc_row, &npn_row])
     };
     for key in ["deadline_interrupts", "cancellations", "shard_failures"] {
@@ -566,7 +618,8 @@ fn main() {
         "check": list(slice::from_ref(&check_row)), "obs": object(&obs_row),
         "sim": list(slice::from_ref(&sim_row)), "fraig": list(&fraig_rows),
         "bmc": list(slice::from_ref(&bmc_row)), "serve": list(&serve_rows),
-        "synth": list(&synth_rows), "npn": list(slice::from_ref(&npn_row)),
+        "synth": list(&synth_rows), "map": list(&map_rows),
+        "npn": list(slice::from_ref(&npn_row)),
         "totals": object(&row! {
             "wall_s": format!("{wall_s:.6}"), "propagations_per_sec": format!("{props_per_sec:.0}"),
             "words_per_sec": sum([&sim_row], "words_per_sec"),

@@ -6,6 +6,10 @@
 //! equals the number of CNF clauses the LUT will contribute — so minimising
 //! total cut cost directly minimises the branching load handed to the SAT
 //! solver.
+//!
+//! A cut reaches its cost model as its leaf count and its function in one
+//! word (LUTs have at most six inputs), the word each enumerated cut
+//! carries ([`aig::cut::Cut::truth`]). The mapper prices every cut once.
 
 use aig::hash::FastMap;
 use aig::Tt;
@@ -13,11 +17,13 @@ use std::cell::RefCell;
 
 /// Prices a cut by the function it implements.
 ///
-/// Implementations must be pure (same table, same cost); the mapper may
+/// Implementations must be pure (same function, same cost); the mapper may
 /// cache results.
 pub trait CutCost {
-    /// Cost of one LUT implementing `tt`.
-    fn cut_cost(&self, tt: &Tt) -> f64;
+    /// Cost of one LUT implementing the function `word` over `nvars <= 6`
+    /// inputs: bit `m` is the value on minterm `m`, as in
+    /// [`Tt::from_u64`], and bits from `2^nvars` up are ignored.
+    fn cut_cost(&self, nvars: usize, word: u64) -> f64;
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
@@ -30,7 +36,7 @@ pub trait CutCost {
 pub struct AreaCost;
 
 impl CutCost for AreaCost {
-    fn cut_cost(&self, _tt: &Tt) -> f64 {
+    fn cut_cost(&self, _nvars: usize, _word: u64) -> f64 {
         1.0
     }
 
@@ -43,11 +49,10 @@ impl CutCost for AreaCost {
 /// equal-complexity mappings still prefer fewer LUTs).
 ///
 /// ```
-/// use aig::Tt;
 /// use mapper::{BranchingCost, CutCost};
 /// let cost = BranchingCost::new();
 /// // Fig. 3: AND-like LUTs are cheaper than XOR-like LUTs.
-/// assert!(cost.cut_cost(&Tt::from_u64(2, 0x8)) < cost.cut_cost(&Tt::from_u64(2, 0x6)));
+/// assert!(cost.cut_cost(2, 0x8) < cost.cut_cost(2, 0x6));
 /// ```
 #[derive(Debug, Default)]
 pub struct BranchingCost {
@@ -62,19 +67,14 @@ impl BranchingCost {
 }
 
 impl CutCost for BranchingCost {
-    fn cut_cost(&self, tt: &Tt) -> f64 {
-        // Functions of up to 6 inputs fit one word; use it as the memo key.
-        if tt.nvars() <= 6 {
-            let key = (tt.nvars(), tt.to_u64());
-            if let Some(&c) = self.cache.borrow().get(&key) {
-                return c;
-            }
-            let c = tt.branching_complexity() as f64;
-            self.cache.borrow_mut().insert(key, c);
-            c
-        } else {
-            tt.branching_complexity() as f64
+    fn cut_cost(&self, nvars: usize, word: u64) -> f64 {
+        let key = (nvars, word);
+        if let Some(&c) = self.cache.borrow().get(&key) {
+            return c;
         }
+        let c = Tt::from_u64(nvars, word).branching_complexity() as f64;
+        self.cache.borrow_mut().insert(key, c);
+        c
     }
 
     fn name(&self) -> &'static str {
@@ -89,23 +89,23 @@ mod tests {
     #[test]
     fn area_is_constant() {
         let c = AreaCost;
-        assert_eq!(c.cut_cost(&Tt::from_u64(2, 0x8)), 1.0);
-        assert_eq!(c.cut_cost(&Tt::from_u64(4, 0x6996)), 1.0);
+        assert_eq!(c.cut_cost(2, 0x8), 1.0);
+        assert_eq!(c.cut_cost(4, 0x6996), 1.0);
     }
 
     #[test]
     fn branching_matches_fig3() {
         let c = BranchingCost::new();
-        assert_eq!(c.cut_cost(&Tt::from_u64(2, 0x8)), 3.0); // AND
-        assert_eq!(c.cut_cost(&Tt::from_u64(2, 0x6)), 4.0); // XOR
+        assert_eq!(c.cut_cost(2, 0x8), 3.0); // AND
+        assert_eq!(c.cut_cost(2, 0x6), 4.0); // XOR
     }
 
     #[test]
     fn cache_is_transparent() {
         let c = BranchingCost::new();
         let t = Tt::from_u64(4, 0x1ee1);
-        let a = c.cut_cost(&t);
-        let b = c.cut_cost(&t);
+        let a = c.cut_cost(4, 0x1ee1);
+        let b = c.cut_cost(4, 0x1ee1);
         assert_eq!(a, b);
         assert_eq!(a, t.branching_complexity() as f64);
     }
@@ -115,6 +115,6 @@ mod tests {
         let c = BranchingCost::new();
         let and4 = Tt::var(4, 0) & Tt::var(4, 1) & Tt::var(4, 2) & Tt::var(4, 3);
         let xor4 = Tt::var(4, 0) ^ Tt::var(4, 1) ^ Tt::var(4, 2) ^ Tt::var(4, 3);
-        assert!(c.cut_cost(&xor4) >= 3.0 * c.cut_cost(&and4));
+        assert!(c.cut_cost(4, xor4.to_u64()) >= 3.0 * c.cut_cost(4, and4.to_u64()));
     }
 }

@@ -1,10 +1,12 @@
 //! Priority-cut k-LUT mapping with area-flow refinement.
 //!
-//! A simplified `if`-mapper: k-feasible priority cuts are enumerated once;
-//! several area-flow passes pick, per node, the cut minimising
-//! `cost(cut) + Σ flow(leaf)/refs(leaf)`, with reference estimates refined
-//! from the previous pass's actual cover. The final cover is extracted from
-//! the PO drivers downward and emitted as a [`LutNetlist`].
+//! A simplified `if`-mapper: k-feasible priority cuts are enumerated once,
+//! each with its function as one word (k <= 6), and every non-trivial cut
+//! is priced once from that word. Several area-flow passes then pick, per
+//! node, the cut minimising `cost(cut) + Σ flow(leaf)/refs(leaf)`, with
+//! reference estimates refined from the previous pass's actual cover. The
+//! final cover is extracted from the PO drivers downward and emitted as a
+//! [`LutNetlist`]; only its LUTs get a truth table.
 //!
 //! Mapping keeps depth-optimal PO levels, the paper's delay constraint
 //! ("fixing the delay cost as a constraint", Sec. III-C2). The first pass
@@ -15,7 +17,7 @@
 
 use crate::cost::CutCost;
 use aig::cut::{enumerate_cuts, Cut, CutParams};
-use aig::{Aig, Tt, Var, Window};
+use aig::{Aig, Tt, Var};
 use cnf::{LutNetlist, LutSignal};
 
 /// Priority cuts kept per node.
@@ -52,26 +54,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
             max_cuts: MAX_CUTS,
         },
     );
-
-    // Pre-compute per-cut functions (the cone is evaluated once per cut,
-    // into one word: k <= 6).
-    let n = aig.num_nodes();
-    let mut window = Window::new();
-    let mut cut_tts: Vec<Vec<Option<Tt>>> = vec![Vec::new(); n];
-    for v in aig.iter_ands() {
-        let vi = v as usize;
-        cut_tts[vi] = cuts[vi]
-            .iter()
-            .map(|c| {
-                if c.leaves() == [v] {
-                    None // trivial cut is not implementable
-                } else {
-                    let word = window.cut_word(aig, v, c.leaves());
-                    Some(Tt::from_u64(c.size(), word))
-                }
-            })
-            .collect();
-    }
+    let prices = Prices::new(aig, &cuts, cost);
 
     // Depth labels of the depth-optimal mapping (LUT levels).
     let opt_depth = depth_labels(aig, &cuts);
@@ -83,6 +66,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
         .map(|&c| (c as f64).max(1.0))
         .collect();
 
+    let n = aig.num_nodes();
     let mut best_cut: Vec<usize> = vec![usize::MAX; n];
     // Required times exist once a cover does; until then, and outside the
     // cover, a node's depth-optimal label is its limit.
@@ -91,8 +75,7 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
         area_flow_pass(
             aig,
             &cuts,
-            &cut_tts,
-            cost,
+            &prices,
             &est_refs,
             &required,
             &opt_depth,
@@ -105,11 +88,44 @@ pub fn map_luts(aig: &Aig, params: &MapParams, cost: &dyn CutCost) -> LutNetlist
             for (e, &r) in est_refs.iter_mut().zip(&refs) {
                 *e = ((*e + r as f64) / 2.0).max(1.0);
             }
-            compute_required(aig, &cuts, &best_cut, &opt_depth, &mut required);
+            compute_required(aig, &cuts, &best_cut, &refs, &opt_depth, &mut required);
         }
     }
 
-    derive_netlist(aig, &cuts, &cut_tts, &best_cut)
+    derive_netlist(aig, &cuts, &best_cut)
+}
+
+/// The cost of every non-trivial cut, computed once from its word.
+struct Prices {
+    /// The cost of cut `i` of node `v` is `cost[start[v] + i]`.
+    start: Vec<usize>,
+    cost: Vec<f64>,
+}
+
+impl Prices {
+    fn new(aig: &Aig, cuts: &[Vec<Cut>], model: &dyn CutCost) -> Prices {
+        let mut start = vec![0; aig.num_nodes()];
+        let mut cost = Vec::new();
+        for v in aig.iter_ands() {
+            start[v as usize] = cost.len();
+            for cut in &cuts[v as usize] {
+                // The trivial cut is not implementable; it is never read.
+                let price = if cut.leaves() == [v] {
+                    f64::NAN
+                } else {
+                    model.cut_cost(cut.size(), cut.truth())
+                };
+                cost.push(price);
+            }
+        }
+        Prices { start, cost }
+    }
+
+    /// The cost of cut `i` of node `v`.
+    #[inline]
+    fn of(&self, v: Var, i: usize) -> f64 {
+        self.cost[self.start[v as usize] + i]
+    }
 }
 
 /// Depth-optimal arrival labels: the minimum LUT level of every node.
@@ -135,12 +151,13 @@ fn depth_labels(aig: &Aig, cuts: &[Vec<Cut>]) -> Vec<u32> {
     depth
 }
 
-/// Required times induced by the current cover, anchored at the
-/// depth-optimal PO levels.
+/// Required times induced by the current cover, whose reference counts
+/// are `refs` ([`cover_refs`]), anchored at the depth-optimal PO levels.
 fn compute_required(
     aig: &Aig,
     cuts: &[Vec<Cut>],
     best_cut: &[usize],
+    refs: &[u32],
     opt_depth: &[u32],
     required: &mut [u32],
 ) {
@@ -152,7 +169,6 @@ fn compute_required(
         required[v] = required[v].min(opt_depth[v]);
     }
     // Reverse topological propagation over the cover.
-    let refs = cover_refs(aig, cuts, best_cut);
     for v in (1..aig.num_nodes() as Var).rev() {
         let vi = v as usize;
         if !aig.node(v).is_and() || refs[vi] == 0 || required[vi] == u32::MAX {
@@ -167,12 +183,10 @@ fn compute_required(
 }
 
 /// One bottom-up area-flow pass; fills `best_cut` and returns per-node flow.
-#[allow(clippy::too_many_arguments)]
 fn area_flow_pass(
     aig: &Aig,
     cuts: &[Vec<Cut>],
-    cut_tts: &[Vec<Option<Tt>>],
-    cost: &dyn CutCost,
+    prices: &Prices,
     est_refs: &[f64],
     required: &[u32],
     opt_depth: &[u32],
@@ -186,7 +200,9 @@ fn area_flow_pass(
         let mut best_i = usize::MAX;
         let mut best_arr = u32::MAX;
         for (i, cut) in cuts[vi].iter().enumerate() {
-            let Some(tt) = &cut_tts[vi][i] else { continue };
+            if cut.leaves() == [v] {
+                continue; // the trivial cut is not implementable
+            }
             let arr = 1 + cut
                 .leaves()
                 .iter()
@@ -202,7 +218,7 @@ fn area_flow_pass(
                 opt_depth[vi]
             };
             let feasible = arr <= limit;
-            let mut f = cost.cut_cost(tt);
+            let mut f = prices.of(v, i);
             for &l in cut.leaves() {
                 f += flow[l as usize] / est_refs[l as usize];
             }
@@ -254,12 +270,7 @@ fn cover_refs(aig: &Aig, cuts: &[Vec<Cut>], best_cut: &[usize]) -> Vec<u32> {
 }
 
 /// Extracts the cover and builds the netlist.
-fn derive_netlist(
-    aig: &Aig,
-    cuts: &[Vec<Cut>],
-    cut_tts: &[Vec<Option<Tt>>],
-    best_cut: &[usize],
-) -> LutNetlist {
+fn derive_netlist(aig: &Aig, cuts: &[Vec<Cut>], best_cut: &[usize]) -> LutNetlist {
     let mut net = LutNetlist::new(aig.num_pis());
 
     // Mark required AND nodes (cover roots).
@@ -293,7 +304,7 @@ fn derive_netlist(
         }
         let vi = v as usize;
         let cut = &cuts[vi][best_cut[vi]];
-        let tt = cut_tts[vi][best_cut[vi]].clone().expect("non-trivial cut");
+        let tt = Tt::from_u64(cut.size(), cut.truth());
         let fanins: Vec<LutSignal> = cut
             .leaves()
             .iter()

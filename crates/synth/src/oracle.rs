@@ -5,13 +5,18 @@
 //! [`crate::dsd`] and [`crate::factor`] replaced. Every recursion step
 //! clones whole tables, allocates its cover partitions and keys the memo
 //! by the full table. The tests assert that the engines return exactly
-//! these gate lists. The submodule `resub` holds resubstitution's oracle.
+//! these gate lists. The submodules `resub` and `rewrite` hold the oracles
+//! of resubstitution and rewriting, and this module the graphs they share.
 
 use crate::builder::{sig_not, Sig, StructBuilder, SIG_FALSE, SIG_TRUE};
+use crate::{apply_op, Recipe, SynthOp};
 use aig::hash::FastMap;
-use aig::{Aig, Cube, GateList, Lit, Tt};
+use aig::{Aig, Cube, GateList, Lit, Tt, Var};
+use workloads::datapath::{alu, carry_lookahead_adder, carry_select_adder, ripple_carry_adder};
+use workloads::lec::{miter, restructure};
 
 mod resub;
+mod rewrite;
 
 /// Structure of `f` by recursive decomposition over full tables.
 pub(crate) fn decompose(f: &Tt) -> GateList {
@@ -235,13 +240,70 @@ fn random_aig(seed: u64, n_pis: usize, n_gates: usize) -> Aig {
 
 /// `synth_equivalence`'s four pinned graphs.
 fn pinned_graphs() -> [Aig; 4] {
-    use workloads::datapath::{alu, carry_lookahead_adder, ripple_carry_adder};
     [
         ripple_carry_adder(16).aig,
         carry_lookahead_adder(12).aig,
         alu(8).aig,
         random_aig(2025, 12, 220),
     ]
+}
+
+/// Asserts that two graphs are equal node for node: the same inputs, the
+/// same fanins per node and the same outputs.
+fn assert_same_graph(got: &Aig, want: &Aig, what: &str) {
+    assert_eq!(got.num_nodes(), want.num_nodes(), "{what}: node count");
+    assert_eq!(got.pis(), want.pis(), "{what}: inputs");
+    for v in 0..got.num_nodes() as Var {
+        assert_eq!(got.node(v), want.node(v), "{what}: node {v}");
+    }
+    assert_eq!(got.pos(), want.pos(), "{what}: outputs");
+}
+
+/// Adder-architecture and ALU miters at 4–16 bits, as `workloads`
+/// pairs them.
+fn datapath_miters() -> Vec<(String, Aig)> {
+    let mut out = Vec::new();
+    for bits in 4..=16 {
+        let (rca, cla) = (
+            ripple_carry_adder(bits).aig,
+            carry_lookahead_adder(bits).aig,
+        );
+        let alu = alu(bits).aig;
+        let pairs = [
+            ("rca/cla", rca.clone(), cla.clone()),
+            ("rca/csel", rca, carry_select_adder(bits, 2 + bits / 6).aig),
+            ("cla/csel", cla, carry_select_adder(bits, 2).aig),
+            ("alu", restructure(&alu, bits as u64), alu),
+        ];
+        for (name, a, b) in pairs {
+            out.push((format!("{name} {bits}"), miter(&a, &b)));
+        }
+    }
+    out
+}
+
+/// Every graph `resub` meets on `synth_equivalence`'s four pinned graphs
+/// under `rs;rs;rw` and the size script: each input, each intermediate
+/// and each output.
+fn recipe_graphs() -> Vec<(String, Aig)> {
+    use SynthOp::{Resub, Rewrite};
+    let recipes = [
+        vec![Resub, Resub, Rewrite],
+        Recipe::size_script().ops().to_vec(),
+    ];
+    let mut out = Vec::new();
+    for (gi, g) in pinned_graphs().into_iter().enumerate() {
+        for ops in &recipes {
+            let mut h = g.clone();
+            for (step, &op) in ops.iter().enumerate() {
+                let next = apply_op(&h, op);
+                out.push((format!("graph {gi} before step {step} of {ops:?}"), h));
+                h = next;
+            }
+            out.push((format!("graph {gi} after {ops:?}"), h));
+        }
+    }
+    out
 }
 
 mod tests {

@@ -8,16 +8,13 @@
 //! divisor and frontier vectors. The tests assert that `resub` returns the
 //! same graph, node for node, and that the builder returns the same cuts.
 
-use super::{pinned_graphs, random_aig};
+use super::{assert_same_graph, datapath_miters, random_aig, recipe_graphs};
 use crate::plan::{rebuild, Choice};
 use crate::reconv::ReconvCut;
 use crate::resub::{and2_gl, identity_gl, MAX_DIVISORS, MAX_LEAVES, POLARITIES};
-use crate::{apply_op, Recipe, SynthOp};
 use aig::mffc::Mffc;
 use aig::sim::random_signatures;
 use aig::{Aig, GateList, Lit, Var, Window};
-use workloads::datapath::{alu, carry_lookahead_adder, carry_select_adder, ripple_carry_adder};
-use workloads::lec::{miter, restructure};
 
 /// Resubstitutes nodes from existing logic, returning an equivalent graph.
 fn resub(aig: &Aig) -> Aig {
@@ -229,64 +226,6 @@ fn reconvergence_cut(aig: &Aig, root: Var, max_leaves: usize) -> Vec<Var> {
     leaves.sort_unstable();
     leaves.dedup();
     leaves
-}
-
-/// Asserts that two graphs are equal node for node: the same inputs, the
-/// same fanins per node and the same outputs.
-fn assert_same_graph(got: &Aig, want: &Aig, what: &str) {
-    assert_eq!(got.num_nodes(), want.num_nodes(), "{what}: node count");
-    assert_eq!(got.pis(), want.pis(), "{what}: inputs");
-    for v in 0..got.num_nodes() as Var {
-        assert_eq!(got.node(v), want.node(v), "{what}: node {v}");
-    }
-    assert_eq!(got.pos(), want.pos(), "{what}: outputs");
-}
-
-/// Adder-architecture and ALU miters at 4–16 bits, as `workloads`
-/// pairs them.
-fn datapath_miters() -> Vec<(String, Aig)> {
-    let mut out = Vec::new();
-    for bits in 4..=16 {
-        let (rca, cla) = (
-            ripple_carry_adder(bits).aig,
-            carry_lookahead_adder(bits).aig,
-        );
-        let alu = alu(bits).aig;
-        let pairs = [
-            ("rca/cla", rca.clone(), cla.clone()),
-            ("rca/csel", rca, carry_select_adder(bits, 2 + bits / 6).aig),
-            ("cla/csel", cla, carry_select_adder(bits, 2).aig),
-            ("alu", restructure(&alu, bits as u64), alu),
-        ];
-        for (name, a, b) in pairs {
-            out.push((format!("{name} {bits}"), miter(&a, &b)));
-        }
-    }
-    out
-}
-
-/// Every graph `resub` meets on `synth_equivalence`'s four pinned graphs
-/// under `rs;rs;rw` and the size script: each input, each intermediate
-/// and each output.
-fn recipe_graphs() -> Vec<(String, Aig)> {
-    use SynthOp::{Resub, Rewrite};
-    let recipes = [
-        vec![Resub, Resub, Rewrite],
-        Recipe::size_script().ops().to_vec(),
-    ];
-    let mut out = Vec::new();
-    for (gi, g) in pinned_graphs().into_iter().enumerate() {
-        for ops in &recipes {
-            let mut h = g.clone();
-            for (step, &op) in ops.iter().enumerate() {
-                let next = apply_op(&h, op);
-                out.push((format!("graph {gi} before step {step} of {ops:?}"), h));
-                h = next;
-            }
-            out.push((format!("graph {gi} after {ops:?}"), h));
-        }
-    }
-    out
 }
 
 mod tests {

@@ -9,6 +9,11 @@
 //!
 //! Demanding only earlier nodes makes the dependency relation acyclic, so
 //! the rebuild is a straightforward worklist evaluation.
+//!
+//! Rewriting and refactoring price a candidate structure with one shared,
+//! budgeted dry run (`DryRun`): it counts the gates the structure would
+//! add and gives up as soon as the count exceeds what the candidate may
+//! cost and still be chosen, so hopeless candidates stop early.
 
 use aig::{Aig, GateList, Lit, Var};
 
@@ -134,40 +139,77 @@ fn mapped(map: &[Option<Lit>], old: Lit) -> Lit {
         .xor_compl(old.is_compl())
 }
 
-/// Counts how many *new* AND gates instantiating `gl` over `leaves` would
-/// create, crediting structure gates that already exist in the graph
-/// (outside `cone`, the part of the MFFC being replaced, which the caller
-/// collected with [`aig::mffc::Mffc::cone_collect`]). This is the gain
-/// denominator of rewriting and refactoring.
-pub(crate) fn dry_run_cost(aig: &Aig, leaves: &[Lit], gl: &GateList, cone: &[Var]) -> usize {
-    // Each signal is either a known old-graph literal or a new node.
-    let mut sigs: Vec<Option<Lit>> = leaves.iter().map(|&l| Some(l)).collect();
-    let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
-        match s {
-            GateList::FALSE => Some(Lit::FALSE),
-            GateList::TRUE => Some(Lit::TRUE),
-            _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
+/// The dry run behind the gain of rewriting and refactoring: it counts the
+/// *new* AND gates that instantiating a structure over old-graph leaves
+/// would create, crediting structure gates that already exist in the graph
+/// outside `cone`, the part of the MFFC being replaced (collected with
+/// [`aig::mffc::Mffc::cone_collect`]).
+///
+/// One `DryRun` serves a whole pass: cone membership is an epoch-stamped
+/// mark per node, and the signal buffer is reused across calls.
+#[derive(Debug)]
+pub(crate) struct DryRun {
+    /// Node `v` is in the current cone when `mark[v] == epoch`.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Per structure signal: a known old-graph literal, or `None` for a
+    /// new gate.
+    sigs: Vec<Option<Lit>>,
+}
+
+impl DryRun {
+    /// A dry run for the passes over `aig`.
+    pub(crate) fn new(aig: &Aig) -> DryRun {
+        DryRun {
+            mark: vec![0; aig.num_nodes()],
+            epoch: 0,
+            sigs: Vec::new(),
         }
-    };
-    let mut cost = 0usize;
-    for &(a, b) in &gl.gates {
-        let out = match (decode(&sigs, a), decode(&sigs, b)) {
-            (Some(x), Some(y)) => match aig.find_and(x, y) {
-                // Folded to a constant, or an existing gate that survives.
-                Some(l) if l.is_const() || !cone.contains(&l.var()) => Some(l),
-                _ => {
-                    cost += 1;
-                    None
-                }
-            },
-            _ => {
-                cost += 1;
-                None
+    }
+
+    /// The number of new gates `gl` over `leaves` needs, or `None` as soon
+    /// as it needs more than `budget`.
+    pub(crate) fn cost(
+        &mut self,
+        aig: &Aig,
+        leaves: &[Lit],
+        gl: &GateList,
+        cone: &[Var],
+        budget: usize,
+    ) -> Option<usize> {
+        self.epoch += 1;
+        for &c in cone {
+            self.mark[c as usize] = self.epoch;
+        }
+        self.sigs.clear();
+        self.sigs.extend(leaves.iter().map(|&l| Some(l)));
+        let decode = |sigs: &[Option<Lit>], s: u32| -> Option<Lit> {
+            match s {
+                GateList::FALSE => Some(Lit::FALSE),
+                GateList::TRUE => Some(Lit::TRUE),
+                _ => sigs[(s >> 1) as usize].map(|l| l.xor_compl(s & 1 != 0)),
             }
         };
-        sigs.push(out);
+        let mut cost = 0usize;
+        for &(a, b) in &gl.gates {
+            let out = match (decode(&self.sigs, a), decode(&self.sigs, b)) {
+                (Some(x), Some(y)) => match aig.find_and(x, y) {
+                    // Folded to a constant, or an existing gate that survives.
+                    Some(l) if l.is_const() || self.mark[l.var() as usize] != self.epoch => Some(l),
+                    _ => None,
+                },
+                _ => None,
+            };
+            if out.is_none() {
+                cost += 1;
+                if cost > budget {
+                    return None;
+                }
+            }
+            self.sigs.push(out);
+        }
+        Some(cost)
     }
-    cost
 }
 
 #[cfg(test)]

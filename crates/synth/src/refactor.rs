@@ -18,10 +18,12 @@
 //!
 //! Cuts come from the builder resubstitution shares (`crate::reconv`): it
 //! marks leaves with epoch stamps instead of scanning the leaf list, and
-//! one builder serves the whole pass.
+//! one builder serves the whole pass. Candidates are priced by the dry run
+//! rewriting shares ([`crate::plan::DryRun`]), with a budget of one gate
+//! fewer than the cone: it stops as soon as a candidate cannot gain.
 
 use crate::factor::best_structure;
-use crate::plan::{dry_run_cost, rebuild, Choice};
+use crate::plan::{rebuild, Choice, DryRun};
 use crate::reconv::ReconvCut;
 use aig::hash::FastMap;
 use aig::mffc::Mffc;
@@ -43,7 +45,9 @@ pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateLi
     let mut cuts = ReconvCut::new(aig);
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
     let mut window = Window::new();
+    let mut dry_run = DryRun::new(aig);
     let mut cone: Vec<Var> = Vec::new();
+    let mut leaf_lits: Vec<Lit> = Vec::new();
     // Structure per cut function synthesised in this call.
     let mut memo: FastMap<Tt, GateList> = FastMap::default();
 
@@ -62,13 +66,16 @@ pub(crate) fn refactor_with(aig: &Aig, mut synthesise: impl FnMut(&Tt) -> GateLi
         }
         let f = window.cut_function(aig, v, leaves);
         let gl = memo.entry(f).or_insert_with_key(|f| synthesise(f));
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| Lit::from_var(l, false)).collect();
-        let cost = dry_run_cost(aig, &leaf_lits, gl, &cone);
-        let gain = cone.len() as i64 - cost as i64;
-        // Zero-gain replacements are not accepted.
-        if gain >= 1 {
+        leaf_lits.clear();
+        leaf_lits.extend(leaves.iter().map(|&l| Lit::from_var(l, false)));
+        // Zero-gain replacements are not accepted: a gain of at least 1
+        // leaves a budget of one gate fewer than the cone.
+        if dry_run
+            .cost(aig, &leaf_lits, gl, &cone, cone.len() - 1)
+            .is_some()
+        {
             choices[v as usize] = Choice::Structure {
-                leaves: leaf_lits,
+                leaves: leaf_lits.clone(),
                 gl: gl.clone(),
             };
         }

@@ -7,17 +7,26 @@
 //! already exist — outside the node's MFFC — are free), and the node is
 //! replaced when the saving is positive. This is the reconstruction
 //! formulation of Mishchenko–Chatterjee–Brayton's DAG-aware rewriting.
+//!
+//! Cut functions come with the cuts: the low 16 bits of a cut's word
+//! ([`aig::cut::Cut::truth`]) are its function over four variables, so no
+//! cone is evaluated per cut. A candidate must beat the best one so far
+//! (or reach the gain threshold while there is none), so it may add at
+//! most `cone - need` gates: a cut whose cone is smaller than `need` is
+//! skipped before the lookup, and the dry run stops as soon as the
+//! candidate exceeds that budget. The first candidate with the maximum
+//! gain is still the one applied.
 
 use crate::builder::sig_not;
-use crate::plan::{dry_run_cost, rebuild, Choice};
+use crate::plan::{rebuild, Choice, DryRun};
 use crate::rewrite_lib::npn_structure;
 use aig::cut::{enumerate_cuts, CutParams};
 use aig::mffc::Mffc;
 use aig::npn::npn_canon;
-use aig::{Aig, GateList, Lit, Var, Window};
+use aig::{Aig, GateList, Lit, Var};
 
 /// Priority cuts kept per node.
-const MAX_CUTS: usize = 8;
+pub(crate) const MAX_CUTS: usize = 8;
 
 /// Rewrites the graph, returning a functionally equivalent one.
 ///
@@ -33,8 +42,9 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
     );
     let mut mffc = Mffc::new(aig);
     let mut choices: Vec<Choice> = vec![Choice::Copy; aig.num_nodes()];
-    let mut window = Window::new();
+    let mut dry_run = DryRun::new(aig);
     let mut cone: Vec<Var> = Vec::new();
+    let threshold = if zero_gain { 0 } else { 1 };
 
     for v in aig.iter_ands() {
         // Every MFFC query restores the counts, so this is v's fanout.
@@ -42,7 +52,7 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
             continue; // dead logic disappears in the rebuild anyway
         }
         // (gain, structure leaves, class structure, output complement)
-        let mut best: Option<(i64, [Lit; 4], &GateList, bool)> = None;
+        let mut best: Option<(usize, [Lit; 4], &GateList, bool)> = None;
         for cut in &cuts[v as usize] {
             let nl = cut.size();
             if nl < 2 || cut.leaves() == [v] {
@@ -50,10 +60,14 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
             }
             // Nodes that disappear if v is re-expressed over this cut.
             mffc.cone_collect(aig, v, cut.leaves(), &mut cone);
-            // The stretched cut word's low 16 bits are the cut function
-            // over four variables (missing leaves are don't-cares).
-            let f4 = window.cut_word(aig, v, cut.leaves()) as u16;
-            let (canon, tr) = npn_canon(f4);
+            // The gain this candidate must reach to be kept.
+            let need = best.as_ref().map_or(threshold, |&(g, ..)| g + 1);
+            let Some(budget) = cone.len().checked_sub(need) else {
+                continue;
+            };
+            // The word's low 16 bits are the cut function over four
+            // variables (missing leaves are don't-cares).
+            let (canon, tr) = npn_canon(cut.truth() as u16);
             let gl = npn_structure(canon);
             // Concrete leaves, padded to 4 with constant-false.
             let mut leaves4 = [Lit::FALSE; 4];
@@ -61,22 +75,17 @@ pub fn rewrite(aig: &Aig, zero_gain: bool) -> Aig {
                 leaves4[i] = Lit::from_var(l, false);
             }
             let (w, out_compl) = tr.instantiate(&leaves4);
-            let cost = dry_run_cost(aig, &w, gl, &cone);
-            let gain = cone.len() as i64 - cost as i64;
-            if best.as_ref().is_none_or(|&(g, ..)| gain > g) {
-                best = Some((gain, w, gl, out_compl));
+            if let Some(cost) = dry_run.cost(aig, &w, gl, &cone, budget) {
+                best = Some((cone.len() - cost, w, gl, out_compl));
             }
         }
 
-        if let Some((gain, leaves, gl, out_compl)) = best {
-            let threshold = if zero_gain { 0 } else { 1 };
-            if gain >= threshold {
-                let root = if out_compl { sig_not(gl.root) } else { gl.root };
-                choices[v as usize] = Choice::Structure {
-                    leaves: leaves.to_vec(),
-                    gl: GateList { root, ..gl.clone() },
-                };
-            }
+        if let Some((_, leaves, gl, out_compl)) = best {
+            let root = if out_compl { sig_not(gl.root) } else { gl.root };
+            choices[v as usize] = Choice::Structure {
+                leaves: leaves.to_vec(),
+                gl: GateList { root, ..gl.clone() },
+            };
         }
     }
 

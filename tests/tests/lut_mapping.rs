@@ -130,8 +130,47 @@ fn net_depth(net: &cnf::LutNetlist) -> u32 {
 fn xor_cells_priced_higher_than_and_cells() {
     // Fig. 3 sanity at the trait level.
     let cost = BranchingCost::new();
-    let and2 = aig::Tt::from_u64(2, 0x8);
-    let xor2 = aig::Tt::from_u64(2, 0x6);
-    assert_eq!(cost.cut_cost(&and2), 3.0);
-    assert_eq!(cost.cut_cost(&xor2), 4.0);
+    let (and2, xor2) = (0x8, 0x6);
+    assert_eq!(cost.cut_cost(2, and2), 3.0);
+    assert_eq!(cost.cut_cost(2, xor2), 4.0);
+}
+
+#[test]
+fn cut_words_match_cone_tables_on_datapath_miters() {
+    // Every enumerated cut carries its function from the merge; a window
+    // evaluating the cut's cone must give the same table, stretched to
+    // six variables, at every cut size the mapper and rewriting use.
+    use aig::cut::{enumerate_cuts, CutParams};
+    use workloads::datapath::{carry_select_adder, ripple_carry_adder};
+    use workloads::lec::restructure;
+
+    let mut window = aig::Window::new();
+    for bits in 4..=16 {
+        let (rca, cla) = (
+            ripple_carry_adder(bits).aig,
+            carry_lookahead_adder(bits).aig,
+        );
+        let alu = alu(bits).aig;
+        let miters = [
+            ("rca/cla", miter(&rca, &cla)),
+            (
+                "rca/csel",
+                miter(&rca, &carry_select_adder(bits, 2 + bits / 6).aig),
+            ),
+            ("cla/csel", miter(&cla, &carry_select_adder(bits, 2).aig)),
+            ("alu", miter(&restructure(&alu, bits as u64), &alu)),
+        ];
+        for (name, g) in &miters {
+            for k in 2..=6 {
+                let cuts = enumerate_cuts(g, &CutParams { k, max_cuts: 8 });
+                for v in g.iter_ands() {
+                    for cut in &cuts[v as usize] {
+                        let table = window.cut_function(g, v, cut.leaves());
+                        let want = table.extend_to(6).to_u64();
+                        assert_eq!(cut.truth(), want, "{name} {bits}: k={k} v={v}");
+                    }
+                }
+            }
+        }
+    }
 }
