@@ -1,10 +1,13 @@
 //! Hot-path throughput harness: `BENCH_hotpath.json` emitter.
 //!
-//! Times CDCL propagation, proof checking, bit-parallel resimulation, SAT
+//! Times CDCL search, proof checking, bit-parallel resimulation, SAT
 //! sweeping, BMC, the query service, each synthesis op, LUT mapping under
 //! each cut cost and the NPN table build on fixed built-in workloads;
 //! every timed row comes from one sampler, [`sample`], as a median with
-//! its spread.
+//! its spread. The rows whose call takes under about 10 ms (synthesis,
+//! mapping, the NPN table) time [`BATCH`] calls per sample and report
+//! seconds per call, so one slow spell of the host moves them no more
+//! than the longer rows.
 //!
 //! Usage: `bench_hotpath [--out PATH]` (default `BENCH_hotpath.json`).
 //!
@@ -34,6 +37,9 @@ use workloads::seq::counter;
 
 /// Timed runs behind every row, after one untimed warm-up.
 const REPS: usize = 5;
+
+/// Calls timed together in each sample of a sub-10-ms row.
+const BATCH: usize = 16;
 
 /// Thread counts of the parallel kernels, one row each.
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -72,6 +78,13 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)
+}
+
+/// Seconds per call of `f` over [`BATCH`] calls, with the last call's
+/// result. Call `i` gets `i`, so each can use its own input.
+fn timed_batch<T>(mut f: impl FnMut(usize) -> T) -> (f64, T) {
+    let (t, out) = timed(|| (0..BATCH).map(&mut f).last());
+    (t / BATCH as f64, out.expect("a batch has calls"))
 }
 
 /// A JSON string.
@@ -175,12 +188,15 @@ fn checked(
 
 /// One `solver` row: the solve's time with its spread, the load's median
 /// apart, and the counters of one solve (every run repeats the search).
+/// Ticks are the solver's deterministic effort unit, so `ticks_per_sec`
+/// falling at equal `ticks` is a slower search step.
 fn solver_row(name: &str, [load, solve]: [Spread; 2], s: &sat::Stats) -> Row {
-    let props_per_sec = s.propagations as f64 / solve.median.max(1e-9);
+    let per_sec = |n: u64| format!("{:.0}", n as f64 / solve.median.max(1e-9));
     row! {
         "name": quoted(name), "reps": REPS, "load_s": format!("{:.6}", load.median),
-        "wall_s": solve, "propagations": s.propagations, "conflicts": s.conflicts,
-        "props_per_sec": format!("{props_per_sec:.0}"),
+        "wall_s": solve, "decisions": s.decisions, "propagations": s.propagations,
+        "conflicts": s.conflicts, "ticks": s.ticks, "props_per_sec": per_sec(s.propagations),
+        "ticks_per_sec": per_sec(s.ticks),
         "deadline_interrupts": s.deadline_interrupts, "cancellations": s.cancellations,
     }
 }
@@ -202,6 +218,7 @@ fn load_and_solve(
     let mut stats = *solver.stats();
     stats.propagations -= pre.propagations;
     stats.conflicts -= pre.conflicts;
+    stats.ticks -= pre.ticks;
     ([load_s, solve_s], stats, result, solver)
 }
 
@@ -251,12 +268,13 @@ fn main() {
         [load, off, on, dis, tra, on / off, dis / off, tra / off]
     });
 
-    // CDCL propagation. The registries' counters must equal the rows'
+    // CDCL search. The registries' counters must equal the rows'
     // per-solve statistics times the solves they observed.
     let solver_reg = obs::Registry::metrics_only();
-    let rca = ripple_carry_adder(12).aig;
-    let cla = carry_lookahead_adder(12).aig;
-    let lec_cnf = BaselinePipeline.preprocess(&miter(&rca, &cla)).cnf;
+    let adder_miter_cnf = |bits| {
+        let (rca, cla) = (ripple_carry_adder(bits), carry_lookahead_adder(bits));
+        BaselinePipeline.preprocess(&miter(&rca.aig, &cla.aig)).cnf
+    };
     let mut solver_rows = vec![solver_row("php", [php_load, off], &php_stats)];
     for (name, f, cfg) in [
         ("random3sat", random_3sat(150, 4.2, 3), &kissat),
@@ -264,7 +282,13 @@ fn main() {
         // inline binary-watcher tier (ratio just under the 2-SAT
         // threshold keeps it SAT with long implication chains).
         ("random2sat", random_2sat(120_000, 0.95, 9), &kissat),
-        ("lec_miter", lec_cnf, &SolverConfig::cadical_like()),
+        (
+            "lec_miter",
+            adder_miter_cnf(12),
+            &SolverConfig::cadical_like(),
+        ),
+        // The `lec-wide` case that dominates armbench's Baseline arm.
+        ("lec_rca44", adder_miter_cnf(44), &kissat),
     ] {
         let mut stats = sat::Stats::default();
         let spread = sample(|_| {
@@ -274,12 +298,14 @@ fn main() {
         });
         solver_rows.push(solver_row(name, spread, &stats));
     }
-    let published = |reg: &obs::Registry| reg.snapshot().value("sat.propagations").unwrap_or(0);
-    assert_eq!(
-        published(&solver_reg) + published(&tracing),
-        (REPS as u64 + 1) * sum(&solver_rows, "propagations") as u64,
-        "registry counters and per-solve stats must agree"
-    );
+    for key in ["propagations", "ticks"] {
+        let published = |reg: &obs::Registry| reg.snapshot().value(&format!("sat.{key}"));
+        assert_eq!(
+            published(&solver_reg).unwrap_or(0) + published(&tracing).unwrap_or(0),
+            (REPS as u64 + 1) * sum(&solver_rows, key) as u64,
+            "registry counters and per-solve stats must agree on {key}"
+        );
+    }
 
     // The independent checker verifies the warm-up's php certificate.
     let proof_solver = proof_solver.expect("the loop ran the proof-on variant");
@@ -514,9 +540,10 @@ fn main() {
     }
 
     // Synthesis: each op applied to one adder miter, the output's size and
-    // structural hash recorded. The warm-up builds the process-wide NPN
-    // table and structure library, so the `rw` row times rewriting alone;
-    // the `npn` row times the table build by itself.
+    // structural hash recorded, timed per call over a batch. The warm-up
+    // builds the process-wide NPN table and structure library, so the `rw`
+    // row times rewriting alone; the `npn` row times the table build by
+    // itself.
     let synth_bits = 16;
     let synth_in = miter(
         &ripple_carry_adder(synth_bits).aig,
@@ -531,7 +558,7 @@ fn main() {
     ] {
         let (mut ands_out, mut hash) = (0, 0);
         let [wall] = sample(|_| {
-            let (t, out) = timed(|| apply_op(&synth_in, op));
+            let (t, out) = timed_batch(|_| apply_op(&synth_in, op));
             (ands_out, hash) = (out.num_ands(), out.structural_hash());
             [t]
         });
@@ -543,8 +570,9 @@ fn main() {
     }
 
     // LUT mapping: the `rs;rs;rw` output of the synthesis miter, mapped
-    // under each cut cost with a fresh cost model per run, as the
-    // pipelines map. The exact fields pin the cover and its clause list.
+    // under each cut cost with a fresh cost model per call, as the
+    // pipelines map, timed per call over a batch. The exact fields pin the
+    // cover and its clause list.
     let map_in = apply_recipe(
         &synth_in,
         &[SynthOp::Resub, SynthOp::Resub, SynthOp::Rewrite],
@@ -553,11 +581,16 @@ fn main() {
     for cost_name in ["area", "branching"] {
         let mut net = None;
         let [wall] = sample(|_| {
-            let cost: Box<dyn CutCost> = match cost_name {
-                "area" => Box::new(AreaCost),
-                _ => Box::new(BranchingCost::new()),
-            };
-            let (t, out) = timed(|| map_luts(&map_in, &MapParams::default(), cost.as_ref()));
+            let costs: Vec<Box<dyn CutCost>> = (0..BATCH)
+                .map(|_| -> Box<dyn CutCost> {
+                    match cost_name {
+                        "area" => Box::new(AreaCost),
+                        _ => Box::new(BranchingCost::new()),
+                    }
+                })
+                .collect();
+            let (t, out) =
+                timed_batch(|i| map_luts(&map_in, &MapParams::default(), costs[i].as_ref()));
             net = Some(out);
             [t]
         });
@@ -578,7 +611,7 @@ fn main() {
 
     let mut classes = 0;
     let [npn_build] = sample(|_| {
-        let (t, table) = timed(aig::npn::NpnTable::build);
+        let (t, table) = timed_batch(|_| aig::npn::NpnTable::build());
         classes = table.canons().len();
         [t]
     });
@@ -646,6 +679,18 @@ mod tests {
         let samples = [100.0, 0.3, 0.1, 0.5, 0.2, 0.4];
         let [s] = sample(|rep| [samples[rep]]);
         assert_eq!((s.median, s.min, s.max), (0.3, 0.1, 0.5));
+    }
+
+    #[test]
+    fn batches_time_every_call_and_keep_the_last_result() {
+        let mut calls = Vec::new();
+        let (t, last) = timed_batch(|i| {
+            calls.push(i);
+            i * 10
+        });
+        assert_eq!(calls, (0..BATCH).collect::<Vec<_>>());
+        assert_eq!(last, (BATCH - 1) * 10);
+        assert!(t >= 0.0);
     }
 
     #[test]

@@ -1355,7 +1355,7 @@ mod tests {
             assert!(!solves.is_empty(), "no sat.solve span");
             // One name per number: each per-solve span field sums to its
             // `sat.*` counter, and no `sat.stats.*` mirror of them is left.
-            for field in ["conflicts", "decisions", "propagations"] {
+            for field in ["conflicts", "decisions", "propagations", "ticks"] {
                 let spans = obs::check::sum_field(&events, "sat.solve", field);
                 let counter = metrics.value(&format!("sat.{field}"));
                 assert_eq!(Some(spans), counter, "{field}, presolve {presolve}");

@@ -2,10 +2,12 @@
 //!
 //! A MiniSat-lineage solver: two-tier watched-literal propagation (an
 //! inline binary-clause tier drained ahead of blocker-guarded long-clause
-//! watchers), EVSIDS branching, phase saving, first-UIP conflict analysis
-//! with recursive clause minimisation over tagged reasons, LBD-aware
-//! clause-database reduction, and pluggable restart policies. Decision
-//! counts — the paper's branching metric — are first-class statistics.
+//! watchers) over literal-indexed values, EVSIDS branching, phase saving,
+//! allocation-free first-UIP conflict analysis with recursive clause
+//! minimisation over tagged reasons that caches failed searches as
+//! poison, LBD-aware clause-database reduction, and pluggable restart
+//! policies. Decision counts — the paper's branching metric — are
+//! first-class statistics.
 
 use crate::clause::ClauseDb;
 use crate::config::{Budget, SolverConfig};
@@ -113,7 +115,10 @@ pub struct Solver {
     /// Count of attached binary clauses (each contributes two entries).
     num_binary: usize,
 
-    assigns: Vec<LBool>,
+    /// Value of every literal, indexed by `Lit::index()`: a variable's
+    /// two entries are both `Undef` or complementary, so a literal's value
+    /// is one load with no sign arithmetic.
+    vals: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     trail: Vec<Lit>,
@@ -151,13 +156,32 @@ pub struct Solver {
     /// when presolve refuted the formula.
     presolved: Option<Reconstructor>,
 
-    // Analysis scratch space.
-    seen: Vec<bool>,
-    analyze_stack: Vec<Lit>,
+    // Analysis scratch space, reused by every conflict.
+    /// Per-variable analysis mark: 0, [`SEEN`] or [`POISON`]. All clear
+    /// outside analysis.
+    seen: Vec<u8>,
+    /// The learnt clause of the last analysis, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Redundancy-search stack: a literal to expand with its variable's
+    /// position in `analyze_clear` (or [`ROOT`] for the searched literal).
+    analyze_stack: Vec<(Lit, u32)>,
+    /// Every marked variable, in marking order: the learnt clause's, then
+    /// each redundancy search's pushes, which a failed search rolls back
+    /// to its poisoned chain.
     analyze_clear: Vec<Var>,
+    /// Parent link of each variable the current redundancy search pushed:
+    /// the `analyze_clear` position of the variable whose reason pushed
+    /// it, indexed from the search's first push.
+    analyze_parent: Vec<u32>,
+    /// Per-level stamps for counting a clause's distinct levels (LBD).
+    level_stamp: Vec<u64>,
+    /// The stamp of the last LBD count.
+    lbd_stamp: u64,
     /// Variables the last analysis resolved on, collected only while
     /// proof logging is on (the learnt clause's hints).
     hint_vars: Vec<Var>,
+    /// Literal buffer of the clause being loaded.
+    clause_buf: Vec<Lit>,
 }
 
 impl Solver {
@@ -174,7 +198,7 @@ impl Solver {
             watches: Vec::new(),
             binary_watches: Vec::new(),
             num_binary: 0,
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -194,9 +218,14 @@ impl Solver {
             trace: None,
             presolved: None,
             seen: Vec::new(),
+            learnt: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_clear: Vec::new(),
+            analyze_parent: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             hint_vars: Vec::new(),
+            clause_buf: Vec::new(),
         }
     }
 
@@ -270,18 +299,20 @@ impl Solver {
 
     /// Number of variables known to the solver.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Ensures variables `0..n` exist.
     pub fn ensure_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
-            let v = self.assigns.len() as Var;
-            self.assigns.push(LBool::Undef);
+        while self.level.len() < n {
+            let v = self.level.len() as Var;
+            self.vals.push(LBool::Undef);
+            self.vals.push(LBool::Undef);
             self.level.push(0);
             self.reason.push(Reason::Decision);
             self.activity.push(0.0);
             self.phase.push(self.config.default_phase);
+            self.seen.push(0);
             self.watches.push(Vec::new());
             self.watches.push(Vec::new());
             self.binary_watches.push(Vec::new());
@@ -334,9 +365,13 @@ impl Solver {
             Presolved::Sat(recon) => (recon, 0),
             Presolved::Simplified(simplified, recon) => {
                 self.ensure_vars(simplified.num_vars() as usize);
+                let mut lits = std::mem::take(&mut self.clause_buf);
                 for clause in simplified.clauses() {
-                    self.load_clause(clause.iter().map(|&l| Lit::from_cnf(l)).collect());
+                    lits.clear();
+                    lits.extend(clause.iter().map(|&l| Lit::from_cnf(l)));
+                    self.load_clause(&mut lits);
                 }
+                self.clause_buf = lits;
                 (recon, simplified.num_clauses())
             }
         };
@@ -353,8 +388,11 @@ impl Solver {
 
     /// Adds one clause in DIMACS-literal form.
     pub fn add_clause_cnf(&mut self, clause: &[CnfLit]) {
-        let lits: Vec<Lit> = clause.iter().map(|&l| Lit::from_cnf(l)).collect();
-        self.add_clause(lits);
+        let mut lits = std::mem::take(&mut self.clause_buf);
+        lits.clear();
+        lits.extend(clause.iter().map(|&l| Lit::from_cnf(l)));
+        self.add_original(&mut lits);
+        self.clause_buf = lits;
     }
 
     /// Adds one clause in internal-literal form. Must be called at decision
@@ -363,22 +401,29 @@ impl Solver {
     /// # Panics
     /// Panics if called with outstanding decisions, or under
     /// [`SolverConfig::presolve`].
-    pub fn add_clause(&mut self, lits: Vec<Lit>) {
+    pub fn add_clause(&mut self, mut lits: Vec<Lit>) {
+        self.add_original(&mut lits);
+    }
+
+    /// Logs an input clause as an original and stores it; `lits` is
+    /// normalised in place.
+    fn add_original(&mut self, lits: &mut Vec<Lit>) {
         assert!(
             !self.config.presolve,
             "a presolving solver takes its formula through add_cnf only"
         );
         if self.ok {
             if let Some(p) = self.proof.as_deref_mut() {
-                p.log_original(&lits);
+                p.log_original(lits);
             }
         }
         self.load_clause(lits);
     }
 
     /// Stores a clause the proof log already accounts for: an original
-    /// logged by [`Solver::add_clause`], or a presolve output.
-    fn load_clause(&mut self, mut lits: Vec<Lit>) {
+    /// logged by [`Solver::add_clause`], or a presolve output. `lits` is
+    /// normalised in place into the stored form.
+    fn load_clause(&mut self, lits: &mut Vec<Lit>) {
         assert!(
             self.trail_lim.is_empty(),
             "clauses must be added at level 0"
@@ -390,48 +435,52 @@ impl Solver {
         self.ensure_vars(max_var);
 
         // Normalise: sort/dedup, drop false literals, detect tautology and
-        // satisfied clauses under the level-0 assignment.
+        // satisfied clauses under the level-0 assignment. Kept literals
+        // are compacted to the front; slot `i + 1` is read before any
+        // write can reach it.
         lits.sort_unstable();
         lits.dedup();
         let deduped_len = lits.len();
-        let mut simplified = Vec::with_capacity(lits.len());
-        let mut i = 0;
-        while i < lits.len() {
+        let mut kept = 0;
+        for i in 0..deduped_len {
             let l = lits[i];
-            if i + 1 < lits.len() && lits[i + 1] == !l {
+            if i + 1 < deduped_len && lits[i + 1] == !l {
                 return; // tautology (sorted order puts var's lits adjacent)
             }
             match self.value(l) {
                 LBool::True => return, // already satisfied at level 0
                 LBool::False => {}     // drop the false literal
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
-            i += 1;
         }
+        lits.truncate(kept);
         // Level-0 simplification strengthened the clause (dropped false
         // literals): the stored form is itself a derived clause — log it so
         // the certificate derives everything the solver actually uses. It
         // is RUP via the level-0 units that falsified the dropped literals.
-        if simplified.len() < deduped_len {
+        if kept < deduped_len {
             if let Some(p) = self.proof.as_deref_mut() {
-                p.log_add(&simplified);
+                p.log_add(lits);
             }
         }
-        match simplified.len() {
+        match lits.len() {
             0 => {
                 self.log_empty_clause();
                 self.ok = false;
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], Reason::Decision);
+                self.unchecked_enqueue(lits[0], Reason::Decision);
                 if self.propagate().is_some() {
                     self.log_empty_clause();
                     self.ok = false;
                 }
             }
-            2 => self.attach_binary(simplified[0], simplified[1]),
+            2 => self.attach_binary(lits[0], lits[1]),
             _ => {
-                let cref = self.db.add(&simplified, false, 0);
+                let cref = self.db.add(lits, false, 0);
                 self.attach(cref);
             }
         }
@@ -466,7 +515,7 @@ impl Solver {
 
     #[inline]
     fn value(&self, l: Lit) -> LBool {
-        self.assigns[l.var() as usize].xor(!l.is_positive())
+        self.vals[l.index()]
     }
 
     #[inline]
@@ -477,7 +526,8 @@ impl Solver {
     fn unchecked_enqueue(&mut self, l: Lit, reason: Reason) {
         debug_assert_eq!(self.value(l), LBool::Undef);
         let v = l.var() as usize;
-        self.assigns[v] = LBool::from_bool(l.is_positive());
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
@@ -489,40 +539,63 @@ impl Solver {
     /// drained first — every entry is a complete implication held in one
     /// word, so the scan is cache-dense and conflict-cheap — before the
     /// long-clause watcher walk with its blocker checks and arena loads.
+    /// The solver is destructured into its fields once, so both tiers are
+    /// read in place and every enqueue is inline.
+    ///
+    /// Counts [`Stats::ticks`]: one per propagated literal, one per
+    /// 64-byte line of each of its two watch lists, and one per clause
+    /// whose literals are read.
     fn propagate(&mut self) -> Option<Conflict> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
+        let Solver {
+            db,
+            watches,
+            binary_watches,
+            vals,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            stats,
+            ..
+        } = self;
+        let decision_level = trail_lim.len() as u32;
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            let false_lit = !p;
+            stats.propagations += 1;
 
             // --- binary tier ------------------------------------------
-            // The list is append-only and never touched by enqueues, so it
-            // is taken out for iteration and restored verbatim.
-            let bins = std::mem::take(&mut self.binary_watches[p.index()]);
-            let mut binary_conflict = None;
-            for &imp in &bins {
-                match self.value(imp) {
+            // Enqueues never touch a watch list, so the list is read in
+            // place.
+            let bins = &binary_watches[p.index()];
+            stats.ticks += 1 + cache_lines::<Lit>(bins.len());
+            for &imp in bins {
+                match vals[imp.index()] {
                     LBool::True => {}
-                    LBool::Undef => self.unchecked_enqueue(imp, Reason::Binary(!p)),
+                    LBool::Undef => {
+                        vals[imp.index()] = LBool::True;
+                        vals[(!imp).index()] = LBool::False;
+                        level[imp.var() as usize] = decision_level;
+                        reason[imp.var() as usize] = Reason::Binary(false_lit);
+                        trail.push(imp);
+                    }
                     LBool::False => {
-                        binary_conflict = Some(Conflict::Binary(imp, !p));
-                        break;
+                        *qhead = trail.len();
+                        return Some(Conflict::Binary(imp, false_lit));
                     }
                 }
             }
-            self.binary_watches[p.index()] = bins;
-            if binary_conflict.is_some() {
-                self.qhead = self.trail.len();
-                return binary_conflict;
-            }
 
             // --- long-clause tier -------------------------------------
+            // Replacement watches go to other lists, so this one is taken
+            // out and put back compacted.
+            let mut ws = std::mem::take(&mut watches[p.index()]);
+            let n = ws.len();
+            stats.ticks += cache_lines::<Watcher>(n);
             let mut i = 0;
             let mut j = 0;
-            // Take the list out to sidestep aliasing; it is pushed back
-            // compacted at the end.
-            let mut ws = std::mem::take(&mut self.watches[p.index()]);
-            let n = ws.len();
             'watchers: while i < n {
                 let w = ws[i];
                 i += 1;
@@ -531,68 +604,61 @@ impl Solver {
                 // propagation loop's dominant miss source, and the next
                 // arena offset is already known here.
                 if i < n {
-                    self.db.prefetch(ws[i].cref);
+                    db.prefetch(ws[i].cref);
                 }
                 // Blocker short-circuit.
-                if self.value(w.blocker) == LBool::True {
+                if vals[w.blocker.index()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let false_lit = !p;
                 // Literals are read inline from the arena: one index off
                 // the clause ref, no per-clause pointer chase.
-                let lits = self.db.lits_mut(w.cref);
+                stats.ticks += 1;
+                let lits = db.lits_mut(w.cref);
                 if lits[0] == false_lit {
                     lits.swap(0, 1);
                 }
                 debug_assert_eq!(lits[1], false_lit);
                 let first = lits[0];
-                if first != w.blocker
-                    && self.assigns[first.var() as usize].xor(!first.is_positive()) == LBool::True
-                {
-                    ws[j] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
+                let kept = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
+                let first_value = vals[first.index()];
+                if first != w.blocker && first_value == LBool::True {
+                    ws[j] = kept;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 for k in 2..lits.len() {
                     let lk = lits[k];
-                    if self.assigns[lk.var() as usize].xor(!lk.is_positive()) != LBool::False {
+                    if vals[lk.index()] != LBool::False {
                         lits.swap(1, k);
-                        let new_watch = lits[1];
-                        self.watches[(!new_watch).index()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
+                        watches[(!lk).index()].push(kept);
                         continue 'watchers;
                     }
                 }
                 // No replacement: the clause is unit or conflicting.
-                ws[j] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
+                ws[j] = kept;
                 j += 1;
-                if self.value(first) == LBool::False {
+                if first_value == LBool::False {
                     // Conflict: restore the remaining watchers and bail out.
-                    while i < n {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    ws.truncate(j);
-                    self.watches[p.index()] = ws;
-                    self.qhead = self.trail.len();
+                    ws.copy_within(i..n, j);
+                    ws.truncate(j + n - i);
+                    watches[p.index()] = ws;
+                    *qhead = trail.len();
                     return Some(Conflict::Clause(w.cref));
                 }
-                self.unchecked_enqueue(first, Reason::Clause(w.cref));
+                vals[first.index()] = LBool::True;
+                vals[(!first).index()] = LBool::False;
+                level[first.var() as usize] = decision_level;
+                reason[first.var() as usize] = Reason::Clause(w.cref);
+                trail.push(first);
             }
             ws.truncate(j);
-            self.watches[p.index()] = ws;
+            watches[p.index()] = ws;
         }
         None
     }
@@ -601,31 +667,33 @@ impl Solver {
     /// variable and either extends the resolution frontier (current level)
     /// or the learnt clause (earlier level).
     #[inline]
-    fn analyze_visit(&mut self, q: Lit, path_count: &mut u32, learnt: &mut Vec<Lit>) {
+    fn analyze_visit(&mut self, q: Lit, path_count: &mut u32) {
         let v = q.var() as usize;
-        if !self.seen[v] && self.level[v] > 0 {
-            self.seen[v] = true;
+        if self.seen[v] == 0 && self.level[v] > 0 {
+            self.seen[v] = SEEN;
             self.bump_var(q.var());
             if self.level[v] >= self.decision_level() {
                 *path_count += 1;
             } else {
-                learnt.push(q);
+                self.learnt.push(q);
             }
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the backtrack level, and the clause's LBD.
+    /// First-UIP conflict analysis. Leaves the learnt clause in `learnt`
+    /// (asserting literal first) and returns the backtrack level and the
+    /// clause's LBD. Allocates nothing: every buffer is the solver's.
     ///
     /// With `HINTS` (proof logging on), also leaves in `hint_vars` every
     /// variable the derivation used: the current-level literals resolved
     /// on, the literals minimisation removed, and the variables its
     /// redundancy search expanded. Without it the collection compiles away.
-    fn analyze<const HINTS: bool>(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+    fn analyze<const HINTS: bool>(&mut self, confl: Conflict) -> (u32, u32) {
         if HINTS {
             self.hint_vars.clear();
         }
-        let mut learnt: Vec<Lit> = vec![Lit::UNDEF]; // slot 0 for the UIP
+        self.learnt.clear();
+        self.learnt.push(Lit::UNDEF); // slot 0 for the UIP
         let mut path_count = 0u32;
         let mut p = Lit::UNDEF;
         let mut index = self.trail.len();
@@ -641,27 +709,27 @@ impl Solver {
                     let start = if p == Lit::UNDEF { 0 } else { 1 };
                     for k in start..self.db.clause_len(cref) {
                         let q = self.db.lit(cref, k);
-                        self.analyze_visit(q, &mut path_count, &mut learnt);
+                        self.analyze_visit(q, &mut path_count);
                     }
                 }
                 Conflict::Binary(a, b) => {
                     // Inline binary antecedent: no arena record to bump;
                     // `a` is the resolved literal once p is set.
                     if p == Lit::UNDEF {
-                        self.analyze_visit(a, &mut path_count, &mut learnt);
+                        self.analyze_visit(a, &mut path_count);
                     }
-                    self.analyze_visit(b, &mut path_count, &mut learnt);
+                    self.analyze_visit(b, &mut path_count);
                 }
             }
             // Next literal to resolve on: last seen literal on the trail.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var() as usize] {
+                if self.seen[self.trail[index].var() as usize] != 0 {
                     break;
                 }
             }
             p = self.trail[index];
-            self.seen[p.var() as usize] = false;
+            self.seen[p.var() as usize] = 0;
             path_count -= 1;
             if path_count == 0 {
                 break;
@@ -675,37 +743,42 @@ impl Solver {
                 Reason::Decision => unreachable!("reason must exist on the path"),
             };
         }
-        learnt[0] = !p;
+        self.learnt[0] = !p;
 
-        // Minimise: drop literals implied by the rest of the clause.
-        let abstract_levels = learnt[1..].iter().fold(0u64, |acc, l| {
+        // Minimise in place: drop literals implied by the rest of the
+        // clause. Every learnt variable stays marked until the end, so it
+        // is queued for clearing first.
+        let abstract_levels = self.learnt[1..].iter().fold(0u64, |acc, l| {
             acc | level_abstraction(self.level[l.var() as usize])
         });
-        let to_clear: Vec<Var> = learnt[1..].iter().map(|l| l.var()).collect();
-        let before = learnt.len();
-        let mut kept = vec![learnt[0]];
-        for idx in 1..learnt.len() {
-            let l = learnt[idx];
+        debug_assert!(self.analyze_clear.is_empty());
+        self.analyze_clear
+            .extend(self.learnt[1..].iter().map(|l| l.var()));
+        let before = self.learnt.len();
+        let mut kept = 1;
+        for idx in 1..before {
+            let l = self.learnt[idx];
             if self.reason[l.var() as usize].is_decision()
                 || !self.lit_redundant::<HINTS>(l, abstract_levels)
             {
-                kept.push(l);
+                self.learnt[kept] = l;
+                kept += 1;
             } else if HINTS {
                 self.hint_vars.push(l.var());
             }
         }
-        self.stats.minimized_literals += (before - kept.len()) as u64;
-        let mut learnt = kept;
+        self.learnt.truncate(kept);
+        self.stats.minimized_literals += (before - kept) as u64;
 
-        // Clear every seen flag set during analysis and minimisation.
-        for v in to_clear {
-            self.seen[v as usize] = false;
+        // Clear every mark (seen and poison) set during analysis and
+        // minimisation.
+        for &v in &self.analyze_clear {
+            self.seen[v as usize] = 0;
         }
-        for v in self.analyze_clear.drain(..) {
-            self.seen[v as usize] = false;
-        }
+        self.analyze_clear.clear();
 
         // Backtrack level: second-highest decision level in the clause.
+        let learnt = &mut self.learnt;
         let bt_level = if learnt.len() == 1 {
             0
         } else {
@@ -719,87 +792,116 @@ impl Solver {
             self.level[learnt[1].var() as usize]
         };
 
-        let lbd = self.compute_lbd(&learnt);
-        (learnt, bt_level, lbd)
+        let lbd = self.compute_lbd();
+        (bt_level, lbd)
     }
 
     /// [`Solver::analyze`] collecting hints. Kept out of line so that the
     /// search loop inlines only the hint-free analysis: proof-off solving
     /// compiles to the same code as without hint support.
     #[inline(never)]
-    fn analyze_hinted(&mut self, confl: Conflict) -> (Vec<Lit>, u32, u32) {
+    fn analyze_hinted(&mut self, confl: Conflict) -> (u32, u32) {
         self.analyze::<true>(confl)
     }
 
     /// True if `l` is implied by the remaining learnt literals (recursive
-    /// minimisation check, iterative formulation). With `HINTS`, a
+    /// minimisation check, MiniSat's iterative worklist). With `HINTS`, a
     /// successful search adds the variables it expanded to `hint_vars`.
+    ///
+    /// The search marks each variable it pushes and records it in
+    /// `analyze_clear`, in push order, with a parent link. Success keeps
+    /// the marks: those variables are implied by the clause. Failure rolls
+    /// them back, except along the chain from the variable whose reason
+    /// failed up to `l`: each of those has a non-redundant antecedent, so
+    /// it is marked [`POISON`] and later searches fail there at once. A
+    /// failed search marks nothing else, so every successful search, and
+    /// with it every hint list, is the one the plain worklist makes.
     fn lit_redundant<const HINTS: bool>(&mut self, l: Lit, abstract_levels: u64) -> bool {
+        let top = self.analyze_clear.len();
+        self.analyze_parent.clear();
         self.analyze_stack.clear();
-        self.analyze_stack.push(l);
-        let mut pending: Vec<Var> = Vec::new();
-        while let Some(q) = self.analyze_stack.pop() {
+        self.analyze_stack.push((l, ROOT));
+        while let Some((q, q_pos)) = self.analyze_stack.pop() {
             // Expand q's antecedent (slot 0 / the implied literal excluded).
             let expanded = match self.reason[q.var() as usize] {
                 Reason::Decision => unreachable!("minimised literals are implied"),
-                Reason::Clause(cref) => {
-                    let mut ok = true;
-                    for k in 1..self.db.clause_len(cref) {
-                        let r = self.db.lit(cref, k);
-                        if !self.redundant_expand(r, abstract_levels, &mut pending) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    ok
-                }
-                Reason::Binary(other) => {
-                    self.redundant_expand(other, abstract_levels, &mut pending)
-                }
+                Reason::Clause(cref) => (1..self.db.clause_len(cref)).all(|k| {
+                    let r = self.db.lit(cref, k);
+                    self.redundant_expand(r, abstract_levels, q_pos)
+                }),
+                Reason::Binary(other) => self.redundant_expand(other, abstract_levels, q_pos),
             };
             if !expanded {
-                // Hit a decision or a level outside the clause: not
-                // redundant. Roll back the speculative seen marks.
-                for v in pending {
-                    self.seen[v as usize] = false;
+                // Not redundant: roll back the speculative marks, poison
+                // q's chain, and keep only the poisoned for clearing.
+                for &v in &self.analyze_clear[top..] {
+                    self.seen[v as usize] = 0;
                 }
+                let mut pos = q_pos;
+                while pos != ROOT {
+                    self.seen[self.analyze_clear[pos as usize] as usize] = POISON;
+                    pos = self.analyze_parent[pos as usize - top];
+                }
+                let mut kept = top;
+                for i in top..self.analyze_clear.len() {
+                    let v = self.analyze_clear[i];
+                    if self.seen[v as usize] == POISON {
+                        self.analyze_clear[kept] = v;
+                        kept += 1;
+                    }
+                }
+                self.analyze_clear.truncate(kept);
                 return false;
             }
         }
-        // Keep speculative marks; record them for final cleanup.
+        // Keep the marks; they are cleared with the clause's.
         if HINTS {
-            self.hint_vars.extend_from_slice(&pending);
+            self.hint_vars.extend_from_slice(&self.analyze_clear[top..]);
         }
-        self.analyze_clear.extend(pending);
         true
     }
 
-    /// One antecedent literal of the redundancy DFS: pushes it for further
-    /// expansion, or reports `false` when it proves `l` irredundant.
+    /// One antecedent literal of the redundancy search, reached from the
+    /// variable at `parent` in `analyze_clear`: pushes it for further
+    /// expansion, or reports `false` when it proves the searched literal
+    /// irredundant.
     #[inline]
-    fn redundant_expand(&mut self, r: Lit, abstract_levels: u64, pending: &mut Vec<Var>) -> bool {
+    fn redundant_expand(&mut self, r: Lit, abstract_levels: u64, parent: u32) -> bool {
         let v = r.var() as usize;
-        if self.seen[v] || self.level[v] == 0 {
+        let mark = self.seen[v];
+        if mark == SEEN || self.level[v] == 0 {
             return true;
         }
-        if self.reason[v].is_decision() || level_abstraction(self.level[v]) & abstract_levels == 0 {
+        if mark == POISON
+            || self.reason[v].is_decision()
+            || level_abstraction(self.level[v]) & abstract_levels == 0
+        {
             return false;
         }
-        self.seen[v] = true;
-        pending.push(r.var());
-        self.analyze_stack.push(r);
+        self.seen[v] = SEEN;
+        let pos = self.analyze_clear.len() as u32;
+        self.analyze_clear.push(r.var());
+        self.analyze_parent.push(parent);
+        self.analyze_stack.push((r, pos));
         true
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var() as usize])
-            .filter(|&lv| lv > 0)
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// The learnt clause's literal-block distance: its count of distinct
+    /// nonzero decision levels, each level stamped once.
+    fn compute_lbd(&mut self) -> u32 {
+        if self.level_stamp.len() <= self.trail_lim.len() {
+            self.level_stamp.resize(self.trail_lim.len() + 1, 0);
+        }
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &self.learnt {
+            let lv = self.level[l.var() as usize] as usize;
+            if lv > 0 && self.level_stamp[lv] != self.lbd_stamp {
+                self.level_stamp[lv] = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn backtrack(&mut self, target: u32) {
@@ -811,7 +913,8 @@ impl Solver {
             let v = l.var() as usize;
             // Phase saving: decisions reuse the variable's last polarity.
             self.phase[v] = l.is_positive();
-            self.assigns[v] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.reason[v] = Reason::Decision;
             if !self.order.contains(l.var()) {
                 self.order.insert(l.var(), &self.activity);
@@ -852,8 +955,9 @@ impl Solver {
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v as usize] == LBool::Undef {
-                return Some(Lit::new(v, self.phase[v as usize]));
+            let l = Lit::new(v, self.phase[v as usize]);
+            if self.value(l) == LBool::Undef {
+                return Some(l);
             }
         }
         None
@@ -883,9 +987,8 @@ impl Solver {
         });
         let to_delete = candidates.len() / 2;
         for &r in &candidates[..to_delete] {
-            if self.proof.is_some() {
-                let lits: Vec<Lit> = self.db.lits(r).to_vec();
-                self.proof.as_deref_mut().unwrap().log_delete(&lits);
+            if let Some(p) = self.proof.as_deref_mut() {
+                p.log_delete(self.db.lits(r));
             }
             self.detach(r);
             self.db.delete(r);
@@ -987,7 +1090,10 @@ impl Solver {
     /// size matches the attached-binary count; every clause reason is a
     /// live arena clause whose slot-0 literal is the implied one; every
     /// binary reason's antecedent is false and its clause is present in
-    /// the binary tier. With proof logging on, additionally audits the
+    /// the binary tier; each variable's two literal values are both
+    /// unassigned or complementary, and exactly the trail's literals are
+    /// true; every analysis mark (seen and poison) is clear. With proof
+    /// logging on, additionally audits the
     /// certificate: every live arena clause and binary-tier edge is
     /// either an original clause or a logged derivation, and the logged
     /// deletion count matches the database's.
@@ -1054,12 +1160,12 @@ impl Solver {
             if r.is_decision() {
                 continue;
             }
-            assert_ne!(
-                self.assigns[v],
-                LBool::Undef,
-                "unassigned var {v} holds a reason"
-            );
-            let implied = Lit::new(v as Var, self.assigns[v] == LBool::True);
+            let implied = Lit::new(v as Var, true);
+            let implied = match self.value(implied) {
+                LBool::True => implied,
+                LBool::False => !implied,
+                LBool::Undef => panic!("unassigned var {v} holds a reason"),
+            };
             match r {
                 Reason::Decision => unreachable!(),
                 Reason::Clause(cref) => {
@@ -1084,6 +1190,34 @@ impl Solver {
                 }
             }
         }
+        // Literal values against the trail: each trail literal is true and
+        // its variable appears once; every variable's negative entry is its
+        // positive entry flipped, and is assigned iff it is on the trail.
+        let mut on_trail = vec![false; self.num_vars()];
+        for &l in &self.trail {
+            let v = l.var() as usize;
+            assert!(!on_trail[v], "var {v} is on the trail twice");
+            on_trail[v] = true;
+            assert_eq!(self.value(l), LBool::True, "trail literal {l:?} not true");
+        }
+        for (v, &assigned) in on_trail.iter().enumerate() {
+            let pos = self.value(Lit::new(v as Var, true));
+            assert_eq!(
+                self.value(Lit::new(v as Var, false)),
+                pos.xor(true),
+                "var {v}'s literal values are not complementary"
+            );
+            assert_eq!(
+                pos != LBool::Undef,
+                assigned,
+                "var {v} is assigned iff it is on the trail"
+            );
+        }
+        // Analysis marks live only inside `analyze`.
+        if let Some(v) = self.seen.iter().position(|&m| m != 0) {
+            panic!("analysis mark {} left on var {v}", self.seen[v]);
+        }
+        assert!(self.analyze_clear.is_empty(), "analysis clear list left");
         // Proof-log audit: with logging on, every clause the solver can
         // still use — live arena clauses and binary-tier edges — must be
         // accounted for in the certificate, either as an original clause
@@ -1230,7 +1364,6 @@ impl Solver {
             .max()
             .unwrap_or(0);
         self.ensure_vars(max_var);
-        self.seen.resize(self.num_vars(), false);
         // Poll deadline/cancellation at the first opportunity: an already
         // interrupted solve must return promptly, not after a batch.
         self.interrupt_countdown = 1;
@@ -1251,7 +1384,7 @@ impl Solver {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt, lbd) = if self.proof.is_some() {
+                let (bt, lbd) = if self.proof.is_some() {
                     self.analyze_hinted(confl)
                 } else {
                     self.analyze::<false>(confl)
@@ -1264,20 +1397,21 @@ impl Solver {
                 // stored, for every tier including binary learnts, with
                 // the variables the analysis resolved on as hints.
                 if let Some(p) = self.proof.as_deref_mut() {
-                    p.log_lemma(&learnt, &self.hint_vars);
+                    p.log_lemma(&self.learnt, &self.hint_vars);
                 }
-                match learnt.len() {
-                    1 => self.unchecked_enqueue(learnt[0], Reason::Decision),
+                let asserting = self.learnt[0];
+                match self.learnt.len() {
+                    1 => self.unchecked_enqueue(asserting, Reason::Decision),
                     2 => {
                         // Two-literal learnts go straight to the binary
                         // tier: no arena record, never a reduction or GC
                         // candidate, asserted with an inline reason.
-                        self.attach_binary(learnt[0], learnt[1]);
-                        self.unchecked_enqueue(learnt[0], Reason::Binary(learnt[1]));
+                        let other = self.learnt[1];
+                        self.attach_binary(asserting, other);
+                        self.unchecked_enqueue(asserting, Reason::Binary(other));
                     }
                     _ => {
-                        let asserting = learnt[0];
-                        let cref = self.db.add(&learnt, true, lbd);
+                        let cref = self.db.add(&self.learnt, true, lbd);
                         self.attach(cref);
                         self.unchecked_enqueue(asserting, Reason::Clause(cref));
                     }
@@ -1335,9 +1469,9 @@ impl Solver {
                     None => {
                         // All variables assigned: extract the model.
                         let model = self
-                            .assigns
-                            .iter()
-                            .map(|&a| a == LBool::True)
+                            .vals
+                            .chunks_exact(2)
+                            .map(|pair| pair[0] == LBool::True)
                             .collect::<Vec<bool>>();
                         self.backtrack(0);
                         return SolveResult::Sat(match &self.presolved {
@@ -1366,9 +1500,24 @@ impl Solver {
     }
 }
 
+/// Analysis mark: the variable is in the learnt clause or known implied
+/// by it (or, during first-UIP resolution, on the frontier).
+const SEEN: u8 = 1;
+/// Analysis mark: a failed redundancy search proved the variable not
+/// implied by the learnt clause.
+const POISON: u8 = 2;
+/// Parent link of the literal a redundancy search starts from.
+const ROOT: u32 = u32::MAX;
+
 #[inline]
 fn level_abstraction(level: u32) -> u64 {
     1u64 << (level & 63)
+}
+
+/// 64-byte cache lines spanned by a list of `len` values of `T`.
+#[inline]
+fn cache_lines<T>(len: usize) -> u64 {
+    (len * std::mem::size_of::<T>()).div_ceil(64) as u64
 }
 
 /// Solves a formula with a fresh solver; convenience for pipelines.
@@ -1471,6 +1620,26 @@ mod tests {
             }
         }
         f
+    }
+
+    #[test]
+    #[should_panic(expected = "analysis mark")]
+    fn integrity_audit_catches_a_stale_analysis_mark() {
+        let mut s = Solver::from_cnf(&workloads_php(5), SolverConfig::default());
+        assert!(s.solve().is_unsat());
+        s.assert_integrity();
+        s.seen[3] = POISON;
+        s.assert_integrity();
+    }
+
+    #[test]
+    #[should_panic(expected = "not complementary")]
+    fn integrity_audit_catches_a_one_sided_literal_value() {
+        let mut s = Solver::from_cnf(&cnf_of(&[&[1, 2], &[-1, 3]]), SolverConfig::default());
+        assert!(s.solve().is_sat());
+        s.assert_integrity();
+        s.vals[Lit::new(0, false).index()] = LBool::True;
+        s.assert_integrity();
     }
 
     #[test]

@@ -21,6 +21,12 @@ pub struct Stats {
     pub conflicts: u64,
     /// Literals propagated.
     pub propagations: u64,
+    /// Propagation effort in Kissat's "ticks": one per propagated
+    /// literal, one per 64-byte line of each of its two watch lists, and
+    /// one per long clause whose literals are read. Deterministic, and on
+    /// circuit CNFs closer to proportional to search time than the counts
+    /// above.
+    pub ticks: u64,
     /// Restarts performed.
     pub restarts: u64,
     /// Learnt clauses added.
@@ -43,11 +49,12 @@ impl Stats {
     /// Every counter with its name, in field order: the one list the
     /// registry's `sat.<name>` counters and the CLI's resource report
     /// read.
-    pub fn counters(&self) -> [(&'static str, u64); 11] {
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
         [
             ("decisions", self.decisions),
             ("conflicts", self.conflicts),
             ("propagations", self.propagations),
+            ("ticks", self.ticks),
             ("restarts", self.restarts),
             ("learnt_clauses", self.learnt_clauses),
             ("deleted_clauses", self.deleted_clauses),
@@ -87,18 +94,19 @@ mod tests {
             decisions: 1,
             conflicts: 2,
             propagations: 3,
-            restarts: 4,
-            learnt_clauses: 5,
-            deleted_clauses: 6,
-            minimized_literals: 7,
-            gcs: 8,
-            watcher_shrinks: 9,
-            deadline_interrupts: 10,
-            cancellations: 11,
+            ticks: 4,
+            restarts: 5,
+            learnt_clauses: 6,
+            deleted_clauses: 7,
+            minimized_literals: 8,
+            gcs: 9,
+            watcher_shrinks: 10,
+            deadline_interrupts: 11,
+            cancellations: 12,
         };
         let list = s.counters();
         let values: Vec<u64> = list.iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, (1..=11).collect::<Vec<u64>>());
+        assert_eq!(values, (1..=12).collect::<Vec<u64>>());
         let mut names: Vec<&str> = list.iter().map(|&(n, _)| n).collect();
         names.sort_unstable();
         names.dedup();

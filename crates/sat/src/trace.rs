@@ -8,8 +8,8 @@
 //! [`Stats::counters`] to the registry's `sat.<name>` counter (stats are
 //! lifetime totals; the registry wants per-call increments), so `sat.*`
 //! counts the work done inside observed solves only. Each solve runs
-//! under a `sat.solve` span carrying the per-call conflict, decision and
-//! propagation counts on exit; a presolving load runs under a
+//! under a `sat.solve` span carrying the per-call conflict, decision,
+//! propagation and tick counts on exit; a presolving load runs under a
 //! `sat.presolve` span beside them.
 
 use crate::stats::Stats;
@@ -95,6 +95,7 @@ impl SolverTrace {
         let dc = stats.conflicts - self.base.conflicts;
         let dd = stats.decisions - self.base.decisions;
         let dp = stats.propagations - self.base.propagations;
+        let dt = stats.ticks - self.base.ticks;
         self.per_solve.observe(dc);
         let tail = stats.propagations - self.last_props;
         if tail > 0 {
@@ -104,6 +105,7 @@ impl SolverTrace {
             span.record("conflicts", dc);
             span.record("decisions", dd);
             span.record("propagations", dp);
+            span.record("ticks", dt);
             span.record(
                 "result",
                 match result {

@@ -189,7 +189,7 @@ fn observed_fraig_counts_every_oracle_solve() {
     assert!(snap.value("sat.learnt_clauses") > Some(0));
     let events = tracing.drain_events();
     obs::check::validate(&events).expect("well-formed");
-    for field in ["conflicts", "decisions", "propagations"] {
+    for field in ["conflicts", "decisions", "propagations", "ticks"] {
         let spans = obs::check::sum_field(&events, "sat.solve", field);
         assert_eq!(Some(spans), snap.value(&format!("sat.{field}")), "{field}");
     }
